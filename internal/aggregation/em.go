@@ -428,7 +428,13 @@ func posteriorRowInto(row []float64, answers *model.AnswerSet, validation *model
 	}
 	sum := 0.0
 	for l := 0; l < m; l++ {
-		row[l] = math.Exp(row[l] - maxLog)
+		// The maximum (and any tie with it) would take exp(0), which is
+		// exactly 1; skipping the call leaves every bit unchanged.
+		if d := row[l] - maxLog; d != 0 {
+			row[l] = math.Exp(d)
+		} else {
+			row[l] = 1
+		}
 		sum += row[l]
 	}
 	for l := 0; l < m; l++ {

@@ -2,7 +2,9 @@ package aggregation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdval/internal/model"
@@ -146,5 +148,74 @@ func TestParallelWarmStartBitwiseEqualsSerial(t *testing.T) {
 	serial := run(1)
 	for _, p := range []int{2, 4, 8} {
 		assertBitwiseEqual(t, run(p), serial)
+	}
+}
+
+// TestPosteriorRowSkipsExpOfMaximumBitExact: posteriorRowInto writes 1 for
+// the maximal entry instead of calling exp(0), which must leave every row
+// bit-identical to the exp-everything formula — on EM fixed points of seeded
+// crowds, on rows whose maxima all tie (uniform priors and every worker's
+// log F(l, a) independent of l), and on rows within 1e-12 of a tie.
+func TestPosteriorRowSkipsExpOfMaximumBitExact(t *testing.T) {
+	if math.Exp(0) != 1 || math.Exp(math.Copysign(0, -1)) != 1 {
+		t.Fatal("math.Exp(±0) is not exactly 1")
+	}
+	const n, k = 120, 12
+	for _, m := range []int{2, 3, 5} {
+		answers, validation := randomSparseAnswers(t, n, k, m, 3, 0.1, int64(m))
+		res, err := (&IncrementalEM{Config: EMConfig{Parallelism: 1}}).Aggregate(answers, validation, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fitted, priors := make([]float64, k*m*m), make([]float64, m)
+		for w, c := range res.ProbSet.Confusions {
+			fillLogConfBlock(fitted[w*m*m:(w+1)*m*m], c, m)
+		}
+		fillLogPriors(priors, res.ProbSet.Assignment)
+		uniform, nearTie, flat := make([]float64, m), make([]float64, m), make([]float64, k*m*m)
+		rng := rand.New(rand.NewSource(int64(m)))
+		for l := range uniform {
+			uniform[l] = math.Log(1 / float64(m))
+			nearTie[l] = uniform[l] - float64(l)*1e-12
+		}
+		for i := 0; i < k*m; i++ { // i = w·m + a
+			v := math.Log(rng.Float64())
+			for l := 0; l < m; l++ {
+				flat[(i/m)*m*m+l*m+i%m] = v
+			}
+		}
+
+		got, want := make([]float64, m), make([]float64, m)
+		for ti, tables := range [][2][]float64{{priors, fitted}, {uniform, flat}, {nearTie, flat}} {
+			for o := 0; o < n; o++ {
+				posteriorRowInto(got, answers, validation, o, m, tables[0], tables[1])
+				// The exp-everything formula, on the same logits.
+				copy(want, tables[0])
+				for _, wa := range answers.ObjectView(o) {
+					for l := 0; l < m; l++ {
+						want[l] += tables[1][wa.Worker*m*m+l*m+int(wa.Label)]
+					}
+				}
+				maxLog, sum := slices.Max(want), 0.0
+				for l := range want {
+					want[l] = math.Exp(want[l] - maxLog)
+					sum += want[l]
+				}
+				for l := range want {
+					want[l] /= sum
+				}
+				if validation.Get(o) != model.NoLabel {
+					continue
+				}
+				for l := range got {
+					if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
+						t.Fatalf("m=%d object %d: row %v, exp formula %v", m, o, got, want)
+					}
+					if ti == 1 && want[l] != want[0] {
+						t.Fatalf("m=%d object %d: flat tables gave untied row %v", m, o, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,10 +4,10 @@ import "crowdval/internal/model"
 
 // This file implements the maintained-view half of the ScoreIndex contract:
 // instead of discarding the index on every aggregation and rebuilding it from
-// scratch at the next selection (O(n·m) entropy scan plus an O(k·m²) table
-// fill), the engine patches the existing index onto the successor
-// aggregation result, touching only entries whose underlying rows actually
-// changed. A delta aggregation's settle sweep rewrites every assignment row
+// scratch at the next selection (O(n·m) entropy scan plus O(k·m² +
+// #answers·m) table fills), the engine patches the existing index onto the
+// successor aggregation result, touching only entries whose underlying rows
+// actually changed. A delta aggregation's settle sweep rewrites every assignment row
 // object (usually to bit-identical values outside the dirty frontier), so the
 // patch diffs rows rather than trusting the frontier: a row that carries the
 // same bits keeps its cached entropy, a row that moved is recomputed. The
@@ -35,8 +35,10 @@ func (ix *ScoreIndex) ProbSet() *model.ProbabilisticAnswerSet { return ix.probSe
 // Cost is proportional to what changed: unchanged assignment rows are
 // detected by a bitwise compare and keep their cached entropies; unchanged
 // confusion matrices (pointer-equal or value-equal) keep their log blocks.
-// Only moved rows are re-logged/re-entropied, and totalH is re-summed exactly
-// as NewScoreIndex sums it whenever any entropy moved.
+// Only moved rows are re-entropied and only moved blocks re-logged; totalH is
+// re-summed exactly as NewScoreIndex sums it whenever any entropy moved, and
+// the per-object answer log-likelihoods are refilled whenever any block
+// moved.
 func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAnswerSet) bool {
 	if p == nil || answers == nil || answers != ix.answers {
 		return false
@@ -69,17 +71,24 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 		}
 	}
 
-	if ix.logConf != nil {
+	if ix.logConfT != nil {
 		// Priors are a function of the whole assignment; recomputing them is
 		// O(m) and always exact, so no diff is attempted.
 		fillLogPriors(ix.logPriors, p.Assignment)
 		mm := ix.m * ix.m
+		moved := false
 		for w := range p.Confusions {
 			if confusionsEqual(old.Confusions[w], p.Confusions[w], ix.m) {
 				continue
 			}
-			fillLogConfBlock(ix.logConf[w*mm:(w+1)*mm], p.Confusions[w], ix.m)
 			fillLogConfBlockT(ix.logConfT[w*mm:(w+1)*mm], p.Confusions[w], ix.m)
+			moved = true
+		}
+		// Every answer change reaches the re-estimated confusion of its
+		// worker, so a moved block is also what flags answer changes. The
+		// refill is one pass over the answers, like the build.
+		if moved {
+			ix.fillLogRows()
 		}
 	}
 
@@ -104,7 +113,7 @@ func rowsEqual(a, b []float64) bool {
 
 // confusionsEqual reports whether two confusion matrices carry identical
 // bits (pointer equality short-circuits; m is small, so the cell compare is
-// cheap relative to re-logging two m² blocks).
+// cheap relative to re-logging an m² block).
 func confusionsEqual(a, b *model.ConfusionMatrix, m int) bool {
 	if a == b {
 		return true

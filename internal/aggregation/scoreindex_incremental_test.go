@@ -2,7 +2,9 @@ package aggregation
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,11 +14,11 @@ import (
 
 // This file pins the maintained-view contract of the ScoreIndex: after any
 // history of mutations and delta aggregations, an index maintained by
-// in-place Rebase patches is bit-identical — entropies, totalH, log-prior and
-// both log-confusion table layouts — to one rebuilt from scratch with
-// NewScoreIndex + EnsureHypoTables on the same state. It also pins the
-// blocked (transposed-slab) hypothetical scorer against the scalar one, bit
-// for bit, which is what lets the engine default to the blocked layout.
+// in-place Rebase patches is bit-identical — entropies, totalH, log-priors,
+// the log-confusion table and the per-object answer log-likelihoods — to one
+// rebuilt from scratch with NewScoreIndex + EnsureHypoTables on the same
+// state. It also pins the hypothetical scorer against a sequential-sum
+// reference of its E-step.
 
 // assertIndexBitIdentical compares every maintained table of got against a
 // from-scratch rebuild want, bit for bit.
@@ -39,8 +41,8 @@ func assertIndexBitIdentical(t *testing.T, step int, got, want *ScoreIndex) {
 	}
 	for name, pair := range map[string][2][]float64{
 		"logPriors": {got.logPriors, want.logPriors},
-		"logConf":   {got.logConf, want.logConf},
 		"logConfT":  {got.logConfT, want.logConfT},
+		"logRows":   {got.logRows, want.logRows},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("step %d: %s length: maintained %d, rebuild %d", step, name, len(pair[0]), len(pair[1]))
@@ -188,8 +190,8 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 					wg.Add(1)
 					go func(o int) {
 						defer wg.Done()
-						got := maintained.NewScratch().ConditionalUncertainty(o)
-						want := fresh.NewScratch().ConditionalUncertainty(o)
+						got := maintained.NewHypoScratch().ConditionalUncertainty(o)
+						want := fresh.NewHypoScratch().ConditionalUncertainty(o)
 						if got != want {
 							t.Errorf("step %d: H(P|%d): maintained %v, rebuild %v", step, o, got, want)
 						}
@@ -243,41 +245,110 @@ func TestRebaseRejectsShapeChanges(t *testing.T) {
 	}
 }
 
-// TestBlockedScratchMatchesScalar pins the blocked (contiguous transposed
-// slab) hypothetical scorer against the scalar reference, bit for bit, on
-// every candidate of several seeded crowds — the equivalence that lets the
-// engine route delta scoring through the blocked layout by default.
-func TestBlockedScratchMatchesScalar(t *testing.T) {
-	for _, seed := range []int64{1, 3, 7, 13} {
-		answers, validation, res := scoreIndexCrowd(t, 32, seed)
-		ix := NewScoreIndex(answers, res.ProbSet, EMConfig{})
-		scalar := ix.NewScratch()
-		blocked := ix.NewBlockedScratch()
-		for _, o := range validation.UnvalidatedObjects() {
-			s, b := scalar.ConditionalUncertainty(o), blocked.ConditionalUncertainty(o)
-			if s != b {
-				t.Fatalf("seed %d object %d: scalar H(P|o) = %v, blocked = %v", seed, o, s, b)
+// sequentialConditionalUncertainty is a test-only copy of the hypothetical
+// scorer's E-step before it was scored from the touched workers' side: after
+// the same frontier M-step, every ripple row's logits are re-summed over all
+// of its answers in answer order (re-estimated blocks substituted for the
+// touched workers), exponentiated, normalized, and its entropy is summed
+// term by term.
+func sequentialConditionalUncertainty(sc *HypoScratch, object int) float64 {
+	ix := sc.ix
+	m, mm := ix.m, ix.m*ix.m
+	touched := ix.answers.ObjectView(object)
+	staged := make([]float64, len(touched)*mm)
+	row := make([]float64, m)
+	expected := 0.0
+	for label := 0; label < m; label++ {
+		pl := ix.probSet.Assignment.Prob(object, model.Label(label))
+		if pl <= 0 {
+			continue
+		}
+		clear(sc.hypoRow)
+		sc.hypoRow[label] = 1
+		for i, wa := range touched {
+			sc.reestimateConfusionT(wa.Worker, object)
+			for j, q := range sc.confT {
+				if q <= 0 {
+					q = 1e-12
+				}
+				staged[i*mm+j] = math.Log(q)
 			}
 		}
+		h := ix.totalH - ix.entropies[object]
+		seen := map[int]bool{object: true}
+		for _, wa := range touched {
+			for _, oa := range ix.answers.WorkerView(wa.Worker) {
+				o := oa.Object
+				if seen[o] || ix.probSet.Validation.Get(o) != model.NoLabel {
+					seen[o] = true
+					continue
+				}
+				seen[o] = true
+				copy(row, ix.logPriors)
+				for _, wb := range ix.answers.ObjectView(o) {
+					lf := ix.logConfT[wb.Worker*mm+int(wb.Label)*m:][:m]
+					for i, wt := range touched {
+						if wt.Worker == wb.Worker {
+							lf = staged[i*mm+int(wb.Label)*m:][:m]
+						}
+					}
+					for l, v := range lf {
+						row[l] += v
+					}
+				}
+				maxLog := slices.Max(row)
+				sum := 0.0
+				for l := range row {
+					row[l] = math.Exp(row[l] - maxLog)
+					sum += row[l]
+				}
+				rowH := 0.0
+				for l := range row {
+					if p := row[l] / sum; p > 0 {
+						rowH -= p * math.Log(p)
+					}
+				}
+				h += math.Max(rowH, 0) - ix.entropies[o]
+			}
+		}
+		expected += pl * math.Max(h, 0)
 	}
+	return expected
 }
 
-// TestBlockedScratchZeroAllocsPerCandidate: the blocked scorer must keep the
-// scalar path's zero-allocation steady state.
-func TestBlockedScratchZeroAllocsPerCandidate(t *testing.T) {
-	answers, validation, res := scoreIndexCrowd(t, 64, 7)
-	ix := NewScoreIndex(answers, res.ProbSet, EMConfig{})
-	sc := ix.NewBlockedScratch()
-	candidates := validation.UnvalidatedObjects()
-	for _, o := range candidates {
-		sc.ConditionalUncertainty(o)
+// TestScorerMatchesSequentialReference pins the hypothetical scorer to the
+// sequential-sum E-step it replaced: scoring a ripple row as logPriors +
+// logRows + Δ with the entropy taken in log space only reassociates the same
+// sums, so H(P | o) must agree to 1e-12 relative on every unvalidated object
+// of binary and multi-label crowds.
+func TestScorerMatchesSequentialReference(t *testing.T) {
+	const tolerance = 1e-12
+	var results []*Result
+	for _, seed := range []int64{1, 3, 7, 13} {
+		_, _, res := scoreIndexCrowd(t, 32, seed)
+		results = append(results, res)
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		sc.ConditionalUncertainty(candidates[i%len(candidates)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("blocked scorer allocates %.1f objects per candidate, want 0", allocs)
+	for _, m := range []int{3, 5} {
+		answers, validation := randomSparseAnswers(t, 60, 8, m, 4, 0.1, int64(m))
+		res, err := (&IncrementalEM{Config: EMConfig{Parallelism: 1}}).Aggregate(answers, validation, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	for i, res := range results {
+		sc := NewScoreIndex(res.ProbSet.Answers, res.ProbSet, EMConfig{}).NewHypoScratch()
+		worst := 0.0
+		for _, o := range res.ProbSet.Validation.UnvalidatedObjects() {
+			got := sc.ConditionalUncertainty(o)
+			want := sequentialConditionalUncertainty(sc, o)
+			rel := math.Abs(got-want) / want
+			if !(rel <= tolerance) {
+				t.Fatalf("crowd %d (m=%d) object %d: H(P|o) = %v, sequential reference %v (relative deviation %g > %g)",
+					i, sc.ix.m, o, got, want, rel, tolerance)
+			}
+			worst = math.Max(worst, rel)
+		}
+		t.Logf("crowd %d (m=%d): worst relative deviation %.3g", i, sc.ix.m, worst)
 	}
 }

@@ -90,7 +90,7 @@ func TestHypoConditionalUncertaintyAgreesWithExact(t *testing.T) {
 	const tolerance = 5e-2
 	answers, validation, res := scoreIndexCrowd(t, 20, 3)
 	ix := NewScoreIndex(answers, res.ProbSet, EMConfig{})
-	sc := ix.NewScratch()
+	sc := ix.NewHypoScratch()
 
 	candidates := validation.UnvalidatedObjects()
 	bestExact, bestExactIG := -1, math.Inf(-1)
@@ -122,7 +122,7 @@ func TestHypoConditionalUncertaintyAgreesWithExact(t *testing.T) {
 func TestHypoScratchZeroAllocsPerCandidate(t *testing.T) {
 	answers, validation, res := scoreIndexCrowd(t, 64, 7)
 	ix := NewScoreIndex(answers, res.ProbSet, EMConfig{})
-	sc := ix.NewScratch()
+	sc := ix.NewHypoScratch()
 	candidates := validation.UnvalidatedObjects()
 	// Warm the scratch so the per-degree block buffer has grown.
 	for _, o := range candidates {
@@ -144,7 +144,7 @@ func TestHypoScratchZeroAllocsPerCandidate(t *testing.T) {
 func TestHypoValidatedObjectsStayPinned(t *testing.T) {
 	answers, validation, res := scoreIndexCrowd(t, 16, 11)
 	ix := NewScoreIndex(answers, res.ProbSet, EMConfig{})
-	sc := ix.NewScratch()
+	sc := ix.NewHypoScratch()
 	// Object 0 is validated; every worker answered it, so it is in the
 	// ripple set of every candidate. Its entropy contribution must be zero
 	// on both sides, i.e. the estimate never goes negative and stays within

@@ -570,10 +570,6 @@ func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
 		Parallel:       e.cfg.Parallel,
 		MaxParallelism: e.cfg.MaxParallelism,
 		DeltaScore:     e.cfg.DeltaScoring,
-		// The blocked (contiguous transposed-table) hypothetical scorer is
-		// bit-identical to the scalar one and strictly faster, so it is the
-		// default whenever delta scoring is on.
-		BlockedRows: e.cfg.DeltaScoring,
 	}
 }
 

@@ -64,13 +64,10 @@ type Context struct {
 	// full-EM reference within the documented information-gain tolerance
 	// (see the parity tests).
 	DeltaScore bool
-	// BlockedRows routes delta scoring through the blocked hypothetical
-	// scorer (aggregation.ScoreIndex.NewBlockedScratch), whose E/M inner
-	// loops walk contiguous transposed log-confusion slabs instead of
-	// m-strided columns. Scores are bit-identical to the scalar scratch —
-	// the layouts carry the same floats and every operation runs in the same
-	// order — so this is a pure memory-layout knob; it has no effect without
-	// DeltaScore.
+	// BlockedRows is ignored: delta scoring has a single hypothetical scorer
+	// (aggregation.HypoScratch).
+	//
+	// Deprecated: kept so existing callers compile; it has no effect.
 	BlockedRows bool
 }
 

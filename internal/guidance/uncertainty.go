@@ -58,12 +58,8 @@ func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, func() scorerFunc, err
 	candidates = topEntropyCandidates(ix, ctx.ProbSet.Assignment, candidates, u.CandidateLimit)
 	currentH := ix.TotalUncertainty()
 	if ctx.DeltaScore {
-		blocked := ctx.BlockedRows
 		return candidates, func() scorerFunc {
-			sc := ix.NewScratch()
-			if blocked {
-				sc = ix.NewBlockedScratch()
-			}
+			sc := ix.NewHypoScratch()
 			return func(o int) (float64, error) {
 				return currentH - sc.ConditionalUncertainty(o), nil
 			}
