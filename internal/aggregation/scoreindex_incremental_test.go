@@ -352,3 +352,30 @@ func TestScorerMatchesSequentialReference(t *testing.T) {
 		t.Logf("crowd %d (m=%d): worst relative deviation %.3g", i, sc.ix.m, worst)
 	}
 }
+
+// TestBlockedScratchZeroAllocsPerCandidate asserts the scorer's per-ripple-row
+// Δ blocks ([m]-strided slots in the accumulator) are reused, not grown, once
+// the scratch is warm: on 3- and 5-label crowds scoring a candidate allocates
+// nothing. TestHypoScratchZeroAllocsPerCandidate covers the binary crowd.
+func TestBlockedScratchZeroAllocsPerCandidate(t *testing.T) {
+	for _, m := range []int{3, 5} {
+		answers, validation := randomSparseAnswers(t, 60, 8, m, 4, 0.1, int64(m))
+		res, err := (&IncrementalEM{Config: EMConfig{Parallelism: 1}}).Aggregate(answers, validation, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScoreIndex(answers, res.ProbSet, EMConfig{}).NewHypoScratch()
+		candidates := validation.UnvalidatedObjects()
+		for _, o := range candidates {
+			sc.ConditionalUncertainty(o)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			sc.ConditionalUncertainty(candidates[i%len(candidates)])
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("m=%d: scorer allocates %.1f objects per candidate, want 0", m, allocs)
+		}
+	}
+}
