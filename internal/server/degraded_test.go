@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -376,5 +377,89 @@ func TestDegradedHTTPSurface(t *testing.T) {
 	}
 	if _, readyBody := get("/readyz"); !strings.Contains(readyBody, `"health":"healthy"`) {
 		t.Fatalf("post-heal /readyz body: %s", readyBody)
+	}
+}
+
+// TestDeleteDegradedSessionReleasesGauge: deleting a degraded session must
+// release its health gauge. Otherwise the node reports degraded forever and
+// every probe tick tests the disk on behalf of a session that is gone.
+func TestDeleteDegradedSessionReleasesGauge(t *testing.T) {
+	d := testCrowd(t, 16, 5, 131)
+	in := fault.NewInjector()
+	m, err := NewManager(faultManagerConfig(t, t.TempDir(), -1, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "doomed"
+	ctx := context.Background()
+	if err := m.Create(ctx, name, d.Answers.Clone(), sessionOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	in.Arm(fault.Rule{Op: fault.OpSync, Err: fault.ErrIO})
+	if _, err := m.Submit(ctx, name, 0, d.Truth[0]); !errors.Is(err, cverr.ErrDegraded) {
+		t.Fatalf("mutation on a failing disk: %v, want ErrDegraded", err)
+	}
+	if got := m.Stats().WALDegradedSessions; got != 1 {
+		t.Fatalf("WALDegradedSessions = %d before Delete, want 1", got)
+	}
+	if err := m.Delete(name); err != nil {
+		t.Fatal(err)
+	}
+	in.Clear()
+	if st := m.Stats(); st.WALDegradedSessions != 0 || st.WALFailStopSessions != 0 {
+		t.Fatalf("after Delete: %d degraded / %d fail-stop sessions, want 0/0", st.WALDegradedSessions, st.WALFailStopSessions)
+	}
+	if h := m.Health(); h.State != "healthy" {
+		t.Fatalf("Health() after deleting the only degraded session = %+v, want healthy", h)
+	}
+	// With nothing degraded the probe loop has nothing to do: it must not
+	// touch the disk (an armed fault would otherwise count a probe failure).
+	in.Arm(fault.Rule{Op: fault.OpSync, Err: fault.ErrIO})
+	if healed, err := m.ProbeOnce(ctx); healed != 0 || err != nil {
+		t.Fatalf("ProbeOnce after Delete = %d, %v; want 0, nil", healed, err)
+	}
+	if got := m.Stats().ProbeFailures; got != 0 {
+		t.Fatalf("ProbeFailures = %d, want 0: the probe ran for a deleted session", got)
+	}
+}
+
+// TestDeleteFailStoppedSessionReleasesGauge is the fail-stop counterpart: a
+// rotation that finds a corrupt durable record fails the session stop, and
+// deleting it must release the fail-stop gauge.
+func TestDeleteFailStoppedSessionReleasesGauge(t *testing.T) {
+	d := testCrowd(t, 16, 5, 71)
+	extra := testCrowd(t, 16, 3, 73)
+	m, err := NewManager(walManagerConfig(t, t.TempDir(), 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "stopped"
+	if err := m.Create(context.Background(), name, d.Answers.Clone(), sessionOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	ops := walScript(d, extra)
+	runScript(t, m, name, ops[:3], true)
+	// Corrupt the create record; the checkpoint the 5th op trips then fails
+	// the session stop (see TestRotationFailsStopOnCorruptLog).
+	f, err := os.OpenFile(m.walPath(name), os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xAB}, 16+8+5); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	runScript(t, m, name, ops[3:5], true)
+	if h := m.Health(); h.State != "failstop" || h.FailStopSessions != 1 {
+		t.Fatalf("Health() after the failed rotation = %+v, want failstop/1", h)
+	}
+	if err := m.Delete(name); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.WALDegradedSessions != 0 || st.WALFailStopSessions != 0 {
+		t.Fatalf("after Delete: %d degraded / %d fail-stop sessions, want 0/0", st.WALDegradedSessions, st.WALFailStopSessions)
+	}
+	if h := m.Health(); h.State != "healthy" {
+		t.Fatalf("Health() after deleting the only fail-stopped session = %+v, want healthy", h)
 	}
 }

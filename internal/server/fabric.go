@@ -160,27 +160,8 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 		return fail(fmt.Errorf("server: handing off session %q: %w", name, err))
 	}
 
-	// The target owns the session now; retire the local copy the way Delete
-	// does, under the same name-stays-reserved-until-done discipline.
-	e.deleted = true
-	e.sess = nil
-	if e.log != nil {
-		e.log.close()
-		e.log = nil
-	}
-	m.removeWALFiles(name)
-	_ = os.Remove(m.parkPath(name))
-	e.mu.Unlock()
-
-	m.mu.Lock()
-	if cur, ok := m.sessions[name]; ok && cur == e {
-		delete(m.sessions, name)
-		m.lru.Remove(e.elem)
-	}
-	m.resident -= e.bytes
-	e.bytes = 0
-	e.parkedAccounted = false
-	m.mu.Unlock()
+	// The target owns the session now: retire the local copy.
+	m.retire(e)
 	return nil
 }
 

@@ -97,6 +97,32 @@ func TestHandoffSessionMovesState(t *testing.T) {
 	}
 }
 
+// TestHandoffReleasesDonorAccounting: a handed-off session leaves nothing
+// behind in the donor's metrics — no session, no resident bytes, and no
+// outstanding monetary budget (the tenant's budget moved with it).
+func TestHandoffReleasesDonorAccounting(t *testing.T) {
+	d := testCrowd(t, 16, 5, 17)
+	ctx := context.Background()
+	m, err := NewManager(ManagerConfig{ParkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sessionOpts(crowdval.WithCostBudget(crowdval.CostTracker{Theta: 10, Budget: 100}))
+	if err := m.Create(ctx, "paid", d.Answers.Clone(), opts...); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Stats().BudgetRemaining; got != 100 {
+		t.Fatalf("BudgetRemaining before handoff = %g, want 100", got)
+	}
+	if err := m.HandoffSession(ctx, "paid", func([]byte, uint64) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Sessions != 0 || st.ResidentBytes != 0 || st.BudgetRemaining != 0 {
+		t.Fatalf("donor stats after handoff: %d sessions, %d resident bytes, %g budget; want all zero",
+			st.Sessions, st.ResidentBytes, st.BudgetRemaining)
+	}
+}
+
 func TestHandoffSendFailureKeepsSession(t *testing.T) {
 	d := testCrowd(t, 12, 4, 5)
 	ctx := context.Background()

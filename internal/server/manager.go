@@ -107,33 +107,38 @@ type Manager struct {
 	// methods are nil-receiver safe, so seams call it unconditionally).
 	injector *fault.Injector
 
-	// mu guards the session table, the LRU list and the accounting fields
-	// below. It is never held while session work runs.
+	// mu guards the session table, the LRU list and the table-derived
+	// accounting below. It is never held while session work runs.
 	mu       sync.Mutex
 	sessions map[string]*entry
 	lru      *list.List // of *entry; front = most recently used
 	resident int64      // estimated bytes of resident session state
 	parked   int64      // number of parked sessions
-
-	// Cumulative counters, guarded by mu.
-	ingested      int64
-	ingestBatches int64 // AddAnswers calls actually executed against sessions
-	coalesced     int64 // ingest requests merged into another request's batch
-	validations   int64
-	selections    int64
-	evictions     int64
-	resumes       int64
-	emIters       int64
-	deltaIters    int64
 	// budgetRemaining is the summed monetary budget remaining across all
 	// budgeted sessions, folded in by settle after every exclusive operation
 	// (a read never changes a budget).
 	budgetRemaining float64
 
-	// Durability counters. They are atomics, not mu-guarded fields: the WAL
-	// appends that update them run inside per-session critical sections, and
-	// a metrics scrape must never queue behind (or take a lock inside) an
-	// in-flight fsync.
+	// Cumulative counters, each incremented where its event happens. They
+	// are atomics, not mu-guarded fields: selections run under shared entry
+	// read locks, WAL appends inside per-session critical sections, and a
+	// metrics scrape must never queue behind (or take a lock inside) either.
+	ingested         atomic.Int64
+	ingestBatches    atomic.Int64 // AddAnswers calls actually executed against sessions
+	coalesced        atomic.Int64 // ingest requests merged into another request's batch
+	shed             atomic.Int64
+	validations      atomic.Int64
+	selections       atomic.Int64
+	globalSelections atomic.Int64 // served marketplace reads (GlobalNext calls)
+	evictions        atomic.Int64
+	resumes          atomic.Int64
+	// Session statistics (EM and delta iterations, score-index builds and
+	// patches) summed over all sessions; see foldSession.
+	emIters           atomic.Int64
+	deltaIters        atomic.Int64
+	scoreIndexBuilds  atomic.Int64
+	scoreIndexPatches atomic.Int64
+	// Durability counters (see walstate.go).
 	walRecords      atomic.Int64
 	walBytes        atomic.Int64
 	walSyncs        atomic.Int64
@@ -141,37 +146,23 @@ type Manager struct {
 	checkpointFails atomic.Int64
 	recovered       atomic.Int64
 	replayed        atomic.Int64
-	shed            atomic.Int64
 
 	// Health gauges and counters (see health.go). walDegraded/walFailStop
 	// are current-state gauges maintained by the state transitions, which
-	// run under entry write locks; the rest are cumulative. Atomics so
-	// scrapes and readiness probes never take a lock.
+	// run under entry write locks; the rest are cumulative.
 	walDegraded    atomic.Int64
 	walFailStop    atomic.Int64
 	degradeEvents  atomic.Int64
 	walHeals       atomic.Int64
 	probeFailures  atomic.Int64
 	enospcReclaims atomic.Int64
-
-	// Maintained-view counters: cumulative from-scratch score-index builds
-	// and in-place patches across all sessions. Atomics for the same reason
-	// as the durability counters — selections account them under the entry's
-	// shared read lock, where a mu-guarded field would serialize readers.
-	scoreIndexBuilds  atomic.Int64
-	scoreIndexPatches atomic.Int64
-
-	// globalSelections counts served marketplace reads (GlobalNext calls).
-	// An atomic for the same reason: global reads run under shared entry
-	// read locks.
-	globalSelections atomic.Int64
 }
 
 // entry is the manager's handle for one named session.
 //
-// Locking: sess, deleted, isParked and emSeen are guarded by the entry's own
-// mu; bytes, parking and elem are guarded by the manager's mu. The only
-// place both are held is the accounting step after an operation, which takes
+// Locking: sess, deleted and isParked are guarded by the entry's own mu;
+// bytes, parking and elem are guarded by the manager's mu. The only place
+// both are held is the accounting step after an operation, which takes
 // them in the fixed order entry.mu → manager.mu.
 type entry struct {
 	name string
@@ -180,17 +171,9 @@ type entry struct {
 	sess     *crowdval.Session // nil while parked (or while creation is in flight)
 	deleted  bool
 	isParked bool
-	// emSeen/deltaSeen are the session's TotalEMIterations and
-	// TotalDeltaIterations already folded into the manager's cumulative
-	// counters; a resumed session restarts at zero.
-	emSeen    int
-	deltaSeen int
-	// scoreBuildsSeen/scorePatchesSeen are the session's ScoreIndexStats
-	// values already folded into the manager's cumulative counters, like
-	// emSeen — but atomics, because selections fold them while holding only
-	// the entry's read lock (addMonotone makes concurrent folds exact).
-	scoreBuildsSeen  atomic.Int64
-	scorePatchesSeen atomic.Int64
+	// folded is how much of the session's statistics foldSession has
+	// already added to the manager's totals.
+	folded sessionCounters
 	// log is the session's write-ahead log state; nil when the manager runs
 	// without a WAL. It is guarded by mu like sess: every append runs inside
 	// the session's write critical section, which is what keeps log order
@@ -377,21 +360,39 @@ func (m *Manager) Delete(name string) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
 	}
+	m.retire(e)
+	return nil
+}
+
+// retire drops a session for good — Delete, or a completed handoff to
+// another node. The caller holds the entry's write lock; retire marks the
+// entry deleted, closes its log and releases the log's health gauge (a
+// retired session is no longer degraded or fail-stopped), removes its
+// durability and park files, unlocks the entry, and only then takes it out
+// of the table and the accounting, so the name stays reserved until its
+// files are gone.
+func (m *Manager) retire(e *entry) {
 	wasParked := e.isParked
 	e.deleted = true
 	e.sess = nil
 	e.isParked = false
-	if e.log != nil {
-		e.log.close()
+	if w := e.log; w != nil {
+		switch w.state {
+		case walDegraded:
+			m.walDegraded.Add(-1)
+		case walFailStop:
+			m.walFailStop.Add(-1)
+		}
+		w.close()
 		e.log = nil
 	}
-	m.removeWALFiles(name)
-	_ = os.Remove(m.parkPath(name))
+	m.removeWALFiles(e.name)
+	_ = os.Remove(m.parkPath(e.name))
 	e.mu.Unlock()
 
 	m.mu.Lock()
-	if cur, ok := m.sessions[name]; ok && cur == e {
-		delete(m.sessions, name)
+	if cur, ok := m.sessions[e.name]; ok && cur == e {
+		delete(m.sessions, e.name)
 		m.lru.Remove(e.elem)
 	}
 	m.resident -= e.bytes
@@ -403,7 +404,6 @@ func (m *Manager) Delete(name string) error {
 		m.parked--
 	}
 	m.mu.Unlock()
-	return nil
 }
 
 // lookup finds the entry for a name and marks it most recently used.
@@ -510,20 +510,32 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 	if e.sess != nil {
 		defer e.mu.RUnlock()
 		err := fn(e.sess)
-		m.accountScoreIndex(e, e.sess)
+		m.foldSession(e, e.sess)
 		return err
 	}
 	e.mu.RUnlock()
 	return m.exclusive(e, name, fn)
 }
 
-// accountScoreIndex folds a session's cumulative score-index build/patch
-// counts into the manager's counters. It runs on the shared view path (read
-// lock held), so the folding is CAS-monotone rather than mu-guarded.
-func (m *Manager) accountScoreIndex(e *entry, sess *crowdval.Session) {
+// sessionCounters are a session's cumulative statistics as already folded
+// into the manager's totals: EM and delta iterations, score-index builds and
+// patches.
+type sessionCounters struct {
+	emIters, deltaIters, builds, patches atomic.Int64
+}
+
+// foldSession adds what the session's cumulative statistics gained since the
+// entry's last fold to the manager's totals. It runs after every operation:
+// under the entry's write lock (settle) and under its shared read lock
+// (selections), so concurrent folds must be exact — addMonotone adds each
+// increment exactly once. unpark resets the entry's folded counters, since a
+// resumed session counts from zero.
+func (m *Manager) foldSession(e *entry, sess *crowdval.Session) {
 	builds, patches := sess.ScoreIndexStats()
-	addMonotone(&e.scoreBuildsSeen, &m.scoreIndexBuilds, int64(builds))
-	addMonotone(&e.scorePatchesSeen, &m.scoreIndexPatches, int64(patches))
+	addMonotone(&e.folded.emIters, &m.emIters, int64(sess.TotalEMIterations()))
+	addMonotone(&e.folded.deltaIters, &m.deltaIters, int64(sess.TotalDeltaIterations()))
+	addMonotone(&e.folded.builds, &m.scoreIndexBuilds, int64(builds))
+	addMonotone(&e.folded.patches, &m.scoreIndexPatches, int64(patches))
 }
 
 // addMonotone folds a session's monotone cumulative counter value cur into
@@ -559,40 +571,31 @@ func (m *Manager) unpark(e *entry) error {
 	_ = os.Remove(path)
 	e.sess = sess
 	e.isParked = false
-	e.emSeen = 0
-	e.deltaSeen = 0
-	e.scoreBuildsSeen.Store(0)
-	e.scorePatchesSeen.Store(0)
+	e.folded = sessionCounters{}
 	m.mu.Lock()
 	e.bytes = sess.MemoryEstimate()
 	m.resident += e.bytes
 	e.parkedAccounted = false
 	m.parked--
-	m.resumes++
+	m.resumes.Add(1)
 	m.mu.Unlock()
 	return nil
 }
 
-// settle re-accounts a session after an operation — memory estimate and EM
-// iteration delta — and selects eviction victims if the budget is exceeded.
+// settle re-accounts a session after an operation — statistics, budget and
+// memory estimate — and selects eviction victims if the budget is exceeded.
 // The caller holds the entry's write lock and must park the returned victims
 // after releasing it (parking locks other entries; doing it while holding
 // this one could deadlock two settles picking each other's entry).
 func (m *Manager) settle(e *entry) []*entry {
-	cur := e.sess.TotalEMIterations()
-	dcur := e.sess.TotalDeltaIterations()
+	m.foldSession(e, e.sess)
 	size := e.sess.MemoryEstimate()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.emIters += int64(cur - e.emSeen)
-	e.emSeen = cur
-	m.deltaIters += int64(dcur - e.deltaSeen)
-	e.deltaSeen = dcur
-	m.accountScoreIndex(e, e.sess)
 	rem := 0.0
 	if t, ok := e.sess.CostBudget(); ok {
 		rem = t.Remaining()
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.budgetRemaining += rem - e.budgetRemaining
 	e.budgetRemaining = rem
 	m.resident += size - e.bytes
@@ -645,7 +648,7 @@ func (m *Manager) park(v *entry) {
 		v.bytes = 0
 		v.parkedAccounted = true
 		m.parked++
-		m.evictions++
+		m.evictions.Add(1)
 	}
 	m.mu.Unlock()
 }
@@ -846,11 +849,9 @@ func (m *Manager) failOwnIngest(e *entry, own *ingestTicket, err error) {
 // accountIngest updates the ingest counters: batches actually executed,
 // requests that rode along in someone else's batch, answers ingested.
 func (m *Manager) accountIngest(batches, coalesced, answers int64) {
-	m.mu.Lock()
-	m.ingestBatches += batches
-	m.coalesced += coalesced
-	m.ingested += answers
-	m.mu.Unlock()
+	m.ingestBatches.Add(batches)
+	m.coalesced.Add(coalesced)
+	m.ingested.Add(answers)
 }
 
 func ingestedOnSuccess(err error, n int) int64 {
@@ -876,9 +877,7 @@ func (m *Manager) NextObject(ctx context.Context, name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.mu.Lock()
-	m.selections++
-	m.mu.Unlock()
+	m.selections.Add(1)
 	return object, nil
 }
 
@@ -895,9 +894,7 @@ func (m *Manager) NextObjects(ctx context.Context, name string, k int) ([]crowdv
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.selections++
-	m.mu.Unlock()
+	m.selections.Add(1)
 	return ranked, nil
 }
 
@@ -988,7 +985,7 @@ func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resume
 	}
 	if e.sess != nil {
 		err := fn(e.sess)
-		m.accountScoreIndex(e, e.sess)
+		m.foldSession(e, e.sess)
 		e.mu.RUnlock()
 		return out, err
 	}
@@ -1025,9 +1022,7 @@ func (m *Manager) Submit(ctx context.Context, name string, object int, label cro
 	if err != nil {
 		return crowdval.StepInfo{}, err
 	}
-	m.mu.Lock()
-	m.validations++
-	m.mu.Unlock()
+	m.validations.Add(1)
 	return info, nil
 }
 
@@ -1043,9 +1038,7 @@ func (m *Manager) SubmitBatch(ctx context.Context, name string, inputs []crowdva
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.validations += int64(len(inputs))
-	m.mu.Unlock()
+	m.validations.Add(int64(len(inputs)))
 	return infos, nil
 }
 
@@ -1119,100 +1112,105 @@ func (m *Manager) Sessions() []SessionInfo {
 	return infos
 }
 
-// Stats is the manager's aggregate state for the metrics endpoint.
+// Stats is the manager's aggregate state for the metrics endpoints. Each
+// numeric field is one metric: its json tag names it in GET /v1/metrics, its
+// prom and help tags declare it in GET /metrics (see RenderPrometheus).
+// Adding a metric means adding one tagged field here and filling it in
+// Manager.Stats.
 type Stats struct {
 	// Sessions is the total number of managed sessions; Resident of them are
 	// in memory and Parked on disk.
-	Sessions int64 `json:"sessions"`
-	Resident int64 `json:"resident"`
-	Parked   int64 `json:"parked"`
+	Sessions int64 `json:"sessions" prom:"crowdval_sessions,gauge" help:"Managed sessions."`
+	Resident int64 `json:"resident" prom:"crowdval_sessions_resident,gauge" help:"Sessions resident in memory."`
+	Parked   int64 `json:"parked" prom:"crowdval_sessions_parked,gauge" help:"Sessions parked to disk."`
 	// ResidentBytes is the estimated memory of resident session state;
 	// MemoryBudget is the configured cap (0 = unlimited).
-	ResidentBytes int64 `json:"residentBytes"`
-	MemoryBudget  int64 `json:"memoryBudget"`
+	ResidentBytes int64 `json:"residentBytes" prom:"crowdval_resident_bytes,gauge" help:"Estimated bytes of resident session state."`
+	MemoryBudget  int64 `json:"memoryBudget" prom:"crowdval_memory_budget_bytes,gauge" help:"Configured resident-memory budget (0 = unlimited)."`
 	// Cumulative operation counters. IngestBatches counts the AddAnswers
 	// calls actually executed against sessions; CoalescedIngests counts the
 	// ingest requests that were merged into another request's batch, so
 	// requests = IngestBatches + CoalescedIngests (modulo per-ticket
 	// fallbacks after a rejected merge).
-	IngestedAnswers      int64 `json:"ingestedAnswers"`
-	IngestBatches        int64 `json:"ingestBatches"`
-	CoalescedIngests     int64 `json:"coalescedIngests"`
-	SubmittedValidations int64 `json:"submittedValidations"`
-	Selections           int64 `json:"selections"`
+	IngestedAnswers      int64 `json:"ingestedAnswers" prom:"crowdval_ingested_answers_total,counter" help:"Crowd answers ingested."`
+	IngestBatches        int64 `json:"ingestBatches" prom:"crowdval_ingest_batches_total,counter" help:"AddAnswers batches executed against sessions."`
+	CoalescedIngests     int64 `json:"coalescedIngests" prom:"crowdval_coalesced_ingests_total,counter" help:"Ingest requests merged into another request's batch."`
+	SubmittedValidations int64 `json:"submittedValidations" prom:"crowdval_validations_total,counter" help:"Expert validations submitted."`
+	Selections           int64 `json:"selections" prom:"crowdval_selections_total,counter" help:"Next-object selections served."`
 	// GlobalSelections counts served marketplace reads (GET /v1/next), each
 	// of which merges per-session rankings into one global answer.
-	GlobalSelections int64 `json:"globalSelections"`
+	GlobalSelections int64 `json:"globalSelections" prom:"crowdval_global_selections_total,counter" help:"Global cross-session rankings served (GET /v1/next)."`
 	// BudgetRemaining is the summed monetary budget remaining across all
 	// budgeted sessions (θ · validations still affordable, bounded by the
 	// configured totals). Sessions without a cost budget contribute zero.
-	BudgetRemaining float64 `json:"budgetRemaining"`
-	Evictions       int64   `json:"evictions"`
-	Resumes         int64   `json:"resumes"`
-	EMIterations    int64   `json:"emIterations"`
+	BudgetRemaining float64 `json:"budgetRemaining" prom:"crowdval_budget_remaining,gauge" help:"Summed monetary budget remaining across budgeted sessions."`
+	Evictions       int64   `json:"evictions" prom:"crowdval_evictions_total,counter" help:"Sessions parked to disk under memory pressure."`
+	Resumes         int64   `json:"resumes" prom:"crowdval_resumes_total,counter" help:"Parked sessions resumed on touch."`
+	EMIterations    int64   `json:"emIterations" prom:"crowdval_em_iterations_total,counter" help:"Full EM iterations run across all sessions."`
 	// DeltaIterations is the cumulative count of frontier-restricted
 	// iterations run by delta-incremental sessions (see WithDeltaIngest).
-	DeltaIterations int64 `json:"deltaIterations"`
+	DeltaIterations int64 `json:"deltaIterations" prom:"crowdval_delta_iterations_total,counter" help:"Frontier-restricted delta iterations run across all sessions."`
 	// ShedIngests counts AddAnswers requests rejected with ErrOverloaded
 	// because a session's ingest queue was at its configured bound.
-	ShedIngests int64 `json:"shedIngests"`
+	ShedIngests int64 `json:"shedIngests" prom:"crowdval_shed_ingests_total,counter" help:"Ingest requests shed with ErrOverloaded (HTTP 429)."`
 	// ScoreIndexBuilds/ScoreIndexPatches count, across all sessions, how
 	// often a selection built the guidance scoring index from scratch versus
 	// patching the maintained one in place (the incremental-view path); a
 	// patch-dominated ratio means selections are being served at cost
 	// proportional to what each ingest changed.
-	ScoreIndexBuilds  int64 `json:"scoreIndexBuilds"`
-	ScoreIndexPatches int64 `json:"scoreIndexPatches"`
+	ScoreIndexBuilds  int64 `json:"scoreIndexBuilds" prom:"crowdval_score_index_builds_total,counter" help:"Guidance scoring indexes built from scratch."`
+	ScoreIndexPatches int64 `json:"scoreIndexPatches" prom:"crowdval_score_index_patches_total,counter" help:"Guidance scoring indexes patched in place (maintained view)."`
 	// Durability counters; all zero when the manager runs without a WAL.
 	// WALRecords/WALBytes/WALSyncs are cumulative appender totals across all
 	// sessions; Checkpoints/CheckpointFailures count snapshot-checkpoint
 	// rotations; RecoveredSessions/ReplayedRecords describe the crash
 	// recovery this process performed at boot.
-	WALRecords         int64 `json:"walRecords"`
-	WALBytes           int64 `json:"walBytes"`
-	WALSyncs           int64 `json:"walSyncs"`
-	Checkpoints        int64 `json:"checkpoints"`
-	CheckpointFailures int64 `json:"checkpointFailures"`
-	RecoveredSessions  int64 `json:"recoveredSessions"`
-	ReplayedRecords    int64 `json:"replayedRecords"`
+	WALRecords         int64 `json:"walRecords" prom:"crowdval_wal_records_total,counter" help:"Records appended to session write-ahead logs."`
+	WALBytes           int64 `json:"walBytes" prom:"crowdval_wal_bytes_total,counter" help:"Bytes written to session write-ahead logs."`
+	WALSyncs           int64 `json:"walSyncs" prom:"crowdval_wal_fsyncs_total,counter" help:"Fsyncs issued by session write-ahead logs."`
+	Checkpoints        int64 `json:"checkpoints" prom:"crowdval_checkpoints_total,counter" help:"Snapshot checkpoints written (with log truncation)."`
+	CheckpointFailures int64 `json:"checkpointFailures" prom:"crowdval_checkpoint_failures_total,counter" help:"Snapshot checkpoints that failed (log left untruncated)."`
+	RecoveredSessions  int64 `json:"recoveredSessions" prom:"crowdval_recovered_sessions,gauge" help:"Sessions rebuilt from WAL recovery at boot."`
+	ReplayedRecords    int64 `json:"replayedRecords" prom:"crowdval_replayed_records,gauge" help:"WAL records replayed during boot recovery."`
 	// Health state machine (see health.go). WALDegradedSessions and
 	// WALFailStopSessions are current-state gauges; DegradeEvents, WALHeals,
 	// ProbeFailures and ENOSPCReclaims are cumulative counters. A reclaim is
 	// a full-disk append that recovered by checkpoint-and-truncate without
 	// ever degrading.
-	WALDegradedSessions int64 `json:"walDegradedSessions"`
-	WALFailStopSessions int64 `json:"walFailStopSessions"`
-	DegradeEvents       int64 `json:"degradeEvents"`
-	WALHeals            int64 `json:"walHeals"`
-	ProbeFailures       int64 `json:"probeFailures"`
-	ENOSPCReclaims      int64 `json:"enospcReclaims"`
+	WALDegradedSessions int64 `json:"walDegradedSessions" prom:"crowdval_wal_degraded_sessions,gauge" help:"Sessions in degraded read-only mode after a durability failure."`
+	WALFailStopSessions int64 `json:"walFailStopSessions" prom:"crowdval_wal_failstop_sessions,gauge" help:"Sessions fail-stopped until restart (durable log inconsistent)."`
+	DegradeEvents       int64 `json:"degradeEvents" prom:"crowdval_wal_degrade_events_total,counter" help:"Transitions of a session into degraded read-only mode."`
+	WALHeals            int64 `json:"walHeals" prom:"crowdval_wal_heals_total,counter" help:"Degraded sessions healed back to healthy by the probe loop."`
+	ProbeFailures       int64 `json:"probeFailures" prom:"crowdval_wal_probe_failures_total,counter" help:"Health probe writes that failed (disk still unavailable)."`
+	ENOSPCReclaims      int64 `json:"enospcReclaims" prom:"crowdval_wal_enospc_reclaims_total,counter" help:"Successful checkpoint-and-truncate reclaims after ENOSPC."`
 }
 
-// Stats returns a consistent snapshot of the manager's aggregate state. The
-// durability counters are atomics sampled individually — a scrape never
-// waits behind an in-flight fsync — so they can trail the mu-guarded fields
-// by a few operations; every counter is individually monotone.
+// Stats samples the manager's aggregate state. The table-derived values
+// (sessions, residency, budget) are read together under the manager's lock;
+// the counters are atomics sampled individually — a scrape never waits
+// behind an in-flight fsync — so they can trail each other by a few
+// operations; every counter is individually monotone.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	s := Stats{
-		Sessions:             int64(len(m.sessions)),
-		Resident:             int64(len(m.sessions)) - m.parked,
-		Parked:               m.parked,
-		ResidentBytes:        m.resident,
-		MemoryBudget:         m.budget,
-		IngestedAnswers:      m.ingested,
-		IngestBatches:        m.ingestBatches,
-		CoalescedIngests:     m.coalesced,
-		SubmittedValidations: m.validations,
-		Selections:           m.selections,
-		Evictions:            m.evictions,
-		Resumes:              m.resumes,
-		EMIterations:         m.emIters,
-		DeltaIterations:      m.deltaIters,
-		BudgetRemaining:      m.budgetRemaining,
+		Sessions:        int64(len(m.sessions)),
+		Resident:        int64(len(m.sessions)) - m.parked,
+		Parked:          m.parked,
+		ResidentBytes:   m.resident,
+		MemoryBudget:    m.budget,
+		BudgetRemaining: m.budgetRemaining,
 	}
 	m.mu.Unlock()
+	s.IngestedAnswers = m.ingested.Load()
+	s.IngestBatches = m.ingestBatches.Load()
+	s.CoalescedIngests = m.coalesced.Load()
+	s.SubmittedValidations = m.validations.Load()
+	s.Selections = m.selections.Load()
 	s.GlobalSelections = m.globalSelections.Load()
+	s.Evictions = m.evictions.Load()
+	s.Resumes = m.resumes.Load()
+	s.EMIterations = m.emIters.Load()
+	s.DeltaIterations = m.deltaIters.Load()
 	s.ShedIngests = m.shed.Load()
 	s.ScoreIndexBuilds = m.scoreIndexBuilds.Load()
 	s.ScoreIndexPatches = m.scoreIndexPatches.Load()

@@ -3,72 +3,37 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 )
 
 // This file renders the manager statistics in the Prometheus text exposition
 // format (version 0.0.4), served at GET /metrics alongside the JSON form at
-// GET /v1/metrics. The scrape path reads only manager-guarded counters and
+// GET /v1/metrics. The scrape path reads only manager-guarded state and
 // lock-free atomics — it never touches an entry lock, so a scrape cannot
 // queue behind an in-flight aggregation or fsync.
+//
+// Stats and ClusterStats are the metric declarations: every int64 or float64
+// field carries a prom:"<name>,<counter|gauge>" tag and a help:"..." tag, and
+// RenderPrometheus turns each tagged field into one metric. Ratios
+// (coalescing effectiveness, park/resume churn) are left to the scraper:
+// counters stay raw so rate() works.
 
-// promMetric is one exposed metric: name, type, help, and a getter against a
-// Stats snapshot. Ratios (coalescing effectiveness, park/resume churn) are
-// left to the scraper: counters stay raw so rate() works.
-type promMetric struct {
-	name  string
-	typ   string // "counter" or "gauge"
-	help  string
-	value func(Stats) int64
-}
-
-var promMetrics = []promMetric{
-	{"crowdval_sessions", "gauge", "Managed sessions.", func(s Stats) int64 { return s.Sessions }},
-	{"crowdval_sessions_resident", "gauge", "Sessions resident in memory.", func(s Stats) int64 { return s.Resident }},
-	{"crowdval_sessions_parked", "gauge", "Sessions parked to disk.", func(s Stats) int64 { return s.Parked }},
-	{"crowdval_resident_bytes", "gauge", "Estimated bytes of resident session state.", func(s Stats) int64 { return s.ResidentBytes }},
-	{"crowdval_memory_budget_bytes", "gauge", "Configured resident-memory budget (0 = unlimited).", func(s Stats) int64 { return s.MemoryBudget }},
-	{"crowdval_ingested_answers_total", "counter", "Crowd answers ingested.", func(s Stats) int64 { return s.IngestedAnswers }},
-	{"crowdval_ingest_batches_total", "counter", "AddAnswers batches executed against sessions.", func(s Stats) int64 { return s.IngestBatches }},
-	{"crowdval_coalesced_ingests_total", "counter", "Ingest requests merged into another request's batch.", func(s Stats) int64 { return s.CoalescedIngests }},
-	{"crowdval_shed_ingests_total", "counter", "Ingest requests shed with ErrOverloaded (HTTP 429).", func(s Stats) int64 { return s.ShedIngests }},
-	{"crowdval_validations_total", "counter", "Expert validations submitted.", func(s Stats) int64 { return s.SubmittedValidations }},
-	{"crowdval_selections_total", "counter", "Next-object selections served.", func(s Stats) int64 { return s.Selections }},
-	{"crowdval_global_selections_total", "counter", "Global cross-session rankings served (GET /v1/next).", func(s Stats) int64 { return s.GlobalSelections }},
-	{"crowdval_evictions_total", "counter", "Sessions parked to disk under memory pressure.", func(s Stats) int64 { return s.Evictions }},
-	{"crowdval_resumes_total", "counter", "Parked sessions resumed on touch.", func(s Stats) int64 { return s.Resumes }},
-	{"crowdval_em_iterations_total", "counter", "Full EM iterations run across all sessions.", func(s Stats) int64 { return s.EMIterations }},
-	{"crowdval_delta_iterations_total", "counter", "Frontier-restricted delta iterations run across all sessions.", func(s Stats) int64 { return s.DeltaIterations }},
-	{"crowdval_score_index_builds_total", "counter", "Guidance scoring indexes built from scratch.", func(s Stats) int64 { return s.ScoreIndexBuilds }},
-	{"crowdval_score_index_patches_total", "counter", "Guidance scoring indexes patched in place (maintained view).", func(s Stats) int64 { return s.ScoreIndexPatches }},
-	{"crowdval_wal_records_total", "counter", "Records appended to session write-ahead logs.", func(s Stats) int64 { return s.WALRecords }},
-	{"crowdval_wal_bytes_total", "counter", "Bytes written to session write-ahead logs.", func(s Stats) int64 { return s.WALBytes }},
-	{"crowdval_wal_fsyncs_total", "counter", "Fsyncs issued by session write-ahead logs.", func(s Stats) int64 { return s.WALSyncs }},
-	{"crowdval_checkpoints_total", "counter", "Snapshot checkpoints written (with log truncation).", func(s Stats) int64 { return s.Checkpoints }},
-	{"crowdval_checkpoint_failures_total", "counter", "Snapshot checkpoints that failed (log left untruncated).", func(s Stats) int64 { return s.CheckpointFailures }},
-	{"crowdval_recovered_sessions", "gauge", "Sessions rebuilt from WAL recovery at boot.", func(s Stats) int64 { return s.RecoveredSessions }},
-	{"crowdval_replayed_records", "gauge", "WAL records replayed during boot recovery.", func(s Stats) int64 { return s.ReplayedRecords }},
-	{"crowdval_wal_degraded_sessions", "gauge", "Sessions in degraded read-only mode after a durability failure.", func(s Stats) int64 { return s.WALDegradedSessions }},
-	{"crowdval_wal_failstop_sessions", "gauge", "Sessions fail-stopped until restart (durable log inconsistent).", func(s Stats) int64 { return s.WALFailStopSessions }},
-	{"crowdval_wal_degrade_events_total", "counter", "Transitions of a session into degraded read-only mode.", func(s Stats) int64 { return s.DegradeEvents }},
-	{"crowdval_wal_heals_total", "counter", "Degraded sessions healed back to healthy by the probe loop.", func(s Stats) int64 { return s.WALHeals }},
-	{"crowdval_wal_probe_failures_total", "counter", "Health probe writes that failed (disk still unavailable).", func(s Stats) int64 { return s.ProbeFailures }},
-	{"crowdval_wal_enospc_reclaims_total", "counter", "Successful checkpoint-and-truncate reclaims after ENOSPC.", func(s Stats) int64 { return s.ENOSPCReclaims }},
-}
-
-// RenderPrometheus renders a Stats snapshot in the Prometheus text format.
-func RenderPrometheus(s Stats) string {
+// RenderPrometheus renders a Stats or ClusterStats sample in the Prometheus
+// text format: one # HELP, # TYPE and sample line per prom-tagged field, in
+// field order. Fields without a prom tag are skipped.
+func RenderPrometheus(stats any) string {
+	v := reflect.ValueOf(stats)
 	var b strings.Builder
-	for _, m := range promMetrics {
-		fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.typ)
-		fmt.Fprintf(&b, "%s %d\n", m.name, m.value(s))
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		name, typ, ok := strings.Cut(f.Tag.Get("prom"), ",")
+		if !ok {
+			continue
+		}
+		// %v prints an int64 as %d and a float64 as %g.
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, f.Tag.Get("help"), name, typ, name, v.Field(i))
 	}
-	// The one float-valued metric: monetary budget is a continuous quantity,
-	// not a count, so it is rendered with %g outside the integer table.
-	fmt.Fprintf(&b, "# HELP crowdval_budget_remaining Summed monetary budget remaining across budgeted sessions.\n")
-	fmt.Fprintf(&b, "# TYPE crowdval_budget_remaining gauge\n")
-	fmt.Fprintf(&b, "crowdval_budget_remaining %g\n", s.BudgetRemaining)
 	return b.String()
 }
 
@@ -78,23 +43,23 @@ func RenderPrometheus(s Stats) string {
 type ClusterStats struct {
 	// Self is this node's advertised address; Peers the fabric size.
 	Self  string `json:"self,omitempty"`
-	Peers int64  `json:"peers"`
+	Peers int64  `json:"peers" prom:"crowdval_cluster_peers,gauge" help:"Member nodes in the cluster fabric."`
 	// SessionsOwned counts sessions this node currently owns (serves writes
 	// for); FollowedSessions counts sessions it replicates from a leader.
-	SessionsOwned    int64 `json:"sessionsOwned"`
-	FollowedSessions int64 `json:"followedSessions"`
+	SessionsOwned    int64 `json:"sessionsOwned" prom:"crowdval_cluster_sessions_owned,gauge" help:"Sessions this node currently owns."`
+	FollowedSessions int64 `json:"followedSessions" prom:"crowdval_cluster_sessions_followed,gauge" help:"Sessions this node replicates from a leader."`
 	// HandoffsIn/HandoffsOut count live session migrations received/sent.
-	HandoffsIn  int64 `json:"handoffsIn"`
-	HandoffsOut int64 `json:"handoffsOut"`
+	HandoffsIn  int64 `json:"handoffsIn" prom:"crowdval_cluster_handoffs_in_total,counter" help:"Live session migrations received."`
+	HandoffsOut int64 `json:"handoffsOut" prom:"crowdval_cluster_handoffs_out_total,counter" help:"Live session migrations sent."`
 	// ReplicationLagLSN is the largest (leader LSN − applied LSN) gap across
 	// the sessions this node follows, from the latest stream samples.
-	ReplicationLagLSN int64 `json:"replicationLagLSN"`
+	ReplicationLagLSN int64 `json:"replicationLagLSN" prom:"crowdval_cluster_replication_lag_lsns,gauge" help:"Largest leader-to-follower LSN gap across followed sessions."`
 	// Promotions counts followed sessions this node promoted to ownership
 	// after a leader failure.
-	Promotions int64 `json:"promotions"`
+	Promotions int64 `json:"promotions" prom:"crowdval_cluster_promotions_total,counter" help:"Followed sessions promoted to ownership after a leader failure."`
 	// NotOwnerRejects counts requests bounced with HTTP 421 because another
 	// node owns the session.
-	NotOwnerRejects int64 `json:"notOwnerRejects"`
+	NotOwnerRejects int64 `json:"notOwnerRejects" prom:"crowdval_cluster_not_owner_total,counter" help:"Requests rejected with HTTP 421 (session owned elsewhere)."`
 }
 
 // MetricsResponse is the body of GET /v1/metrics: the manager statistics,
@@ -104,39 +69,10 @@ type MetricsResponse struct {
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
-// clusterPromMetrics mirrors ClusterStats in the Prometheus exposition.
-var clusterPromMetrics = []struct {
-	name  string
-	typ   string
-	help  string
-	value func(ClusterStats) int64
-}{
-	{"crowdval_cluster_peers", "gauge", "Member nodes in the cluster fabric.", func(c ClusterStats) int64 { return c.Peers }},
-	{"crowdval_cluster_sessions_owned", "gauge", "Sessions this node currently owns.", func(c ClusterStats) int64 { return c.SessionsOwned }},
-	{"crowdval_cluster_sessions_followed", "gauge", "Sessions this node replicates from a leader.", func(c ClusterStats) int64 { return c.FollowedSessions }},
-	{"crowdval_cluster_handoffs_in_total", "counter", "Live session migrations received.", func(c ClusterStats) int64 { return c.HandoffsIn }},
-	{"crowdval_cluster_handoffs_out_total", "counter", "Live session migrations sent.", func(c ClusterStats) int64 { return c.HandoffsOut }},
-	{"crowdval_cluster_replication_lag_lsns", "gauge", "Largest leader-to-follower LSN gap across followed sessions.", func(c ClusterStats) int64 { return c.ReplicationLagLSN }},
-	{"crowdval_cluster_promotions_total", "counter", "Followed sessions promoted to ownership after a leader failure.", func(c ClusterStats) int64 { return c.Promotions }},
-	{"crowdval_cluster_not_owner_total", "counter", "Requests rejected with HTTP 421 (session owned elsewhere).", func(c ClusterStats) int64 { return c.NotOwnerRejects }},
-}
-
-// RenderPrometheusCluster renders a ClusterStats sample in the Prometheus
-// text format.
-func RenderPrometheusCluster(c ClusterStats) string {
-	var b strings.Builder
-	for _, m := range clusterPromMetrics {
-		fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.typ)
-		fmt.Fprintf(&b, "%s %d\n", m.name, m.value(c))
-	}
-	return b.String()
-}
-
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = fmt.Fprint(w, RenderPrometheus(s.manager.Stats()))
 	if s.clusterStats != nil {
-		_, _ = fmt.Fprint(w, RenderPrometheusCluster(s.clusterStats()))
+		_, _ = fmt.Fprint(w, RenderPrometheus(s.clusterStats()))
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -117,7 +118,7 @@ const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBy
 // renderExposition is what GET /metrics serves for a node with cluster
 // counters.
 func renderExposition(s Stats, c ClusterStats) string {
-	return RenderPrometheus(s) + RenderPrometheusCluster(c)
+	return RenderPrometheus(s) + RenderPrometheus(c)
 }
 
 // parseExposition splits Prometheus text into per-metric blocks. Each metric
@@ -204,5 +205,56 @@ func TestMetricsJSONPinned(t *testing.T) {
 	writeJSON(rec, 200, MetricsResponse{Stats: s, Cluster: &c})
 	if got := rec.Body.String(); got != wantMetricsJSON {
 		t.Fatalf("/v1/metrics body:\n%s\nwant:\n%s", got, wantMetricsJSON)
+	}
+}
+
+// TestMetricTagInvariants: every numeric field of Stats and ClusterStats is
+// declared as a metric — a prom tag with a well-formed unique name and a
+// counter/gauge type that matches the _total suffix convention, and a help
+// text — and nothing else carries a prom tag. A new field therefore cannot
+// silently go missing from /metrics.
+func TestMetricTagInvariants(t *testing.T) {
+	valid := regexp.MustCompile(`^crowdval_[a-z0-9_]+$`)
+	names := make(map[string]string) // metric name → declaring field
+	for _, typ := range []reflect.Type{reflect.TypeOf(Stats{}), reflect.TypeOf(ClusterStats{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			field := typ.Name() + "." + f.Name
+			tag, tagged := f.Tag.Lookup("prom")
+			numeric := f.Type.Kind() == reflect.Int64 || f.Type.Kind() == reflect.Float64
+			if !numeric {
+				if tagged {
+					t.Errorf("%s: prom tag on a %s field", field, f.Type)
+				}
+				continue
+			}
+			name, kind, ok := strings.Cut(tag, ",")
+			if !ok {
+				t.Errorf("%s: prom tag %q, want \"<name>,<counter|gauge>\"", field, tag)
+				continue
+			}
+			if !valid.MatchString(name) {
+				t.Errorf("%s: metric name %q does not match %s", field, name, valid)
+			}
+			if prev, dup := names[name]; dup {
+				t.Errorf("%s: metric name %q already declared by %s", field, name, prev)
+			}
+			names[name] = field
+			switch kind {
+			case "counter":
+				if !strings.HasSuffix(name, "_total") {
+					t.Errorf("%s: counter %q must end in _total", field, name)
+				}
+			case "gauge":
+				if strings.HasSuffix(name, "_total") {
+					t.Errorf("%s: gauge %q must not end in _total", field, name)
+				}
+			default:
+				t.Errorf("%s: metric type %q, want counter or gauge", field, kind)
+			}
+			if strings.TrimSpace(f.Tag.Get("help")) == "" {
+				t.Errorf("%s: empty help tag", field)
+			}
+		}
 	}
 }

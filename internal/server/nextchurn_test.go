@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"crowdval"
+	"crowdval/internal/cverr"
 )
 
 // TestNextKChurnBitForBit extends the concurrent bit-for-bit contract to the
@@ -218,5 +220,154 @@ func TestNextKChurnBitForBit(t *testing.T) {
 		if !strings.Contains(string(raw), name) {
 			t.Fatalf("Prometheus exposition missing %s:\n%s", name, raw)
 		}
+	}
+}
+
+// TestSessionCountersFoldExactly pins the manager's session-statistics fold:
+// with selections (per-session and global), delta ingests and validations
+// racing over several resident sessions, the manager's EMIterations,
+// DeltaIterations, ScoreIndexBuilds and ScoreIndexPatches must equal, not
+// merely bound, the sums of the sessions' own cumulative statistics. Run it
+// under -race -count=N to shake out lost or doubled folds.
+func TestSessionCountersFoldExactly(t *testing.T) {
+	m, err := NewManager(ManagerConfig{ParkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	d := testCrowd(t, 30, 8, 61)
+	extra := testCrowd(t, 30, 6, 67)
+	names := []string{"fold-a", "fold-b", "fold-c"}
+	for i, name := range names {
+		opts := []crowdval.Option{
+			crowdval.WithStrategy(crowdval.StrategyUncertainty),
+			crowdval.WithSeed(int64(i + 1)),
+			crowdval.WithCandidateLimit(6),
+			crowdval.WithParallelism(1),
+			crowdval.WithDeltaIngest(),
+			crowdval.WithDeltaScoring(),
+		}
+		if err := m.Create(ctx, name, d.Answers.Clone(), opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// ingest returns extra worker w's answers on objects [from, to) as new
+	// workers of the session crowd.
+	ingest := func(w, from, to int) []crowdval.Answer {
+		var answers []crowdval.Answer
+		for o := from; o < to; o++ {
+			if l := extra.Answers.Answer(o, w); l >= 0 {
+				answers = append(answers, crowdval.Answer{Object: o, Worker: d.Answers.NumWorkers() + w, Label: l})
+			}
+		}
+		return answers
+	}
+	benign := func(err error) bool {
+		return err == nil || errors.Is(err, cverr.ErrAlreadyValidated) || errors.Is(err, cverr.ErrSessionDone) ||
+			errors.Is(err, cverr.ErrNoCandidates)
+	}
+
+	const goroutines, rounds = 4, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*(rounds+len(names)))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				name := names[(g+r)%len(names)]
+				var err error
+				switch (g + r) % 4 {
+				case 0:
+					_, err = m.NextObjects(ctx, name, 3)
+				case 1:
+					_, err = m.GlobalNext(ctx, 5, false)
+				case 2:
+					_, err = m.AddAnswers(ctx, name, ingest(g, 5*r, 5*r+10))
+				case 3:
+					var ranked []crowdval.ScoredObject
+					if ranked, err = m.NextObjects(ctx, name, 1); err == nil {
+						o := ranked[0].Object
+						_, err = m.Submit(ctx, name, o, d.Truth[o])
+					}
+				}
+				if !benign(err) {
+					errs <- fmt.Errorf("goroutine %d round %d on %s: %w", g, r, name, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Then one more ingest per session and a burst of concurrent reads, so
+	// several readers fold the same fresh index patch at once.
+	for _, name := range names {
+		if _, err := m.AddAnswers(ctx, name, ingest(goroutines, 0, 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, name := range names {
+				if _, err := m.NextObjects(ctx, name, 1+g%3); !benign(err) {
+					errs <- fmt.Errorf("goroutine %d reading %s: %w", g, name, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// A serial tail in which each fold site is the last to see a change on
+	// some session, so none is covered by a later fold: fold-c last changes
+	// under GlobalNext, fold-b under an ingest (settle), fold-a under a
+	// per-session read.
+	tail := ingest(goroutines+1, 0, 30)
+	for _, name := range names {
+		if _, err := m.AddAnswers(ctx, name, tail[:len(tail)/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.GlobalNext(ctx, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names[:2] {
+		if _, err := m.AddAnswers(ctx, name, tail[len(tail)/2:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.NextObjects(ctx, names[0], 3); err != nil {
+		t.Fatal(err)
+	}
+
+	// Sample the manager first: the View calls below fold too, and must not
+	// be what makes the totals add up.
+	got := m.Stats()
+	var want Stats
+	for _, name := range names {
+		if err := m.View(ctx, name, func(s *crowdval.Session) error {
+			builds, patches := s.ScoreIndexStats()
+			want.EMIterations += int64(s.TotalEMIterations())
+			want.DeltaIterations += int64(s.TotalDeltaIterations())
+			want.ScoreIndexBuilds += int64(builds)
+			want.ScoreIndexPatches += int64(patches)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.EMIterations != want.EMIterations || got.DeltaIterations != want.DeltaIterations ||
+		got.ScoreIndexBuilds != want.ScoreIndexBuilds || got.ScoreIndexPatches != want.ScoreIndexPatches {
+		t.Fatalf("manager totals (em %d, delta %d, builds %d, patches %d) != session sums (em %d, delta %d, builds %d, patches %d)",
+			got.EMIterations, got.DeltaIterations, got.ScoreIndexBuilds, got.ScoreIndexPatches,
+			want.EMIterations, want.DeltaIterations, want.ScoreIndexBuilds, want.ScoreIndexPatches)
+	}
+	if want.DeltaIterations == 0 || want.ScoreIndexBuilds == 0 || want.ScoreIndexPatches == 0 {
+		t.Fatalf("the churn left a counter untouched (delta %d, builds %d, patches %d): the test would prove nothing",
+			want.DeltaIterations, want.ScoreIndexBuilds, want.ScoreIndexPatches)
 	}
 }

@@ -82,3 +82,17 @@ func TestRatioOfPairs(t *testing.T) {
 		t.Fatal("non-positive denominator accepted")
 	}
 }
+
+// TestPairMargins pins every guarded pair and its regression margin, so a
+// loosened margin or a dropped pair is a visible, reviewed change.
+func TestPairMargins(t *testing.T) {
+	want := map[string]float64{"warm": 0.25, "next": 0.35, "wal": 0.25, "nextserve": 0.5, "globalnext": 1.0}
+	if len(knownPairs) != len(want) {
+		t.Fatalf("%d guarded pairs, want %d", len(knownPairs), len(want))
+	}
+	for key, margin := range want {
+		if got := knownPairs[key].maxRegress; got != margin {
+			t.Errorf("pair %s margin = %v, want %v", key, got, margin)
+		}
+	}
+}
