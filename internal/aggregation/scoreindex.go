@@ -23,14 +23,21 @@ import (
 // objects those workers answered — accumulating the entropy change against
 // the maintained entropy index.
 //
-// The ripple E-step is scored from the touched workers' side: each touched
-// worker's view is walked once, adding its staged-minus-current log-block
-// entry into a per-ripple-row accumulator Δ, and each ripple row's logits are
-// then logPriors + logRows[r] + Δ. A ripple row therefore costs O(its touched
-// answers) — usually one — instead of O(its degree), and its entropy is taken
-// in log space with m−1 exp and one log. One hypothesis costs O(Σ touched
-// workers' degrees · m) plus the frontier M-step, and no object's answer list
-// is read at all.
+// The ripple E-step is scored from the touched workers' side, for all m
+// labels of a candidate in one pass. One walk over each touched worker's
+// answers re-estimates its confusion under every hypothesis at once (pinning
+// the candidate to label h changes a single soft count of the worker), and
+// the worker's staged-minus-current log entries are exponentiated once: 2m²
+// logs and 2m² exps per touched worker per candidate. Each touched worker's
+// view is then walked once, adding those entries into per-ripple-row
+// accumulators Δ and multiplying their exponentials into per-row products Π.
+// A ripple row's logits are logPriors + logRows[r] + Δ, and its entropy is
+// taken in log space from the index's per-row factors R = exp(b − max b)
+// (b = logPriors + logRows[r]) times Π instead of from exp: one log per
+// ripple row and hypothesis, and no exp. A ripple row costs O(its touched
+// answers) — usually one — instead of O(its degree), and no object's answer
+// list is read. Rows whose factors leave the normal float range fall back to
+// taking their m−1 exponentials directly.
 //
 // The result is a first-order estimate of the exact conditional uncertainty:
 // it captures the hypothesis' local ripple (the frontier's rows and its
@@ -75,9 +82,13 @@ type ScoreIndex struct {
 	// is one contiguous run. logRows holds, per object, the sum of its
 	// answers' log-confusion vectors in answer order (n·m, priors excluded):
 	// the E-step logits of every object minus its log-priors.
+	// rowExp holds, per object, R_l = exp(b_l − max b) with b = logPriors +
+	// logRows (n·m, flushed to zero below the smallest normal float): the
+	// factors from which hypothetical row posteriors are formed without exp.
 	logPriors []float64
 	logConfT  []float64
 	logRows   []float64
+	rowExp    []float64
 }
 
 // NewScoreIndex builds the scoring index for one aggregation result. The
@@ -116,8 +127,9 @@ func (ix *ScoreIndex) ObjectEntropy(o int) float64 { return ix.entropies[o] }
 // NumObjects returns the number of objects the index covers.
 func (ix *ScoreIndex) NumObjects() int { return ix.n }
 
-// EnsureHypoTables builds the log-prior, log-confusion and answer
-// log-likelihood tables the hypothetical scorer reads — O(k·m² + #answers·m).
+// EnsureHypoTables builds the log-prior, log-confusion, answer
+// log-likelihood and row-factor tables the hypothetical scorer reads —
+// O(k·m² + #answers·m + n·m).
 // It is idempotent but not safe for concurrent first calls: build the tables
 // once (e.g. while holding the selection lock) before concurrent scorers
 // share the index. Scorers never build tables themselves.
@@ -136,6 +148,38 @@ func (ix *ScoreIndex) EnsureHypoTables() {
 	ix.logConfT = logConfT
 	ix.logRows = make([]float64, ix.n*m)
 	ix.fillLogRows()
+	ix.rowExp = make([]float64, ix.n*m)
+	ix.fillRowExp()
+}
+
+// fillRowExp recomputes every object's row factors from logPriors and
+// logRows, with the same operations in the same order whether called from a
+// build or a Rebase. The logits b_l = logPriors[l] + logRows[r·m+l] are
+// formed exactly as the scorer forms them.
+func (ix *ScoreIndex) fillRowExp() {
+	m := ix.m
+	for o := 0; o < ix.n; o++ {
+		lr := ix.logRows[o*m : (o+1)*m]
+		rx := ix.rowExp[o*m : (o+1)*m]
+		arg := 0
+		for l, v := range lr {
+			rx[l] = ix.logPriors[l] + v
+			if rx[l] > rx[arg] {
+				arg = l
+			}
+		}
+		maxB := rx[arg]
+		for l, b := range rx {
+			r := 1.0
+			if l != arg {
+				r = math.Exp(b - maxB)
+			}
+			if r < minNormal {
+				r = 0
+			}
+			rx[l] = r
+		}
+	}
 }
 
 // fillLogRows recomputes every object's summed answer log-likelihoods from
@@ -184,34 +228,54 @@ func fillLogConfBlockT(dst []float64, f *model.ConfusionMatrix, m int) {
 }
 
 // HypoScratch is the per-goroutine scratch state of the delta-accelerated
-// hypothetical scorer: the pinned row, the frontier M-step accumulator, one
-// staged-minus-current log-block per touched worker, and the ripple rows with
-// their logit accumulators. A scratch is owned by exactly one goroutine;
-// scoring a candidate allocates nothing once its buffers have grown to the
-// largest frontier and ripple seen (asserted by a testing.AllocsPerRun
-// test).
+// hypothetical scorer: the frontier M-step accumulators, the staged blocks of
+// every touched worker, and the ripple rows with their logit and factor
+// accumulators. A scratch is owned by exactly one goroutine; scoring a
+// candidate allocates nothing once its buffers have grown to the largest
+// frontier and ripple seen (asserted by a testing.AllocsPerRun test).
+//
+// One candidate's m hypotheses e(o) = h are scored together. Pinning o to h
+// adds 1 to exactly one soft count of each touched worker — the cell (true
+// h, answered a₀), a₀ being the worker's answer on o — so the worker's
+// re-estimated block under hypothesis h differs from the block with o's row
+// left out only in true-label column h. Every staged entry therefore comes
+// in two variants per label l: "other" (hypothesis h ≠ l, shared by m−1
+// hypotheses) and "own" (h = l). Both are accumulated with exactly the
+// per-cell operation sequence of a single-hypothesis re-estimate, so each
+// hypothesis sees the bits it would see if it were scored alone.
 type HypoScratch struct {
 	ix *ScoreIndex
-	// hypoRow is the pinned point-mass row of the candidate object.
-	hypoRow []float64
-	// confT is the frontier M-step's soft-count accumulator, in the
-	// answered-label-major layout of ScoreIndex.logConfT.
+	// confT is the frontier M-step's soft-count accumulator with the
+	// candidate's row left out, in the answered-label-major layout of
+	// ScoreIndex.logConfT; own[h] is cell (h, a₀) under hypothesis h, and
+	// sums holds the m "other" then the m "own" column sums.
 	confT []float64
-	// deltas holds, per touched worker, its re-estimated log-confusion block
-	// minus the index's (m² each, answered-label-major).
-	deltas []float64
-	// ripple lists the current hypothesis' ripple rows in first-seen order;
-	// acc holds their logit changes Δ, m per row. seen maps an object to its
-	// ripple slot: seen[o] − base is o's slot when it lies in
-	// [0, len(ripple)), and negative otherwise. Each hypothesis moves base
-	// past every slot it handed out, so no clearing is needed between
-	// hypotheses.
+	own   []float64
+	sums  []float64
+	// staged holds, per touched worker, one 4m-float run per answered label
+	// a: the "other" and "own" re-estimated-minus-current log entries
+	// (m each), then their exponentials.
+	staged []float64
+	// ripple lists the candidate's ripple rows in first-seen order; acc
+	// holds 4m floats per row, laid out like a staged run: the "other" and
+	// "own" logit changes Δ, then the products Π of their exponentials
+	// (turned into the row's logits and factors before its entropy is
+	// taken).
+	// hits counts each row's touched answers (the factors in its Π). seen
+	// maps an object to its ripple slot: seen[o] − base is o's slot when it
+	// lies in [0, len(ripple)), and negative otherwise. Each candidate moves
+	// base past every slot it handed out, so no clearing is needed between
+	// candidates.
 	ripple []int
 	acc    []float64
+	hits   []int32
 	seen   []int32
 	base   int32
-	// row holds one ripple row's logits.
-	row []float64
+	// deltaH holds each hypothesis' entropy change.
+	deltaH []float64
+	// fallbacks counts the ripple rows whose entropy was taken with exp
+	// because their factors could not be trusted.
+	fallbacks int
 }
 
 // NewHypoScratch prepares a per-goroutine scratch for hypothetical scoring.
@@ -220,79 +284,72 @@ type HypoScratch struct {
 // out.
 func (ix *ScoreIndex) NewHypoScratch() *HypoScratch {
 	ix.EnsureHypoTables()
+	m := ix.m
 	return &HypoScratch{
-		ix:      ix,
-		hypoRow: make([]float64, ix.m),
-		confT:   make([]float64, ix.m*ix.m),
-		seen:    make([]int32, ix.n),
-		base:    1,
-		row:     make([]float64, ix.m),
+		ix:     ix,
+		confT:  make([]float64, m*m),
+		own:    make([]float64, m),
+		sums:   make([]float64, 2*m),
+		seen:   make([]int32, ix.n),
+		base:   1,
+		deltaH: make([]float64, m),
 	}
 }
+
+// factorLogLimit bounds |log Π| for a ripple row's product of factors to be
+// trusted: e^±700 is well inside the normal float64 range, so no product of
+// factors whose logs sum to at most 700 in magnitude (or any prefix of one)
+// underflows, goes subnormal, or overflows.
+const factorLogLimit = 700
 
 // ConditionalUncertainty estimates H(P | o) (Eq. 8) with one
-// frontier-restricted hypothetical EM pass per label: the expectation, over
-// the candidate's current label distribution, of the total uncertainty after
-// the hypothetical validation e(o) = l. Labels with zero probability are
-// skipped, mirroring the exact scorer.
+// frontier-restricted hypothetical EM pass over all labels: the expectation,
+// over the candidate's current label distribution, of the total uncertainty
+// after the hypothetical validation e(o) = l. Labels with zero probability
+// are skipped, mirroring the exact scorer.
+//
+// Per hypothesis the pinned row's entropy drops to zero; the confusion rows
+// of the workers who answered o are re-estimated against the pinned row
+// (frontier M-step); and the posterior rows of every other object those
+// workers answered are recomputed (frontier E-step), folding each entropy
+// change into the maintained index total. Priors stay at the current fixed
+// point — pinning one row moves them by O(1/n), part of the documented
+// approximation.
 func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	ix := sc.ix
-	expected := 0.0
-	for l := 0; l < ix.m; l++ {
-		p := ix.probSet.Assignment.Prob(object, model.Label(l))
-		if p <= 0 {
-			continue
-		}
-		expected += p * sc.hypotheticalUncertainty(object, model.Label(l))
-	}
-	return expected
-}
-
-// hypotheticalUncertainty estimates the total uncertainty of the answer set
-// under the hypothetical validation e(object) = label: pin the object's row
-// to the point mass (its entropy drops to zero), re-estimate the confusion
-// rows of the workers who answered it against the pinned row (frontier
-// M-step), and recompute the posterior rows of every other object those
-// workers answered (frontier E-step), folding each entropy change into the
-// maintained index total. Priors stay at the current fixed point — pinning
-// one row moves them by O(1/n), part of the documented approximation.
-func (sc *HypoScratch) hypotheticalUncertainty(object int, label model.Label) float64 {
-	ix := sc.ix
 	m := ix.m
-	mm := m * m
-	clear(sc.hypoRow)
-	sc.hypoRow[label] = 1
+	run := 4 * m
+	probs := ix.probSet.Assignment.RowSlice(object)
 
-	// Frontier M-step: one re-estimated log-confusion block per answering
-	// worker, staged in scratch as its difference to the index's block so
+	// Frontier M-step: every answering worker's block under all m
+	// hypotheses, staged in scratch as differences to the index's block so
 	// the shared index stays untouched.
 	touched := ix.answers.ObjectView(object)
-	if need := len(touched) * mm; cap(sc.deltas) < need {
-		sc.deltas = make([]float64, need)
+	if need := len(touched) * m * run; cap(sc.staged) < need {
+		sc.staged = make([]float64, need)
 	} else {
-		sc.deltas = sc.deltas[:need]
+		sc.staged = sc.staged[:need]
 	}
 	reach := 0
+	maxStaged := 0.0
 	for i, wa := range touched {
 		reach += len(ix.answers.WorkerView(wa.Worker))
-		sc.reestimateConfusionT(wa.Worker, object)
-		d := sc.deltas[i*mm : (i+1)*mm]
-		cur := ix.logConfT[wa.Worker*mm : (wa.Worker+1)*mm]
-		for j, p := range sc.confT {
-			if p <= 0 {
-				p = 1e-12
-			}
-			d[j] = math.Log(p) - cur[j]
-		}
+		maxStaged = math.Max(maxStaged, sc.stageWorker(sc.staged[i*m*run:(i+1)*m*run], wa.Worker, object))
+	}
+	// A row may multiply up to maxHits factors, each within e^±maxStaged.
+	maxHits := int32(math.MaxInt32)
+	if maxStaged > 0 {
+		maxHits = int32(math.Min(factorLogLimit/maxStaged, math.MaxInt32))
 	}
 
 	// Frontier E-step, from the touched workers' side: every answer of a
-	// touched worker adds its staged-minus-current log vector to the Δ of
-	// the answered object. Objects shared by several touched workers get one
-	// slot, in first-seen order; the touched workers' answer count bounds
-	// the number of slots.
-	if cap(sc.acc) < reach*m {
-		sc.acc = make([]float64, reach*m)
+	// touched worker adds its staged log entries to the Δ of the answered
+	// object and multiplies their exponentials into its Π. Objects shared by
+	// several touched workers get one slot, in first-seen order; the touched
+	// workers' answer count bounds the number of slots.
+	if cap(sc.hits) < reach {
+		sc.acc = make([]float64, reach*run)
+		sc.hits = make([]int32, reach)
 		sc.ripple = make([]int, 0, reach)
 	}
 	if int(sc.base) > math.MaxInt32-ix.n {
@@ -302,117 +359,240 @@ func (sc *HypoScratch) hypotheticalUncertainty(object int, label model.Label) fl
 	base := sc.base
 	sc.ripple = sc.ripple[:0]
 	for i, wa := range touched {
-		d := sc.deltas[i*mm : (i+1)*mm]
+		st := sc.staged[i*m*run : (i+1)*m*run]
 		for _, oa := range ix.answers.WorkerView(wa.Worker) {
 			r := oa.Object
 			if r == object {
 				continue
 			}
+			src := st[int(oa.Label)*run:][:run]
 			slot := int(sc.seen[r] - base)
 			if slot < 0 {
+				// A first hit starts the sums at its own entries, which is
+				// what adding them to 0 and multiplying them into 1 gives.
 				slot = len(sc.ripple)
 				sc.seen[r] = base + int32(slot)
 				sc.ripple = append(sc.ripple, r)
-				clear(sc.acc[slot*m : (slot+1)*m])
+				copy(sc.acc[slot*run:(slot+1)*run], src)
+				sc.hits[slot] = 1
+				continue
 			}
-			dst := sc.acc[slot*m : (slot+1)*m]
-			for l, v := range d[int(oa.Label)*m:][:m] {
-				dst[l] += v
+			dst := sc.acc[slot*run : (slot+1)*run]
+			for j, v := range src[:2*m] {
+				dst[j] += v
 			}
+			prod := dst[2*m:]
+			for j, v := range src[2*m:] {
+				prod[j] *= v
+			}
+			sc.hits[slot]++
 		}
 	}
 	sc.base += int32(len(sc.ripple))
 
-	// The pinned row's entropy drops to zero; validated ripple rows stay
-	// pinned at zero entropy.
-	deltaH := -ix.entropies[object]
+	// Validated ripple rows stay pinned at zero entropy. Each hypothesis
+	// sums its row entropy changes in ripple order.
+	for h := range sc.deltaH {
+		sc.deltaH[h] = -ix.entropies[object]
+	}
 	validation := ix.probSet.Validation
 	for slot, r := range sc.ripple {
 		if validation.Get(r) != model.NoLabel {
 			continue
 		}
-		deltaH += sc.rippleEntropy(r, sc.acc[slot*m:(slot+1)*m]) - ix.entropies[r]
-	}
-
-	h := ix.totalH + deltaH
-	if h < 0 {
-		h = 0
-	}
-	return h
-}
-
-// rippleEntropy returns the entropy of ripple row r's hypothetical posterior,
-// whose logits are logPriors + logRows[r] + delta. With d_l the logits minus
-// their maximum, e_l = exp(d_l) and S = Σ e_l, the posterior is e_l/S and
-// its entropy is log S − Σ (e_l·d_l)/S: m−1 exp (the maximum's e is exactly
-// 1) and one log, instead of normalizing the row and taking m logs.
-func (sc *HypoScratch) rippleEntropy(r int, delta []float64) float64 {
-	ix := sc.ix
-	m := ix.m
-	x := sc.row
-	lr := ix.logRows[r*m : (r+1)*m]
-	arg := 0
-	for l := range x {
-		x[l] = ix.logPriors[l] + lr[l] + delta[l]
-		if x[l] > x[arg] {
-			arg = l
+		// Turn the row's accumulators into its hypothetical logits x and
+		// factors q = R·Π, "other" and "own" variants alike.
+		acc := sc.acc[slot*run : (slot+1)*run]
+		lr := ix.logRows[r*m : (r+1)*m]
+		rx := ix.rowExp[r*m : (r+1)*m]
+		for l, v := range lr {
+			b := ix.logPriors[l] + v
+			acc[l] += b
+			acc[m+l] += b
+			acc[2*m+l] *= rx[l]
+			acc[3*m+l] *= rx[l]
 		}
+		sc.addRowEntropies(acc, probs, sc.hits[slot] <= maxHits, ix.entropies[r])
 	}
-	maxLog := x[arg]
-	s, t := 1.0, 0.0
-	for l, v := range x {
-		if l == arg {
+
+	expected := 0.0
+	for h, p := range probs {
+		if p <= 0 {
 			continue
 		}
-		d := v - maxLog
-		e := math.Exp(d)
-		s += e
-		t += e * d
+		hv := ix.totalH + sc.deltaH[h]
+		if hv < 0 {
+			hv = 0
+		}
+		expected += p * hv
 	}
-	return math.Log(s) - t/s
+	return expected
 }
 
-// reestimateConfusionT re-estimates worker w's confusion matrix with the
-// assignment row of hypoObject substituted by sc.hypoRow — the frontier
-// M-step of a hypothetical validation, which must not mutate the shared
-// assignment matrix. It accumulates into the answered-label-major scratch
-// sc.confT with the same per-cell operation sequence as reestimateConfusion
-// and model.ConfusionMatrix.Smooth: adds in ascending true-label order per
-// answer, eps smoothing, per-true-label row normalization with the uniform
-// fallback.
-func (sc *HypoScratch) reestimateConfusionT(w, hypoObject int) {
+// addRowEntropies adds one ripple row's entropy change, its hypothetical
+// entropy minus its current entropy hr, to deltaH[h] for every hypothesis h
+// with positive probability.
+//
+// acc holds the row's "other" and "own" logits x_l = b_l + Δ_l (b =
+// logPriors + logRows[r]) and factors q_l = R_l·Π_l, R the index's
+// exp(b − max b) and Π the product of the row's staged exponentials; under
+// hypothesis h, label h reads the "own" variants. With arg the maximal
+// logit, e_l = exp(x_l − x_arg) = q_l/q_arg, S = Σ e_l and
+// T = Σ e_l·(x_l − x_arg), the posterior is e_l/S and its entropy is
+// log S − T/S: one log and no exp. When the factors cannot be trusted — too
+// many of them (trusted false), or some q_l zero, subnormal or non-finite —
+// the row takes its m−1 exponentials directly.
+func (sc *HypoScratch) addRowEntropies(acc, probs []float64, trusted bool, hr float64) {
+	m := len(probs)
+	for h, p := range probs {
+		if p <= 0 {
+			continue
+		}
+		// col(l) is label l's logit in acc: "other" at l, "own" at m+l; its
+		// factor sits 2m further on.
+		col := func(l int) int {
+			if l == h {
+				return m + l
+			}
+			return l
+		}
+		arg := 0
+		maxLog := acc[col(0)]
+		for l := 1; l < m; l++ {
+			if x := acc[col(l)]; x > maxLog {
+				arg, maxLog = l, x
+			}
+		}
+		qArg := acc[2*m+col(arg)]
+		s, t := 0.0, 0.0
+		ok := trusted && isNormal(qArg)
+		if ok {
+			for l := 0; l < m; l++ {
+				i := col(l)
+				q := acc[2*m+i]
+				ok = ok && isNormal(q)
+				e := q / qArg
+				s += e
+				t += e * (acc[i] - maxLog)
+			}
+		}
+		if !ok {
+			sc.fallbacks++
+			s, t = 1, 0
+			for l := 0; l < m; l++ {
+				if l == arg {
+					continue
+				}
+				d := acc[col(l)] - maxLog
+				e := math.Exp(d)
+				s += e
+				t += e * d
+			}
+		}
+		sc.deltaH[h] += math.Log(s) - t/s - hr
+	}
+}
+
+// isNormal reports whether v is a positive, finite, normal float64 (false
+// for NaN).
+func isNormal(v float64) bool {
+	return v >= minNormal && v <= math.MaxFloat64
+}
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// stageWorker re-estimates worker w's confusion matrix with the assignment
+// row of hypoObject pinned to each label in turn — the frontier M-step of
+// every hypothetical validation of hypoObject, which must not mutate the
+// shared assignment matrix — and writes the staged runs of w into dst. It
+// returns the largest magnitude among the staged log entries.
+//
+// One walk over w's answers accumulates the soft counts with hypoObject's
+// row left out (confT) plus, per hypothesis h, the one cell the pinned row
+// adds to (own[h]), using the same per-cell operation sequence as a
+// single-hypothesis re-estimate: adds in ascending true-label order per
+// answer in answer order, eps smoothing, per-true-label column
+// normalization in ascending answered-label order with the uniform fallback.
+// (The pinned row adds 0 to every other cell, which leaves the sum's bits
+// unchanged.)
+func (sc *HypoScratch) stageWorker(dst []float64, w, hypoObject int) float64 {
 	ix := sc.ix
 	m := ix.m
+	run := 4 * m
 	u := ix.probSet.Assignment
-	confT := sc.confT
+	confT, own := sc.confT, sc.own
 	clear(confT)
+	a0 := -1
 	for _, oa := range ix.answers.WorkerView(w) {
-		row := u.RowSlice(oa.Object)
+		a := int(oa.Label)
+		cells := confT[a*m : (a+1)*m]
 		if oa.Object == hypoObject {
-			row = sc.hypoRow
+			a0 = a
+			for h, c := range cells {
+				own[h] = c + 1
+			}
+			continue
 		}
-		dst := confT[int(oa.Label)*m : (int(oa.Label)+1)*m]
+		row := u.RowSlice(oa.Object)
 		for l, p := range row {
-			dst[l] += p
+			cells[l] += p
+		}
+		if a == a0 {
+			for h, p := range row {
+				own[h] += p
+			}
 		}
 	}
 	for i := range confT {
 		confT[i] += ix.smoothing
 	}
+	for h := range own {
+		own[h] += ix.smoothing
+	}
+	other, ownSum := sc.sums[:m], sc.sums[m:]
 	for l := 0; l < m; l++ {
-		sum := 0.0
+		so, sw := 0.0, 0.0
 		for a := 0; a < m; a++ {
-			sum += confT[a*m+l]
-		}
-		if sum <= 0 {
-			p := 1 / float64(m)
-			for a := 0; a < m; a++ {
-				confT[a*m+l] = p
+			c := confT[a*m+l]
+			so += c
+			if a == a0 {
+				c = own[l]
 			}
-			continue
+			sw += c
 		}
-		for a := 0; a < m; a++ {
-			confT[a*m+l] /= sum
+		other[l], ownSum[l] = so, sw
+	}
+
+	cur := ix.logConfT[w*m*m : (w+1)*m*m]
+	maxAbs := 0.0
+	for a := 0; a < m; a++ {
+		out := dst[a*run : (a+1)*run]
+		for l := 0; l < m; l++ {
+			c := confT[a*m+l]
+			d := stagedLog(c, other[l], m) - cur[a*m+l]
+			if a == a0 {
+				c = own[l]
+			}
+			e := stagedLog(c, ownSum[l], m) - cur[a*m+l]
+			out[l], out[m+l] = d, e
+			out[2*m+l], out[3*m+l] = math.Exp(d), math.Exp(e)
+			maxAbs = math.Max(maxAbs, math.Max(math.Abs(d), math.Abs(e)))
 		}
 	}
+	return maxAbs
+}
+
+// stagedLog returns the log of one re-estimated confusion cell, count/sum,
+// with the M-step's uniform fallback for a non-positive column sum and the
+// hypo tables' 1e-12 floor for a non-positive cell.
+func stagedLog(count, sum float64, m int) float64 {
+	p := 1 / float64(m)
+	if sum > 0 {
+		p = count / sum
+	}
+	if p <= 0 {
+		p = 1e-12
+	}
+	return math.Log(p)
 }

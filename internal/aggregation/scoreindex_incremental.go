@@ -36,9 +36,10 @@ func (ix *ScoreIndex) ProbSet() *model.ProbabilisticAnswerSet { return ix.probSe
 // detected by a bitwise compare and keep their cached entropies; unchanged
 // confusion matrices (pointer-equal or value-equal) keep their log blocks.
 // Only moved rows are re-entropied and only moved blocks re-logged; totalH is
-// re-summed exactly as NewScoreIndex sums it whenever any entropy moved, and
-// the per-object answer log-likelihoods are refilled whenever any block
-// moved.
+// re-summed exactly as NewScoreIndex sums it whenever any entropy moved, the
+// per-object answer log-likelihoods are refilled whenever any block moved,
+// and the per-object row factors (which also depend on the priors) are
+// refilled on every patch.
 func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAnswerSet) bool {
 	if p == nil || answers == nil || answers != ix.answers {
 		return false
@@ -90,6 +91,8 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 		if moved {
 			ix.fillLogRows()
 		}
+		// The row factors depend on both the priors and the rows.
+		ix.fillRowExp()
 	}
 
 	ix.probSet = p

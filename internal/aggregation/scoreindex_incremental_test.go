@@ -15,10 +15,11 @@ import (
 // This file pins the maintained-view contract of the ScoreIndex: after any
 // history of mutations and delta aggregations, an index maintained by
 // in-place Rebase patches is bit-identical — entropies, totalH, log-priors,
-// the log-confusion table and the per-object answer log-likelihoods — to one
-// rebuilt from scratch with NewScoreIndex + EnsureHypoTables on the same
-// state. It also pins the hypothetical scorer against a sequential-sum
-// reference of its E-step.
+// the log-confusion table, the per-object answer log-likelihoods and row
+// factors — to one rebuilt from scratch with NewScoreIndex +
+// EnsureHypoTables on the same state. It also pins the hypothetical scorer
+// against a sequential-sum reference of its E-step and its fused M-step
+// against a per-label reference.
 
 // assertIndexBitIdentical compares every maintained table of got against a
 // from-scratch rebuild want, bit for bit.
@@ -43,6 +44,7 @@ func assertIndexBitIdentical(t *testing.T, step int, got, want *ScoreIndex) {
 		"logPriors": {got.logPriors, want.logPriors},
 		"logConfT":  {got.logConfT, want.logConfT},
 		"logRows":   {got.logRows, want.logRows},
+		"rowExp":    {got.rowExp, want.rowExp},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("step %d: %s length: maintained %d, rebuild %d", step, name, len(pair[0]), len(pair[1]))
@@ -257,17 +259,19 @@ func sequentialConditionalUncertainty(sc *HypoScratch, object int) float64 {
 	touched := ix.answers.ObjectView(object)
 	staged := make([]float64, len(touched)*mm)
 	row := make([]float64, m)
+	hypoRow := make([]float64, m)
+	confT := make([]float64, mm)
 	expected := 0.0
 	for label := 0; label < m; label++ {
 		pl := ix.probSet.Assignment.Prob(object, model.Label(label))
 		if pl <= 0 {
 			continue
 		}
-		clear(sc.hypoRow)
-		sc.hypoRow[label] = 1
+		clear(hypoRow)
+		hypoRow[label] = 1
 		for i, wa := range touched {
-			sc.reestimateConfusionT(wa.Worker, object)
-			for j, q := range sc.confT {
+			referenceConfusionT(ix, wa.Worker, object, hypoRow, confT)
+			for j, q := range confT {
 				if q <= 0 {
 					q = 1e-12
 				}
@@ -314,6 +318,50 @@ func sequentialConditionalUncertainty(sc *HypoScratch, object int) float64 {
 		expected += pl * math.Max(h, 0)
 	}
 	return expected
+}
+
+// referenceConfusionT re-estimates worker w's confusion matrix with the
+// assignment row of hypoObject substituted by hypoRow, into the
+// answered-label-major confT — the single-hypothesis frontier M-step, with
+// the same per-cell operation sequence as reestimateConfusion and
+// model.ConfusionMatrix.Smooth: adds in ascending true-label order per
+// answer, eps smoothing, per-true-label row normalization with the uniform
+// fallback. The scorer stages all hypotheses of a candidate in one walk
+// (HypoScratch.stageWorker); this is the per-hypothesis reference it must
+// reproduce bit for bit.
+func referenceConfusionT(ix *ScoreIndex, w, hypoObject int, hypoRow, confT []float64) {
+	m := ix.m
+	u := ix.probSet.Assignment
+	clear(confT)
+	for _, oa := range ix.answers.WorkerView(w) {
+		row := u.RowSlice(oa.Object)
+		if oa.Object == hypoObject {
+			row = hypoRow
+		}
+		dst := confT[int(oa.Label)*m : (int(oa.Label)+1)*m]
+		for l, p := range row {
+			dst[l] += p
+		}
+	}
+	for i := range confT {
+		confT[i] += ix.smoothing
+	}
+	for l := 0; l < m; l++ {
+		sum := 0.0
+		for a := 0; a < m; a++ {
+			sum += confT[a*m+l]
+		}
+		if sum <= 0 {
+			p := 1 / float64(m)
+			for a := 0; a < m; a++ {
+				confT[a*m+l] = p
+			}
+			continue
+		}
+		for a := 0; a < m; a++ {
+			confT[a*m+l] /= sum
+		}
+	}
 }
 
 // TestScorerMatchesSequentialReference pins the hypothetical scorer to the
@@ -376,6 +424,206 @@ func TestBlockedScratchZeroAllocsPerCandidate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("m=%d: scorer allocates %.1f objects per candidate, want 0", m, allocs)
+		}
+	}
+}
+
+// TestStagedBlocksMatchPerLabelReestimate pins the fused frontier M-step:
+// for every candidate, touched worker and hypothesis label h, the staged log
+// entries the scorer reads under h (the "own" entry in column h, the "other"
+// entry elsewhere) are bit-identical to re-estimating that worker's
+// confusion for h alone and logging it, as the per-label scorer did.
+func TestStagedBlocksMatchPerLabelReestimate(t *testing.T) {
+	var results []*Result
+	for _, seed := range []int64{1, 3} {
+		_, _, res := scoreIndexCrowd(t, 32, seed)
+		results = append(results, res)
+	}
+	for _, m := range []int{3, 5} {
+		answers, validation := randomSparseAnswers(t, 60, 8, m, 4, 0.1, int64(m))
+		res, err := (&IncrementalEM{Config: EMConfig{Parallelism: 1}}).Aggregate(answers, validation, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	for _, res := range results {
+		ix := NewScoreIndex(res.ProbSet.Answers, res.ProbSet, EMConfig{})
+		sc := ix.NewHypoScratch()
+		m, mm, run := ix.m, ix.m*ix.m, 4*ix.m
+		staged := make([]float64, m*run)
+		hypoRow := make([]float64, m)
+		confT := make([]float64, mm)
+		for o := 0; o < ix.n; o++ {
+			for _, wa := range ix.answers.ObjectView(o) {
+				sc.stageWorker(staged, wa.Worker, o)
+				cur := ix.logConfT[wa.Worker*mm : (wa.Worker+1)*mm]
+				for h := 0; h < m; h++ {
+					clear(hypoRow)
+					hypoRow[h] = 1
+					referenceConfusionT(ix, wa.Worker, o, hypoRow, confT)
+					for a := 0; a < m; a++ {
+						for l := 0; l < m; l++ {
+							q := confT[a*m+l]
+							if q <= 0 {
+								q = 1e-12
+							}
+							want := math.Log(q) - cur[a*m+l]
+							got := staged[a*run+l]
+							if l == h {
+								got = staged[a*run+m+l]
+							}
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("m=%d object %d worker %d hypothesis %d cell (%d,%d): staged %v, per-label %v",
+									m, o, wa.Worker, h, l, a, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// guardCrowd builds an m-label crowd whose ripple rows defeat the product
+// form: experts answer every anchored object correctly, so their confusions
+// are near 0/1 under a tiny smoothing and the anchored rows' logits spread
+// far beyond exp's range (R underflows), and every anchored candidate has a
+// high degree, so its ripple rows multiply dozens of large factors (Π leaves
+// the trusted range). A few noisy workers answer every anchored object at
+// random, and each loose object is answered by one of them only, which keeps
+// the total uncertainty well away from zero.
+func guardCrowd(t *testing.T, m int) (*Result, EMConfig) {
+	t.Helper()
+	const anchored, loose, experts, noisy = 30, 30, 40, 4
+	rng := rand.New(rand.NewSource(int64(97 + m)))
+	answers := model.MustNewAnswerSet(anchored+loose, experts+noisy, m)
+	for o := 0; o < anchored+loose; o++ {
+		if o < anchored {
+			for w := 0; w < experts; w++ {
+				if err := answers.SetAnswer(o, w, model.Label(o%m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for w := experts; w < experts+noisy; w++ {
+			if o >= anchored && (o+w)%noisy != 0 {
+				continue
+			}
+			if err := answers.SetAnswer(o, w, model.Label(rng.Intn(m))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := EMConfig{Parallelism: 1, Smoothing: 1e-12}
+	res, err := (&IncrementalEM{Config: cfg}).Aggregate(answers, model.NewValidation(anchored+loose), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, cfg
+}
+
+// TestHypoFallbackRowsMatchSequentialReference drives the scorer's guard:
+// on crowds whose row factors underflow or overflow, the affected rows must
+// fall back to taking their exponentials directly, and H(P | o) must still
+// agree with the sequential reference within the 1e-12 relative bound of
+// TestScorerMatchesSequentialReference. On an ordinary crowd no row falls
+// back.
+func TestHypoFallbackRowsMatchSequentialReference(t *testing.T) {
+	const tolerance = 1e-12
+	for _, m := range []int{2, 3, 5} {
+		res, cfg := guardCrowd(t, m)
+		sc := NewScoreIndex(res.ProbSet.Answers, res.ProbSet, cfg).NewHypoScratch()
+		worst := 0.0
+		for _, o := range res.ProbSet.Validation.UnvalidatedObjects() {
+			got := sc.ConditionalUncertainty(o)
+			want := sequentialConditionalUncertainty(sc, o)
+			rel := math.Abs(got-want) / want
+			if !(rel <= tolerance) {
+				t.Fatalf("m=%d object %d: H(P|o) = %v, sequential reference %v (relative deviation %g > %g)",
+					m, o, got, want, rel, tolerance)
+			}
+			worst = math.Max(worst, rel)
+		}
+		if sc.fallbacks == 0 {
+			t.Fatalf("m=%d: no ripple row fell back on a crowd built to defeat the row factors", m)
+		}
+		t.Logf("m=%d: %d fallback rows, worst relative deviation %.3g, H(P) %v", m, sc.fallbacks, worst, sc.ix.totalH)
+	}
+
+	_, _, res := scoreIndexCrowd(t, 32, 1)
+	sc := NewScoreIndex(res.ProbSet.Answers, res.ProbSet, EMConfig{}).NewHypoScratch()
+	for _, o := range res.ProbSet.Validation.UnvalidatedObjects() {
+		sc.ConditionalUncertainty(o)
+	}
+	if sc.fallbacks != 0 {
+		t.Fatalf("ordinary crowd: %d ripple rows fell back, want 0", sc.fallbacks)
+	}
+}
+
+// TestRowFactorGuards pins the two guards the crowd-level tests cannot reach
+// on demand: row factors below the smallest normal float are flushed to zero
+// (a subnormal R would carry too few bits into R·Π), and a row whose factors
+// are not trusted, or has a zero factor, takes its exponentials directly —
+// bit-identical to the exp formula — while a trusted row with normal factors
+// agrees with it to rounding.
+func TestRowFactorGuards(t *testing.T) {
+	ix := &ScoreIndex{n: 1, m: 4, logPriors: make([]float64, 4),
+		logRows: []float64{-700, 0, -720, -800}, rowExp: make([]float64, 4)}
+	ix.fillRowExp()
+	if want := []float64{math.Exp(-700), 1, 0, 0}; !slices.Equal(ix.rowExp, want) {
+		t.Fatalf("rowExp = %v, want %v", ix.rowExp, want)
+	}
+
+	// One ripple row of a 2-label hypothesis pair: "other" logits, "own"
+	// logits, then their factors R·Π, as addRowEntropies reads them.
+	x := []float64{-1.25, -0.5, -2.0, -0.75}
+	exact := func(h int) float64 {
+		a, b := x[0], x[1]
+		if h == 0 {
+			a = x[2]
+		} else {
+			b = x[3]
+		}
+		hi, lo := math.Max(a, b), math.Min(a, b)
+		d := lo - hi
+		e := math.Exp(d)
+		s := 1 + e
+		return math.Log(s) - e*d/s
+	}
+	probs := []float64{0.25, 0.75}
+	score := func(factors []float64, trusted bool) (deltaH []float64, fallbacks int) {
+		sc := &HypoScratch{deltaH: make([]float64, 2)}
+		acc := append(append([]float64(nil), x...), factors...)
+		sc.addRowEntropies(acc, probs, trusted, 0)
+		return sc.deltaH, sc.fallbacks
+	}
+	normal := make([]float64, 4)
+	for i, v := range x {
+		normal[i] = math.Exp(v)
+	}
+	for _, tc := range []struct {
+		name      string
+		factors   []float64
+		trusted   bool
+		fallbacks int
+	}{
+		{"trusted", normal, true, 0},
+		{"untrusted", normal, false, 2},
+		{"zero factor", []float64{0, normal[1], normal[2], normal[3]}, true, 1},
+	} {
+		got, fallbacks := score(tc.factors, tc.trusted)
+		if fallbacks != tc.fallbacks {
+			t.Fatalf("%s: %d fallback rows, want %d", tc.name, fallbacks, tc.fallbacks)
+		}
+		for h := range got {
+			want := exact(h)
+			if tc.fallbacks == 2 && got[h] != want {
+				t.Fatalf("%s: hypothesis %d: entropy %v, exp formula %v", tc.name, h, got[h], want)
+			}
+			if rel := math.Abs(got[h]-want) / want; !(rel <= 1e-14) {
+				t.Fatalf("%s: hypothesis %d: entropy %v, exp formula %v (relative %g)", tc.name, h, got[h], want, rel)
+			}
 		}
 	}
 }
