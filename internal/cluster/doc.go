@@ -11,7 +11,8 @@
 //   - Node: wraps a server.Manager/server.Server pair into a fabric member.
 //     It gates owner-only operations (a request for a session owned
 //     elsewhere is bounced with HTTP 421 and the owner's address), serves
-//     the internal transfer endpoint for live session handoff, streams
+//     the internal transfer endpoint for live session handoff (its body is
+//     a subscribe stream's reset: one RecCreate snapshot record), streams
 //     per-session WAL records to subscribed followers, and exposes the
 //     fabric counters on the metrics endpoints. Drain hands every owned
 //     session to the next preferred peer before shutdown; Promote adopts a

@@ -268,12 +268,7 @@ func (f *Follower) consume(ctx context.Context, name string, body io.Reader) {
 			return
 		}
 		f.noteSeen(name, lsn)
-		if rec.Type == wal.RecCreate {
-			err = f.cfg.Manager.ReplicaReset(ctx, name, rec.Snapshot, lsn)
-		} else {
-			err = f.cfg.Manager.ReplicaApply(ctx, name, lsn, rec)
-		}
-		if err != nil {
+		if applyRecord(ctx, f.cfg.Manager, name, rec, lsn) != nil {
 			return
 		}
 	}

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"crowdval/internal/cverr"
 	"crowdval/internal/server"
+	"crowdval/internal/wal"
 )
 
 // NodeConfig configures one fabric member.
@@ -90,7 +92,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.client = http.DefaultClient
 	}
 	n.mux = http.NewServeMux()
-	n.mux.HandleFunc("POST /internal/v1/transfer", n.handleTransfer)
+	n.mux.HandleFunc("POST /internal/v1/sessions/{name}/transfer", n.handleTransfer)
 	n.mux.HandleFunc("GET /internal/v1/sessions/{name}/wal", n.handleSubscribe)
 	n.mux.HandleFunc("POST /internal/v1/promote", n.handlePromote)
 	n.mux.Handle("/", cfg.Server)
@@ -234,24 +236,21 @@ func (n *Node) handoffTo(ctx context.Context, name string) error {
 	return fmt.Errorf("cluster: handing off %q: %w", name, lastErr)
 }
 
-// transferRequest is the body of POST /internal/v1/transfer: a session
-// snapshot at an exact LSN, moving ownership to the receiver.
-type transferRequest struct {
-	Name     string `json:"name"`
-	LSN      uint64 `json:"lsn"`
-	Snapshot []byte `json:"snapshot"`
-}
-
+// sendTransfer moves a session to target over POST
+// /internal/v1/sessions/{name}/transfer. The body is what a subscribe stream
+// sends as its reset: a WAL header based at lsn-1 and one create record
+// carrying the snapshot at lsn.
 func (n *Node) sendTransfer(ctx context.Context, target, name string, snap []byte, lsn uint64) error {
-	body, err := json.Marshal(transferRequest{Name: name, LSN: lsn, Snapshot: snap})
+	var body bytes.Buffer
+	if _, err := startStream(streamFile{w: &body}, snap, lsn); err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		"http://"+target+"/internal/v1/sessions/"+url.PathEscape(name)+"/transfer", &body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+target+"/internal/v1/transfer", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := n.client.Do(req)
 	if err != nil {
 		return err
@@ -264,32 +263,56 @@ func (n *Node) sendTransfer(ctx context.Context, target, name string, snap []byt
 	return nil
 }
 
+// handleTransfer adopts a session handed off by its owner. The body must be
+// exactly one create record at an LSN above zero behind a WAL header;
+// anything else is rejected with 400 before the local state is touched.
 func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	if n.draining.Load() {
 		http.Error(w, "cluster: node is draining", http.StatusServiceUnavailable)
 		return
 	}
-	var req transferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<30)).Decode(&req); err != nil {
+	name := r.PathValue("name")
+	rec, lsn, err := readTransfer(http.MaxBytesReader(w, r.Body, 1<<30))
+	if err != nil {
 		http.Error(w, "cluster: malformed transfer: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Name == "" || req.LSN == 0 || len(req.Snapshot) == 0 {
-		http.Error(w, "cluster: transfer needs a name, LSN and snapshot", http.StatusBadRequest)
 		return
 	}
 	// A follower tailing this session from the donor must stop before the
 	// reset; its stream is about to end anyway (the donor retires the log).
 	if f := n.followerRef(); f != nil {
-		f.Stop(req.Name)
+		f.Stop(name)
 	}
-	if err := n.manager.ReplicaReset(r.Context(), req.Name, req.Snapshot, req.LSN); err != nil {
+	if err := applyRecord(r.Context(), n.manager, name, rec, lsn); err != nil {
 		http.Error(w, "cluster: adopting transfer: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	n.setOverride(req.Name, n.self)
+	n.setOverride(name, n.self)
 	n.handoffsIn.Add(1)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readTransfer parses a transfer body: a WAL header, one create record at an
+// LSN above zero, and a clean end of stream.
+func readTransfer(body io.Reader) (wal.Record, uint64, error) {
+	rd, err := wal.NewReader(body)
+	if err != nil {
+		return wal.Record{}, 0, err
+	}
+	rec, lsn, err := rd.Next()
+	switch {
+	case err == io.EOF:
+		return wal.Record{}, 0, errors.New("no create record")
+	case err != nil:
+		return wal.Record{}, 0, err
+	case rec.Type != wal.RecCreate:
+		return wal.Record{}, 0, fmt.Errorf("first record has type %d, not a create record", rec.Type)
+	case lsn == 0:
+		return wal.Record{}, 0, errors.New("create record at LSN 0")
+	}
+	if _, _, err := rd.Next(); err != io.EOF {
+		return wal.Record{}, 0, errors.New("data after the create record")
+	}
+	return rec, lsn, nil
 }
 
 func (n *Node) handleSubscribe(w http.ResponseWriter, r *http.Request) {

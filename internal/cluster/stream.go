@@ -20,7 +20,8 @@ import (
 // record is a live mutation with the leader's own LSN. The follower parses
 // the stream with wal.NewReader and applies records through the same
 // log-before-apply path recovery uses, so leader and follower states agree
-// byte for byte at equal LSNs.
+// byte for byte at equal LSNs. A handoff transfer sends the same reset
+// alone, and the receiver applies it the same way.
 
 // streamPollInterval is how long the leader waits before re-checking a
 // session's log for new records when a subscribed follower is fully caught
@@ -42,6 +43,38 @@ func (s streamFile) Sync() error {
 		s.fl.Flush()
 	}
 	return nil
+}
+
+// streamPolicy flushes a stream to its receiver after every record:
+// streamFile.Sync is a client-side flush, not an fsync.
+var streamPolicy = wal.SyncPolicy{Mode: wal.SyncAlways}
+
+// startStream writes the reset that starts a session stream on out: a WAL
+// header based at lsn-1 and one create record carrying the snapshot at lsn.
+// It is the start of a subscription that cannot continue from the
+// follower's position and the whole body of a transfer. The returned
+// appender continues the stream at lsn+1.
+func startStream(out wal.File, snap []byte, lsn uint64) (*wal.Appender, error) {
+	app, err := wal.NewAppender(out, lsn-1, streamPolicy)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := app.Append(wal.Record{Type: wal.RecCreate, Snapshot: snap}); err != nil {
+		return nil, err
+	}
+	return app, nil
+}
+
+// applyRecord applies one record of a session stream to the local copy: a
+// create record resets the copy to the carried snapshot at lsn
+// (Manager.ReplicaReset), any other record applies on top of it
+// (Manager.ReplicaApply). Follower subscriptions and inbound transfers both
+// apply through it.
+func applyRecord(ctx context.Context, m *server.Manager, name string, rec wal.Record, lsn uint64) error {
+	if rec.Type == wal.RecCreate {
+		return m.ReplicaReset(ctx, name, rec.Snapshot, lsn)
+	}
+	return m.ReplicaApply(ctx, name, lsn, rec)
 }
 
 // streamSession streams session name's WAL to one subscriber, starting
@@ -88,18 +121,12 @@ func streamSession(ctx context.Context, m *server.Manager, name string, from uin
 		if lsn == 0 {
 			return fmt.Errorf("cluster: session %q has no logged state to stream", name)
 		}
-		// SyncAlways here means "flush to the subscriber after every
-		// record" — streamFile.Sync is a client-side flush, not an fsync.
-		app, err = wal.NewAppender(out, lsn-1, wal.SyncPolicy{Mode: wal.SyncAlways})
-		if err != nil {
-			return err
-		}
-		if _, err := app.Append(wal.Record{Type: wal.RecCreate, Snapshot: snap}); err != nil {
+		if app, err = startStream(out, snap, lsn); err != nil {
 			return err
 		}
 		last = lsn
 	} else {
-		if app, err = wal.NewAppender(out, from, wal.SyncPolicy{Mode: wal.SyncAlways}); err != nil {
+		if app, err = wal.NewAppender(out, from, streamPolicy); err != nil {
 			return err
 		}
 	}

@@ -76,8 +76,7 @@ type Config struct {
 	// aggregators implementing aggregation.Sharded (the EM and
 	// majority-vote aggregators, including the nil default) — the
 	// aggregator's SerialVariant. Other aggregators are handed to scoring
-	// as-is and must be safe for concurrent Aggregate calls; the stateful
-	// OnlineEM is not, and NewEngine rejects it when Parallel is set.
+	// as-is and must be safe for concurrent Aggregate calls.
 	Parallel bool
 	// MaxParallelism caps the number of goroutines of the parallel stages:
 	// guidance candidate scoring, the sharded E-/M-steps of the default
@@ -340,9 +339,6 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) (*Engine, error) {
 	e.scoringAggregator = e.aggregator
 	e.scoringDetector = e.detector
 	if cfg.Parallel {
-		if _, ok := e.aggregator.(*aggregation.OnlineEM); ok {
-			return nil, fmt.Errorf("core: OnlineEM is stateful and not safe for parallel candidate scoring")
-		}
 		if s, ok := e.aggregator.(aggregation.Sharded); ok {
 			e.scoringAggregator = s.SerialVariant()
 		}
@@ -556,7 +552,7 @@ func (e *Engine) Done() bool {
 	if e.effortSpent >= e.budget() {
 		return true
 	}
-	return len(e.validation.UnvalidatedObjects()) == 0
+	return e.validation.Count() == e.validation.NumObjects()
 }
 
 // guidanceContext assembles the strategy context for the current state.

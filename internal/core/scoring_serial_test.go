@@ -69,19 +69,6 @@ func TestParallelScoringGetsSerialVariants(t *testing.T) {
 	}
 }
 
-// TestParallelScoringRejectsOnlineEM asserts that the stateful OnlineEM —
-// whose Aggregate mutates the receiver — cannot be combined with parallel
-// candidate scoring.
-func TestParallelScoringRejectsOnlineEM(t *testing.T) {
-	answers := scoringTestAnswers(t)
-	if _, err := NewEngine(answers, Config{Parallel: true, Aggregator: &aggregation.OnlineEM{}}); err == nil {
-		t.Fatal("NewEngine accepted OnlineEM with parallel scoring")
-	}
-	if _, err := NewEngine(answers, Config{Aggregator: &aggregation.OnlineEM{}}); err != nil {
-		t.Fatalf("NewEngine rejected OnlineEM without parallel scoring: %v", err)
-	}
-}
-
 // TestSerialScoringSharesAggregator asserts that without Parallel the
 // guidance step uses the engine's own (possibly sharded) instances — serial
 // scoring cannot nest, and sharded per-candidate aggregation is desirable.

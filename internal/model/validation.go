@@ -56,22 +56,27 @@ func (v *Validation) Count() int {
 
 // ValidatedObjects returns the indices of all validated objects in ascending
 // order.
-func (v *Validation) ValidatedObjects() []int {
-	var out []int
-	for o, l := range v.labels {
-		if l != NoLabel {
-			out = append(out, o)
-		}
-	}
-	return out
-}
+func (v *Validation) ValidatedObjects() []int { return v.objects(true) }
 
 // UnvalidatedObjects returns the indices of all objects the expert has not
 // validated yet, in ascending order.
-func (v *Validation) UnvalidatedObjects() []int {
-	var out []int
+func (v *Validation) UnvalidatedObjects() []int { return v.objects(false) }
+
+// objects lists, in ascending order, the objects whose validated state is
+// validated. The result is allocated once at its final size (nil when
+// empty): a selection over tens of thousands of objects must not grow it by
+// doubling.
+func (v *Validation) objects(validated bool) []int {
+	n := v.Count()
+	if !validated {
+		n = len(v.labels) - n
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
 	for o, l := range v.labels {
-		if l == NoLabel {
+		if (l != NoLabel) == validated {
 			out = append(out, o)
 		}
 	}

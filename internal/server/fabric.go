@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"crowdval"
@@ -42,10 +41,17 @@ func (m *Manager) SessionLSN(name string) (uint64, error) {
 	if e.deleted {
 		return 0, fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
 	}
+	return e.lsn(), nil
+}
+
+// lsn is the LSN of the last mutation applied to the entry's session: its
+// log's position with a WAL, the streamed position otherwise. The caller
+// holds e.mu.
+func (e *entry) lsn() uint64 {
 	if e.log != nil {
-		return e.log.app.LSN(), nil
+		return e.log.app.LSN()
 	}
-	return e.replicaLSN, nil
+	return e.replicaLSN
 }
 
 // SessionWALPath returns the path of the session's live log file — what a
@@ -90,10 +96,8 @@ func (m *Manager) SnapshotWithLSN(ctx context.Context, name string) ([]byte, uin
 				m.degradeWAL(e.log, ferr)
 				return fmt.Errorf("server: flushing WAL of session %q: %w", name, ferr)
 			}
-			lsn = e.log.app.LSN()
-		} else {
-			lsn = e.replicaLSN
 		}
+		lsn = e.lsn()
 		return nil
 	})
 	if err != nil {
@@ -135,7 +139,6 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 		m.parkAll(victims)
 		return err
 	}
-	var lsn uint64
 	if e.log != nil {
 		if e.log.state != walHealthy {
 			return fail(fmt.Errorf("server: not handing off session %q: %w", name, e.log.unavailable(name)))
@@ -148,15 +151,12 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 			return fail(fmt.Errorf("server: syncing WAL of session %q for handoff: %w", name, err))
 		}
 		m.foldWALMetrics(e.log)
-		lsn = e.log.app.LSN()
-	} else {
-		lsn = e.replicaLSN
 	}
 	snap, err := e.sess.Snapshot()
 	if err != nil {
 		return fail(fmt.Errorf("server: snapshotting session %q for handoff: %w", name, err))
 	}
-	if err := send(snap, lsn); err != nil {
+	if err := send(snap, e.lsn()); err != nil {
 		return fail(fmt.Errorf("server: handing off session %q: %w", name, err))
 	}
 
@@ -165,100 +165,49 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 	return nil
 }
 
-// CreateFromHandoff installs a session transferred from another node: the
-// snapshot resumes, and — when this manager has a WAL — its durability state
-// is adopted at the donor's LSN (a checkpoint carrying the snapshot plus an
-// empty log based there), so the session's mutation numbering continues
-// seamlessly across nodes and recovery works the same as for a home-grown
-// session.
-func (m *Manager) CreateFromHandoff(ctx context.Context, name string, snapshot []byte, lsn uint64) error {
+// ReplicaReset installs a session at another node's LSN — the apply side of
+// a subscription's reset frame and of an inbound handoff. Any existing local
+// copy is discarded and the snapshot resumes under the name; with a WAL its
+// durability state is adopted at lsn (see adoptLog), so the session's
+// mutation numbering continues across nodes and recovery works as for a
+// home-grown session. After it, ReplicaApply consumes the stream from lsn+1.
+func (m *Manager) ReplicaReset(ctx context.Context, name string, snapshot []byte, lsn uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := ValidateSessionName(name); err != nil {
-		return err
-	}
-	e := &entry{name: name}
-	e.mu.Lock()
-	m.mu.Lock()
-	if _, exists := m.sessions[name]; exists {
-		m.mu.Unlock()
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionExists, name)
-	}
-	m.sessions[name] = e
-	e.elem = m.lru.PushFront(e)
-	m.mu.Unlock()
-
-	sess, err := crowdval.ResumeSession(snapshot)
-	var w *sessionWAL
-	if err == nil && m.walDir != "" {
-		w, err = m.adoptWAL(name, snapshot, lsn)
-	}
-	if err != nil {
-		e.deleted = true
-		e.mu.Unlock()
-		m.mu.Lock()
-		delete(m.sessions, name)
-		m.lru.Remove(e.elem)
-		m.mu.Unlock()
-		return err
-	}
-	e.sess = sess
-	e.log = w
-	e.replicaLSN = lsn
-	victims := m.settle(e)
-	e.mu.Unlock()
-	m.parkAll(victims)
-	return nil
-}
-
-// adoptWAL starts the durability state of a session adopted at lsn: the
-// transferred snapshot becomes the newest checkpoint covering lsn, and a
-// fresh empty log is based there — exactly the state a home-grown session is
-// in right after a checkpoint rotation, so every later code path (appends,
-// rotation, recovery) applies unchanged.
-func (m *Manager) adoptWAL(name string, snapshot []byte, lsn uint64) (*sessionWAL, error) {
-	ckpt := m.ckptPath(name)
-	os.Remove(m.ckptPrevPath(name))
-	tmp := ckpt + ".tmp"
-	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
-		return wal.WriteCheckpoint(f, lsn, snapshot)
-	}); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("server: writing adopted checkpoint of session %q: %w", name, err)
-	}
-	if err := os.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("server: installing adopted checkpoint of session %q: %w", name, err)
-	}
-	path := m.walPath(name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		os.Remove(ckpt)
-		return nil, fmt.Errorf("server: creating adopted WAL of session %q: %w", name, err)
-	}
-	app, err := wal.NewAppender(m.wrapWAL(name, f), lsn, m.walSync)
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		os.Remove(ckpt)
-		return nil, fmt.Errorf("server: creating adopted WAL of session %q: %w", name, err)
-	}
-	w := &sessionWAL{f: f, app: app, lastCkptLSN: lsn}
-	m.foldWALMetrics(w)
-	return w, nil
-}
-
-// ReplicaReset (re)starts following a session: any existing local copy is
-// discarded and the leader's snapshot is installed at its LSN. It is the
-// apply side of a subscription's reset frame — after it, ReplicaApply
-// consumes the stream from lsn+1.
-func (m *Manager) ReplicaReset(ctx context.Context, name string, snapshot []byte, lsn uint64) error {
 	if err := m.Delete(name); err != nil && !errors.Is(err, cverr.ErrSessionNotFound) {
 		return err
 	}
-	return m.CreateFromHandoff(ctx, name, snapshot, lsn)
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		sess, err := crowdval.ResumeSession(snapshot)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		w, err := m.adoptLog(name, snapshot, lsn)
+		return sess, w, lsn, err
+	})
+}
+
+// adoptLog starts the durability state of a session adopted at lsn: the
+// snapshot becomes the newest checkpoint covering lsn and an empty log is
+// based there — the state a home-grown session is in right after a
+// checkpoint rotation, so appends, rotation and recovery apply unchanged. A
+// checkpoint pair left by a deleted same-name predecessor is removed first:
+// the writer would otherwise demote it into the fallback generation, where
+// recovery could resume it. On failure every file of the name is removed.
+// Without a WAL it returns a nil log.
+func (m *Manager) adoptLog(name string, snapshot []byte, lsn uint64) (*sessionWAL, error) {
+	if m.walDir == "" {
+		return nil, nil
+	}
+	os.Remove(m.ckptPath(name))
+	os.Remove(m.ckptPrevPath(name))
+	w := &sessionWAL{}
+	if err := m.writeCheckpoint(name, w, snapshot, lsn, lsn); err != nil {
+		m.removeWALFiles(name)
+		return nil, fmt.Errorf("server: adopting session %q at LSN %d: %w", name, lsn, err)
+	}
+	return w, nil
 }
 
 // ReplicaApply applies one streamed log record to a followed session through
@@ -281,10 +230,7 @@ func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec
 		return err
 	}
 	return m.exclusive(e, name, func(s *crowdval.Session) error {
-		cur := e.replicaLSN
-		if e.log != nil {
-			cur = e.log.app.LSN()
-		}
+		cur := e.lsn()
 		if lsn <= cur {
 			return nil
 		}

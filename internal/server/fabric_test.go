@@ -70,8 +70,8 @@ func TestHandoffSessionMovesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.CreateFromHandoff(ctx, name, gotSnap, gotLSN); err != nil {
-		t.Fatalf("CreateFromHandoff: %v", err)
+	if err := b.ReplicaReset(ctx, name, gotSnap, gotLSN); err != nil {
+		t.Fatalf("ReplicaReset: %v", err)
 	}
 	if got := managerSnapshot(t, b, name); !bytes.Equal(got, want) {
 		t.Fatal("adopted session state differs from the donor's")

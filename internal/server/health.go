@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -120,33 +118,11 @@ func (m *Manager) healSession(name string, sess *crowdval.Session, w *sessionWAL
 	}
 	// LSN() may count a phantom record whose append was buffered but whose
 	// sync failed; that only skips a number — the new checkpoint's LSN and
-	// the new log's base agree, which is all replay numbering needs.
+	// the new log's base agree, which is all replay numbering needs. With
+	// floor == lsn the rewrite reads nothing back: the new log is just a
+	// header based at lsn.
 	lsn := w.app.LSN()
-	ckpt := m.ckptPath(name)
-	tmp := ckpt + ".tmp"
-	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
-		return wal.WriteCheckpoint(f, lsn, snap)
-	}); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.injector.Rename(ckpt, m.ckptPrevPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		os.Remove(tmp)
-		return err
-	}
-	if err := m.injector.Rename(tmp, ckpt); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// floor == lastLSN makes the rewrite skip the read-back entirely: the
-	// new log is just a header based at lsn, and the live appender swaps
-	// onto it.
-	if err := m.rewriteLog(name, w, lsn, lsn); err != nil {
-		return err
-	}
-	w.lastCkptLSN = lsn
-	w.sinceCkpt = 0
-	return nil
+	return m.writeCheckpoint(name, w, snap, lsn, lsn)
 }
 
 // probeWAL append+fsyncs a no-op record to a sidecar probe file in the WAL

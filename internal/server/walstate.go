@@ -102,8 +102,12 @@ func (m *Manager) foldWALMetrics(w *sessionWAL) {
 // createWAL starts the log of a freshly created session: a new file whose
 // first record carries the session's snapshot, synced regardless of policy —
 // session creation is durable before it is acknowledged, whatever the
-// per-mutation trade-off. A failure fails the creation.
+// per-mutation trade-off. A failure fails the creation. Without a WAL it
+// returns a nil log.
 func (m *Manager) createWAL(name string, sess *crowdval.Session) (*sessionWAL, error) {
+	if m.walDir == "" {
+		return nil, nil
+	}
 	snap, err := sess.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("server: snapshotting session %q for its WAL: %w", name, err)
@@ -228,8 +232,16 @@ func (m *Manager) checkpoint(name string, sess *crowdval.Session, w *sessionWAL)
 		return err
 	}
 	m.foldWALMetrics(w)
-	lsn := w.app.LSN()
+	return m.writeCheckpoint(name, w, snap, w.lastCkptLSN, w.app.LSN())
+}
 
+// writeCheckpoint is the one checkpoint writer — rotation, heal and adoption
+// all go through it. It writes snap as the checkpoint covering lsn to
+// <name>.ckpt.tmp, demotes the newest generation to <name>.ckpt.prev, renames
+// the new one into place, and rewrites the log to its records in (floor, lsn]
+// (see rewriteLog). A failure before the log rewrite leaves the log
+// untouched.
+func (m *Manager) writeCheckpoint(name string, w *sessionWAL, snap []byte, floor, lsn uint64) error {
 	ckpt := m.ckptPath(name)
 	tmp := ckpt + ".tmp"
 	if err := m.writeFileSynced(tmp, func(f io.Writer) error {
@@ -238,7 +250,6 @@ func (m *Manager) checkpoint(name string, sess *crowdval.Session, w *sessionWAL)
 		os.Remove(tmp)
 		return err
 	}
-	floor := w.lastCkptLSN
 	if err := m.injector.Rename(ckpt, m.ckptPrevPath(name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		os.Remove(tmp)
 		return err
@@ -340,9 +351,13 @@ func (m *Manager) rewriteLog(name string, w *sessionWAL, floor, lastLSN uint64) 
 	f, err := m.injector.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		// The rewritten file on disk is complete and consistent; only this
-		// process lost its handle. Degrade — the probe loop's next heal
-		// rebuilds the handle along with everything else.
-		m.degradeWAL(w, err)
+		// process lost its handle. A live log degrades — the probe loop's
+		// next heal rebuilds the handle along with everything else. A log
+		// being adopted has no appender yet and no session to degrade: its
+		// caller discards it.
+		if w.app != nil {
+			m.degradeWAL(w, err)
+		}
 		return err
 	}
 	w.f = f
@@ -482,9 +497,22 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 	return out, nil
 }
 
-// recoverSession rebuilds one session from its checkpoint and log.
+// recoverSession rebuilds one session from its checkpoint and log and
+// installs it under its name.
 func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredSession) {
 	r.Name = name
+	r.Err = m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		sess, w, err := m.replayLog(ctx, name, &r)
+		return sess, w, 0, err
+	})
+	return r
+}
+
+// replayLog resumes the newest intact checkpoint of a session, replays its
+// log tail and reattaches an appender, reporting into r. It ends with a
+// checkpoint + log rotation, so a torn tail never survives into the resumed
+// log.
+func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSession) (*crowdval.Session, *sessionWAL, error) {
 	// Debris of an interrupted checkpoint or rotation.
 	os.Remove(m.ckptPath(name) + ".tmp")
 	os.Remove(m.walPath(name) + ".tmp")
@@ -505,23 +533,19 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 
 	f, err := os.Open(m.walPath(name))
 	if err != nil {
-		r.Err = fmt.Errorf("server: opening WAL of session %q: %w", name, err)
-		return r
+		return nil, nil, fmt.Errorf("server: opening WAL of session %q: %w", name, err)
 	}
+	defer f.Close()
 	rd, rdErr := wal.NewReader(f)
 	if rdErr != nil && !haveCkpt {
-		f.Close()
-		r.Err = fmt.Errorf("server: session %q: log header unreadable and no intact checkpoint: %w", name, rdErr)
-		return r
+		return nil, nil, fmt.Errorf("server: session %q: log header unreadable and no intact checkpoint: %w", name, rdErr)
 	}
 
 	var sess *crowdval.Session
 	if haveCkpt {
 		sess, err = crowdval.ResumeSession(snap)
 		if err != nil {
-			f.Close()
-			r.Err = fmt.Errorf("server: resuming checkpoint of session %q: %w", name, err)
-			return r
+			return nil, nil, fmt.Errorf("server: resuming checkpoint of session %q: %w", name, err)
 		}
 		r.CheckpointLSN = ckptLSN
 	}
@@ -545,15 +569,11 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 			}
 			if sess == nil {
 				if rec.Type != wal.RecCreate {
-					r.Err = fmt.Errorf("server: session %q: log starts with record type %d instead of a create record and no checkpoint is intact: %w", name, rec.Type, cverr.ErrBadWAL)
-					f.Close()
-					return r
+					return nil, nil, fmt.Errorf("server: session %q: log starts with record type %d instead of a create record and no checkpoint is intact: %w", name, rec.Type, cverr.ErrBadWAL)
 				}
 				sess, err = crowdval.ResumeSession(rec.Snapshot)
 				if err != nil {
-					f.Close()
-					r.Err = fmt.Errorf("server: resuming create record of session %q: %w", name, err)
-					return r
+					return nil, nil, fmt.Errorf("server: resuming create record of session %q: %w", name, err)
 				}
 				lastLSN = lsn
 				r.Replayed++
@@ -570,19 +590,15 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 				// live (the library rejects without mutating), so replay
 				// ignores them; only cancellation aborts recovery.
 				if errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded) {
-					f.Close()
-					r.Err = aerr
-					return r
+					return nil, nil, aerr
 				}
 			}
 			lastLSN = lsn
 			r.Replayed++
 		}
 	}
-	f.Close()
 	if sess == nil {
-		r.Err = fmt.Errorf("server: session %q has neither an intact checkpoint nor a create record: %w", name, cverr.ErrBadWAL)
-		return r
+		return nil, nil, fmt.Errorf("server: session %q has neither an intact checkpoint nor a create record: %w", name, cverr.ErrBadWAL)
 	}
 	r.LastLSN = lastLSN
 
@@ -591,8 +607,7 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 	// before any new record is appended.
 	af, err := os.OpenFile(m.walPath(name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		r.Err = fmt.Errorf("server: reopening WAL of session %q: %w", name, err)
-		return r
+		return nil, nil, fmt.Errorf("server: reopening WAL of session %q: %w", name, err)
 	}
 	w := &sessionWAL{
 		f:           af,
@@ -615,12 +630,7 @@ func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredS
 	} else {
 		m.checkpoints.Add(1)
 	}
-
-	if err := m.installRecovered(name, sess, w); err != nil {
-		w.close()
-		r.Err = err
-	}
-	return r
+	return sess, w, nil
 }
 
 // replayRecord applies one logged mutation to a session being recovered.
@@ -703,27 +713,4 @@ func (m *Manager) Close() error {
 		e.mu.Unlock()
 	}
 	return firstErr
-}
-
-// installRecovered publishes a recovered session in the manager, mirroring
-// install but with the session and its log already built.
-func (m *Manager) installRecovered(name string, sess *crowdval.Session, w *sessionWAL) error {
-	if err := ValidateSessionName(name); err != nil {
-		return err
-	}
-	e := &entry{name: name, sess: sess, log: w}
-	e.mu.Lock()
-	m.mu.Lock()
-	if _, exists := m.sessions[name]; exists {
-		m.mu.Unlock()
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", cverr.ErrSessionExists, name)
-	}
-	m.sessions[name] = e
-	e.elem = m.lru.PushFront(e)
-	m.mu.Unlock()
-	victims := m.settle(e)
-	e.mu.Unlock()
-	m.parkAll(victims)
-	return nil
 }
