@@ -45,8 +45,7 @@ func cmdLoadgen(args []string, out io.Writer) error {
 		workers  = fs.Int("workers", 100, "workers of the synthetic base dataset")
 		labels   = fs.Int("labels", 2, "labels of the synthetic base dataset")
 		perObj   = fs.Int("answers-per-object", 5, "initial crowd answers per object")
-		delta    = fs.Bool("delta", false, "create the sessions with the delta-incremental ingest path enabled")
-		deltaSc  = fs.Bool("delta-scoring", false, "create the sessions with delta-accelerated guidance scoring enabled")
+		exact    = fs.Bool("exact", false, "create exact sessions (full warm-EM aggregation and scoring) instead of the default delta ones")
 		mix      = fs.String("mix", "ingest", "workload mix: ingest (pure ingestion), next (alternate ingest and next-object requests), or globalnext (alternate ingest and global cross-session rankings)")
 		strategy = fs.String("strategy", string(crowdval.StrategyBaseline), "guidance strategy of the created sessions")
 		nextK    = fs.Int("next-k", 5, "ranking size of the next-object requests of -mix next")
@@ -118,8 +117,8 @@ func cmdLoadgen(args []string, out io.Writer) error {
 	}
 	client := &http.Client{Timeout: 2 * time.Minute}
 
-	fmt.Fprintf(out, "creating %d sessions over %d×%d @ %d answers/object (delta=%v)\n",
-		*sessions, *objects, *workers, *perObj, *delta)
+	fmt.Fprintf(out, "creating %d sessions over %d×%d @ %d answers/object (exact=%v)\n",
+		*sessions, *objects, *workers, *perObj, *exact)
 	baseAnswers := make([]server.AnswerJSON, 0, d.Answers.AnswerCount())
 	for o := 0; o < d.Answers.NumObjects(); o++ {
 		for _, wa := range d.Answers.ObjectAnswers(o) {
@@ -137,7 +136,7 @@ func cmdLoadgen(args []string, out io.Writer) error {
 			Answers: baseAnswers,
 			Options: server.SessionConfig{
 				Strategy: *strategy, Seed: *seed + int64(i),
-				Delta: *delta, DeltaScoring: *deltaSc,
+				Exact: *exact,
 			},
 		}
 		if err := postJSON(client, baseURLs[sessionNode[i]]+"/v1/sessions", req, http.StatusCreated); err != nil {

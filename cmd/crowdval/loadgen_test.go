@@ -19,7 +19,7 @@ func TestCLILoadgenInProcess(t *testing.T) {
 	err := run([]string{"loadgen",
 		"-sessions", "2", "-clients", "3", "-requests", "3", "-batch", "10",
 		"-objects", "120", "-workers", "15", "-answers-per-object", "4",
-		"-delta", "-seed", "5"}, &out)
+		"-seed", "5"}, &out)
 	if err != nil {
 		t.Fatalf("loadgen: %v\n%s", err, out.String())
 	}
@@ -59,7 +59,7 @@ func TestCLILoadgenMixedNextWorkload(t *testing.T) {
 	err := run([]string{"loadgen",
 		"-sessions", "2", "-clients", "2", "-requests", "4", "-batch", "5",
 		"-objects", "80", "-workers", "12", "-answers-per-object", "4",
-		"-delta", "-delta-scoring", "-mix", "next", "-strategy", "uncertainty",
+		"-mix", "next", "-strategy", "uncertainty",
 		"-next-k", "3", "-seed", "9"}, &out)
 	if err != nil {
 		t.Fatalf("loadgen mixed: %v\n%s", err, out.String())

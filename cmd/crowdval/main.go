@@ -19,7 +19,7 @@
 //	crowdval route    -addr :8080 -peers host1:7001,host2:7001,host3:7001
 //	crowdval recover  -wal-dir ./wal
 //	crowdval next     -addr 127.0.0.1:8080 -k 10
-//	crowdval loadgen  -sessions 4 -clients 8 -batch 100 -delta
+//	crowdval loadgen  -sessions 4 -clients 8 -batch 100
 //	crowdval loadgen  -addr host1:7001,host2:7001,host3:7001 -sessions 6
 //	crowdval profiles
 package main

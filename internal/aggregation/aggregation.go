@@ -40,6 +40,11 @@ type Result struct {
 	// delta-incremental path ran before the full-sweep settle phase (0 when
 	// the delta phase was skipped or the aggregator has no delta path).
 	DeltaIterations int
+	// DeltaOutcome reports which way the delta-incremental path went:
+	// DeltaNotRun when the aggregator has no delta path or it is disabled,
+	// otherwise whether the frontier phase was accepted, stalled at its
+	// iteration cap, or skipped for a cold start or an oversized frontier.
+	DeltaOutcome DeltaOutcome
 	// Converged reports whether the iterative aggregation reached its
 	// convergence tolerance before hitting the iteration cap.
 	Converged bool

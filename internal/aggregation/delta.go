@@ -88,6 +88,33 @@ func (c DeltaConfig) settleTolerance(em EMConfig) float64 {
 	return tol
 }
 
+// DeltaOutcome is the path one AggregateDeltaContext call took.
+type DeltaOutcome uint8
+
+// The outcomes of the delta path. DeltaAccepted and DeltaStalled end in the
+// certified settle phase; DeltaLargeFrontier and DeltaCold are the fallbacks,
+// which run the plain full path (AggregateContext) instead.
+const (
+	// DeltaNotRun: the delta path is disabled (or the aggregator has none),
+	// and the call was a plain full aggregation.
+	DeltaNotRun DeltaOutcome = iota
+	// DeltaAccepted: the frontier phase converged within its iteration cap.
+	DeltaAccepted
+	// DeltaStalled: the frontier phase hit DeltaConfig.MaxDeltaIterations
+	// without converging; the settle phase resolved the rest.
+	DeltaStalled
+	// DeltaLargeFrontier: the frontier was unknown (nil delta) or larger
+	// than DeltaConfig.MaxDirtyFraction, so the frontier phase was skipped.
+	DeltaLargeFrontier
+	// DeltaCold: there was no usable warm state (no previous result, or one
+	// of another shape), so the call was a full aggregation.
+	DeltaCold
+)
+
+// RanFrontier reports whether the frontier phase ran, i.e. whether only the
+// frontier's neighbourhood can have moved beyond the settle tolerance.
+func (o DeltaOutcome) RanFrontier() bool { return o == DeltaAccepted || o == DeltaStalled }
+
 // Delta describes the dirty frontier of one aggregation call: the objects
 // whose evidence or pinned validation changed since the previous fixed point
 // was computed, and the workers whose answer sets or quarantine status
@@ -119,11 +146,13 @@ type DeltaAggregator interface {
 func (ie *IncrementalEM) AggregateDeltaContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation,
 	prev *model.ProbabilisticAnswerSet, delta *Delta) (*Result, error) {
 
-	warm := prev != nil && prev.Assignment != nil && len(prev.Confusions) == answers.NumWorkers() &&
-		prev.Assignment.NumObjects() == answers.NumObjects() && prev.Assignment.NumLabels() == answers.NumLabels()
-	if !ie.Delta.Enabled || !warm || delta == nil ||
-		float64(len(delta.Objects)) > ie.Delta.maxDirtyFraction()*float64(answers.NumObjects()) {
-		return ie.AggregateContext(ctx, answers, validation, prev)
+	if outcome := ie.deltaFallback(answers, prev, delta); outcome != DeltaAccepted {
+		res, err := ie.AggregateContext(ctx, answers, validation, prev)
+		if err != nil {
+			return nil, err
+		}
+		res.DeltaOutcome = outcome
+		return res, nil
 	}
 	validation, err := checkInputs(answers, validation)
 	if err != nil {
@@ -139,7 +168,7 @@ func (ie *IncrementalEM) AggregateDeltaContext(ctx context.Context, answers *mod
 	}
 	pinValidated(assignment, validation)
 
-	deltaIters, err := runDeltaEM(ctx, answers, validation, assignment, confusions, delta, ie.Config, ie.Delta)
+	deltaIters, stalled, err := runDeltaEM(ctx, answers, validation, assignment, confusions, delta, ie.Config, ie.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +183,26 @@ func (ie *IncrementalEM) AggregateDeltaContext(ctx context.Context, answers *mod
 		return nil, err
 	}
 	res.DeltaIterations = deltaIters
+	res.DeltaOutcome = DeltaAccepted
+	if stalled {
+		res.DeltaOutcome = DeltaStalled
+	}
 	return res, nil
+}
+
+// deltaFallback decides whether a delta call may run its frontier phase:
+// DeltaAccepted when it may, otherwise the outcome that skips it.
+func (ie *IncrementalEM) deltaFallback(answers *model.AnswerSet, prev *model.ProbabilisticAnswerSet, delta *Delta) DeltaOutcome {
+	switch {
+	case !ie.Delta.Enabled:
+		return DeltaNotRun
+	case prev == nil || prev.Assignment == nil || len(prev.Confusions) != answers.NumWorkers() ||
+		prev.Assignment.NumObjects() != answers.NumObjects() || prev.Assignment.NumLabels() != answers.NumLabels():
+		return DeltaCold
+	case delta == nil || float64(len(delta.Objects)) > ie.Delta.maxDirtyFraction()*float64(answers.NumObjects()):
+		return DeltaLargeFrontier
+	}
+	return DeltaAccepted
 }
 
 // FixedPointResidual measures how far a probabilistic answer set is from
@@ -178,7 +226,8 @@ func FixedPointResidual(ctx context.Context, p *model.ProbabilisticAnswerSet, pa
 
 // runDeltaEM iterates E/M-steps restricted to the dirty frontier, mutating
 // assignment and confusions in place, and returns the number of iterations it
-// ran. The math of one frontier row/confusion update is identical to the full
+// ran and whether it stopped at the iteration cap without converging. The
+// math of one frontier row/confusion update is identical to the full
 // eStep/mStepInto; the only difference is which rows are touched. Priors are
 // maintained incrementally through running column sums, so every iteration
 // sees the exact priors of the full assignment matrix, not just the frontier.
@@ -186,7 +235,7 @@ func FixedPointResidual(ctx context.Context, p *model.ProbabilisticAnswerSet, pa
 // (large ones fall back to the full, sharded path), and a serial loop is
 // trivially deterministic.
 func runDeltaEM(ctx context.Context, answers *model.AnswerSet, validation *model.Validation,
-	u *model.AssignmentMatrix, confusions []*model.ConfusionMatrix, delta *Delta, cfg EMConfig, dcfg DeltaConfig) (int, error) {
+	u *model.AssignmentMatrix, confusions []*model.ConfusionMatrix, delta *Delta, cfg EMConfig, dcfg DeltaConfig) (int, bool, error) {
 
 	n, m := answers.NumObjects(), answers.NumLabels()
 	tol := cfg.tolerance()
@@ -233,7 +282,7 @@ func runDeltaEM(ctx context.Context, answers *model.AnswerSet, validation *model
 	iterations := 0
 	for iter := 0; iter < maxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return iterations, err
+			return iterations, false, err
 		}
 		iterations++
 		for l := 0; l < m; l++ {
@@ -265,8 +314,8 @@ func runDeltaEM(ctx context.Context, answers *model.AnswerSet, validation *model
 		}
 
 		if diff < tol {
-			break
+			return iterations, false, nil
 		}
 	}
-	return iterations, nil
+	return iterations, true, nil
 }

@@ -251,3 +251,63 @@ func TestDeltaStallProceedsToSettle(t *testing.T) {
 		t.Fatalf("stalled delta result is not a full fixed point: %g >= %g", diff, 2*DefaultSettleTolerance)
 	}
 }
+
+// TestDeltaOutcomeReported pins Result.DeltaOutcome for every way a delta
+// call can go: disabled, cold start, unknown or oversized frontier, frontier
+// converged, and frontier stalled at its iteration cap.
+func TestDeltaOutcomeReported(t *testing.T) {
+	answers, truth := deltaTestSet(t, 80, 12, 19)
+	validation := model.NewValidation(answers.NumObjects())
+	base, err := (&IncrementalEM{Config: EMConfig{Parallelism: 1}}).Aggregate(answers, validation, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Contrarian evidence on a small frontier (10 of 80 objects): the
+	// frontier phase needs more than one iteration to absorb it.
+	small := answers.Clone()
+	small.TrackDirty()
+	for o := 0; o < 10; o++ {
+		if err := small.SetAnswer(o, 3, 1-truth[o]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smallFrontier := &Delta{Objects: small.DirtyObjects(), Workers: small.DirtyWorkers()}
+	large := answers.Clone()
+	large.TrackDirty()
+	for o := 0; o < 40; o++ {
+		if err := large.SetAnswer(o, 1, truth[o]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	largeFrontier := &Delta{Objects: large.DirtyObjects(), Workers: large.DirtyWorkers()}
+
+	enabled := DeltaConfig{Enabled: true}
+	cases := []struct {
+		name     string
+		cfg      DeltaConfig
+		answers  *model.AnswerSet
+		prev     *model.ProbabilisticAnswerSet
+		frontier *Delta
+		want     DeltaOutcome
+	}{
+		{"disabled", DeltaConfig{}, small, base.ProbSet, smallFrontier, DeltaNotRun},
+		{"cold", enabled, small, nil, smallFrontier, DeltaCold},
+		{"nil frontier", enabled, small, base.ProbSet, nil, DeltaLargeFrontier},
+		{"large frontier", enabled, large, base.ProbSet, largeFrontier, DeltaLargeFrontier},
+		{"accepted", enabled, small, base.ProbSet, smallFrontier, DeltaAccepted},
+		{"stalled", DeltaConfig{Enabled: true, MaxDeltaIterations: 1}, small, base.ProbSet, smallFrontier, DeltaStalled},
+	}
+	for _, tc := range cases {
+		agg := &IncrementalEM{Config: EMConfig{Parallelism: 1}, Delta: tc.cfg}
+		got, err := agg.AggregateDeltaContext(context.Background(), tc.answers, validation, tc.prev, tc.frontier)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.DeltaOutcome != tc.want {
+			t.Fatalf("%s: outcome %d, want %d", tc.name, got.DeltaOutcome, tc.want)
+		}
+		if ran := got.DeltaIterations > 0; ran != tc.want.RanFrontier() {
+			t.Fatalf("%s: %d delta iterations, but RanFrontier() = %v", tc.name, got.DeltaIterations, tc.want.RanFrontier())
+		}
+	}
+}

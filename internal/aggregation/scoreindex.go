@@ -2,6 +2,7 @@ package aggregation
 
 import (
 	"math"
+	"sync"
 
 	"crowdval/internal/model"
 )
@@ -89,6 +90,11 @@ type ScoreIndex struct {
 	logConfT  []float64
 	logRows   []float64
 	rowExp    []float64
+
+	// free holds released hypothetical-scoring scratches for reuse by later
+	// rankings of this index (AcquireHypoScratch/ReleaseHypoScratch).
+	freeMu sync.Mutex
+	free   []*HypoScratch
 }
 
 // NewScoreIndex builds the scoring index for one aggregation result. The
@@ -296,6 +302,56 @@ func (ix *ScoreIndex) NewHypoScratch() *HypoScratch {
 	}
 }
 
+// grow returns s resliced to length n. A too-small s is replaced by one of
+// at least twice its capacity, so a scratch that meets ever larger
+// candidates reallocates O(log) times instead of once per new maximum. The
+// contents are not preserved: every caller overwrites what it reads.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// maxFreeScratches bounds the free list of an index: enough for the scoring
+// goroutines of a few concurrent rankings. Scratches released beyond it are
+// left to the garbage collector.
+const maxFreeScratches = 16
+
+// AcquireHypoScratch takes a scratch from the index's free list, or prepares
+// a new one (NewHypoScratch) when the list is empty. Scores do not depend on
+// which scratch computes them. Return the scratch with ReleaseHypoScratch
+// once its goroutine has scored its candidates; it must not be used after.
+// Safe for concurrent use.
+func (ix *ScoreIndex) AcquireHypoScratch() *HypoScratch {
+	ix.freeMu.Lock()
+	if k := len(ix.free); k > 0 {
+		sc := ix.free[k-1]
+		ix.free = ix.free[:k-1]
+		ix.freeMu.Unlock()
+		sc.fallbacks = 0
+		return sc
+	}
+	ix.freeMu.Unlock()
+	return ix.NewHypoScratch()
+}
+
+// ReleaseHypoScratch puts a scratch of this index back on its free list. The
+// list lives as long as the index: it survives Rebase (the scratch keeps only
+// buffers and the seen stamps, which stay valid for a patched index of the
+// same shape) and is dropped with the index when the engine rebuilds it.
+// Safe for concurrent use.
+func (ix *ScoreIndex) ReleaseHypoScratch(sc *HypoScratch) {
+	if sc.ix != ix {
+		return
+	}
+	ix.freeMu.Lock()
+	if len(ix.free) < maxFreeScratches {
+		ix.free = append(ix.free, sc)
+	}
+	ix.freeMu.Unlock()
+}
+
 // factorLogLimit bounds |log Π| for a ripple row's product of factors to be
 // trusted: e^±700 is well inside the normal float64 range, so no product of
 // factors whose logs sum to at most 700 in magnitude (or any prefix of one)
@@ -325,11 +381,7 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	// hypotheses, staged in scratch as differences to the index's block so
 	// the shared index stays untouched.
 	touched := ix.answers.ObjectView(object)
-	if need := len(touched) * m * run; cap(sc.staged) < need {
-		sc.staged = make([]float64, need)
-	} else {
-		sc.staged = sc.staged[:need]
-	}
+	sc.staged = grow(sc.staged, len(touched)*m*run)
 	reach := 0
 	maxStaged := 0.0
 	for i, wa := range touched {
@@ -347,11 +399,9 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	// object and multiplies their exponentials into its Π. Objects shared by
 	// several touched workers get one slot, in first-seen order; the touched
 	// workers' answer count bounds the number of slots.
-	if cap(sc.hits) < reach {
-		sc.acc = make([]float64, reach*run)
-		sc.hits = make([]int32, reach)
-		sc.ripple = make([]int, 0, reach)
-	}
+	sc.acc = grow(sc.acc, reach*run)
+	sc.hits = grow(sc.hits, reach)
+	sc.ripple = grow(sc.ripple, reach)
 	if int(sc.base) > math.MaxInt32-ix.n {
 		clear(sc.seen)
 		sc.base = 1

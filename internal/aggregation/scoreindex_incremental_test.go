@@ -627,3 +627,70 @@ func TestRowFactorGuards(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledHypoScratchMatchesFresh pins the free list of an index: a
+// scratch released after scoring other candidates in another order comes
+// back from AcquireHypoScratch with its fallback count reset, survives an
+// in-place Rebase, and scores every candidate bit-identically to a fresh
+// scratch of a from-scratch index, whichever scratch the list hands out.
+func TestPooledHypoScratchMatchesFresh(t *testing.T) {
+	res, cfg := guardCrowd(t, 3)
+	ix := NewScoreIndex(res.ProbSet.Answers, res.ProbSet, cfg)
+	candidates := res.ProbSet.Validation.UnvalidatedObjects()
+	warm := ix.AcquireHypoScratch()
+	for i := len(candidates) - 1; i >= 0; i-- {
+		warm.ConditionalUncertainty(candidates[i])
+	}
+	if warm.fallbacks == 0 {
+		t.Fatal("guard crowd produced no fallback rows to reset")
+	}
+	ix.ReleaseHypoScratch(warm)
+	pooled := ix.AcquireHypoScratch()
+	if pooled != warm {
+		t.Fatal("the free list did not hand back the released scratch")
+	}
+	if pooled.fallbacks != 0 {
+		t.Fatalf("a reacquired scratch reports %d fallbacks, want 0", pooled.fallbacks)
+	}
+	fresh := ix.NewHypoScratch()
+	for _, o := range candidates {
+		if got, want := pooled.ConditionalUncertainty(o), fresh.ConditionalUncertainty(o); got != want {
+			t.Fatalf("H(P|%d): pooled scratch %v, fresh scratch %v", o, got, want)
+		}
+	}
+	if pooled.fallbacks != fresh.fallbacks {
+		t.Fatalf("pooled scratch counted %d fallbacks, fresh %d", pooled.fallbacks, fresh.fallbacks)
+	}
+	ix.ReleaseHypoScratch(pooled)
+
+	// A validation settled on the delta path moves the state; the index is
+	// patched in place and keeps its free list.
+	validation := res.ProbSet.Validation.Clone()
+	validation.Set(candidates[0], 0)
+	iem := &IncrementalEM{Config: cfg, Delta: DeltaConfig{Enabled: true}}
+	next, err := iem.AggregateDeltaContext(context.Background(), res.ProbSet.Answers, validation, res.ProbSet,
+		&Delta{Objects: []int{candidates[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Rebase(res.ProbSet.Answers, next.ProbSet) {
+		t.Fatal("Rebase refused a same-shape successor")
+	}
+	if sc := ix.AcquireHypoScratch(); sc != pooled {
+		t.Fatal("the free list did not survive Rebase")
+	} else {
+		rebuilt := NewScoreIndex(res.ProbSet.Answers, next.ProbSet, cfg).NewHypoScratch()
+		for _, o := range next.ProbSet.Validation.UnvalidatedObjects() {
+			if got, want := sc.ConditionalUncertainty(o), rebuilt.ConditionalUncertainty(o); got != want {
+				t.Fatalf("after Rebase, H(P|%d): pooled scratch %v, rebuilt index %v", o, got, want)
+			}
+		}
+	}
+
+	// Another index's scratch is not taken in.
+	other := NewScoreIndex(res.ProbSet.Answers, next.ProbSet, cfg)
+	other.ReleaseHypoScratch(fresh)
+	if sc := other.AcquireHypoScratch(); sc == fresh {
+		t.Fatal("an index pooled a scratch of another index")
+	}
+}

@@ -229,6 +229,9 @@ type Engine struct {
 	// delta-incremental path; like emIterations it is a statistic, not
 	// snapshot state. A session that never used the delta path reports zero.
 	deltaIterations int
+	// deltaOutcomes counts the delta-path aggregations by outcome; a
+	// statistic like deltaIterations.
+	deltaOutcomes DeltaOutcomes
 
 	// confirmedValidations records, per object, the label the expert has
 	// explicitly re-confirmed after the confirmation check flagged it. Such
@@ -529,6 +532,36 @@ func (e *Engine) TotalEMIterations() int { return e.emIterations }
 // statistic, not snapshot state.
 func (e *Engine) TotalDeltaIterations() int { return e.deltaIterations }
 
+// DeltaOutcomes counts an engine's delta-path aggregations by the way each
+// went (aggregation.DeltaOutcome): the frontier phase accepted or stalled at
+// its iteration cap, or the call fell back to the full path for an
+// oversized frontier or a cold start. The engine grows its warm state with
+// the session, so it never starts cold itself. Aggregations without the
+// delta path count nowhere.
+type DeltaOutcomes struct {
+	Accepted      int
+	Stalled       int
+	LargeFrontier int
+	Cold          int
+}
+
+func (d *DeltaOutcomes) add(o aggregation.DeltaOutcome) {
+	switch o {
+	case aggregation.DeltaAccepted:
+		d.Accepted++
+	case aggregation.DeltaStalled:
+		d.Stalled++
+	case aggregation.DeltaLargeFrontier:
+		d.LargeFrontier++
+	case aggregation.DeltaCold:
+		d.Cold++
+	}
+}
+
+// DeltaOutcomes returns the engine's delta-path aggregations counted by
+// outcome. Like TotalDeltaIterations it is a statistic, not snapshot state.
+func (e *Engine) DeltaOutcomes() DeltaOutcomes { return e.deltaOutcomes }
+
 // ScoreIndexStats returns how many times the guidance scoring index was
 // built from scratch and how many times it was patched in place onto a
 // successor aggregation result (ScoreIndex.Rebase). Like TotalEMIterations
@@ -631,7 +664,8 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 			}
 			e.working.ClearDirty()
 			e.deltaIterations += res.DeltaIterations
-			if res.DeltaIterations == 0 {
+			e.deltaOutcomes.add(res.DeltaOutcome)
+			if !res.DeltaOutcome.RanFrontier() {
 				// The aggregator fell back to the full path (cold state or
 				// oversized frontier): every row may have moved, so patching
 				// the index would cost as much as rebuilding it.

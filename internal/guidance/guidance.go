@@ -78,6 +78,24 @@ func (c *Context) candidates() []int {
 	return c.ProbSet.Validation.UnvalidatedObjects()
 }
 
+// prefilter returns the candidates a scoring strategy ranks: the limit
+// candidates with the highest entropy (see topEntropyCandidates), or
+// ErrNoCandidates when there is none. With no explicit Candidates and an
+// index at hand it streams the unvalidated objects straight into the
+// bounded selection instead of listing them first.
+func (c *Context) prefilter(ix *aggregation.ScoreIndex, limit int) ([]int, error) {
+	var candidates []int
+	if len(c.Candidates) == 0 && ix != nil && limit > 0 {
+		candidates = topUnvalidatedByEntropy(ix, c.ProbSet.Validation, limit)
+	} else {
+		candidates = topEntropyCandidates(ix, c.ProbSet.Assignment, c.candidates(), limit)
+	}
+	if len(candidates) == 0 {
+		return nil, ErrNoCandidates
+	}
+	return candidates, nil
+}
+
 // ctx returns the cancellation context, defaulting to context.Background.
 func (c *Context) ctx() stdctx.Context {
 	if c.Ctx != nil {
@@ -259,14 +277,20 @@ func (b *Baseline) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 // goroutine, so implementations may keep per-goroutine scratch state.
 type scorerFunc func(o int) (float64, error)
 
+// scorerFactory builds one scoring goroutine's scorer. release, when
+// non-nil, runs once that goroutine has scored its share; it hands the
+// scorer's scratch back for reuse.
+type scorerFactory func() (score scorerFunc, release func())
+
 // scoreAll evaluates every candidate's score, optionally sharded across
 // scoring goroutines through internal/par (the same dispatch the E/M-steps
 // use, so cancellation and worker-cap semantics match the rest of the
 // codebase). newScorer runs once per shard so each goroutine owns its scratch
-// buffers. A cancelled ctx.Ctx aborts the scan between candidates and returns
-// the context's error; results are identical for every parallelism degree
-// because candidates are scored independently into disjoint slots.
-func scoreAll(ctx *Context, candidates []int, newScorer func() scorerFunc) ([]float64, error) {
+// buffers, and the shard releases them when it is done. A cancelled ctx.Ctx
+// aborts the scan between candidates and returns the context's error;
+// results are identical for every parallelism degree because candidates are
+// scored independently into disjoint slots.
+func scoreAll(ctx *Context, candidates []int, newScorer scorerFactory) ([]float64, error) {
 	scores := make([]float64, len(candidates))
 	cancel := ctx.ctx()
 	shards := 1
@@ -275,7 +299,10 @@ func scoreAll(ctx *Context, candidates []int, newScorer func() scorerFunc) ([]fl
 	}
 	shardErr := make([]error, shards)
 	err := par.ForNCtx(cancel, len(candidates), shards, func(shard, lo, hi int) {
-		score := newScorer()
+		score, release := newScorer()
+		if release != nil {
+			defer release()
+		}
 		for idx := lo; idx < hi; idx++ {
 			if err := cancel.Err(); err != nil {
 				shardErr[shard] = err
@@ -306,11 +333,11 @@ func scoreAll(ctx *Context, candidates []int, newScorer func() scorerFunc) ([]fl
 // cancelled ctx.Ctx aborts the scan between candidates and returns the
 // context's error.
 func scoreCandidates(ctx *Context, candidates []int, score scorerFunc) (int, error) {
-	return scoreBest(ctx, candidates, func() scorerFunc { return score })
+	return scoreBest(ctx, candidates, func() (scorerFunc, func()) { return score, nil })
 }
 
 // scoreBest is scoreCandidates with a per-goroutine scorer factory.
-func scoreBest(ctx *Context, candidates []int, newScorer func() scorerFunc) (int, error) {
+func scoreBest(ctx *Context, candidates []int, newScorer scorerFactory) (int, error) {
 	scores, err := scoreAll(ctx, candidates, newScorer)
 	if err != nil {
 		return -1, err
@@ -329,7 +356,7 @@ func scoreBest(ctx *Context, candidates []int, newScorer func() scorerFunc) (int
 
 // scoreTopK scores every candidate and returns the k best as a deterministic
 // ranking (score descending, ties toward the smaller object index).
-func scoreTopK(ctx *Context, candidates []int, newScorer func() scorerFunc, k int) ([]ScoredObject, error) {
+func scoreTopK(ctx *Context, candidates []int, newScorer scorerFactory, k int) ([]ScoredObject, error) {
 	scores, err := scoreAll(ctx, candidates, newScorer)
 	if err != nil {
 		return nil, err
@@ -342,40 +369,61 @@ func scoreTopK(ctx *Context, candidates []int, newScorer func() scorerFunc, k in
 }
 
 // topKByScore selects the k best (score descending, ties toward the smaller
-// object index) of parallel object/score slices by partial selection: a
-// bounded min-heap of the k best seen so far, O(c·log k) instead of a full
-// O(c·log c) sort. The returned ranking is fully ordered and deterministic —
-// the (score, object) comparator is a total order.
+// object index) of parallel object/score slices by partial selection (see
+// topK).
 func topKByScore(objects []int, scores []float64, k int) []ScoredObject {
-	if k > len(objects) {
-		k = len(objects)
-	}
-	if k <= 0 {
-		return nil
-	}
-	// heap[0] is the worst kept element (min-heap under the ranking order).
-	heap := make([]ScoredObject, 0, k)
+	top := newTopK(k, len(objects))
 	for idx, o := range objects {
-		cand := ScoredObject{Object: o, Score: scores[idx]}
-		if len(heap) < k {
-			heap = append(heap, cand)
-			for i := len(heap) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !ranksBelow(heap[i], heap[parent]) {
-					break
-				}
-				heap[i], heap[parent] = heap[parent], heap[i]
-				i = parent
-			}
-			continue
-		}
-		if ranksBelow(heap[0], cand) {
-			heap[0] = cand
-			siftDown(heap, 0)
-		}
+		top.push(ScoredObject{Object: o, Score: scores[idx]})
 	}
-	// Drain the heap into descending rank order in place: repeatedly swap the
-	// worst remaining element to the back and restore the shrunk prefix.
+	return top.ranking()
+}
+
+// topK is a bounded min-heap of the best candidates pushed so far: partial
+// selection in O(c·log k) instead of a full O(c·log c) sort. The ranking it
+// yields is fully ordered and deterministic — the (score, object) comparator
+// is a total order — and does not depend on the order of the pushes.
+type topK struct {
+	// heap[0] is the worst kept element (min-heap under the ranking order);
+	// cap(heap) is k.
+	heap []ScoredObject
+}
+
+// newTopK keeps the k best of at most n pushes.
+func newTopK(k, n int) topK {
+	k = min(k, n)
+	if k <= 0 {
+		return topK{}
+	}
+	return topK{heap: make([]ScoredObject, 0, k)}
+}
+
+func (t *topK) push(cand ScoredObject) {
+	heap := t.heap
+	if len(heap) < cap(heap) {
+		heap = append(heap, cand)
+		for i := len(heap) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !ranksBelow(heap[i], heap[parent]) {
+				break
+			}
+			heap[i], heap[parent] = heap[parent], heap[i]
+			i = parent
+		}
+		t.heap = heap
+		return
+	}
+	if len(heap) > 0 && ranksBelow(heap[0], cand) {
+		heap[0] = cand
+		siftDown(heap, 0)
+	}
+}
+
+// ranking drains the heap into descending rank order in place — repeatedly
+// swapping the worst remaining element to the back and restoring the shrunk
+// prefix — and returns it (nil when k was 0). The topK is spent afterwards.
+func (t *topK) ranking() []ScoredObject {
+	heap := t.heap
 	for end := len(heap) - 1; end > 0; end-- {
 		heap[0], heap[end] = heap[end], heap[0]
 		siftDown(heap[:end], 0)
@@ -434,9 +482,34 @@ func topEntropyCandidates(ix *aggregation.ScoreIndex, u *model.AssignmentMatrix,
 			scores[i] = aggregation.ObjectEntropy(u, o)
 		}
 	}
-	top := topKByScore(candidates, scores, limit)
-	out := make([]int, len(top))
-	for i, s := range top {
+	return objectsOf(topKByScore(candidates, scores, limit))
+}
+
+// topUnvalidatedByEntropy is topEntropyCandidates over every object the
+// validation leaves open (limit > 0), without listing them: it walks the
+// index's objects in order and pushes the unvalidated ones straight into the
+// bounded selection, so a ranking allocates O(limit), not O(n). When at most
+// limit objects are open it returns them in ascending order, as
+// topEntropyCandidates returns a short list unchanged.
+func topUnvalidatedByEntropy(ix *aggregation.ScoreIndex, v *model.Validation, limit int) []int {
+	n := ix.NumObjects()
+	open := n - v.Count()
+	if open <= limit {
+		return v.UnvalidatedObjects()
+	}
+	top := newTopK(limit, open)
+	for o := 0; o < n; o++ {
+		if !v.Validated(o) {
+			top.push(ScoredObject{Object: o, Score: ix.ObjectEntropy(o)})
+		}
+	}
+	return objectsOf(top.ranking())
+}
+
+// objectsOf lists the objects of a ranking in rank order.
+func objectsOf(ranked []ScoredObject) []int {
+	out := make([]int, len(ranked))
+	for i, s := range ranked {
 		out[i] = s.Object
 	}
 	return out

@@ -48,24 +48,25 @@ func (u *UncertaintyDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error)
 
 // prepare narrows the candidate set and builds the per-goroutine scorer
 // factory for the configured scoring mode. It runs before scoring fans out,
-// so the shared index is fully built here.
-func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, func() scorerFunc, error) {
-	candidates := ctx.candidates()
-	if len(candidates) == 0 {
-		return nil, nil, ErrNoCandidates
-	}
+// so the shared index is fully built here. Delta scorers lease their scratch
+// from the index and hand it back when their goroutine is done, so warm
+// rankings of one index allocate no scratch.
+func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, scorerFactory, error) {
 	ix := ctx.index()
-	candidates = topEntropyCandidates(ix, ctx.ProbSet.Assignment, candidates, u.CandidateLimit)
+	candidates, err := ctx.prefilter(ix, u.CandidateLimit)
+	if err != nil {
+		return nil, nil, err
+	}
 	currentH := ix.TotalUncertainty()
 	if ctx.DeltaScore {
-		return candidates, func() scorerFunc {
-			sc := ix.NewHypoScratch()
+		return candidates, func() (scorerFunc, func()) {
+			sc := ix.AcquireHypoScratch()
 			return func(o int) (float64, error) {
 				return currentH - sc.ConditionalUncertainty(o), nil
-			}
+			}, func() { ix.ReleaseHypoScratch(sc) }
 		}, nil
 	}
-	return candidates, func() scorerFunc {
+	return candidates, func() (scorerFunc, func()) {
 		// One scratch validation per scoring goroutine, set/unset per
 		// hypothesis — not one Clone per (candidate, label).
 		scratch := ctx.ProbSet.Validation.Clone()
@@ -75,7 +76,7 @@ func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, func() scorerFunc, err
 				return 0, err
 			}
 			return currentH - conditional, nil
-		}
+		}, nil
 	}, nil
 }
 

@@ -48,12 +48,11 @@ func (w *WorkerDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 // prepare narrows the candidate set and builds the per-goroutine scorer
 // factory. The delta path runs the baseline community detection here, once,
 // before scoring fans out.
-func (w *WorkerDriven) prepare(ctx *Context) ([]int, func() scorerFunc, error) {
-	candidates := ctx.candidates()
-	if len(candidates) == 0 {
-		return nil, nil, ErrNoCandidates
+func (w *WorkerDriven) prepare(ctx *Context) ([]int, scorerFactory, error) {
+	candidates, err := ctx.prefilter(ctx.Index, w.CandidateLimit)
+	if err != nil {
+		return nil, nil, err
 	}
-	candidates = topEntropyCandidates(ctx.Index, ctx.ProbSet.Assignment, candidates, w.CandidateLimit)
 	priors := ctx.ProbSet.Assignment.Priors()
 	if ctx.DeltaScore {
 		detector := ctx.detector()
@@ -62,20 +61,20 @@ func (w *WorkerDriven) prepare(ctx *Context) ([]int, func() scorerFunc, error) {
 			return nil, nil, err
 		}
 		baseFaulty := len(base.FaultyWorkers())
-		return candidates, func() scorerFunc {
+		return candidates, func() (scorerFunc, func()) {
 			scratch := ctx.ProbSet.Validation.Clone()
 			return func(o int) (float64, error) {
 				return expectedFaultyIncremental(ctx, detector, o, priors, scratch, base.Assessments, baseFaulty)
-			}
+			}, nil
 		}, nil
 	}
-	return candidates, func() scorerFunc {
+	return candidates, func() (scorerFunc, func()) {
 		// One scratch validation per scoring goroutine, set/unset per
 		// hypothesis — not one Clone per (candidate, label).
 		scratch := ctx.ProbSet.Validation.Clone()
 		return func(o int) (float64, error) {
 			return expectedDetectedFaulty(ctx, o, priors, scratch)
-		}
+		}, nil
 	}, nil
 }
 

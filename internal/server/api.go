@@ -48,19 +48,22 @@ type SessionConfig struct {
 	SpammerThreshold   float64 `json:"spammerThreshold,omitempty"`
 	SloppyThreshold    float64 `json:"sloppyThreshold,omitempty"`
 	UncertaintyGoal    float64 `json:"uncertaintyGoal,omitempty"`
-	// Delta enables the delta-incremental ingest path (WithDeltaIngest):
-	// re-aggregations refine only the dirty frontier before a full-sweep
-	// settle phase, trading bit-for-bit replay equivalence for an
-	// order-of-magnitude ingest speedup at a documented tolerance.
+	// Exact opts the session out of delta ingest and delta scoring
+	// (WithExact): full warm-EM aggregation and full-EM candidate scoring,
+	// and ingests that are never coalesced, so the session stays
+	// bit-for-bit equal to a serial replay of its requests. Sessions are
+	// delta by default.
+	Exact bool `json:"exact,omitempty"`
+	// Delta selects the delta-incremental ingest path (WithDeltaIngest). It
+	// is the default, so it only matters together with Exact, where it
+	// turns delta ingest back on.
 	Delta bool `json:"delta,omitempty"`
 	// DeltaMaxDirtyFraction overrides the frontier-size fallback threshold
 	// (WithDeltaMaxDirtyFraction); 0 keeps the default.
 	DeltaMaxDirtyFraction float64 `json:"deltaMaxDirtyFraction,omitempty"`
-	// DeltaScoring enables delta-accelerated guidance scoring
-	// (WithDeltaScoring): next-object rankings are estimated with
-	// frontier-restricted hypothetical EM passes instead of a full warm EM
-	// per candidate hypothesis, trading a documented selection tolerance for
-	// orders of magnitude in latency.
+	// DeltaScoring selects delta-accelerated guidance scoring
+	// (WithDeltaScoring). It is the default, so it only matters together
+	// with Exact, where it turns delta scoring back on.
 	DeltaScoring bool `json:"deltaScoring,omitempty"`
 	// CostBudget enables the monetary budget tracker (WithCostBudget): the
 	// total budget b, charged θ per expert validation; further submissions
@@ -108,6 +111,9 @@ func (c SessionConfig) options() []crowdval.Option {
 	}
 	if c.UncertaintyGoal > 0 {
 		opts = append(opts, crowdval.WithUncertaintyGoal(c.UncertaintyGoal))
+	}
+	if c.Exact {
+		opts = append(opts, crowdval.WithExact())
 	}
 	if c.Delta {
 		opts = append(opts, crowdval.WithDeltaIngest())

@@ -17,11 +17,12 @@ import (
 // BenchmarkServerConcurrentIngest measures the serving-path ingestion
 // throughput on the headline workload: sessions over 50 000 objects × 500
 // workers at ~1% density (the BENCHMARKS.md shape), receiving batches of 100
-// new crowd answers through the HTTP API. Each ingest runs the warm-started
-// i-EM fold-in, so this benchmarks the full serve → manager → session →
+// new crowd answers through the HTTP API. The sessions are exact
+// (WithExact), so each ingest runs the full warm-started i-EM fold-in and
+// this benchmarks the full serve → manager → session →
 // aggregation stack, with concurrent clients spread over four sessions.
 func BenchmarkServerConcurrentIngest(b *testing.B) {
-	benchmarkIngest(b)
+	benchmarkIngest(b, crowdval.WithExact())
 }
 
 // BenchmarkDeltaIngest is BenchmarkServerConcurrentIngest with the

@@ -132,10 +132,12 @@ type Manager struct {
 	globalSelections atomic.Int64 // served marketplace reads (GlobalNext calls)
 	evictions        atomic.Int64
 	resumes          atomic.Int64
-	// Session statistics (EM and delta iterations, score-index builds and
-	// patches) summed over all sessions; see foldSession.
+	// Session statistics (EM and delta iterations, delta outcomes,
+	// score-index builds and patches) summed over all sessions; see
+	// foldSession.
 	emIters           atomic.Int64
 	deltaIters        atomic.Int64
+	deltaOutcomes     outcomeCounters
 	scoreIndexBuilds  atomic.Int64
 	scoreIndexPatches atomic.Int64
 	// Durability counters (see walstate.go).
@@ -525,10 +527,17 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 }
 
 // sessionCounters are a session's cumulative statistics as already folded
-// into the manager's totals: EM and delta iterations, score-index builds and
-// patches.
+// into the manager's totals: EM and delta iterations, delta outcomes,
+// score-index builds and patches.
 type sessionCounters struct {
 	emIters, deltaIters, builds, patches atomic.Int64
+	outcomes                             outcomeCounters
+}
+
+// outcomeCounters count delta-path aggregations by outcome
+// (crowdval.DeltaOutcomes).
+type outcomeCounters struct {
+	accepted, stalled, largeFrontier, cold atomic.Int64
 }
 
 // foldSession adds what the session's cumulative statistics gained since the
@@ -541,6 +550,11 @@ func (m *Manager) foldSession(e *entry, sess *crowdval.Session) {
 	builds, patches := sess.ScoreIndexStats()
 	addMonotone(&e.folded.emIters, &m.emIters, int64(sess.TotalEMIterations()))
 	addMonotone(&e.folded.deltaIters, &m.deltaIters, int64(sess.TotalDeltaIterations()))
+	o := sess.DeltaOutcomes()
+	addMonotone(&e.folded.outcomes.accepted, &m.deltaOutcomes.accepted, int64(o.Accepted))
+	addMonotone(&e.folded.outcomes.stalled, &m.deltaOutcomes.stalled, int64(o.Stalled))
+	addMonotone(&e.folded.outcomes.largeFrontier, &m.deltaOutcomes.largeFrontier, int64(o.LargeFrontier))
+	addMonotone(&e.folded.outcomes.cold, &m.deltaOutcomes.cold, int64(o.Cold))
 	addMonotone(&e.folded.builds, &m.scoreIndexBuilds, int64(builds))
 	addMonotone(&e.folded.patches, &m.scoreIndexPatches, int64(patches))
 }
@@ -698,12 +712,12 @@ func (m *Manager) writeParkFile(v *entry) error {
 //
 // Concurrent AddAnswers calls for the same session queue tickets, and
 // whichever request first acquires the session's write lock drains the
-// whole queue. For sessions on the delta-incremental path
-// (WithDeltaIngest) the drained tickets are merged into one batch — a
+// whole queue. For sessions on the delta-incremental path (the default)
+// the drained tickets are merged into one batch — a
 // single delta re-aggregation instead of one per request — so requests that
 // piled up behind a slow aggregation ride along for free; that is what
 // keeps small-batch ingest throughput from collapsing under concurrency.
-// Full-path sessions are drained one ticket at a time in arrival order,
+// Exact sessions (WithExact) are drained one ticket at a time in arrival order,
 // preserving the documented bit-for-bit equivalence with a serial replay of
 // the individual requests. Work done on behalf of other requests (merged
 // batches, foreign tickets) deliberately ignores the drainer's own request
@@ -780,8 +794,8 @@ func (m *Manager) drainIngest(ctx context.Context, own *ingestTicket, e *entry, 
 
 	// Coalescing changes the aggregation trajectory (one warm EM over the
 	// union instead of one per batch), which is only on the table for
-	// sessions that opted out of bit-for-bit replay equivalence via the
-	// delta path. Full-path sessions drain sequentially.
+	// delta sessions, which give up bit-for-bit replay equivalence anyway.
+	// Exact sessions drain sequentially.
 	if len(tickets) == 1 || !s.DeltaIngestEnabled() {
 		for _, t := range tickets {
 			err := m.logMutation(e, answersRecord(t.answers))
@@ -1162,8 +1176,20 @@ type Stats struct {
 	Resumes         int64   `json:"resumes" prom:"crowdval_resumes_total,counter" help:"Parked sessions resumed on touch."`
 	EMIterations    int64   `json:"emIterations" prom:"crowdval_em_iterations_total,counter" help:"Full EM iterations run across all sessions."`
 	// DeltaIterations is the cumulative count of frontier-restricted
-	// iterations run by delta-incremental sessions (see WithDeltaIngest).
+	// iterations run by delta-incremental sessions (the default; see
+	// WithDeltaIngest).
 	DeltaIterations int64 `json:"deltaIterations" prom:"crowdval_delta_iterations_total,counter" help:"Frontier-restricted delta iterations run across all sessions."`
+	// DeltaAccepted/DeltaStalled/DeltaLargeFrontier/DeltaCold count the
+	// delta-path aggregations by outcome (aggregation.DeltaOutcome): the
+	// frontier phase converged, or hit its iteration cap before the settle
+	// phase; or the call fell back to a full aggregation because the
+	// frontier was too large or there was no warm state of the right shape.
+	// A rising fallback share means delta sessions are paying exact-path
+	// costs.
+	DeltaAccepted      int64 `json:"deltaAccepted" prom:"crowdval_delta_accepted_total,counter" help:"Delta aggregations whose frontier phase converged."`
+	DeltaStalled       int64 `json:"deltaStalled" prom:"crowdval_delta_stalled_total,counter" help:"Delta aggregations whose frontier phase hit its iteration cap before the settle phase."`
+	DeltaLargeFrontier int64 `json:"deltaLargeFrontier" prom:"crowdval_delta_large_frontier_total,counter" help:"Delta aggregations that fell back to a full aggregation on an oversized frontier."`
+	DeltaCold          int64 `json:"deltaCold" prom:"crowdval_delta_cold_total,counter" help:"Delta aggregations that fell back to a full aggregation without a usable warm state."`
 	// ShedIngests counts AddAnswers requests rejected with ErrOverloaded
 	// because a session's ingest queue was at its configured bound.
 	ShedIngests int64 `json:"shedIngests" prom:"crowdval_shed_ingests_total,counter" help:"Ingest requests shed with ErrOverloaded (HTTP 429)."`
@@ -1225,6 +1251,10 @@ func (m *Manager) Stats() Stats {
 	s.Resumes = m.resumes.Load()
 	s.EMIterations = m.emIters.Load()
 	s.DeltaIterations = m.deltaIters.Load()
+	s.DeltaAccepted = m.deltaOutcomes.accepted.Load()
+	s.DeltaStalled = m.deltaOutcomes.stalled.Load()
+	s.DeltaLargeFrontier = m.deltaOutcomes.largeFrontier.Load()
+	s.DeltaCold = m.deltaOutcomes.cold.Load()
 	s.ShedIngests = m.shed.Load()
 	s.ScoreIndexBuilds = m.scoreIndexBuilds.Load()
 	s.ScoreIndexPatches = m.scoreIndexPatches.Load()

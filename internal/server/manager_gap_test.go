@@ -214,14 +214,14 @@ func TestMetricsReportCoalescedIngest(t *testing.T) {
 	}
 }
 
-// TestFullPathSessionsDoNotCoalesce: sessions without the delta option keep
+// TestFullPathSessionsDoNotCoalesce: exact sessions (WithExact) keep
 // the bit-for-bit serial-replay contract, so queued ingest requests must be
 // applied one at a time in arrival order, never merged.
 func TestFullPathSessionsDoNotCoalesce(t *testing.T) {
 	_, manager := newTestServer(t, 0)
 	ctx := context.Background()
 	d := testCrowd(t, 20, 6, 9)
-	if err := manager.Create(ctx, "s", d.Answers.Clone(), crowdval.WithStrategy(crowdval.StrategyBaseline)); err != nil {
+	if err := manager.Create(ctx, "s", d.Answers.Clone(), crowdval.WithStrategy(crowdval.StrategyBaseline), crowdval.WithExact()); err != nil {
 		t.Fatal(err)
 	}
 

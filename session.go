@@ -59,8 +59,12 @@ type sessionConfig struct {
 	costBudget        cost.Tracker
 }
 
+// defaultSessionConfig is the configuration NewSession starts from: the
+// hybrid strategy with delta ingest and delta scoring (WithExact turns both
+// off).
 func defaultSessionConfig() sessionConfig {
-	return sessionConfig{strategy: StrategyHybrid, seed: 1, ctx: context.Background()}
+	return sessionConfig{strategy: StrategyHybrid, seed: 1, ctx: context.Background(),
+		deltaEnabled: true, deltaScoring: true}
 }
 
 func (c *sessionConfig) apply(opts []Option) {
@@ -133,43 +137,62 @@ func WithUncertaintyGoal(threshold float64) Option {
 // wheel, random strategy) so sessions are reproducible.
 func WithSeed(seed int64) Option { return func(c *sessionConfig) { c.seed = seed } }
 
-// WithDeltaIngest enables the delta-incremental aggregation path: the
-// session tracks which objects and workers each mutation touches (AddAnswers
-// batches, validations, quarantine changes) and re-aggregates by refining
-// only that dirty frontier before a full-sweep settle phase re-establishes
-// the global fixed point. Ingesting a small batch then costs work
-// proportional to the batch plus a couple of full sweeps, instead of a full
-// warm EM re-convergence — the difference between ~1 k and ~10 k ingested
-// answers/sec on the 50 000-object serving workload.
+// WithExact opts a session out of both delta paths: every aggregation runs
+// the full warm-started EM to convergence, and guidance scores each
+// (candidate, label) hypothesis with a full warm EM — the paper's literal
+// i-EM and Eq. 8, the reference the delta paths are measured against. A
+// serving tier never merges an exact session's concurrent ingests, so such a
+// session stays bit-for-bit equal to a serial replay of its requests. Exact
+// sessions are slower: a validation re-converges the whole corpus (about 20
+// full sweeps on the serving workloads), and a guided selection runs a warm
+// EM per hypothesis.
 //
-// Results remain fixed points of the full EM within the aggregation
-// tolerance, so delta sessions agree with full-recompute sessions up to a
-// documented tolerance (see the parity suite) — but not bit-for-bit, which
-// is why the path is opt-in. The option is captured in snapshots: a resumed
-// session keeps its delta configuration.
+// The option is captured in snapshots: a resumed session keeps its mode.
+// WithDeltaIngest or WithDeltaScoring after WithExact turns the named path
+// back on.
+func WithExact() Option {
+	return func(c *sessionConfig) { c.deltaEnabled = false; c.deltaScoring = false }
+}
+
+// WithDeltaIngest selects the delta-incremental aggregation path, which is
+// the default (see WithExact for the alternative); the option only matters
+// after WithExact. The session tracks which objects and workers each
+// mutation touches (AddAnswers batches, validations, quarantine changes) and
+// re-aggregates by refining only that dirty frontier before a full-sweep
+// settle phase re-establishes the global fixed point. Ingesting a small
+// batch then costs work proportional to the batch plus a couple of full
+// sweeps, instead of a full warm EM re-convergence — the difference between
+// ~1 k and ~10 k ingested answers/sec on the 50 000-object serving workload.
+//
+// Results remain fixed points of the full EM within the settle tolerance,
+// so delta sessions agree with exact sessions up to a documented tolerance
+// (see the parity suite), but not bit-for-bit. The option is captured in
+// snapshots: a resumed session keeps its delta configuration.
 func WithDeltaIngest() Option { return func(c *sessionConfig) { c.deltaEnabled = true } }
 
 // WithDeltaMaxDirtyFraction overrides the dirty-object fraction above which
 // a delta re-aggregation skips the frontier phase and runs the full sweep
-// directly (default 0.25). Implies nothing unless WithDeltaIngest is set.
+// directly (default 0.25). It has no effect on sessions without delta
+// ingest (WithExact).
 func WithDeltaMaxDirtyFraction(fraction float64) Option {
 	return func(c *sessionConfig) { c.deltaMaxDirtyFraction = fraction }
 }
 
-// WithDeltaScoring enables delta-accelerated guidance scoring: NextObject and
-// NextObjects estimate each candidate's utility with a frontier-restricted
-// hypothetical EM pass — a hypothetical validation of object o dirties only o
-// plus its answering workers — instead of re-running a full warm EM per
-// (candidate, label) hypothesis. On the 50 000-object serving workload this
-// turns one guided selection from hundreds of warm-EM runs into milliseconds
-// (see BENCHMARKS.md, BenchmarkNextObject).
+// WithDeltaScoring selects delta-accelerated guidance scoring, which is the
+// default (see WithExact for the alternative); the option only matters after
+// WithExact. NextObject and NextObjects estimate each candidate's utility
+// with a frontier-restricted hypothetical EM pass — a hypothetical
+// validation of object o dirties only o plus its answering workers — instead
+// of re-running a full warm EM per (candidate, label) hypothesis. On the
+// 50 000-object serving workload this turns one guided selection from
+// hundreds of warm-EM runs into milliseconds (see BENCHMARKS.md,
+// BenchmarkNextObject).
 //
 // The worker-driven scorer stays exact under this option; the
 // uncertainty-driven scorer approximates the full-EM reference, and
 // selections agree with it up to a documented information-gain tolerance
-// (see the parity suite) — but not bit-for-bit, which is why the path is
-// opt-in, mirroring WithDeltaIngest. The option is captured in snapshots: a
-// resumed session keeps its scoring mode.
+// (see the parity suite), but not bit-for-bit. The option is captured in
+// snapshots: a resumed session keeps its scoring mode.
 func WithDeltaScoring() Option { return func(c *sessionConfig) { c.deltaScoring = true } }
 
 // WithCostBudget caps the session's expert spending under the §6.8 cost
@@ -579,8 +602,17 @@ func (s *Session) TotalEMIterations() int { return s.engine.TotalEMIterations() 
 
 // TotalDeltaIterations returns the cumulative number of frontier-restricted
 // iterations the delta-incremental path ran (see WithDeltaIngest). Zero for
-// sessions without the delta path; not part of the snapshot state.
+// exact sessions; not part of the snapshot state.
 func (s *Session) TotalDeltaIterations() int { return s.engine.TotalDeltaIterations() }
+
+// DeltaOutcomes counts a session's delta-path aggregations by outcome.
+type DeltaOutcomes = core.DeltaOutcomes
+
+// DeltaOutcomes returns how the session's delta-path aggregations went:
+// frontier phase accepted or stalled, or fallen back to the full path for an
+// oversized frontier or a cold start. All zero for exact sessions; not part
+// of the snapshot state.
+func (s *Session) DeltaOutcomes() DeltaOutcomes { return s.engine.DeltaOutcomes() }
 
 // ScoreIndexStats returns how many times the session's guidance scoring
 // index was built from scratch and how many times it was patched in place
@@ -590,9 +622,10 @@ func (s *Session) TotalDeltaIterations() int { return s.engine.TotalDeltaIterati
 func (s *Session) ScoreIndexStats() (builds, patches int) { return s.engine.ScoreIndexStats() }
 
 // DeltaIngestEnabled reports whether the session runs the delta-incremental
-// aggregation path (WithDeltaIngest). Serving tiers use it to decide whether
-// concurrent ingest requests may be merged: delta sessions trade bit-for-bit
-// replay equivalence for throughput, full-path sessions keep it.
+// aggregation path (the default; off under WithExact). Serving tiers use it
+// to decide whether concurrent ingest requests may be merged: delta sessions
+// trade bit-for-bit replay equivalence for throughput, exact sessions keep
+// it.
 func (s *Session) DeltaIngestEnabled() bool { return s.cfg.deltaEnabled }
 
 // MemoryEstimate approximates the resident memory of the session state in

@@ -122,7 +122,7 @@ func TestDeltaParityRandomHistories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullSession, err := NewSession(d.Answers.Clone(), opts...)
+			fullSession, err := NewSession(d.Answers.Clone(), append([]Option{WithExact()}, opts...)...)
 			if err != nil {
 				t.Fatal(err)
 			}
