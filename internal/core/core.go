@@ -154,9 +154,9 @@ type IterationRecord struct {
 type Engine struct {
 	cfg Config
 
-	original *model.AnswerSet
-	// working is the answer set the aggregation sees; quarantined workers'
-	// answers are masked out of it.
+	// working is the engine's only answer set and the one the aggregation
+	// sees; quarantined workers' answers are masked out of it and live in
+	// the quarantine's stash.
 	working    *model.AnswerSet
 	validation *model.Validation
 	probSet    *model.ProbabilisticAnswerSet
@@ -239,18 +239,19 @@ type Engine struct {
 	confirmedValidations map[int]model.Label
 }
 
-// NewEngine prepares a validation engine for the given answer set and runs
-// the initial aggregation (iteration 0).
+// NewEngine prepares a validation engine over a copy of the given answer set
+// and runs the initial aggregation (iteration 0). The engine never reads or
+// writes the caller's set again.
 func NewEngine(answers *model.AnswerSet, cfg Config) (*Engine, error) {
 	return NewEngineContext(context.Background(), answers, cfg)
 }
 
 // NewEngineContext is NewEngine with cancellation of the initial aggregation.
 func NewEngineContext(ctx context.Context, answers *model.AnswerSet, cfg Config) (*Engine, error) {
-	e, err := newEngineShell(answers, cfg)
-	if err != nil {
-		return nil, err
+	if answers == nil {
+		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
 	}
+	e := newEngineShell(answers.Clone(), cfg)
 	res, err := aggregation.Do(ctx, e.aggregator, e.working, e.validation, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial aggregation: %w", err)
@@ -309,18 +310,12 @@ func (e *Engine) refreshScoreIndex() {
 	}
 }
 
-// newEngineShell wires up an engine — components, quarantine, bookkeeping —
-// without running the initial aggregation. NewEngine aggregates afterwards;
-// RestoreEngine installs a snapshotted probabilistic state instead.
-func newEngineShell(answers *model.AnswerSet, cfg Config) (*Engine, error) {
-	if answers == nil {
-		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
-	}
-	e := &Engine{
-		cfg:      cfg,
-		original: answers,
-		working:  answers.Clone(),
-	}
+// newEngineShell wires up an engine over answers, which it adopts as its
+// working set — components, quarantine, bookkeeping — without running the
+// initial aggregation. NewEngine aggregates afterwards; RestoreEngine
+// installs a snapshotted probabilistic state instead.
+func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
+	e := &Engine{cfg: cfg, working: answers}
 	e.validation = model.NewValidation(answers.NumObjects())
 	e.aggregator = cfg.Aggregator
 	if e.aggregator == nil {
@@ -377,7 +372,7 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) (*Engine, error) {
 	e.quarantine = spamdetect.NewQuarantine()
 	e.confirmedValidations = make(map[int]model.Label)
 	e.rankCache = make(map[guidance.Strategy]cachedRanking)
-	return e, nil
+	return e
 }
 
 // RestoredState is the dynamic part of an engine captured by a session
@@ -387,7 +382,8 @@ type RestoredState struct {
 	// Validation holds the expert validations collected so far.
 	Validation *model.Validation
 	// Quarantined lists the workers whose answers were masked at snapshot
-	// time; their answers are re-masked out of the working answer set.
+	// time; their answers move out of the answer set into the quarantine
+	// stash.
 	Quarantined []int
 	// Assignment and Confusions are the probabilistic state of the last
 	// aggregation, restored bit-for-bit.
@@ -407,11 +403,13 @@ type RestoredState struct {
 	History []IterationRecord
 }
 
-// RestoreEngine rebuilds an engine from a snapshot: the original answer set,
-// the dynamic state, and a configuration equivalent to the one the engine was
-// created with. No aggregation runs — the restored probabilistic state is
-// installed as-is, so a resumed engine continues bit-for-bit where the
-// snapshotted one stopped.
+// RestoreEngine rebuilds an engine from a snapshot: the full answer set, the
+// dynamic state, and a configuration equivalent to the one the engine was
+// created with. The engine adopts answers without a copy and moves the
+// quarantined workers' answers out of it into the quarantine stash, so the
+// caller must not use the set again. No aggregation runs — the restored
+// probabilistic state is installed as-is, so a resumed engine continues
+// bit-for-bit where the snapshotted one stopped.
 func RestoreEngine(answers *model.AnswerSet, st *RestoredState, cfg Config) (*Engine, error) {
 	if answers == nil {
 		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
@@ -426,10 +424,7 @@ func RestoreEngine(answers *model.AnswerSet, st *RestoredState, cfg Config) (*En
 		return nil, fmt.Errorf("core: %w: restored state does not match the answer set dimensions",
 			cverr.ErrBadSnapshot)
 	}
-	e, err := newEngineShell(answers, cfg)
-	if err != nil {
-		return nil, err
-	}
+	e := newEngineShell(answers, cfg)
 	e.validation = st.Validation.Clone()
 	for _, w := range st.Quarantined {
 		if w < 0 || w >= answers.NumWorkers() {
@@ -464,11 +459,46 @@ func RestoreEngine(answers *model.AnswerSet, st *RestoredState, cfg Config) (*En
 	return e, nil
 }
 
-// OriginalAnswers returns the pristine answer set the engine was built over
-// (including any answers added later through AddAnswers, but never masked by
-// the quarantine). Callers must not mutate it; session snapshots serialize it
-// together with the quarantined worker list to reconstruct the working set.
-func (e *Engine) OriginalAnswers() *model.AnswerSet { return e.original }
+// Answers returns the engine's answer set: every answer except those of
+// quarantined workers, which the quarantine stash holds (see EachAnswer).
+// Its dimensions are the engine's. Callers must not mutate it.
+func (e *Engine) Answers() *model.AnswerSet { return e.working }
+
+// AnswerCount returns the number of answers the engine holds, stashed ones
+// included.
+func (e *Engine) AnswerCount() int {
+	count := e.working.AnswerCount()
+	for _, w := range e.quarantine.MaskedWorkers() {
+		count += len(e.quarantine.Stashed(w))
+	}
+	return count
+}
+
+// EachAnswer calls fn for every answer the engine holds, stashed ones
+// included, in object-major, worker-ascending order: it merges each object's
+// working row with the stashed answers of that object.
+func (e *Engine) EachAnswer(fn func(model.Answer)) {
+	masked := e.quarantine.MaskedWorkers()
+	stashes := make([][]model.ObjectAnswer, len(masked))
+	for i, w := range masked {
+		stashes[i] = e.quarantine.Stashed(w)
+	}
+	for o := 0; o < e.working.NumObjects(); o++ {
+		row := e.working.ObjectView(o)
+		for i, w := range masked {
+			if s := stashes[i]; len(s) > 0 && s[0].Object == o {
+				for ; len(row) > 0 && row[0].Worker < w; row = row[1:] {
+					fn(model.Answer{Object: o, Worker: row[0].Worker, Label: row[0].Label})
+				}
+				fn(model.Answer{Object: o, Worker: w, Label: s[0].Label})
+				stashes[i] = s[1:]
+			}
+		}
+		for _, wa := range row {
+			fn(model.Answer{Object: o, Worker: wa.Worker, Label: wa.Label})
+		}
+	}
+}
 
 // ConfirmedValidations returns a copy of the validations the expert
 // explicitly re-confirmed after the confirmation check flagged them.
@@ -489,7 +519,7 @@ func (e *Engine) budget() int {
 	if e.cfg.Budget > 0 {
 		return e.cfg.Budget
 	}
-	return e.original.NumObjects()
+	return e.working.NumObjects()
 }
 
 // Iteration returns the number of completed validation steps.
@@ -501,7 +531,7 @@ func (e *Engine) EffortSpent() int { return e.effortSpent }
 
 // EffortRatio returns the spent effort relative to the number of objects.
 func (e *Engine) EffortRatio() float64 {
-	return float64(e.effortSpent) / float64(e.original.NumObjects())
+	return float64(e.effortSpent) / float64(e.working.NumObjects())
 }
 
 // Validation returns the current expert validation function.
@@ -915,13 +945,13 @@ func (e *Engine) Integrate(object int, label model.Label) (IterationRecord, erro
 // cancelled, so a context.Canceled return leaves the engine exactly as it was
 // before the call and the validation can be resubmitted.
 func (e *Engine) IntegrateContext(ctx context.Context, object int, label model.Label) (IterationRecord, error) {
-	if object < 0 || object >= e.original.NumObjects() {
+	if object < 0 || object >= e.working.NumObjects() {
 		return IterationRecord{}, fmt.Errorf("%w: object %d (session has %d objects)",
-			cverr.ErrOutOfRange, object, e.original.NumObjects())
+			cverr.ErrOutOfRange, object, e.working.NumObjects())
 	}
-	if !label.Valid(e.original.NumLabels()) {
+	if !label.Valid(e.working.NumLabels()) {
 		return IterationRecord{}, fmt.Errorf("%w: label %d for object %d (task has %d labels)",
-			cverr.ErrInvalidLabel, label, object, e.original.NumLabels())
+			cverr.ErrInvalidLabel, label, object, e.working.NumLabels())
 	}
 	if e.validation.Validated(object) {
 		return IterationRecord{}, fmt.Errorf("%w: object %d (use ReviseValidation to change it)",
@@ -1032,9 +1062,9 @@ func (e *Engine) ReviseValidationContext(ctx context.Context, object int, label 
 	if !e.validation.Validated(object) {
 		return fmt.Errorf("%w: object %d has no validation to revise", cverr.ErrNotValidated, object)
 	}
-	if !label.Valid(e.original.NumLabels()) {
+	if !label.Valid(e.working.NumLabels()) {
 		return fmt.Errorf("%w: label %d for object %d (task has %d labels)",
-			cverr.ErrInvalidLabel, label, object, e.original.NumLabels())
+			cverr.ErrInvalidLabel, label, object, e.working.NumLabels())
 	}
 	prev := e.validation.Get(object)
 	e.validation.Set(object, label)
@@ -1088,13 +1118,13 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 	}
 	seen := make(map[int]bool, len(inputs))
 	for _, in := range inputs {
-		if in.Object < 0 || in.Object >= e.original.NumObjects() {
+		if in.Object < 0 || in.Object >= e.working.NumObjects() {
 			return nil, fmt.Errorf("%w: object %d (session has %d objects)",
-				cverr.ErrOutOfRange, in.Object, e.original.NumObjects())
+				cverr.ErrOutOfRange, in.Object, e.working.NumObjects())
 		}
-		if !in.Label.Valid(e.original.NumLabels()) {
+		if !in.Label.Valid(e.working.NumLabels()) {
 			return nil, fmt.Errorf("%w: label %d for object %d (task has %d labels)",
-				cverr.ErrInvalidLabel, in.Label, in.Object, e.original.NumLabels())
+				cverr.ErrInvalidLabel, in.Label, in.Object, e.working.NumLabels())
 		}
 		if e.validation.Validated(in.Object) || seen[in.Object] {
 			return nil, fmt.Errorf("%w: object %d (use ReviseValidation to change it)",
@@ -1203,8 +1233,8 @@ func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) erro
 	if len(newAnswers) == 0 {
 		return nil
 	}
-	m := e.original.NumLabels()
-	oldN, oldK := e.original.NumObjects(), e.original.NumWorkers()
+	m := e.working.NumLabels()
+	oldN, oldK := e.working.NumObjects(), e.working.NumWorkers()
 	newN, newK := oldN, oldK
 	for _, ans := range newAnswers {
 		if ans.Object < 0 || ans.Worker < 0 {
@@ -1222,9 +1252,6 @@ func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) erro
 		}
 	}
 	if newN > oldN || newK > oldK {
-		if err := e.original.Grow(newN, newK); err != nil {
-			return err
-		}
 		if err := e.working.Grow(newN, newK); err != nil {
 			return err
 		}
@@ -1249,12 +1276,10 @@ func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) erro
 			make([]*model.ConfusionMatrix, newK-oldK)...)
 	}
 
-	// Ingest. Indices and labels were validated above and the dimensions
-	// grown, so the inserts cannot fail.
+	// Ingest: each answer goes either into the working set or, for a
+	// quarantined worker, into its stash. Indices and labels were validated
+	// above and the dimensions grown, so the inserts cannot fail.
 	for _, ans := range newAnswers {
-		if err := e.original.SetAnswer(ans.Object, ans.Worker, ans.Label); err != nil {
-			return err
-		}
 		if !e.quarantine.Stash(ans.Worker, model.ObjectAnswer{Object: ans.Object, Label: ans.Label}) {
 			if err := e.working.SetAnswer(ans.Object, ans.Worker, ans.Label); err != nil {
 				return err
@@ -1339,7 +1364,7 @@ func (e *Engine) StepContext(ctx context.Context, expert Expert) (IterationRecor
 	if err != nil {
 		return IterationRecord{}, fmt.Errorf("core: expert validation of object %d: %w", object, err)
 	}
-	if !label.Valid(e.original.NumLabels()) {
+	if !label.Valid(e.working.NumLabels()) {
 		return IterationRecord{}, fmt.Errorf("core: expert returned %w: label %d for object %d",
 			cverr.ErrInvalidLabel, label, object)
 	}
@@ -1352,7 +1377,7 @@ func (e *Engine) StepContext(ctx context.Context, expert Expert) (IterationRecor
 		if err != nil {
 			return IterationRecord{}, fmt.Errorf("core: revalidation of object %d: %w", s.Object, err)
 		}
-		if !revised.Valid(e.original.NumLabels()) {
+		if !revised.Valid(e.working.NumLabels()) {
 			return IterationRecord{}, fmt.Errorf("core: expert returned %w: label %d for object %d",
 				cverr.ErrInvalidLabel, revised, s.Object)
 		}

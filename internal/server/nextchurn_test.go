@@ -23,7 +23,10 @@ import (
 // genuinely read-only no matter how the maintained index is patched, rebuilt
 // and memoized underneath them. It also pins the score_index_{builds,patches}
 // observability: the JSON stats and the Prometheus exposition must both carry
-// the maintained-view counters, with the patch path actually taken.
+// the maintained-view counters, with the patch path actually taken. The
+// writer reads a ranking after every validation, so the next validation's
+// aggregation always finds an index to patch, whatever the readers'
+// scheduling.
 func TestNextKChurnBitForBit(t *testing.T) {
 	const steps = 12
 	c, _ := newTestServer(t, 0)
@@ -85,8 +88,10 @@ func TestNextKChurnBitForBit(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Writer: a deterministic, selection-free mutation sequence. Concurrent
-	// ranked reads must not be able to perturb it.
+	// Writer: a deterministic mutation sequence, with one ranked read of its
+	// own after each validation. The uncertainty strategy draws nothing from
+	// the session's random stream, so neither these reads nor the readers'
+	// can perturb it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -115,6 +120,15 @@ func TestNextKChurnBitForBit(t *testing.T) {
 			}
 			if status, e := c.do("POST", "/v1/sessions/churn/validations", SubmitRequest{Validations: batch}, nil); e != nil {
 				errs <- fmt.Errorf("submit step %d: status %d %+v", step, status, e)
+				return
+			}
+			var next NextResponse
+			if status, e := c.do("GET", "/v1/sessions/churn/next?k=1", nil, &next); e != nil {
+				errs <- fmt.Errorf("next step %d: status %d %+v", step, status, e)
+				return
+			}
+			if err := checkRanking(next, 1); err != nil {
+				errs <- fmt.Errorf("writer step %d: %v", step, err)
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package spamdetect
 
 import (
+	"slices"
 	"sort"
 
 	"crowdval/internal/model"
@@ -31,12 +32,6 @@ func (q *Quarantine) MaskedWorkers() []int {
 	return out
 }
 
-// IsMasked reports whether the worker is currently quarantined.
-func (q *Quarantine) IsMasked(worker int) bool {
-	_, ok := q.masked[worker]
-	return ok
-}
-
 // Apply reconciles the quarantine with a detection result: answers of newly
 // suspected workers are masked out of the answer set, and workers that are no
 // longer suspected get their answers restored. It returns the workers that
@@ -62,7 +57,7 @@ func (q *Quarantine) Apply(answers *model.AnswerSet, detection Detection) (maske
 		removed := answers.MaskWorker(w)
 		if len(removed) == 0 {
 			// Nothing to quarantine (the worker has no remaining answers);
-			// still record it so IsMasked reflects the suspicion.
+			// still record it so MaskedWorkers reflects the suspicion.
 			removed = []model.ObjectAnswer{}
 		}
 		q.masked[w] = removed
@@ -89,18 +84,30 @@ func (q *Quarantine) Mask(answers *model.AnswerSet, worker int) {
 	q.masked[worker] = removed
 }
 
-// Stash adds a newly ingested answer of an already quarantined worker to the
-// worker's stash, so the answer surfaces if the worker is later cleared. It
-// reports whether the worker is quarantined; a false return means the caller
-// must insert the answer into the working answer set instead.
+// Stash records a newly ingested answer of an already quarantined worker in
+// the worker's stash, so the answer surfaces if the worker is later cleared.
+// A stash is sorted by object with one answer per object: an answer for an
+// object already stashed replaces it. It reports whether the worker is
+// quarantined; a false return means the caller must insert the answer into
+// the working answer set instead.
 func (q *Quarantine) Stash(worker int, answer model.ObjectAnswer) bool {
 	stash, ok := q.masked[worker]
 	if !ok {
 		return false
 	}
-	q.masked[worker] = append(stash, answer)
+	i := sort.Search(len(stash), func(i int) bool { return stash[i].Object >= answer.Object })
+	if i < len(stash) && stash[i].Object == answer.Object {
+		stash[i] = answer
+		return true
+	}
+	q.masked[worker] = slices.Insert(stash, i, answer)
 	return true
 }
+
+// Stashed returns the answers held for a quarantined worker, sorted by
+// object, or nil for a worker that is not quarantined. Callers must not
+// modify the slice.
+func (q *Quarantine) Stashed(worker int) []model.ObjectAnswer { return q.masked[worker] }
 
 // Undo reverts one Apply call given the masked/restored lists it returned:
 // newly masked workers get their answers back, restored workers are masked
@@ -116,14 +123,5 @@ func (q *Quarantine) Undo(answers *model.AnswerSet, masked, restored []int) {
 	}
 	for _, w := range restored {
 		q.Mask(answers, w)
-	}
-}
-
-// RestoreAll puts every quarantined answer back into the answer set and
-// empties the quarantine.
-func (q *Quarantine) RestoreAll(answers *model.AnswerSet) {
-	for w, removed := range q.masked {
-		answers.RestoreWorker(w, removed)
-		delete(q.masked, w)
 	}
 }

@@ -3,6 +3,7 @@ package spamdetect
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,8 +248,8 @@ func TestQuarantineMaskAndRestore(t *testing.T) {
 	if len(masked) != 2 || len(restored) != 0 {
 		t.Fatalf("masked=%v restored=%v", masked, restored)
 	}
-	if !q.IsMasked(0) || !q.IsMasked(1) || q.IsMasked(2) {
-		t.Fatalf("masked workers = %v", q.MaskedWorkers())
+	if got := q.MaskedWorkers(); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("masked workers = %v, want [0 1]", got)
 	}
 	// The spammers' answers are gone from the answer set.
 	if a.Answer(0, 0) != model.NoLabel || a.Answer(0, 1) != model.NoLabel {
@@ -273,13 +274,13 @@ func TestQuarantineMaskAndRestore(t *testing.T) {
 	if a.Answer(0, 0) == model.NoLabel {
 		t.Fatal("restored answers missing")
 	}
-	// RestoreAll brings everything back.
-	q.RestoreAll(a)
+	// An empty detection brings everything back.
+	q.Apply(a, Detection{})
 	if len(q.MaskedWorkers()) != 0 {
 		t.Fatal("quarantine not emptied")
 	}
 	if a.Answer(0, 1) == model.NoLabel {
-		t.Fatal("RestoreAll did not restore answers")
+		t.Fatal("an empty detection did not restore answers")
 	}
 }
 
@@ -288,8 +289,39 @@ func TestQuarantineMaskWorkerWithoutAnswers(t *testing.T) {
 	q := NewQuarantine()
 	detection := Detection{Assessments: []WorkerAssessment{{Worker: 0, Spammer: true}}}
 	masked, _ := q.Apply(a, detection)
-	if len(masked) != 1 || !q.IsMasked(0) {
+	if len(masked) != 1 || !slices.Equal(q.MaskedWorkers(), []int{0}) {
 		t.Fatal("worker without answers should still be recorded as masked")
+	}
+}
+
+// TestQuarantineStashUpsert: answers ingested for a quarantined worker are
+// kept sorted by object with one answer per object, so re-ingesting an
+// object replaces its stashed answer, and restoring the worker puts back
+// the latest labels.
+func TestQuarantineStashUpsert(t *testing.T) {
+	a := model.MustNewAnswerSet(6, 2, 2)
+	for _, o := range []int{1, 4} {
+		if err := a.SetAnswer(o, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := NewQuarantine()
+	if q.Stash(0, model.ObjectAnswer{Object: 2, Label: 1}) {
+		t.Fatal("stashed an answer of a worker that is not quarantined")
+	}
+	q.Apply(a, Detection{Assessments: []WorkerAssessment{{Worker: 0, Spammer: true}}})
+	for _, ans := range []model.ObjectAnswer{{Object: 4, Label: 1}, {Object: 0, Label: 1}, {Object: 2, Label: 1}, {Object: 4, Label: 0}, {Object: 2, Label: 0}} {
+		if !q.Stash(0, ans) {
+			t.Fatalf("answer %+v of a quarantined worker was not stashed", ans)
+		}
+	}
+	want := []model.ObjectAnswer{{Object: 0, Label: 1}, {Object: 1, Label: 0}, {Object: 2, Label: 0}, {Object: 4, Label: 0}}
+	if got := q.Stashed(0); !slices.Equal(got, want) {
+		t.Fatalf("stash = %v, want %v", got, want)
+	}
+	q.Apply(a, Detection{})
+	if got := a.WorkerView(0); !slices.Equal(got, want) {
+		t.Fatalf("restored answers = %v, want %v", got, want)
 	}
 }
 
@@ -317,7 +349,7 @@ func TestQuarantineRoundTripProperty(t *testing.T) {
 			}
 			q.Apply(a, Detection{Assessments: assessments})
 		}
-		q.RestoreAll(a)
+		q.Apply(a, Detection{})
 		for o := 0; o < n; o++ {
 			for w := 0; w < k; w++ {
 				if a.Answer(o, w) != orig.Answer(o, w) {

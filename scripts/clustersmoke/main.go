@@ -140,7 +140,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mirror, err := crowdval.NewSession(d.Answers.Clone(),
+	mirror, err := crowdval.NewSession(d.Answers,
 		crowdval.WithStrategy(crowdval.StrategyBaseline),
 		crowdval.WithSeed(3), crowdval.WithParallelism(1))
 	if err != nil {

@@ -269,7 +269,9 @@ type Session struct {
 	budget *cost.Tracker
 }
 
-// NewSession prepares a guided validation session over the given answers.
+// NewSession prepares a guided validation session over a copy of the given
+// answers: the session never reads or writes answers again, so the caller
+// may keep using it, and several sessions may start from one set.
 func NewSession(answers *AnswerSet, opts ...Option) (*Session, error) {
 	cfg := defaultSessionConfig()
 	cfg.apply(opts)
@@ -580,18 +582,18 @@ func (s *Session) QuarantinedWorkers() []int { return s.engine.QuarantinedWorker
 
 // NumObjects returns the number of objects the session currently covers; it
 // grows when AddAnswers ingests answers for previously unseen objects.
-func (s *Session) NumObjects() int { return s.engine.OriginalAnswers().NumObjects() }
+func (s *Session) NumObjects() int { return s.engine.Answers().NumObjects() }
 
 // NumWorkers returns the number of workers the session currently covers; it
 // grows when AddAnswers ingests answers from previously unseen workers.
-func (s *Session) NumWorkers() int { return s.engine.OriginalAnswers().NumWorkers() }
+func (s *Session) NumWorkers() int { return s.engine.Answers().NumWorkers() }
 
 // NumLabels returns the size of the label alphabet, fixed at creation.
-func (s *Session) NumLabels() int { return s.engine.OriginalAnswers().NumLabels() }
+func (s *Session) NumLabels() int { return s.engine.Answers().NumLabels() }
 
 // AnswerCount returns the total number of crowd answers the session holds,
 // including answers ingested through AddAnswers.
-func (s *Session) AnswerCount() int { return s.engine.OriginalAnswers().AnswerCount() }
+func (s *Session) AnswerCount() int { return s.engine.AnswerCount() }
 
 // TotalEMIterations returns the cumulative number of EM iterations across
 // every aggregation this session instance ran (initial cold start,
@@ -629,23 +631,23 @@ func (s *Session) ScoreIndexStats() (builds, patches int) { return s.engine.Scor
 func (s *Session) DeltaIngestEnabled() bool { return s.cfg.deltaEnabled }
 
 // MemoryEstimate approximates the resident memory of the session state in
-// bytes: the sparse answer matrix (held twice — the pristine original and the
-// quarantine-masked working copy), the probabilistic state (assignment rows
-// and per-worker confusion matrices), the validation function and the
-// per-iteration history. Serving tiers use it to decide when to park cold
-// sessions under a memory budget; it is an estimate for accounting, not an
-// exact heap measurement.
+// bytes: the sparse answer matrix (every answer once per adjacency list,
+// quarantined workers' stashed answers included), the probabilistic state
+// (assignment rows and per-worker confusion matrices), the validation
+// function and the per-iteration history. It leaves out the guidance scoring
+// index, which a session builds on its first selection. Serving tiers use it
+// to decide when to park cold sessions under a memory budget; it is an
+// estimate for accounting, not an exact heap measurement.
 func (s *Session) MemoryEstimate() int64 {
-	answers := s.engine.OriginalAnswers()
-	n := int64(answers.NumObjects())
-	k := int64(answers.NumWorkers())
-	m := int64(answers.NumLabels())
-	count := int64(answers.AnswerCount())
+	n := int64(s.NumObjects())
+	k := int64(s.NumWorkers())
+	m := int64(s.NumLabels())
+	count := int64(s.AnswerCount())
 	const answerEntry = 16 // one adjacency entry: two ints
 	var bytes int64
-	// Answers appear in two adjacency lists (by object and by worker) and in
-	// two answer sets (original and working).
-	bytes += count * answerEntry * 2 * 2
+	// Answers appear in two adjacency lists (by object and by worker).
+	// Stashed answers sit in one list only; they are few and counted alike.
+	bytes += count * answerEntry * 2
 	// Assignment matrix (n×m float64) is held in the probabilistic state and
 	// mirrored by the instantiated deterministic assignment (n labels).
 	bytes += n*m*8 + n*8

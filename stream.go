@@ -47,7 +47,7 @@ func (s *Session) SnapshotTo(w io.Writer) error {
 // read lock) captures a consistent stream position.
 func (s *Session) snapshotState() *snapshot.State {
 	engine := s.engine
-	answers := engine.OriginalAnswers()
+	answers := engine.Answers()
 	n, k, m := answers.NumObjects(), answers.NumWorkers(), answers.NumLabels()
 
 	st := &snapshot.State{
@@ -90,17 +90,15 @@ func (s *Session) snapshotState() *snapshot.State {
 		}
 	})
 
-	count := answers.AnswerCount()
+	count := engine.AnswerCount()
 	st.AnswerObjects = make([]int64, 0, count)
 	st.AnswerWorkers = make([]int64, 0, count)
 	st.AnswerLabels = make([]int64, 0, count)
-	for o := 0; o < n; o++ {
-		for _, wa := range answers.ObjectView(o) {
-			st.AnswerObjects = append(st.AnswerObjects, int64(o))
-			st.AnswerWorkers = append(st.AnswerWorkers, int64(wa.Worker))
-			st.AnswerLabels = append(st.AnswerLabels, int64(wa.Label))
-		}
-	}
+	engine.EachAnswer(func(a Answer) {
+		st.AnswerObjects = append(st.AnswerObjects, int64(a.Object))
+		st.AnswerWorkers = append(st.AnswerWorkers, int64(a.Worker))
+		st.AnswerLabels = append(st.AnswerLabels, int64(a.Label))
+	})
 
 	validation := engine.Validation()
 	st.Validation = make([]int64, n)
