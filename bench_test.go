@@ -161,7 +161,7 @@ func BenchmarkHybridSelection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := strategy.Select(ctx); err != nil {
+		if _, err := strategy.SelectK(ctx, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func benchmarkNextObject(b *testing.B, objects, workers, perObject int) {
 		for i := 0; i < b.N; i++ {
 			// A fresh context per iteration rebuilds the per-aggregation
 			// index, like a serving step after a state change would.
-			if _, err := strategy.Select(newCtx(false)); err != nil {
+			if _, err := strategy.SelectK(newCtx(false), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -330,7 +330,7 @@ func benchmarkNextObject(b *testing.B, objects, workers, perObject int) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := strategy.Select(newCtx(true)); err != nil {
+			if _, err := strategy.SelectK(newCtx(true), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -342,13 +342,13 @@ func benchmarkNextObject(b *testing.B, objects, workers, perObject int) {
 	// changes.
 	b.Run("delta-maintained", func(b *testing.B) {
 		ctx := newCtx(true)
-		if _, err := strategy.Select(ctx); err != nil { // warm the index
+		if _, err := strategy.SelectK(ctx, 1); err != nil { // warm the index
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := strategy.Select(ctx); err != nil {
+			if _, err := strategy.SelectK(ctx, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"crowdval/internal/aggregation"
+	"crowdval/internal/cost"
 	"crowdval/internal/cverr"
 	"crowdval/internal/guidance"
 	"crowdval/internal/model"
@@ -165,6 +166,10 @@ type Engine struct {
 	aggregator aggregation.Aggregator
 	strategy   guidance.Strategy
 	detector   *spamdetect.Detector
+	// costBudget is the monetary budget (nil: none). Its spent count always
+	// equals the validations applied, because every charge is refunded when
+	// its integration rolls back; WAL replay relies on that to rebuild it.
+	costBudget *cost.Tracker
 	// scoringAggregator and scoringDetector are the instances handed to the
 	// guidance step. When parallel candidate scoring is enabled they are
 	// serial variants: scoring already fans out across MaxParallelism
@@ -174,7 +179,6 @@ type Engine struct {
 	scoringDetector   *spamdetect.Detector
 	quarantine        *spamdetect.Quarantine
 	hybrid            *guidance.Hybrid
-	workerDriven      bool // strategy is the pure worker-driven one
 	// lastWorkerDriven records whether the most recent SelectNext call used
 	// the worker-driven branch.
 	lastWorkerDriven bool
@@ -365,9 +369,6 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 		if h.Uncertainty == nil {
 			h.Uncertainty = &guidance.UncertaintyDriven{}
 		}
-	}
-	if _, ok := e.strategy.(*guidance.WorkerDriven); ok {
-		e.workerDriven = true
 	}
 	e.quarantine = spamdetect.NewQuarantine()
 	e.confirmedValidations = make(map[int]model.Label)
@@ -606,13 +607,27 @@ func (e *Engine) ScoreIndexStats() (builds, patches int) {
 // QuarantinedWorkers returns the indices of currently quarantined workers.
 func (e *Engine) QuarantinedWorkers() []int { return e.quarantine.MaskedWorkers() }
 
-// Done reports whether the process should stop: goal reached, budget
-// exhausted or no unvalidated object left.
+// CostBudget returns the engine's monetary budget, nil when it has none.
+// Callers must not mutate it; SetCostBudget replaces it.
+func (e *Engine) CostBudget() *cost.Tracker { return e.costBudget }
+
+// SetCostBudget installs or replaces the monetary budget under the §6.8 cost
+// model (nil removes it). The engine adopts the tracker as given, spent count
+// included, and mutates it in place: every validation it applies is charged,
+// a rolled-back integration refunds its charge, and Done reports true once
+// the tracker admits no further validation.
+func (e *Engine) SetCostBudget(t *cost.Tracker) { e.costBudget = t }
+
+// Done reports whether the process should stop: goal reached, effort or
+// monetary budget exhausted, or no unvalidated object left.
 func (e *Engine) Done() bool {
 	if e.cfg.Goal != nil && e.cfg.Goal(e) {
 		return true
 	}
 	if e.effortSpent >= e.budget() {
+		return true
+	}
+	if e.costBudget != nil && e.costBudget.Exhausted() {
 		return true
 	}
 	return e.validation.Count() == e.validation.NumObjects()
@@ -777,23 +792,12 @@ func (e *Engine) selectRanked(ctx context.Context, k int) ([]guidance.ScoredObje
 		// first k entries of the wider ranking are exactly the k-ranking.
 		want = rankCacheWidth
 	}
-	var ranked []guidance.ScoredObject
-	if ks, ok := sel.exec.(guidance.KSelector); ok {
-		ranked, err = ks.SelectK(sel.gctx, want)
-	} else {
-		// A caller-supplied strategy without batched selection still serves
-		// k = 1 semantics: the single selected object, unranked.
-		var object int
-		object, err = sel.exec.Select(sel.gctx)
-		if err == nil {
-			ranked = []guidance.ScoredObject{{Object: object}}
-		}
-	}
+	ranked, err := sel.exec.SelectK(sel.gctx, want)
 	if err != nil {
 		return nil, fmt.Errorf("core: selection failed: %w", err)
 	}
 	if len(ranked) == 0 {
-		// Defensive: a caller-supplied KSelector may legitimately return an
+		// Defensive: a caller-supplied strategy may legitimately return an
 		// empty ranking when its own filtering leaves no candidate.
 		return nil, fmt.Errorf("core: selection failed: %w", cverr.ErrNoCandidates)
 	}
@@ -901,10 +905,10 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 	exec := e.strategy
 	if e.hybrid != nil {
 		exec = e.hybrid.ChooseBranch()
-		e.lastWorkerDriven = e.hybrid.LastChoiceWorkerDriven()
-	} else {
-		e.lastWorkerDriven = e.workerDriven
 	}
+	// The hybrid's worker branch and the pure worker-driven strategy are
+	// both a *WorkerDriven.
+	_, e.lastWorkerDriven = exec.(*guidance.WorkerDriven)
 	sel := &selection{exec: exec, release: func() {}}
 	switch exec.(type) {
 	case *guidance.UncertaintyDriven, *guidance.WorkerDriven, *guidance.Baseline:
@@ -945,106 +949,11 @@ func (e *Engine) Integrate(object int, label model.Label) (IterationRecord, erro
 // cancelled, so a context.Canceled return leaves the engine exactly as it was
 // before the call and the validation can be resubmitted.
 func (e *Engine) IntegrateContext(ctx context.Context, object int, label model.Label) (IterationRecord, error) {
-	if object < 0 || object >= e.working.NumObjects() {
-		return IterationRecord{}, fmt.Errorf("%w: object %d (session has %d objects)",
-			cverr.ErrOutOfRange, object, e.working.NumObjects())
-	}
-	if !label.Valid(e.working.NumLabels()) {
-		return IterationRecord{}, fmt.Errorf("%w: label %d for object %d (task has %d labels)",
-			cverr.ErrInvalidLabel, label, object, e.working.NumLabels())
-	}
-	if e.validation.Validated(object) {
-		return IterationRecord{}, fmt.Errorf("%w: object %d (use ReviseValidation to change it)",
-			cverr.ErrAlreadyValidated, object)
-	}
-	if e.effortSpent >= e.budget() {
-		return IterationRecord{}, fmt.Errorf("core: %w: spent %d of %d",
-			cverr.ErrBudgetExhausted, e.effortSpent, e.budget())
-	}
-	record := IterationRecord{
-		Iteration:        e.iteration + 1,
-		Object:           object,
-		Label:            label,
-		WorkerDrivenUsed: e.lastWorkerDriven,
-	}
-
-	// Error rate ε_i = 1 − U_{i-1}(o, l).
-	record.ErrorRate = 1 - e.probSet.Assignment.Prob(object, label)
-
-	// (3) Handle spammers. The detection always runs (it feeds r_i); the
-	// quarantine is only applied when the worker-driven branch was used and
-	// faulty-worker handling is enabled. Until the final aggregation
-	// succeeds, every mutation is tracked so a failure restores the
-	// pre-call state.
-	e.validation.Set(object, label)
-	var masked, restored []int
-	prevWeight := 0.0
-	if e.hybrid != nil {
-		prevWeight = e.hybrid.Weight()
-	}
-	rollback := func() {
-		if e.hybrid != nil {
-			e.hybrid.SetWeight(prevWeight)
-		}
-		e.quarantine.Undo(e.working, masked, restored)
-		e.validation.Set(object, model.NoLabel)
-	}
-	detection, err := e.detector.DetectContext(ctx, e.working, e.validation, e.probSet.Assignment.Priors())
+	records, err := e.integrate(ctx, []ValidationInput{{Object: object, Label: label}}, e.lastWorkerDriven)
 	if err != nil {
-		rollback()
-		return IterationRecord{}, fmt.Errorf("core: spammer detection: %w", err)
+		return IterationRecord{}, err
 	}
-	record.FaultyWorkers = len(detection.FaultyWorkers())
-	if e.cfg.HandleFaultyWorkers && record.WorkerDrivenUsed {
-		masked, restored = e.quarantine.Apply(e.working, detection)
-		record.MaskedWorkers = masked
-		record.RestoredWorkers = restored
-		if len(masked)+len(restored) > 0 {
-			// Quarantine changes rewrite whole workers' answer sets; the
-			// maintained scoring index is rebuilt rather than patched.
-			e.invalidateIndex = true
-		}
-	}
-	if e.hybrid != nil {
-		record.HybridWeight = e.hybrid.UpdateWeight(record.ErrorRate, detection.FaultyRatio(), e.validation.Ratio())
-	}
-
-	// (3b) Confirmation check for erroneous expert input. The suspects are
-	// reported in the record; revision happens in Step (batch mode) or is
-	// left to the caller (interactive mode) via ReviseValidation.
-	// Validations the expert already re-confirmed are not flagged again —
-	// without this, a correct validation that merely disagrees with a noisy
-	// crowd would be re-elicited on every check.
-	if e.cfg.Confirmation != nil && record.Iteration%e.cfg.Confirmation.EffectivePeriod() == 0 {
-		suspects, err := e.cfg.Confirmation.CheckContext(ctx, e.working, e.validation)
-		if err != nil {
-			rollback()
-			return IterationRecord{}, fmt.Errorf("core: confirmation check: %w", err)
-		}
-		for _, s := range suspects {
-			if confirmed, ok := e.confirmedValidations[s.Object]; ok && confirmed == e.validation.Get(s.Object) {
-				continue
-			}
-			record.ConfirmationSuspects = append(record.ConfirmationSuspects, s)
-		}
-	}
-
-	// (4) Integrate the validation: re-aggregate and re-instantiate.
-	e.working.MarkObjectDirty(object)
-	res, err := e.aggregate(ctx)
-	if err != nil {
-		rollback()
-		return IterationRecord{}, fmt.Errorf("core: aggregation: %w", err)
-	}
-	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
-	record.EMIterations = res.Iterations
-	record.Uncertainty = aggregation.Uncertainty(e.probSet)
-
-	e.effortSpent++
-	e.iteration++
-	e.history = append(e.history, record)
-	return record, nil
+	return records[0], nil
 }
 
 // ReviseValidation replaces an earlier expert validation (typically after the
@@ -1069,15 +978,12 @@ func (e *Engine) ReviseValidationContext(ctx context.Context, object int, label 
 	prev := e.validation.Get(object)
 	e.validation.Set(object, label)
 	e.working.MarkObjectDirty(object)
-	res, err := e.aggregate(ctx)
-	if err != nil {
+	if _, err := e.conclude(ctx); err != nil {
 		e.validation.Set(object, prev)
-		return fmt.Errorf("core: aggregation: %w", err)
+		return err
 	}
 	e.effortSpent++
 	e.confirmedValidations[object] = label
-	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
 	if len(e.history) > 0 {
 		last := &e.history[len(e.history)-1]
 		last.RevisedObjects = append(last.RevisedObjects, object)
@@ -1116,6 +1022,16 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 	if len(inputs) == 0 {
 		return nil, nil
 	}
+	return e.integrate(ctx, inputs, false)
+}
+
+// integrate is the one integration path behind IntegrateContext (one input)
+// and IntegrateBatch (see there for the batch semantics). The quarantine is
+// reconciled only when workerDriven is set, i.e. when the worker-driven
+// branch selected the object (Algorithm 1, line 12). The effort and monetary
+// budgets are charged after the input checks; a failure rolls every
+// mutation back, the charge included.
+func (e *Engine) integrate(ctx context.Context, inputs []ValidationInput, workerDriven bool) ([]IterationRecord, error) {
 	seen := make(map[int]bool, len(inputs))
 	for _, in := range inputs {
 		if in.Object < 0 || in.Object >= e.working.NumObjects() {
@@ -1133,24 +1049,40 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 		seen[in.Object] = true
 	}
 	if e.effortSpent+len(inputs) > e.budget() {
-		return nil, fmt.Errorf("core: %w: batch of %d exceeds budget %d with %d spent",
-			cverr.ErrBudgetExhausted, len(inputs), e.budget(), e.effortSpent)
+		return nil, fmt.Errorf("core: %w: %d validations requested, spent %d of %d",
+			cverr.ErrBudgetExhausted, len(inputs), e.effortSpent, e.budget())
+	}
+	if e.costBudget != nil {
+		// Charge's exhaustion error already carries the sentinel's
+		// "crowdval:" prefix — wrapping again would double it.
+		if err := e.costBudget.Charge(len(inputs)); err != nil {
+			return nil, err
+		}
 	}
 
 	records := make([]IterationRecord, len(inputs))
 	meanError := 0.0
 	for i, in := range inputs {
+		// Error rate ε_i = 1 − U_{i-1}(o, l).
 		records[i] = IterationRecord{
-			Iteration: e.iteration + i + 1,
-			Object:    in.Object,
-			Label:     in.Label,
-			ErrorRate: 1 - e.probSet.Assignment.Prob(in.Object, in.Label),
+			Iteration:        e.iteration + i + 1,
+			Object:           in.Object,
+			Label:            in.Label,
+			WorkerDrivenUsed: workerDriven,
+			ErrorRate:        1 - e.probSet.Assignment.Prob(in.Object, in.Label),
 		}
 		meanError += records[i].ErrorRate
 		e.validation.Set(in.Object, in.Label)
-		e.working.MarkObjectDirty(in.Object)
 	}
 	meanError /= float64(len(inputs))
+	last := &records[len(records)-1]
+
+	// (3) Handle spammers. The detection always runs (it feeds r_i); the
+	// quarantine is only applied when the worker-driven branch was used and
+	// faulty-worker handling is enabled. Until the final aggregation
+	// succeeds, every mutation is tracked so a failure restores the
+	// pre-call state.
+	var masked, restored []int
 	prevWeight := 0.0
 	if e.hybrid != nil {
 		prevWeight = e.hybrid.Weight()
@@ -1159,24 +1091,40 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 		if e.hybrid != nil {
 			e.hybrid.SetWeight(prevWeight)
 		}
+		e.quarantine.Undo(e.working, masked, restored)
 		for _, in := range inputs {
 			e.validation.Set(in.Object, model.NoLabel)
 		}
+		if e.costBudget != nil {
+			e.costBudget.Refund(len(inputs))
+		}
 	}
-
 	detection, err := e.detector.DetectContext(ctx, e.working, e.validation, e.probSet.Assignment.Priors())
 	if err != nil {
 		rollback()
 		return nil, fmt.Errorf("core: spammer detection: %w", err)
 	}
-	faulty := len(detection.FaultyWorkers())
-	if e.hybrid != nil {
-		weight := e.hybrid.UpdateWeight(meanError, detection.FaultyRatio(), e.validation.Ratio())
-		for i := range records {
-			records[i].HybridWeight = weight
+	if e.cfg.HandleFaultyWorkers && workerDriven {
+		masked, restored = e.quarantine.Apply(e.working, detection)
+		last.MaskedWorkers = masked
+		last.RestoredWorkers = restored
+		if len(masked)+len(restored) > 0 {
+			// Quarantine changes rewrite whole workers' answer sets; the
+			// maintained scoring index is rebuilt rather than patched.
+			e.invalidateIndex = true
 		}
 	}
+	weight := 0.0
+	if e.hybrid != nil {
+		weight = e.hybrid.UpdateWeight(meanError, detection.FaultyRatio(), e.validation.Ratio())
+	}
 
+	// (3b) Confirmation check for erroneous expert input. The suspects are
+	// reported in the record; revision happens in Step (batch mode) or is
+	// left to the caller (interactive mode) via ReviseValidation.
+	// Validations the expert already re-confirmed are not flagged again —
+	// without this, a correct validation that merely disagrees with a noisy
+	// crowd would be re-elicited on every check.
 	if e.cfg.Confirmation != nil {
 		period := e.cfg.Confirmation.EffectivePeriod()
 		if (e.iteration+len(inputs))/period > e.iteration/period {
@@ -1185,7 +1133,6 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 				rollback()
 				return nil, fmt.Errorf("core: confirmation check: %w", err)
 			}
-			last := &records[len(records)-1]
 			for _, s := range suspects {
 				if confirmed, ok := e.confirmedValidations[s.Object]; ok && confirmed == e.validation.Get(s.Object) {
 					continue
@@ -1195,16 +1142,20 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 		}
 	}
 
-	res, err := e.aggregate(ctx)
+	// (4) Integrate the validations: re-aggregate and re-instantiate.
+	for _, in := range inputs {
+		e.working.MarkObjectDirty(in.Object)
+	}
+	res, err := e.conclude(ctx)
 	if err != nil {
 		rollback()
-		return nil, fmt.Errorf("core: aggregation: %w", err)
+		return nil, err
 	}
-	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
+	faulty := len(detection.FaultyWorkers())
 	uncertainty := aggregation.Uncertainty(e.probSet)
 	for i := range records {
 		records[i].FaultyWorkers = faulty
+		records[i].HybridWeight = weight
 		records[i].EMIterations = res.Iterations
 		records[i].Uncertainty = uncertainty
 	}
@@ -1212,6 +1163,19 @@ func (e *Engine) IntegrateBatch(ctx context.Context, inputs []ValidationInput) (
 	e.effortSpent += len(inputs)
 	e.history = append(e.history, records...)
 	return records, nil
+}
+
+// conclude runs the conclude step over the current evidence (see aggregate)
+// and installs the result: the probabilistic state, the deterministic
+// assignment and the EM statistics. A failure installs nothing.
+func (e *Engine) conclude(ctx context.Context) (*aggregation.Result, error) {
+	res, err := e.aggregate(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: aggregation: %w", err)
+	}
+	e.setProbSet(res.ProbSet)
+	e.emIterations += res.Iterations
+	return res, nil
 }
 
 // AddAnswers folds newly arrived crowd answers into the running session —
@@ -1333,13 +1297,8 @@ func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) erro
 		})
 	}
 
-	res, err := e.aggregate(ctx)
-	if err != nil {
-		return fmt.Errorf("core: aggregation: %w", err)
-	}
-	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
-	return nil
+	_, err := e.conclude(ctx)
+	return err
 }
 
 // Step executes one full iteration of Algorithm 1 against an Expert: select
@@ -1364,10 +1323,8 @@ func (e *Engine) StepContext(ctx context.Context, expert Expert) (IterationRecor
 	if err != nil {
 		return IterationRecord{}, fmt.Errorf("core: expert validation of object %d: %w", object, err)
 	}
-	if !label.Valid(e.working.NumLabels()) {
-		return IterationRecord{}, fmt.Errorf("core: expert returned %w: label %d for object %d",
-			cverr.ErrInvalidLabel, label, object)
-	}
+	// IntegrateContext and ReviseValidationContext reject labels outside the
+	// alphabet with ErrInvalidLabel before mutating anything.
 	record, err := e.IntegrateContext(ctx, object, label)
 	if err != nil {
 		return IterationRecord{}, err
@@ -1377,19 +1334,13 @@ func (e *Engine) StepContext(ctx context.Context, expert Expert) (IterationRecor
 		if err != nil {
 			return IterationRecord{}, fmt.Errorf("core: revalidation of object %d: %w", s.Object, err)
 		}
-		if !revised.Valid(e.working.NumLabels()) {
-			return IterationRecord{}, fmt.Errorf("core: expert returned %w: label %d for object %d",
-				cverr.ErrInvalidLabel, revised, s.Object)
-		}
 		if err := e.ReviseValidationContext(ctx, s.Object, revised); err != nil {
 			return IterationRecord{}, err
 		}
-		record.RevisedObjects = append(record.RevisedObjects, s.Object)
 	}
-	if len(e.history) > 0 {
-		e.history[len(e.history)-1] = record
-	}
-	return record, nil
+	// Each revision appended its object to the latest history record, which
+	// is this iteration's.
+	return e.history[len(e.history)-1], nil
 }
 
 // Summary describes a completed validation run.

@@ -175,19 +175,19 @@ func sameSelection(d *simulation.Dataset, effortPct int, seed int64) (bool, erro
 		return false, err
 	}
 	strategy := &guidance.UncertaintyDriven{CandidateLimit: defaultCandidateLimit}
-	warmPick, err := strategy.Select(&guidance.Context{
+	warmPick, err := strategy.SelectK(&guidance.Context{
 		Answers: d.Answers, ProbSet: warmRes.ProbSet, Aggregator: warmAgg, Detector: &spamdetect.Detector{},
-	})
+	}, 1)
 	if err != nil {
 		return false, err
 	}
-	coldPick, err := strategy.Select(&guidance.Context{
+	coldPick, err := strategy.SelectK(&guidance.Context{
 		Answers: d.Answers, ProbSet: coldRes.ProbSet, Aggregator: warmAgg, Detector: &spamdetect.Detector{},
-	})
+	}, 1)
 	if err != nil {
 		return false, err
 	}
-	return warmPick == coldPick, nil
+	return warmPick[0].Object == coldPick[0].Object, nil
 }
 
 // Figure8IterationReduction reproduces Figure 8: the percentage of EM

@@ -89,7 +89,7 @@ func Figure4ResponseTime(opts Options) (*Table, error) {
 					Parallel:   parallel,
 				}
 				start := time.Now()
-				if _, err := strategy.Select(ctx); err != nil {
+				if _, err := strategy.SelectK(ctx, 1); err != nil {
 					return 0, err
 				}
 				total += time.Since(start).Seconds()

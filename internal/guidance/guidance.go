@@ -22,12 +22,13 @@ import (
 // objects for the next expert validation.
 type Context struct {
 	// Ctx optionally carries a cancellation context for the scoring work.
-	// Candidate scoring re-aggregates the answers once per (candidate, label)
+	// Exact scoring re-aggregates the answers once per (candidate, label)
 	// pair, which on large answer sets dominates the latency of a validation
-	// step; a cancelled Ctx aborts the scoring with Ctx.Err(). Nil means
-	// "never cancel". Context is a per-call parameter object — it is built
-	// fresh for every Select call — so carrying the context here keeps the
-	// Strategy interface free of a second parameter.
+	// step; delta scoring (DeltaScore) runs one frontier-restricted pass per
+	// hypothesis instead. A cancelled Ctx aborts the scoring with Ctx.Err().
+	// Nil means "never cancel". Context is a per-call parameter object — it
+	// is built fresh for every SelectK call — so carrying the context here
+	// keeps the Strategy interface free of a second parameter.
 	Ctx stdctx.Context
 	// Answers is the (possibly quarantined) answer set.
 	Answers *model.AnswerSet
@@ -51,7 +52,7 @@ type Context struct {
 	MaxParallelism int
 	// Index optionally carries the per-aggregation scoring index (per-object
 	// entropies, hypothetical-scoring tables). The validation engine builds
-	// it once per aggregation and reuses it across Select calls; when nil,
+	// it once per aggregation and reuses it across SelectK calls; when nil,
 	// scoring strategies build one on the fly for this call.
 	Index *aggregation.ScoreIndex
 	// DeltaScore routes candidate scoring through the delta-accelerated
@@ -156,33 +157,26 @@ func (c *Context) emConfig() aggregation.EMConfig {
 // errors.Is matches across layers.
 var ErrNoCandidates = cverr.ErrNoCandidates
 
-// Strategy selects the next object for which expert feedback should be
-// sought (step "select" of the validation process).
+// Strategy selects the objects for which expert feedback should be sought
+// next (step "select" of the validation process). Selection has one method:
+// SelectK ranks up to k candidates (fewer when fewer exist) in one scoring
+// pass, ordered by score descending with ties broken toward the smaller
+// object index, and fails with ErrNoCandidates when there is none. A single
+// selection is SelectK(ctx, 1).
 type Strategy interface {
 	// Name identifies the strategy in reports and experiment output.
 	Name() string
-	// Select returns the index of the chosen object.
-	Select(ctx *Context) (int, error)
+	// SelectK returns up to k ranked candidates.
+	SelectK(ctx *Context, k int) ([]ScoredObject, error)
 }
 
-// ScoredObject is one ranked candidate of a batched selection: the object and
-// the strategy's score for it (information gain for the uncertainty-driven
+// ScoredObject is one ranked candidate of a selection: the object and the
+// strategy's score for it (information gain for the uncertainty-driven
 // strategy, expected detected faulty workers for the worker-driven one,
 // entropy for the baseline, 0 for strategies without a meaningful score).
 type ScoredObject struct {
 	Object int     `json:"object"`
 	Score  float64 `json:"score"`
-}
-
-// KSelector is implemented by strategies that can return a ranked top-k batch
-// of candidates in one scoring pass. The ranking is deterministic — ordered
-// by score descending, ties broken toward the smaller object index — and its
-// first element is exactly the object Select would return. All strategies of
-// this package implement it.
-type KSelector interface {
-	Strategy
-	// SelectK returns up to k ranked candidates (fewer when fewer exist).
-	SelectK(ctx *Context, k int) ([]ScoredObject, error)
 }
 
 // Random selects a candidate uniformly at random. It models the unguided
@@ -194,23 +188,9 @@ type Random struct {
 // Name implements Strategy.
 func (r *Random) Name() string { return "random" }
 
-// Select implements Strategy.
-func (r *Random) Select(ctx *Context) (int, error) {
-	candidates := ctx.candidates()
-	if len(candidates) == 0 {
-		return -1, ErrNoCandidates
-	}
-	rng := r.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	return candidates[rng.Intn(len(candidates))], nil
-}
-
-// SelectK implements KSelector: k distinct uniform draws (a partial
-// Fisher–Yates shuffle). SelectK(ctx, 1) consumes exactly one draw, like
-// Select, so mixing the two keeps the pseudo-random stream aligned. Scores
-// are zero — random selection has no ranking signal.
+// SelectK implements Strategy: k distinct uniform draws (a partial
+// Fisher–Yates shuffle), one pseudo-random value per draw. Scores are zero —
+// random selection has no ranking signal.
 func (r *Random) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 	candidates := ctx.candidates()
 	if len(candidates) == 0 {
@@ -244,17 +224,7 @@ type Baseline struct{}
 // Name implements Strategy.
 func (b *Baseline) Name() string { return "baseline-entropy" }
 
-// Select implements Strategy.
-func (b *Baseline) Select(ctx *Context) (int, error) {
-	candidates := ctx.candidates()
-	if len(candidates) == 0 {
-		return -1, ErrNoCandidates
-	}
-	o, _ := aggregation.MaxEntropyObject(ctx.ProbSet.Assignment, candidates)
-	return o, nil
-}
-
-// SelectK implements KSelector: the k candidates with the highest entropy,
+// SelectK implements Strategy: the k candidates with the highest entropy,
 // scored by that entropy. Entropies come from the per-aggregation index (or
 // are computed once when the context carries none).
 func (b *Baseline) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
@@ -325,33 +295,6 @@ func scoreAll(ctx *Context, candidates []int, newScorer scorerFactory) ([]float6
 		}
 	}
 	return scores, nil
-}
-
-// scoreCandidates evaluates score(o) for every candidate, optionally in
-// parallel, and returns the candidate with the maximal score. Ties are broken
-// toward the smallest object index so selections stay deterministic. A
-// cancelled ctx.Ctx aborts the scan between candidates and returns the
-// context's error.
-func scoreCandidates(ctx *Context, candidates []int, score scorerFunc) (int, error) {
-	return scoreBest(ctx, candidates, func() (scorerFunc, func()) { return score, nil })
-}
-
-// scoreBest is scoreCandidates with a per-goroutine scorer factory.
-func scoreBest(ctx *Context, candidates []int, newScorer scorerFactory) (int, error) {
-	scores, err := scoreAll(ctx, candidates, newScorer)
-	if err != nil {
-		return -1, err
-	}
-	best, bestValue := -1, 0.0
-	for idx, o := range candidates {
-		if best == -1 || scores[idx] > bestValue || (scores[idx] == bestValue && o < best) {
-			best, bestValue = o, scores[idx]
-		}
-	}
-	if best == -1 {
-		return -1, ErrNoCandidates
-	}
-	return best, nil
 }
 
 // scoreTopK scores every candidate and returns the k best as a deterministic

@@ -47,10 +47,12 @@ func TestScoringCancelledMidway(t *testing.T) {
 			defer cancel()
 			ctx := ctxTestContext(t, cancellable, parallel)
 			calls := 0
-			_, err := scoreCandidates(ctx, ctx.candidates(), func(o int) (float64, error) {
-				calls++
-				cancel()
-				return float64(o), nil
+			_, err := scoreAll(ctx, ctx.candidates(), func() (scorerFunc, func()) {
+				return func(o int) (float64, error) {
+					calls++
+					cancel()
+					return float64(o), nil
+				}, nil
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
@@ -62,17 +64,17 @@ func TestScoringCancelledMidway(t *testing.T) {
 	}
 }
 
-// TestUncertaintyDrivenCancelled asserts a full strategy Select call aborts
+// TestUncertaintyDrivenCancelled asserts a full strategy selection aborts
 // with the context's error: the expensive per-candidate re-aggregations
 // observe the context through aggregation.Do.
 func TestUncertaintyDrivenCancelled(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx := ctxTestContext(t, cancelled, false)
-	if _, err := (&UncertaintyDriven{}).Select(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := selectOne(&UncertaintyDriven{}, ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("uncertainty-driven: %v", err)
 	}
-	if _, err := (&WorkerDriven{}).Select(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := selectOne(&WorkerDriven{}, ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("worker-driven: %v", err)
 	}
 }

@@ -30,6 +30,15 @@ func buildContext(t *testing.T, answers *model.AnswerSet, validation *model.Vali
 	}
 }
 
+// selectOne is a single-object selection: the head of SelectK(ctx, 1).
+func selectOne(s Strategy, ctx *Context) (int, error) {
+	ranked, err := s.SelectK(ctx, 1)
+	if err != nil {
+		return -1, err
+	}
+	return ranked[0].Object, nil
+}
+
 // mixedCrowdAnswers builds a binary task with 3 reliable workers and one
 // random spammer answering every object; object ambiguity varies.
 func mixedCrowdAnswers(t *testing.T, n int, seed int64) (*model.AnswerSet, model.DeterministicAssignment) {
@@ -59,7 +68,7 @@ func TestRandomStrategy(t *testing.T) {
 	a, _ := mixedCrowdAnswers(t, 10, 1)
 	ctx := buildContext(t, a, nil)
 	r := &Random{Rand: rand.New(rand.NewSource(5))}
-	o, err := r.Select(ctx)
+	o, err := selectOne(r, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +80,13 @@ func TestRandomStrategy(t *testing.T) {
 	}
 	// Restricting the candidates restricts the choice.
 	ctx.Candidates = []int{3}
-	o, err = r.Select(ctx)
+	o, err = selectOne(r, ctx)
 	if err != nil || o != 3 {
 		t.Fatalf("restricted selection = %d (%v)", o, err)
 	}
 	// Nil Rand still works.
 	r2 := &Random{}
-	if _, err := r2.Select(ctx); err != nil {
+	if _, err := selectOne(r2, ctx); err != nil {
 		t.Fatal(err)
 	}
 	// No candidates left.
@@ -85,7 +94,7 @@ func TestRandomStrategy(t *testing.T) {
 		ctx.ProbSet.Validation.Set(o, 0)
 	}
 	ctx.Candidates = nil
-	if _, err := r.Select(ctx); err != ErrNoCandidates {
+	if _, err := selectOne(r, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
 }
@@ -101,7 +110,7 @@ func TestBaselineSelectsMaxEntropyObject(t *testing.T) {
 		}
 	}
 	b := &Baseline{}
-	o, err := b.Select(ctx)
+	o, err := selectOne(b, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +122,7 @@ func TestBaselineSelectsMaxEntropyObject(t *testing.T) {
 	}
 	ctx.Candidates = []int{}
 	ctx.ProbSet.Validation = fullyValidated(8)
-	if _, err := b.Select(ctx); err != ErrNoCandidates {
+	if _, err := selectOne(b, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
 }
@@ -159,7 +168,7 @@ func TestUncertaintyDrivenSelectAndCandidateLimit(t *testing.T) {
 	a, _ := mixedCrowdAnswers(t, 10, 4)
 	ctx := buildContext(t, a, nil)
 	u := &UncertaintyDriven{}
-	serial, err := u.Select(ctx)
+	serial, err := selectOne(u, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestUncertaintyDrivenSelectAndCandidateLimit(t *testing.T) {
 	ctxParallel := buildContext(t, a, nil)
 	ctxParallel.Parallel = true
 	ctxParallel.MaxParallelism = 4
-	parallel, err := u.Select(ctxParallel)
+	parallel, err := selectOne(u, ctxParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +185,11 @@ func TestUncertaintyDrivenSelectAndCandidateLimit(t *testing.T) {
 	}
 	// A candidate limit of 1 reduces to the entropy baseline.
 	limited := &UncertaintyDriven{CandidateLimit: 1}
-	sel, err := limited.Select(ctx)
+	sel, err := selectOne(limited, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := (&Baseline{}).Select(ctx)
+	base, _ := selectOne(&Baseline{}, ctx)
 	if sel != base {
 		t.Fatalf("candidate-limit-1 selected %d, baseline %d", sel, base)
 	}
@@ -189,7 +198,7 @@ func TestUncertaintyDrivenSelectAndCandidateLimit(t *testing.T) {
 	}
 	ctx.ProbSet.Validation = fullyValidated(10)
 	ctx.Candidates = nil
-	if _, err := u.Select(ctx); err != ErrNoCandidates {
+	if _, err := selectOne(u, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
 }
@@ -220,7 +229,7 @@ func TestWorkerDrivenPrefersObjectsAnsweredBySuspects(t *testing.T) {
 	ctx.Detector = &spamdetect.Detector{MinValidatedAnswers: 2, SloppyThreshold: 0.7}
 
 	w := &WorkerDriven{}
-	selected, err := w.Select(ctx)
+	selected, err := selectOne(w, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +264,7 @@ func TestWorkerDrivenNoCandidates(t *testing.T) {
 	a, _ := mixedCrowdAnswers(t, 4, 6)
 	ctx := buildContext(t, a, fullyValidated(4))
 	w := &WorkerDriven{}
-	if _, err := w.Select(ctx); err != ErrNoCandidates {
+	if _, err := selectOne(w, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
 }
@@ -295,7 +304,7 @@ func TestHybridRouletteWheel(t *testing.T) {
 
 	// With weight 0 the uncertainty branch is always taken.
 	h := &Hybrid{Rand: rand.New(rand.NewSource(2))}
-	if _, err := h.Select(ctx); err != nil {
+	if _, err := selectOne(h, ctx); err != nil {
 		t.Fatal(err)
 	}
 	if h.LastChoiceWorkerDriven() {
@@ -305,7 +314,7 @@ func TestHybridRouletteWheel(t *testing.T) {
 	h.UpdateWeight(1, 1, 1)
 	workerChosen := 0
 	for trial := 0; trial < 10; trial++ {
-		if _, err := h.Select(ctx); err != nil {
+		if _, err := selectOne(h, ctx); err != nil {
 			t.Fatal(err)
 		}
 		if h.LastChoiceWorkerDriven() {
@@ -317,7 +326,7 @@ func TestHybridRouletteWheel(t *testing.T) {
 	}
 	// Nil sub-strategies and nil Rand are tolerated.
 	h2 := &Hybrid{}
-	if _, err := h2.Select(ctx); err != nil {
+	if _, err := selectOne(h2, ctx); err != nil {
 		t.Fatal(err)
 	}
 }

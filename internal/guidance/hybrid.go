@@ -23,7 +23,7 @@ type Hybrid struct {
 
 	// weight is the current z_i score in [0, 1).
 	weight float64
-	// lastWorkerDriven records which branch the previous Select call took.
+	// lastWorkerDriven records which branch the previous selection took.
 	lastWorkerDriven bool
 }
 
@@ -36,7 +36,7 @@ func (h *Hybrid) Weight() float64 { return h.weight }
 // SetWeight restores a previously observed z_i value (session resume).
 func (h *Hybrid) SetWeight(w float64) { h.weight = clamp01(w) }
 
-// LastChoiceWorkerDriven reports whether the most recent Select call used the
+// LastChoiceWorkerDriven reports whether the most recent selection used the
 // worker-driven branch. Algorithm 1 only quarantines detected spammers when
 // that branch was taken (line 12).
 func (h *Hybrid) LastChoiceWorkerDriven() bool { return h.lastWorkerDriven }
@@ -69,7 +69,7 @@ func clamp01(v float64) float64 {
 // separate step so callers that serve selections concurrently (the validation
 // engine under a serving tier's read lock) can serialize only this stateful
 // draw and run the expensive, read-only candidate scoring outside the lock.
-func (h *Hybrid) ChooseBranch() KSelector {
+func (h *Hybrid) ChooseBranch() Strategy {
 	rng := h.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
@@ -89,17 +89,11 @@ func (h *Hybrid) ChooseBranch() KSelector {
 	return &UncertaintyDriven{}
 }
 
-// Select implements Strategy: a roulette-wheel choice between the
-// worker-driven strategy (probability z_i) and the uncertainty-driven
-// strategy (probability 1 − z_i).
-func (h *Hybrid) Select(ctx *Context) (int, error) {
-	return h.ChooseBranch().Select(ctx)
-}
-
-// SelectK implements KSelector: one roulette-wheel draw chooses the branch,
-// which then ranks the top-k candidates. SelectK consumes exactly as much
-// pseudo-random state as Select, so mixed single/batched selections keep the
-// session's stream (and therefore snapshots) aligned.
+// SelectK implements Strategy: one roulette-wheel draw — the worker-driven
+// strategy with probability z_i, otherwise the uncertainty-driven one —
+// chooses the branch, which then ranks the top-k candidates. Every call
+// consumes exactly one pseudo-random value whatever k is, so selections of
+// any size keep the session's stream (and therefore snapshots) aligned.
 func (h *Hybrid) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 	return h.ChooseBranch().SelectK(ctx, k)
 }

@@ -46,32 +46,18 @@ func TestTopKByScore(t *testing.T) {
 	}
 }
 
-// TestSelectKFirstMatchesSelect: for every strategy, SelectK(ctx, 1) picks
-// exactly the object Select picks, and SelectK rankings are deterministic
-// across serial and parallel scoring.
+// TestSelectKFirstMatchesSelect: for every scoring strategy, SelectK
+// rankings are deterministic across serial and parallel scoring and ordered
+// by score descending, ties toward the smaller object index.
 func TestSelectKFirstMatchesSelect(t *testing.T) {
 	answers, _ := mixedCrowdAnswers(t, 14, 9)
-	strategies := []KSelector{
+	strategies := []Strategy{
 		&UncertaintyDriven{},
 		&WorkerDriven{},
 		&Baseline{},
 	}
 	for _, deltaScore := range []bool{false, true} {
 		for _, s := range strategies {
-			ctx := buildContext(t, answers, nil)
-			ctx.DeltaScore = deltaScore
-			single, err := s.Select(ctx)
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
-			}
-			ranked, err := s.SelectK(buildCtxLike(t, answers, deltaScore, false), 1)
-			if err != nil {
-				t.Fatalf("%s SelectK: %v", s.Name(), err)
-			}
-			if len(ranked) != 1 || ranked[0].Object != single {
-				t.Fatalf("%s (delta=%v): Select = %d, SelectK(1) = %v", s.Name(), deltaScore, single, ranked)
-			}
-
 			serialK, err := s.SelectK(buildCtxLike(t, answers, deltaScore, false), 5)
 			if err != nil {
 				t.Fatal(err)
@@ -153,11 +139,11 @@ func TestUncertaintyDeltaSelectionParity(t *testing.T) {
 		exactCtx := buildContext(t, answers, nil)
 		deltaCtx := deltaContext(t, answers, nil)
 		u := &UncertaintyDriven{}
-		exactPick, err := u.Select(exactCtx)
+		exactPick, err := selectOne(u, exactCtx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		deltaPick, err := u.Select(deltaCtx)
+		deltaPick, err := selectOne(u, deltaCtx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,9 +166,9 @@ func TestUncertaintyDeltaSelectionParity(t *testing.T) {
 	}
 }
 
-// TestHybridSelectKDrawParity: SelectK consumes exactly one roulette draw,
-// like Select, so two hybrids with identical seeds stay aligned across mixed
-// single/batched selections.
+// TestHybridSelectKDrawParity: SelectK consumes exactly one roulette draw
+// whatever k is, so two hybrids with identical seeds stay aligned across
+// single (k = 1) and batched selections.
 func TestHybridSelectKDrawParity(t *testing.T) {
 	answers, _ := mixedCrowdAnswers(t, 10, 2)
 	mk := func() *Hybrid { return &Hybrid{Rand: rand.New(rand.NewSource(3))} }
@@ -192,7 +178,7 @@ func TestHybridSelectKDrawParity(t *testing.T) {
 	for step := 0; step < 6; step++ {
 		ctx1 := buildContext(t, answers, nil)
 		ctx2 := buildContext(t, answers, nil)
-		single, err := h1.Select(ctx1)
+		single, err := selectOne(h1, ctx1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +187,7 @@ func TestHybridSelectKDrawParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ranked[0].Object != single {
-			t.Fatalf("step %d: Select = %d, SelectK[0] = %d", step, single, ranked[0].Object)
+			t.Fatalf("step %d: SelectK(1) = %d, SelectK(3)[0] = %d", step, single, ranked[0].Object)
 		}
 		if h1.LastChoiceWorkerDriven() != h2.LastChoiceWorkerDriven() {
 			t.Fatalf("step %d: branch draws diverged", step)
@@ -209,14 +195,14 @@ func TestHybridSelectKDrawParity(t *testing.T) {
 	}
 }
 
-// TestRandomSelectK: distinct objects, first element matches Select under the
-// same seed, k clamps to the candidate count.
+// TestRandomSelectK: distinct objects, first element matches a single
+// selection under the same seed, k clamps to the candidate count.
 func TestRandomSelectK(t *testing.T) {
 	answers, _ := mixedCrowdAnswers(t, 8, 4)
 	ctx := buildContext(t, answers, nil)
 	r1 := &Random{Rand: rand.New(rand.NewSource(9))}
 	r2 := &Random{Rand: rand.New(rand.NewSource(9))}
-	single, err := r1.Select(ctx)
+	single, err := selectOne(r1, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,7 @@ type UncertaintyDriven struct {
 // Name implements Strategy.
 func (u *UncertaintyDriven) Name() string { return "uncertainty-driven" }
 
-// Select implements Strategy.
-func (u *UncertaintyDriven) Select(ctx *Context) (int, error) {
-	candidates, newScorer, err := u.prepare(ctx)
-	if err != nil {
-		return -1, err
-	}
-	return scoreBest(ctx, candidates, newScorer)
-}
-
-// SelectK implements KSelector: the top-k candidates ranked by information
+// SelectK implements Strategy: the top-k candidates ranked by information
 // gain.
 func (u *UncertaintyDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 	candidates, newScorer, err := u.prepare(ctx)

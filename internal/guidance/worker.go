@@ -26,16 +26,7 @@ type WorkerDriven struct {
 // Name implements Strategy.
 func (w *WorkerDriven) Name() string { return "worker-driven" }
 
-// Select implements Strategy.
-func (w *WorkerDriven) Select(ctx *Context) (int, error) {
-	candidates, newScorer, err := w.prepare(ctx)
-	if err != nil {
-		return -1, err
-	}
-	return scoreBest(ctx, candidates, newScorer)
-}
-
-// SelectK implements KSelector: the top-k candidates ranked by the expected
+// SelectK implements Strategy: the top-k candidates ranked by the expected
 // number of detected faulty workers.
 func (w *WorkerDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 	candidates, newScorer, err := w.prepare(ctx)

@@ -55,8 +55,9 @@ type sessionConfig struct {
 	deltaScoring          bool
 	noSelectionCache      bool
 
-	costBudgetEnabled bool
-	costBudget        cost.Tracker
+	// costBudget is the WithCostBudget tracker (nil: none); every session
+	// created from the configuration charges its own copy.
+	costBudget *cost.Tracker
 }
 
 // defaultSessionConfig is the configuration NewSession starts from: the
@@ -199,7 +200,8 @@ func WithDeltaScoring() Option { return func(c *sessionConfig) { c.deltaScoring 
 // model: every accepted validation is charged against the tracker (θ crowd-
 // answer units per validation, batches as a whole), and once neither the
 // budget nor the optional completion-time deadline admits another validation,
-// submissions fail with ErrBudgetExhausted. This is the monetary counterpart
+// submissions fail with ErrBudgetExhausted and Done reports true, so
+// RunWithOracle stops there. This is the monetary counterpart
 // of WithBudget's plain validation count; the two compose — whichever limit
 // is hit first stops the spending. A failed submission refunds its charge, so
 // errors are free.
@@ -209,7 +211,7 @@ func WithDeltaScoring() Option { return func(c *sessionConfig) { c.deltaScoring 
 // original stopped. The global marketplace read path of a serving tier uses
 // the tracker to normalize guidance scores to gain per unit cost.
 func WithCostBudget(t CostTracker) Option {
-	return func(c *sessionConfig) { c.costBudgetEnabled = true; c.costBudget = t }
+	return func(c *sessionConfig) { c.costBudget = &t }
 }
 
 // WithoutSelectionCache disables the maintained-view serving caches: the
@@ -262,11 +264,6 @@ type Session struct {
 	// hybrid is non-nil when the hybrid strategy drives the session; its
 	// weight is part of the snapshot state.
 	hybrid *guidance.Hybrid
-	// budget is non-nil when WithCostBudget configured a monetary budget; it
-	// is charged on every accepted validation and is part of the snapshot
-	// state. It follows the session's concurrency contract: reads may run
-	// concurrently with each other, not with mutating calls.
-	budget *cost.Tracker
 }
 
 // NewSession prepares a guided validation session over a copy of the given
@@ -336,12 +333,13 @@ func newSession(answers *AnswerSet, cfg sessionConfig, restored *core.RestoredSt
 	// session's lifetime — a long-lived session must not pin request-scoped
 	// values or deadline timers. Every later operation takes its own context.
 	cfg.ctx = context.Background()
-	sess := &Session{engine: engine, cfg: cfg, src: src, hybrid: hybrid}
-	if cfg.costBudgetEnabled {
-		tracker := cfg.costBudget
-		sess.budget = &tracker
+	if cfg.costBudget != nil {
+		// The engine charges the monetary budget on its one integration path
+		// and owns it from here; the session reads it back for snapshots.
+		tracker := *cfg.costBudget
+		engine.SetCostBudget(&tracker)
 	}
-	return sess, nil
+	return &Session{engine: engine, cfg: cfg, src: src, hybrid: hybrid}, nil
 }
 
 // orBackground defends the public context-taking entry points against nil:
@@ -432,12 +430,8 @@ func (s *Session) SubmitValidation(object int, label Label) (StepInfo, error) {
 // context rolls the submission back completely — the session state is exactly
 // what it was before the call and the validation can be resubmitted.
 func (s *Session) SubmitValidationContext(ctx context.Context, object int, label Label) (StepInfo, error) {
-	if err := s.chargeBudget(1); err != nil {
-		return StepInfo{}, err
-	}
 	record, err := s.engine.IntegrateContext(orBackground(ctx), object, label)
 	if err != nil {
-		s.refundBudget(1)
 		return StepInfo{}, err
 	}
 	return s.stepInfo(record), nil
@@ -452,12 +446,8 @@ func (s *Session) SubmitValidationContext(ctx context.Context, object int, label
 // as a whole: duplicate or already-validated objects, labels out of range, a
 // batch larger than the remaining budget, or a cancelled context.
 func (s *Session) SubmitValidations(ctx context.Context, inputs []ValidationInput) ([]StepInfo, error) {
-	if err := s.chargeBudget(len(inputs)); err != nil {
-		return nil, err
-	}
 	records, err := s.engine.IntegrateBatch(orBackground(ctx), inputs)
 	if err != nil {
-		s.refundBudget(len(inputs))
 		return nil, err
 	}
 	infos := make([]StepInfo, len(records))
@@ -467,48 +457,26 @@ func (s *Session) SubmitValidations(ctx context.Context, inputs []ValidationInpu
 	return infos, nil
 }
 
-// chargeBudget spends n validations from the monetary budget (a no-op for
-// sessions without one). The charge happens before the engine mutates, and a
-// failed mutation refunds it, so a tracker's spent count always equals the
-// validations actually applied — the invariant that makes WAL replay
-// reconstruct the budget state exactly.
-func (s *Session) chargeBudget(n int) error {
-	if s.budget == nil {
-		return nil
-	}
-	// Charge's exhaustion error already carries the sentinel's
-	// "crowdval:" prefix — wrapping again would double it.
-	return s.budget.Charge(n)
-}
-
-func (s *Session) refundBudget(n int) {
-	if s.budget != nil {
-		s.budget.Refund(n)
-	}
-}
-
 // SetCostBudget installs or replaces the session's monetary budget at
 // runtime, keeping the validations already spent: granting a tenant more
 // budget mid-campaign does not forgive past spending. Serving tiers log the
 // update to the WAL before applying it, like any other mutation.
 func (s *Session) SetCostBudget(t CostTracker) {
-	spent := 0
-	if s.budget != nil {
-		spent = s.budget.Spent
+	t.Spent = 0
+	if cur := s.engine.CostBudget(); cur != nil {
+		t.Spent = cur.Spent
 	}
-	t.Spent = spent
-	s.budget = &t
-	s.cfg.costBudgetEnabled = true
-	s.cfg.costBudget = t
+	s.engine.SetCostBudget(&t)
 }
 
 // CostBudget returns a copy of the session's monetary budget state and
 // whether one is configured.
 func (s *Session) CostBudget() (CostTracker, bool) {
-	if s.budget == nil {
+	t := s.engine.CostBudget()
+	if t == nil {
 		return CostTracker{}, false
 	}
-	return *s.budget, true
+	return *t, true
 }
 
 // AddAnswers folds newly arrived crowd answers into the running session via
@@ -552,8 +520,9 @@ func (s *Session) ReviseContext(ctx context.Context, object int, label Label) er
 	return s.engine.ReviseValidationContext(orBackground(ctx), object, label)
 }
 
-// Done reports whether the session should stop: goal reached, budget
-// exhausted or all objects validated.
+// Done reports whether the session should stop: goal reached, the
+// validation budget (WithBudget) or the monetary budget (WithCostBudget)
+// exhausted, or all objects validated.
 func (s *Session) Done() bool { return s.engine.Done() }
 
 // Result returns the current best label for every object: expert labels where

@@ -73,14 +73,14 @@ func (s *Session) snapshotState() *snapshot.State {
 		Iteration:             int64(engine.Iteration()),
 		EffortSpent:           int64(engine.EffortSpent()),
 	}
-	if s.budget != nil {
+	if budget := engine.CostBudget(); budget != nil {
 		st.BudgetEnabled = true
-		st.BudgetTheta = s.budget.Theta
-		st.BudgetTotal = s.budget.Budget
-		st.BudgetSpent = int64(s.budget.Spent)
-		st.BudgetCrowdTime = s.budget.Time.CrowdTime
-		st.BudgetTimePerValidation = s.budget.Time.TimePerValidation
-		st.BudgetTimeLimit = s.budget.TimeLimit
+		st.BudgetTheta = budget.Theta
+		st.BudgetTotal = budget.Budget
+		st.BudgetSpent = int64(budget.Spent)
+		st.BudgetCrowdTime = budget.Time.CrowdTime
+		st.BudgetTimePerValidation = budget.Time.TimePerValidation
+		st.BudgetTimeLimit = budget.TimeLimit
 	}
 	engine.WithSelectionLock(func() {
 		st.RNGState = s.src.State()
@@ -250,8 +250,7 @@ func resumeFromState(st *snapshot.State, opts []Option) (*Session, error) {
 	cfg.deltaMaxDirtyFraction = st.DeltaMaxDirtyFraction
 	cfg.deltaScoring = st.DeltaScoring
 	if st.BudgetEnabled {
-		cfg.costBudgetEnabled = true
-		cfg.costBudget = cost.Tracker{
+		cfg.costBudget = &cost.Tracker{
 			Theta:  st.BudgetTheta,
 			Budget: st.BudgetTotal,
 			Spent:  int(st.BudgetSpent),
