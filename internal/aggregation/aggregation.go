@@ -4,9 +4,11 @@
 // algorithm that treats expert validations as first-class ground truth and
 // warm-starts from the previous validation iteration.
 //
-// All aggregators implement the Aggregator interface and produce a
-// probabilistic answer set P = <N, e, U, C> together with statistics about
-// the computation (number of EM iterations, convergence).
+// Every aggregator produces a probabilistic answer set P = <N, e, U, C>
+// together with statistics about the computation (number of EM iterations,
+// convergence). The validation engine and the guidance scorers call the
+// concrete aggregators directly: i-EM for the conclude step and the
+// hypothetical re-aggregations, batch EM for the confirmation check.
 //
 // The EM aggregators form the hot path of the pay-as-you-go validation loop
 // (the engine re-aggregates after every expert answer), so they read the
@@ -38,49 +40,16 @@ type Result struct {
 	Iterations int
 	// DeltaIterations is the number of frontier-restricted iterations the
 	// delta-incremental path ran before the full-sweep settle phase (0 when
-	// the delta phase was skipped or the aggregator has no delta path).
+	// the delta phase was skipped or did not run).
 	DeltaIterations int
 	// DeltaOutcome reports which way the delta-incremental path went:
-	// DeltaNotRun when the aggregator has no delta path or it is disabled,
+	// DeltaNotRun unless the call was a delta-enabled AggregateDeltaContext,
 	// otherwise whether the frontier phase was accepted, stalled at its
 	// iteration cap, or skipped for a cold start or an oversized frontier.
 	DeltaOutcome DeltaOutcome
 	// Converged reports whether the iterative aggregation reached its
 	// convergence tolerance before hitting the iteration cap.
 	Converged bool
-}
-
-// Aggregator computes a probabilistic answer set from crowd answers and the
-// expert validations collected so far. Implementations may use prev, the
-// probabilistic answer set of the previous validation iteration, as a warm
-// start; prev may be nil.
-type Aggregator interface {
-	Aggregate(answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error)
-}
-
-// ContextAggregator is implemented by aggregators whose work can be cancelled
-// through a context. All aggregators of this package implement it; the plain
-// Aggregate method is the thin context-free wrapper kept for compatibility.
-type ContextAggregator interface {
-	Aggregator
-	// AggregateContext is Aggregate with cancellation: it returns ctx.Err()
-	// (wrapping context.Canceled or context.DeadlineExceeded) as soon as the
-	// context is done, without having mutated answers, validation or prev.
-	AggregateContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error)
-}
-
-// Do runs an aggregator under a context: context-aware aggregators get the
-// context threaded through their E-/M-step shards, plain aggregators run
-// uncancelled. It is the single entry point the validation engine and the
-// guidance scorers use.
-func Do(ctx context.Context, agg Aggregator, answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error) {
-	if ca, ok := agg.(ContextAggregator); ok {
-		return ca.AggregateContext(ctx, answers, validation, prev)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return agg.Aggregate(answers, validation, prev)
 }
 
 // checkInputs validates the (answers, validation) pair every aggregator
@@ -99,31 +68,15 @@ func checkInputs(answers *model.AnswerSet, validation *model.Validation) (*model
 	return validation, nil
 }
 
-// EMConfigOf extracts the EM parameters of one of the EM aggregators —
-// callers that mirror aggregation behavior (the hypothetical guidance
-// scorer's M-step smoothing) resolve the configuration through this one
-// helper. Non-EM aggregators yield the zero configuration, i.e. the
-// defaults.
-func EMConfigOf(agg Aggregator) EMConfig {
-	switch a := agg.(type) {
-	case *IncrementalEM:
-		return a.Config
-	case *BatchEM:
-		return a.Config
+// EMConfigOf returns the EM parameters of an i-EM aggregator — callers that
+// mirror aggregation behavior (the hypothetical guidance scorer's M-step
+// smoothing) resolve the configuration through this one helper. A nil
+// aggregator yields the zero configuration, i.e. the defaults.
+func EMConfigOf(agg *IncrementalEM) EMConfig {
+	if agg == nil {
+		return EMConfig{}
 	}
-	return EMConfig{}
-}
-
-// Sharded is implemented by aggregators that can produce a copy of
-// themselves with internal sharding disabled. Callers that invoke an
-// aggregator from many goroutines at once — the validation engine's parallel
-// candidate scoring — use it to avoid nesting sharded E-/M-steps inside
-// every scorer.
-type Sharded interface {
-	// SerialVariant returns a copy that runs its work on a single goroutine
-	// and is safe to call from concurrent scorers. Results are unchanged
-	// (sharding is bitwise neutral).
-	SerialVariant() Aggregator
+	return agg.Config
 }
 
 // MajorityVoting aggregates answers by relative label frequency per object.
@@ -140,12 +93,14 @@ type MajorityVoting struct {
 	Parallelism int
 }
 
-// Aggregate implements the Aggregator interface.
+// Aggregate is AggregateContext without cancellation.
 func (mv *MajorityVoting) Aggregate(answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error) {
 	return mv.AggregateContext(context.Background(), answers, validation, prev)
 }
 
-// AggregateContext implements the ContextAggregator interface.
+// AggregateContext computes the majority-vote answer set. Validated
+// objects are pinned to the expert's label; prev is ignored. It returns
+// ctx.Err() once the context is done.
 func (mv *MajorityVoting) AggregateContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, _ *model.ProbabilisticAnswerSet) (*Result, error) {
 	validation, err := checkInputs(answers, validation)
 	if err != nil {
@@ -188,13 +143,6 @@ func (mv *MajorityVoting) AggregateContext(ctx context.Context, answers *model.A
 	}
 
 	return &Result{ProbSet: probSet, Iterations: 1, Converged: true}, nil
-}
-
-// SerialVariant implements Sharded.
-func (mv *MajorityVoting) SerialVariant() Aggregator {
-	serial := *mv
-	serial.Parallelism = 1
-	return &serial
 }
 
 // majorityVoteAssignment computes the per-object label-frequency assignment

@@ -95,8 +95,8 @@ type DeltaOutcome uint8
 // certified settle phase; DeltaLargeFrontier and DeltaCold are the fallbacks,
 // which run the plain full path (AggregateContext) instead.
 const (
-	// DeltaNotRun: the delta path is disabled (or the aggregator has none),
-	// and the call was a plain full aggregation.
+	// DeltaNotRun: the delta path is disabled, and the call was a plain
+	// full aggregation.
 	DeltaNotRun DeltaOutcome = iota
 	// DeltaAccepted: the frontier phase converged within its iteration cap.
 	DeltaAccepted
@@ -125,24 +125,13 @@ type Delta struct {
 	Workers []int
 }
 
-// DeltaAggregator is implemented by aggregators that can fold a dirty
-// frontier into a warm previous state without recomputing posteriors for the
-// whole corpus. Callers fall back to the plain Aggregator interface when the
-// aggregator does not implement it.
-type DeltaAggregator interface {
-	Aggregator
-	// AggregateDeltaContext is AggregateContext specialized to a dirty
-	// frontier. The result is a fixed point of the full EM within the
-	// configured tolerance, like a full recompute; delta is advisory and a
-	// nil delta (or a disabled delta configuration) means "everything may
-	// have changed", degrading to the full path.
-	AggregateDeltaContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation,
-		prev *model.ProbabilisticAnswerSet, delta *Delta) (*Result, error)
-}
-
-// AggregateDeltaContext implements the DeltaAggregator interface: a
-// frontier-restricted refinement phase followed by the ordinary warm-started
-// full EM as the settle phase. See the file comment for the contract.
+// AggregateDeltaContext is AggregateContext specialized to a dirty frontier:
+// a frontier-restricted refinement phase followed by the ordinary
+// warm-started full EM as the settle phase. The result is a fixed point of
+// the full EM within the settle tolerance, like a full recompute (see the
+// file comment for the contract). The delta is advisory: with the delta path
+// disabled the call is exactly AggregateContext (DeltaNotRun), and a nil
+// delta means "everything may have changed" (DeltaLargeFrontier).
 func (ie *IncrementalEM) AggregateDeltaContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation,
 	prev *model.ProbabilisticAnswerSet, delta *Delta) (*Result, error) {
 

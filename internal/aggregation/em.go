@@ -97,12 +97,14 @@ type BatchEM struct {
 	IgnoreValidation bool
 }
 
-// Aggregate implements the Aggregator interface.
+// Aggregate is AggregateContext without cancellation.
 func (b *BatchEM) Aggregate(answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error) {
 	return b.AggregateContext(context.Background(), answers, validation, prev)
 }
 
-// AggregateContext implements the ContextAggregator interface.
+// AggregateContext runs a cold-started EM to convergence; prev is ignored.
+// It returns ctx.Err() as soon as the context is done, without having
+// mutated answers or validation.
 func (b *BatchEM) AggregateContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, _ *model.ProbabilisticAnswerSet) (*Result, error) {
 	validation, err := checkInputs(answers, validation)
 	if err != nil {
@@ -132,17 +134,6 @@ func (b *BatchEM) AggregateContext(ctx context.Context, answers *model.AnswerSet
 		}
 	}
 	return runEM(ctx, answers, validation, assignment, confusions, b.Config)
-}
-
-// SerialVariant implements Sharded. The copy drops a caller-supplied
-// Rand: it would be shared across concurrent scorers, and rand.Rand is not
-// thread-safe; the copy falls back to the fixed-seed generator instead, so
-// InitRandom cold starts stay reproducible per call.
-func (b *BatchEM) SerialVariant() Aggregator {
-	serial := *b
-	serial.Config.Parallelism = 1
-	serial.Rand = nil
-	return &serial
 }
 
 func (b *BatchEM) initialAssignment(ctx context.Context, answers *model.AnswerSet, validation *model.Validation) (*model.AssignmentMatrix, error) {
@@ -194,19 +185,14 @@ type IncrementalEM struct {
 	Delta DeltaConfig
 }
 
-// SerialVariant implements Sharded.
-func (ie *IncrementalEM) SerialVariant() Aggregator {
-	serial := *ie
-	serial.Config.Parallelism = 1
-	return &serial
-}
-
-// Aggregate implements the Aggregator interface.
+// Aggregate is AggregateContext without cancellation.
 func (ie *IncrementalEM) Aggregate(answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error) {
 	return ie.AggregateContext(context.Background(), answers, validation, prev)
 }
 
-// AggregateContext implements the ContextAggregator interface.
+// AggregateContext runs i-EM warm-started from prev (cold when prev is nil
+// or of another shape). It returns ctx.Err() as soon as the context is done,
+// without having mutated answers, validation or prev.
 func (ie *IncrementalEM) AggregateContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, prev *model.ProbabilisticAnswerSet) (*Result, error) {
 	validation, err := checkInputs(answers, validation)
 	if err != nil {

@@ -81,23 +81,27 @@ func TestParallelEMBitwiseEqualsSerial(t *testing.T) {
 		{150, 40, 3, 6},
 		{301, 57, 4, 5}, // sizes not divisible by the shard counts
 	}
+	// aggregator is the method set every aggregator of the package shares.
+	type aggregator interface {
+		Aggregate(*model.AnswerSet, *model.Validation, *model.ProbabilisticAnswerSet) (*Result, error)
+	}
 	builders := []struct {
 		name  string
-		build func(parallelism int) Aggregator
+		build func(parallelism int) aggregator
 	}{
-		{"batch-mv", func(p int) Aggregator {
+		{"batch-mv", func(p int) aggregator {
 			return &BatchEM{Config: EMConfig{Parallelism: p}}
 		}},
-		{"batch-uniform", func(p int) Aggregator {
+		{"batch-uniform", func(p int) aggregator {
 			return &BatchEM{Init: InitUniform, Config: EMConfig{Parallelism: p}}
 		}},
-		{"batch-random", func(p int) Aggregator {
+		{"batch-random", func(p int) aggregator {
 			return &BatchEM{Init: InitRandom, Rand: rand.New(rand.NewSource(5)), Config: EMConfig{Parallelism: p}}
 		}},
-		{"incremental-cold", func(p int) Aggregator {
+		{"incremental-cold", func(p int) aggregator {
 			return &IncrementalEM{Config: EMConfig{Parallelism: p}}
 		}},
-		{"majority-voting", func(p int) Aggregator {
+		{"majority-voting", func(p int) aggregator {
 			return &MajorityVoting{Parallelism: p}
 		}},
 	}

@@ -48,23 +48,6 @@ func NormalizedUncertainty(p *model.ProbabilisticAnswerSet) float64 {
 	return Uncertainty(p) / maxH
 }
 
-// MaxEntropyObject returns, among the given candidate objects, the one with
-// the highest entropy and that entropy. It is the baseline "most problematic
-// object" selection strategy used in §6.6. With no candidates it returns
-// (-1, 0).
-func MaxEntropyObject(u *model.AssignmentMatrix, candidates []int) (int, float64) {
-	best, bestH := -1, math.Inf(-1)
-	for _, o := range candidates {
-		if h := ObjectEntropy(u, o); h > bestH {
-			best, bestH = o, h
-		}
-	}
-	if best == -1 {
-		return -1, 0
-	}
-	return best, bestH
-}
-
 // CorrectLabelProbabilities returns, for every object with a known ground
 // truth label, the probability the aggregation assigns to that correct label.
 // It feeds the probability histogram of Figure 6.

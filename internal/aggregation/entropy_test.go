@@ -47,26 +47,6 @@ func TestNormalizedUncertaintySingleLabel(t *testing.T) {
 	}
 }
 
-func TestMaxEntropyObject(t *testing.T) {
-	u := model.NewAssignmentMatrix(3, 2)
-	u.SetCertain(0, 0)
-	u.SetRow(1, []float64{0.5, 0.5})
-	u.SetRow(2, []float64{0.9, 0.1})
-	o, h := MaxEntropyObject(u, []int{0, 1, 2})
-	if o != 1 || math.Abs(h-math.Log(2)) > 1e-12 {
-		t.Fatalf("MaxEntropyObject = (%d, %v)", o, h)
-	}
-	// Restricted candidate set.
-	o, _ = MaxEntropyObject(u, []int{0, 2})
-	if o != 2 {
-		t.Fatalf("restricted MaxEntropyObject = %d, want 2", o)
-	}
-	o, h = MaxEntropyObject(u, nil)
-	if o != -1 || h != 0 {
-		t.Fatalf("empty candidates = (%d, %v)", o, h)
-	}
-}
-
 func TestCorrectLabelProbabilities(t *testing.T) {
 	a := model.MustNewAnswerSet(3, 1, 2)
 	p := model.NewProbabilisticAnswerSet(a)

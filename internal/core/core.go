@@ -48,9 +48,6 @@ func UncertaintyBelow(threshold float64) Goal {
 
 // Config parameterizes the validation engine.
 type Config struct {
-	// Aggregator computes the probabilistic answer set in the "conclude"
-	// step. Nil uses the incremental i-EM aggregator.
-	Aggregator aggregation.Aggregator
 	// Strategy selects the next object to validate. Nil uses the hybrid
 	// strategy.
 	Strategy guidance.Strategy
@@ -72,37 +69,32 @@ type Config struct {
 	HandleFaultyWorkers bool
 	// Parallel enables parallel candidate scoring in the guidance step.
 	// Because the scorers themselves fan out across MaxParallelism
-	// goroutines, the engine hands them serial variants of the inner
-	// components: a Parallelism-1 copy of the detector, and — for
-	// aggregators implementing aggregation.Sharded (the EM and
-	// majority-vote aggregators, including the nil default) — the
-	// aggregator's SerialVariant. Other aggregators are handed to scoring
-	// as-is and must be safe for concurrent Aggregate calls.
+	// goroutines, the engine hands them Parallelism-1 copies of its i-EM
+	// aggregator and its detector.
 	Parallel bool
 	// MaxParallelism caps the number of goroutines of the parallel stages:
-	// guidance candidate scoring, the sharded E-/M-steps of the default
+	// guidance candidate scoring, the sharded E-/M-steps of the i-EM
 	// aggregator and the sharded worker assessment of the default detector
 	// (< 1: GOMAXPROCS). Aggregation and detection results are identical
 	// for every setting.
 	MaxParallelism int
 	// Delta enables the delta-incremental aggregation path: the engine
 	// tracks the dirty object/worker frontier of every mutation (ingested
-	// answers, validations, quarantine changes, growth) and hands it to a
-	// delta-capable aggregator, which refines only the frontier before a
-	// full-sweep settle phase re-establishes the global fixed point. Results
-	// are fixed points of the full EM within the configured tolerance, so
-	// they agree with full recomputes up to that tolerance (not bit-for-bit).
-	// It applies to the default i-EM aggregator and to any cfg.Aggregator
-	// implementing aggregation.DeltaAggregator; other aggregators ignore it.
+	// answers, validations, quarantine changes, growth) and hands it to its
+	// i-EM aggregator, which refines only the frontier before a full-sweep
+	// settle phase re-establishes the global fixed point. Results are fixed
+	// points of the full EM within the configured tolerance, so they agree
+	// with full recomputes up to that tolerance (not bit-for-bit).
 	Delta aggregation.DeltaConfig
-	// DeltaScoring routes guidance candidate scoring through the
-	// delta-accelerated hypothetical scorers (guidance.Context.DeltaScore):
+	// DeltaScoring routes uncertainty-driven candidate scoring through the
+	// delta-accelerated hypothetical scorer (guidance.Context.DeltaScore):
 	// a hypothetical validation of object o dirties only o plus its
 	// answering workers, so one candidate costs a frontier-restricted EM
 	// pass instead of a full warm EM re-aggregation. Selections agree with
-	// the exact full-EM scorer up to a documented information-gain tolerance
-	// (the worker-driven scorer is exact); like Delta it is opt-in because
-	// selections are no longer bit-identical to the reference scorer.
+	// the exact full-EM scorer up to a documented information-gain
+	// tolerance, so they are no longer bit-identical to the reference
+	// scorer. The worker-driven strategy has one exact scorer and is
+	// unaffected.
 	DeltaScoring bool
 	// DisableSelectionCache turns off the maintained-view serving caches: the
 	// in-place ScoreIndex patching (Rebase) and the per-strategy ranking
@@ -163,7 +155,7 @@ type Engine struct {
 	probSet    *model.ProbabilisticAnswerSet
 	assignment model.DeterministicAssignment
 
-	aggregator aggregation.Aggregator
+	aggregator *aggregation.IncrementalEM
 	strategy   guidance.Strategy
 	detector   *spamdetect.Detector
 	// costBudget is the monetary budget (nil: none). Its spent count always
@@ -172,10 +164,10 @@ type Engine struct {
 	costBudget *cost.Tracker
 	// scoringAggregator and scoringDetector are the instances handed to the
 	// guidance step. When parallel candidate scoring is enabled they are
-	// serial variants: scoring already fans out across MaxParallelism
+	// Parallelism-1 copies: scoring already fans out across MaxParallelism
 	// goroutines, and nesting GOMAXPROCS-wide EM/detection shards inside
 	// each scorer would oversubscribe the CPU.
-	scoringAggregator aggregation.Aggregator
+	scoringAggregator *aggregation.IncrementalEM
 	scoringDetector   *spamdetect.Detector
 	quarantine        *spamdetect.Quarantine
 	hybrid            *guidance.Hybrid
@@ -256,7 +248,7 @@ func NewEngineContext(ctx context.Context, answers *model.AnswerSet, cfg Config)
 		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
 	}
 	e := newEngineShell(answers.Clone(), cfg)
-	res, err := aggregation.Do(ctx, e.aggregator, e.working, e.validation, nil)
+	res, err := e.aggregator.AggregateContext(ctx, e.working, e.validation, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial aggregation: %w", err)
 	}
@@ -321,12 +313,9 @@ func (e *Engine) refreshScoreIndex() {
 func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 	e := &Engine{cfg: cfg, working: answers}
 	e.validation = model.NewValidation(answers.NumObjects())
-	e.aggregator = cfg.Aggregator
-	if e.aggregator == nil {
-		e.aggregator = &aggregation.IncrementalEM{
-			Config: aggregation.EMConfig{Parallelism: cfg.MaxParallelism},
-			Delta:  cfg.Delta,
-		}
+	e.aggregator = &aggregation.IncrementalEM{
+		Config: aggregation.EMConfig{Parallelism: cfg.MaxParallelism},
+		Delta:  cfg.Delta,
 	}
 	if cfg.Delta.Enabled {
 		// The working answer set records the dirty frontier; every mutation
@@ -341,9 +330,9 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 	e.scoringAggregator = e.aggregator
 	e.scoringDetector = e.detector
 	if cfg.Parallel {
-		if s, ok := e.aggregator.(aggregation.Sharded); ok {
-			e.scoringAggregator = s.SerialVariant()
-		}
+		serialAggregator := *e.aggregator
+		serialAggregator.Config.Parallelism = 1
+		e.scoringAggregator = &serialAggregator
 		serialDetector := *e.detector
 		serialDetector.Parallelism = 1
 		e.scoringDetector = &serialDetector
@@ -683,48 +672,39 @@ func (e *Engine) WithSelectionLock(fn func()) {
 	fn()
 }
 
-// aggregate runs the conclude step over the current evidence. With the delta
-// path enabled and a delta-capable aggregator, it hands the dirty frontier
-// accumulated since the last successful aggregation to the aggregator and
-// clears it on success; a failed or cancelled aggregation keeps the frontier,
-// so the next call folds the same mutations in. Without the delta path it is
-// aggregation.Do with the same clearing discipline (a full sweep covers every
-// mutation by construction).
+// aggregate runs the conclude step over the current evidence. With the
+// delta path enabled the working set tracks the dirty frontier accumulated
+// since the last successful aggregation, and aggregate hands it to the
+// aggregator; without it the frontier is nil and the call is a plain full
+// aggregation. The frontier is cleared on success; a failed or cancelled
+// aggregation keeps it, so the next call folds the same mutations in.
 func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
-	if e.cfg.Delta.Enabled && e.working.DirtyTracking() {
-		if da, ok := e.aggregator.(aggregation.DeltaAggregator); ok {
-			delta := &aggregation.Delta{Objects: e.working.DirtyObjects(), Workers: e.working.DirtyWorkers()}
-			if len(delta.Objects) == 0 && len(delta.Workers) == 0 && e.probSet != nil {
-				// No-op settle: nothing dirtied the state since the previous
-				// fixed point (e.g. an ingest whose answers were all stashed
-				// with the quarantine), so that fixed point still holds.
-				// Returning it as-is also keeps the maintained index and
-				// memoized rankings valid — setProbSet sees the same pointer
-				// — instead of forcing a pointless rebuild.
-				return &aggregation.Result{ProbSet: e.probSet, Converged: true}, nil
-			}
-			res, err := da.AggregateDeltaContext(ctx, e.working, e.validation, e.probSet, delta)
-			if err != nil {
-				return nil, err
-			}
-			e.working.ClearDirty()
-			e.deltaIterations += res.DeltaIterations
-			e.deltaOutcomes.add(res.DeltaOutcome)
-			if !res.DeltaOutcome.RanFrontier() {
-				// The aggregator fell back to the full path (cold state or
-				// oversized frontier): every row may have moved, so patching
-				// the index would cost as much as rebuilding it.
-				e.invalidateIndex = true
-			}
-			return res, nil
+	var delta *aggregation.Delta
+	if e.working.DirtyTracking() {
+		delta = &aggregation.Delta{Objects: e.working.DirtyObjects(), Workers: e.working.DirtyWorkers()}
+		if len(delta.Objects) == 0 && len(delta.Workers) == 0 && e.probSet != nil {
+			// No-op settle: nothing dirtied the state since the previous
+			// fixed point (e.g. an ingest whose answers were all stashed
+			// with the quarantine), so that fixed point still holds.
+			// Returning it as-is also keeps the maintained index and
+			// memoized rankings valid — setProbSet sees the same pointer
+			// — instead of forcing a pointless rebuild.
+			return &aggregation.Result{ProbSet: e.probSet, Converged: true}, nil
 		}
 	}
-	res, err := aggregation.Do(ctx, e.aggregator, e.working, e.validation, e.probSet)
+	res, err := e.aggregator.AggregateDeltaContext(ctx, e.working, e.validation, e.probSet, delta)
 	if err != nil {
 		return nil, err
 	}
 	e.working.ClearDirty()
-	e.invalidateIndex = true
+	e.deltaIterations += res.DeltaIterations
+	e.deltaOutcomes.add(res.DeltaOutcome)
+	if !res.DeltaOutcome.RanFrontier() {
+		// A full-path aggregation (delta path off, cold state or oversized
+		// frontier): every row may have moved, so patching the index would
+		// cost as much as rebuilding it.
+		e.invalidateIndex = true
+	}
 	return res, nil
 }
 
@@ -869,15 +849,16 @@ func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, ra
 }
 
 // beginSelection performs the serialized prologue of one selection under the
-// selection lock: the effort/goal preconditions, the stateful strategy-branch
-// decision (hybrid roulette draw, lastWorkerDriven bookkeeping), the
-// memoized-ranking lookup and the scoring-index build-or-patch. The hybrid
-// draw is consumed before the cache lookup, so cache hits and misses consume
-// identical pseudo-random state and snapshots stay aligned either way. For
-// the stateless scoring strategies it releases the lock before returning, so
-// the expensive scoring runs unlocked; stateful or unknown strategies
-// (Random, custom implementations) keep the lock for the whole selection and
-// the returned release function drops it afterwards.
+// selection lock: the goal and budget preconditions, the stateful
+// strategy-branch decision (hybrid roulette draw, lastWorkerDriven
+// bookkeeping), the memoized-ranking lookup and the scoring-index
+// build-or-patch. The hybrid draw is consumed before the cache lookup, so
+// cache hits and misses consume identical pseudo-random state and snapshots
+// stay aligned either way. For the stateless scoring strategies it releases
+// the lock before returning, so the expensive scoring runs unlocked;
+// stateful or unknown strategies (Random, custom implementations) keep the
+// lock for the whole selection and the returned release function drops it
+// afterwards.
 func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) {
 	e.selMu.Lock()
 	if e.cfg.Goal != nil && e.cfg.Goal(e) {
@@ -894,6 +875,11 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 	if e.effortSpent >= e.budget() {
 		e.selMu.Unlock()
 		return nil, fmt.Errorf("core: %w: spent %d of %d", cverr.ErrBudgetExhausted, e.effortSpent, e.budget())
+	}
+	if e.costBudget != nil && e.costBudget.Exhausted() {
+		e.selMu.Unlock()
+		return nil, fmt.Errorf("core: %w: no further validation fits the monetary budget (spent %d)",
+			cverr.ErrBudgetExhausted, e.costBudget.Spent)
 	}
 	// Bail before the strategy runs: an already-cancelled context must not
 	// consume state (in particular not the hybrid roulette draw), so retrying

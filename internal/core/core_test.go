@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"crowdval/internal/aggregation"
 	"crowdval/internal/guidance"
 	"crowdval/internal/metrics"
 	"crowdval/internal/model"
@@ -386,10 +385,9 @@ func TestUncertaintyBelowGoal(t *testing.T) {
 	}
 }
 
-func TestEngineWithBatchAggregatorAndWorkerDrivenStrategy(t *testing.T) {
+func TestEngineWorkerDrivenStrategyReportsBranch(t *testing.T) {
 	d := smallDataset(t, 15, 11)
 	e, err := NewEngine(d.Answers, Config{
-		Aggregator:          &aggregation.BatchEM{},
 		Strategy:            &guidance.WorkerDriven{},
 		HandleFaultyWorkers: true,
 		Budget:              5,
@@ -401,9 +399,31 @@ func TestEngineWithBatchAggregatorAndWorkerDrivenStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(summary.History) != 5 {
+		t.Fatalf("ran %d validations, want the budget of 5", len(summary.History))
+	}
+	// Every step took the worker-driven branch, so the quarantine followed
+	// each step's detection: replaying the recorded changes must give the
+	// engine's final quarantine.
+	masked := map[int]bool{}
 	for _, rec := range summary.History {
 		if !rec.WorkerDrivenUsed {
 			t.Fatal("pure worker-driven strategy must always report WorkerDrivenUsed")
+		}
+		for _, w := range rec.MaskedWorkers {
+			masked[w] = true
+		}
+		for _, w := range rec.RestoredWorkers {
+			delete(masked, w)
+		}
+	}
+	got := e.QuarantinedWorkers()
+	if len(got) != len(masked) {
+		t.Fatalf("quarantine = %v, history replays to %v", got, masked)
+	}
+	for _, w := range got {
+		if !masked[w] {
+			t.Fatalf("quarantine = %v, history replays to %v", got, masked)
 		}
 	}
 }

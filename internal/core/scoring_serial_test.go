@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
-	"crowdval/internal/aggregation"
 	"crowdval/internal/model"
 )
 
@@ -33,12 +31,11 @@ func TestParallelScoringGetsSerialVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iem, ok := e.scoringAggregator.(*aggregation.IncrementalEM)
-	if !ok {
-		t.Fatalf("scoring aggregator is %T, want *IncrementalEM", e.scoringAggregator)
+	if p := e.scoringAggregator.Config.Parallelism; p != 1 {
+		t.Fatalf("scoring aggregator parallelism = %d, want 1", p)
 	}
-	if iem.Config.Parallelism != 1 {
-		t.Fatalf("scoring aggregator parallelism = %d, want 1", iem.Config.Parallelism)
+	if p := e.aggregator.Config.Parallelism; p != 4 {
+		t.Fatalf("conclude-step aggregator parallelism = %d, want 4", p)
 	}
 	if e.scoringAggregator == e.aggregator {
 		t.Fatal("scoring aggregator must be a distinct serial copy")
@@ -50,23 +47,6 @@ func TestParallelScoringGetsSerialVariants(t *testing.T) {
 		t.Fatalf("conclude-step detector parallelism = %d, want 4", e.detector.Parallelism)
 	}
 
-	// A caller-supplied BatchEM is serialized too, and its Rand — unsafe to
-	// share across concurrent scorers — is dropped from the copy.
-	batch := &aggregation.BatchEM{Init: aggregation.InitRandom, Rand: rand.New(rand.NewSource(7))}
-	e, err = NewEngine(answers, Config{Parallel: true, Aggregator: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, ok := e.scoringAggregator.(*aggregation.BatchEM)
-	if !ok {
-		t.Fatalf("scoring aggregator is %T, want *BatchEM", e.scoringAggregator)
-	}
-	if serial == batch || serial.Rand != nil || serial.Config.Parallelism != 1 {
-		t.Fatalf("BatchEM scoring copy = %+v, want distinct copy with nil Rand and Parallelism 1", serial)
-	}
-	if batch.Rand == nil {
-		t.Fatal("original BatchEM must keep its Rand")
-	}
 }
 
 // TestSerialScoringSharesAggregator asserts that without Parallel the

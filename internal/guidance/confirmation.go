@@ -19,7 +19,7 @@ type ConfirmationCheck struct {
 	// Aggregator re-aggregates the answers without individual validations.
 	// Nil uses a batch EM aggregator, which avoids biasing the check with
 	// the state that was produced using the suspect validations.
-	Aggregator aggregation.Aggregator
+	Aggregator *aggregation.BatchEM
 	// Period is the number of validations between two checks; it is only
 	// interpreted by the validation engine. Values < 1 mean "after every
 	// validation".
@@ -34,7 +34,7 @@ func (c *ConfirmationCheck) EffectivePeriod() int {
 	return c.Period
 }
 
-func (c *ConfirmationCheck) aggregator() aggregation.Aggregator {
+func (c *ConfirmationCheck) aggregator() *aggregation.BatchEM {
 	if c != nil && c.Aggregator != nil {
 		return c.Aggregator
 	}
@@ -72,7 +72,7 @@ func (c *ConfirmationCheck) CheckContext(ctx context.Context, answers *model.Ans
 	var suspects []SuspectValidation
 	for _, o := range validation.ValidatedObjects() {
 		withheld := validation.CloneWithout(o)
-		res, err := aggregation.Do(ctx, agg, answers, withheld, nil)
+		res, err := agg.AggregateContext(ctx, answers, withheld, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -86,31 +86,4 @@ func (c *ConfirmationCheck) CheckContext(ctx context.Context, answers *model.Ans
 		}
 	}
 	return suspects, nil
-}
-
-// CheckObject runs the confirmation check for a single validated object and
-// reports whether its validation is suspect. Objects without a validation are
-// never suspect.
-func (c *ConfirmationCheck) CheckObject(answers *model.AnswerSet, validation *model.Validation, object int) (bool, error) {
-	return c.CheckObjectContext(context.Background(), answers, validation, object)
-}
-
-// CheckObjectContext is CheckObject with cancellation.
-func (c *ConfirmationCheck) CheckObjectContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, object int) (bool, error) {
-	if answers == nil {
-		return false, fmt.Errorf("guidance: %w", cverr.ErrNilAnswerSet)
-	}
-	if validation == nil {
-		return false, fmt.Errorf("guidance: %w", cverr.ErrNilValidation)
-	}
-	if !validation.Validated(object) {
-		return false, nil
-	}
-	withheld := validation.CloneWithout(object)
-	res, err := aggregation.Do(ctx, c.aggregator(), answers, withheld, nil)
-	if err != nil {
-		return false, err
-	}
-	d := res.ProbSet.Instantiate()
-	return d[object] != validation.Get(object), nil
 }

@@ -41,7 +41,7 @@ type Context struct {
 	// Aggregator is used by strategies that must evaluate hypothetical
 	// expert inputs (information gain). When nil, an IncrementalEM with
 	// default configuration is used.
-	Aggregator aggregation.Aggregator
+	Aggregator *aggregation.IncrementalEM
 	// Detector is used by the worker-driven strategy. When nil, a detector
 	// with default thresholds is used.
 	Detector *spamdetect.Detector
@@ -55,15 +55,13 @@ type Context struct {
 	// it once per aggregation and reuses it across SelectK calls; when nil,
 	// scoring strategies build one on the fly for this call.
 	Index *aggregation.ScoreIndex
-	// DeltaScore routes candidate scoring through the delta-accelerated
-	// hypothetical scorers: the uncertainty-driven strategy estimates each
-	// hypothesis with one frontier-restricted EM pass (ScoreIndex/HypoScratch)
-	// instead of a full warm EM re-aggregation, and the worker-driven
-	// strategy reassesses only the candidate's answering workers against a
-	// baseline detection instead of re-detecting the whole community. The
-	// worker-driven path is exact; the uncertainty path approximates the
-	// full-EM reference within the documented information-gain tolerance
-	// (see the parity tests).
+	// DeltaScore routes the uncertainty-driven strategy through the
+	// delta-accelerated hypothetical scorer: each hypothesis is estimated
+	// with one frontier-restricted EM pass (ScoreIndex/HypoScratch) instead
+	// of a full warm EM re-aggregation, approximating the full-EM reference
+	// within the documented information-gain tolerance (see the parity
+	// tests). The worker-driven strategy has one scorer, exact in both
+	// modes, and ignores it.
 	DeltaScore bool
 	// BlockedRows is ignored: delta scoring has a single hypothetical scorer
 	// (aggregation.HypoScratch).
@@ -112,7 +110,7 @@ func (c *Context) ctx() stdctx.Context {
 // exactly as given — a caller that scores serially may hand in sharded
 // instances (note that core.Engine builds its scoring Context with a
 // serialized detector copy when its Parallel flag is set; see core.Config).
-func (c *Context) aggregator() aggregation.Aggregator {
+func (c *Context) aggregator() *aggregation.IncrementalEM {
 	if c.Aggregator != nil {
 		return c.Aggregator
 	}

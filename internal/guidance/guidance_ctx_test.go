@@ -66,7 +66,8 @@ func TestScoringCancelledMidway(t *testing.T) {
 
 // TestUncertaintyDrivenCancelled asserts a full strategy selection aborts
 // with the context's error: the expensive per-candidate re-aggregations
-// observe the context through aggregation.Do.
+// observe the context through AggregateContext, and the worker-driven
+// baseline detection through DetectContext.
 func TestUncertaintyDrivenCancelled(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

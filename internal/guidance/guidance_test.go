@@ -1,11 +1,13 @@
 package guidance
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"crowdval/internal/aggregation"
+	"crowdval/internal/cverr"
 	"crowdval/internal/model"
 	"crowdval/internal/spamdetect"
 )
@@ -140,7 +142,11 @@ func TestInformationGainPrefersAmbiguousObjects(t *testing.T) {
 	ctx := buildContext(t, a, nil)
 
 	// Identify the most and least entropic objects under the aggregation.
-	mostAmbiguous, _ := aggregation.MaxEntropyObject(ctx.ProbSet.Assignment, ctx.ProbSet.Validation.UnvalidatedObjects())
+	top, err := (&Baseline{}).SelectK(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mostAmbiguous := top[0].Object
 	leastAmbiguous, leastH := 0, math.Inf(1)
 	for o := 0; o < 12; o++ {
 		if h := aggregation.ObjectEntropy(ctx.ProbSet.Assignment, o); h < leastH {
@@ -307,17 +313,19 @@ func TestHybridRouletteWheel(t *testing.T) {
 	if _, err := selectOne(h, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h.LastChoiceWorkerDriven() {
-		t.Fatal("weight 0 must never use the worker-driven branch")
+	for trial := 0; trial < 10; trial++ {
+		if _, ok := h.ChooseBranch().(*WorkerDriven); ok {
+			t.Fatal("weight 0 must never use the worker-driven branch")
+		}
 	}
 	// With weight ~1 the worker-driven branch dominates.
 	h.UpdateWeight(1, 1, 1)
+	if _, err := selectOne(h, ctx); err != nil {
+		t.Fatal(err)
+	}
 	workerChosen := 0
 	for trial := 0; trial < 10; trial++ {
-		if _, err := selectOne(h, ctx); err != nil {
-			t.Fatal(err)
-		}
-		if h.LastChoiceWorkerDriven() {
+		if _, ok := h.ChooseBranch().(*WorkerDriven); ok {
 			workerChosen++
 		}
 	}
@@ -358,24 +366,17 @@ func TestConfirmationCheckDetectsErroneousValidation(t *testing.T) {
 	if suspects[0].ExpertLabel == suspects[0].CrowdLabel {
 		t.Fatal("suspect labels should disagree")
 	}
-	suspect, err := check.CheckObject(a, v, 1)
-	if err != nil || !suspect {
-		t.Fatalf("CheckObject(1) = %v (%v), want true", suspect, err)
+	// Once corrected, object 1 is no longer suspect; unvalidated objects
+	// are never checked.
+	v.Set(1, truth[1])
+	if suspects, err := check.Check(a, v); err != nil || len(suspects) != 0 {
+		t.Fatalf("corrected validation: suspects = %+v (%v), want none", suspects, err)
 	}
-	ok, err := check.CheckObject(a, v, 0)
-	if err != nil || ok {
-		t.Fatalf("CheckObject(0) = %v (%v), want false", ok, err)
+	if _, err := check.Check(nil, nil); !errors.Is(err, cverr.ErrNilAnswerSet) {
+		t.Fatalf("nil answers: err = %v, want ErrNilAnswerSet", err)
 	}
-	// Unvalidated objects are never suspect.
-	ok, err = check.CheckObject(a, v, 3)
-	if err != nil || ok {
-		t.Fatal("unvalidated object flagged")
-	}
-	if _, err := check.Check(nil, nil); err == nil {
-		t.Fatal("nil inputs accepted")
-	}
-	if _, err := check.CheckObject(nil, nil, 0); err == nil {
-		t.Fatal("nil inputs accepted")
+	if _, err := check.Check(a, nil); !errors.Is(err, cverr.ErrNilValidation) {
+		t.Fatalf("nil validation: err = %v, want ErrNilValidation", err)
 	}
 }
 

@@ -23,8 +23,6 @@ type Hybrid struct {
 
 	// weight is the current z_i score in [0, 1).
 	weight float64
-	// lastWorkerDriven records which branch the previous selection took.
-	lastWorkerDriven bool
 }
 
 // Name implements Strategy.
@@ -35,11 +33,6 @@ func (h *Hybrid) Weight() float64 { return h.weight }
 
 // SetWeight restores a previously observed z_i value (session resume).
 func (h *Hybrid) SetWeight(w float64) { h.weight = clamp01(w) }
-
-// LastChoiceWorkerDriven reports whether the most recent selection used the
-// worker-driven branch. Algorithm 1 only quarantines detected spammers when
-// that branch was taken (line 12).
-func (h *Hybrid) LastChoiceWorkerDriven() bool { return h.lastWorkerDriven }
 
 // UpdateWeight recomputes z_{i+1} = 1 − exp(−(ε_i(1−f_i) + r_i·f_i)) from the
 // error rate ε_i of the latest validation, the ratio of detected faulty
@@ -64,11 +57,13 @@ func clamp01(v float64) float64 {
 
 // ChooseBranch performs the roulette-wheel draw of one selection — with
 // probability z_i the worker-driven strategy, otherwise the uncertainty-driven
-// one — consumes exactly one pseudo-random value, records the branch for
-// LastChoiceWorkerDriven, and returns the branch strategy. It exists as a
-// separate step so callers that serve selections concurrently (the validation
-// engine under a serving tier's read lock) can serialize only this stateful
-// draw and run the expensive, read-only candidate scoring outside the lock.
+// one — consumes exactly one pseudo-random value and returns the branch
+// strategy; the caller tells the branch from its type (Algorithm 1 only
+// quarantines detected spammers after a worker-driven choice, line 12). It
+// exists as a separate step so callers that serve selections concurrently
+// (the validation engine under a serving tier's read lock) can serialize
+// only this stateful draw and run the expensive, read-only candidate scoring
+// outside the lock.
 func (h *Hybrid) ChooseBranch() Strategy {
 	rng := h.Rand
 	if rng == nil {
@@ -76,13 +71,11 @@ func (h *Hybrid) ChooseBranch() Strategy {
 		h.Rand = rng
 	}
 	if rng.Float64() < h.weight {
-		h.lastWorkerDriven = true
 		if h.Worker != nil {
 			return h.Worker
 		}
 		return &WorkerDriven{}
 	}
-	h.lastWorkerDriven = false
 	if h.Uncertainty != nil {
 		return h.Uncertainty
 	}

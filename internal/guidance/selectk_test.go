@@ -96,35 +96,54 @@ func buildCtxLike(t *testing.T, answers *model.AnswerSet, deltaScore, parallel b
 }
 
 // TestWorkerDrivenDeltaScoresAreExact: the incremental worker-driven scorer
-// is not an approximation — per-candidate scores equal the full-recount
-// scorer bit for bit.
+// is not an approximation — every ranked score equals the full-recount
+// reference ExpectedDetectedFaultyWorkers bit for bit, with and without
+// DeltaScore, serial and parallel.
 func TestWorkerDrivenDeltaScoresAreExact(t *testing.T) {
 	answers, _ := mixedCrowdAnswers(t, 12, 5)
-	v := model.NewValidation(12)
-	v.Set(0, 0)
-	v.Set(1, 1)
-	exactCtx := buildContext(t, answers, v)
-	exactCtx.Detector = &spamdetect.Detector{MinValidatedAnswers: 2, SloppyThreshold: 0.7}
-	deltaCtx := buildContext(t, answers, v)
-	deltaCtx.Detector = exactCtx.Detector
-	deltaCtx.DeltaScore = true
-
-	w := &WorkerDriven{}
-	exact, err := w.SelectK(exactCtx, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, err := w.SelectK(deltaCtx, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exact) != len(delta) {
-		t.Fatalf("rankings differ in length: %d vs %d", len(exact), len(delta))
-	}
-	for i := range exact {
-		if exact[i] != delta[i] {
-			t.Fatalf("ranking[%d]: exact %+v != delta %+v", i, exact[i], delta[i])
+	detector := &spamdetect.Detector{MinValidatedAnswers: 2, SloppyThreshold: 0.7}
+	faulty := 0.0
+	// With one validated object a hypothesis lifts workers over the
+	// MinValidatedAnswers threshold and flags some; with two, it clears some
+	// flags. Both directions of the incremental count are exercised.
+	for _, validated := range [][]int{{0}, {0, 1}} {
+		v := model.NewValidation(12)
+		for _, o := range validated {
+			v.Set(o, model.Label(o%2))
 		}
+		ref := buildContext(t, answers, v)
+		ref.Detector = detector
+		priors := ref.ProbSet.Assignment.Priors()
+		for _, deltaScore := range []bool{false, true} {
+			for _, parallel := range []bool{false, true} {
+				ctx := buildContext(t, answers, v)
+				ctx.Detector = detector
+				ctx.DeltaScore = deltaScore
+				ctx.Parallel = parallel
+				ctx.MaxParallelism = 3
+				ranked, err := (&WorkerDriven{}).SelectK(ctx, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ranked) != 10 {
+					t.Fatalf("ranking has %d entries, want 10", len(ranked))
+				}
+				for _, s := range ranked {
+					want, err := ExpectedDetectedFaultyWorkers(ref, s.Object, priors)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.Score != want {
+						t.Fatalf("validated %v delta=%v parallel=%v: object %d scored %v, full recount %v",
+							validated, deltaScore, parallel, s.Object, s.Score, want)
+					}
+					faulty = math.Max(faulty, want)
+				}
+			}
+		}
+	}
+	if faulty == 0 {
+		t.Fatal("no candidate exposes a faulty worker: the comparison is vacuous")
 	}
 }
 
@@ -189,8 +208,8 @@ func TestHybridSelectKDrawParity(t *testing.T) {
 		if ranked[0].Object != single {
 			t.Fatalf("step %d: SelectK(1) = %d, SelectK(3)[0] = %d", step, single, ranked[0].Object)
 		}
-		if h1.LastChoiceWorkerDriven() != h2.LastChoiceWorkerDriven() {
-			t.Fatalf("step %d: branch draws diverged", step)
+		if h1.Rand.Int63() != h2.Rand.Int63() {
+			t.Fatalf("step %d: pseudo-random streams diverged", step)
 		}
 	}
 }
@@ -247,7 +266,7 @@ func TestExactScorersReuseScratchValidation(t *testing.T) {
 			}
 			hypo := ctx.ProbSet.Validation.Clone()
 			hypo.Set(object, model.Label(l))
-			res, err := aggregation.Do(ctx.ctx(), agg, ctx.Answers, hypo, ctx.ProbSet)
+			res, err := agg.AggregateContext(ctx.ctx(), ctx.Answers, hypo, ctx.ProbSet)
 			if err != nil {
 				t.Fatal(err)
 			}

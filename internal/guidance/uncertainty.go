@@ -111,7 +111,7 @@ func conditionalUncertainty(ctx *Context, object int, scratch *model.Validation)
 			continue
 		}
 		scratch.Set(object, model.Label(l))
-		res, err := aggregation.Do(ctx.ctx(), agg, ctx.Answers, scratch, ctx.ProbSet)
+		res, err := agg.AggregateContext(ctx.ctx(), ctx.Answers, scratch, ctx.ProbSet)
 		scratch.Set(object, model.NoLabel)
 		if err != nil {
 			return 0, err

@@ -8,14 +8,14 @@ import (
 // WorkerDriven selects the object whose validation is expected to unmask the
 // most faulty workers (§5.3, Eq. 12–14).
 //
-// The exact reference scorer re-runs the full community detection per
-// (candidate, label) hypothesis. With Context.DeltaScore set, the scorer
-// detects the community once per selection and then reassesses, per
-// hypothesis, only the workers who answered the candidate — the only workers
-// whose validation-based confusion matrix the hypothetical validation can
-// change — so one candidate costs O(answers-on-o) worker assessments instead
-// of O(#workers). Unlike the uncertainty-driven delta scorer this is not an
-// approximation: the incremental counts equal the full recount bit for bit.
+// The scorer detects the community once per selection and then reassesses,
+// per (candidate, label) hypothesis, only the workers who answered the
+// candidate — the only workers whose validation-based confusion matrix the
+// hypothetical validation can change — so one candidate costs
+// O(answers-on-o) worker assessments instead of O(#workers). This is not an
+// approximation: the counts equal the full recount of
+// ExpectedDetectedFaultyWorkers bit for bit, so the scorer is the same with
+// and without Context.DeltaScore.
 type WorkerDriven struct {
 	// CandidateLimit restricts the scoring to the CandidateLimit candidates
 	// with the highest entropy. Zero or negative values evaluate every
@@ -36,53 +36,40 @@ func (w *WorkerDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
 	return scoreTopK(ctx, candidates, newScorer, k)
 }
 
-// prepare narrows the candidate set and builds the per-goroutine scorer
-// factory. The delta path runs the baseline community detection here, once,
-// before scoring fans out.
+// prepare narrows the candidate set, runs the baseline community detection
+// (once, before scoring fans out) and builds the per-goroutine scorer
+// factory.
 func (w *WorkerDriven) prepare(ctx *Context) ([]int, scorerFactory, error) {
 	candidates, err := ctx.prefilter(ctx.Index, w.CandidateLimit)
 	if err != nil {
 		return nil, nil, err
 	}
 	priors := ctx.ProbSet.Assignment.Priors()
-	if ctx.DeltaScore {
-		detector := ctx.detector()
-		base, err := detector.DetectContext(ctx.ctx(), ctx.Answers, ctx.ProbSet.Validation, priors)
-		if err != nil {
-			return nil, nil, err
-		}
-		baseFaulty := len(base.FaultyWorkers())
-		return candidates, func() (scorerFunc, func()) {
-			scratch := ctx.ProbSet.Validation.Clone()
-			return func(o int) (float64, error) {
-				return expectedFaultyIncremental(ctx, detector, o, priors, scratch, base.Assessments, baseFaulty)
-			}, nil
-		}, nil
+	detector := ctx.detector()
+	base, err := detector.DetectContext(ctx.ctx(), ctx.Answers, ctx.ProbSet.Validation, priors)
+	if err != nil {
+		return nil, nil, err
 	}
+	baseFaulty := len(base.FaultyWorkers())
 	return candidates, func() (scorerFunc, func()) {
 		// One scratch validation per scoring goroutine, set/unset per
 		// hypothesis — not one Clone per (candidate, label).
 		scratch := ctx.ProbSet.Validation.Clone()
 		return func(o int) (float64, error) {
-			return expectedDetectedFaulty(ctx, o, priors, scratch)
+			return expectedFaultyIncremental(ctx, detector, o, priors, scratch, base.Assessments, baseFaulty)
 		}, nil
 	}, nil
 }
 
 // ExpectedDetectedFaultyWorkers computes R(W | o) = Σ_l U(o, l)·R(W | o = l)
-// (Eq. 13) with the exact full-detection reference scorer: the expected
-// number of faulty workers that would be detected if the expert validated
-// object o, where the expectation is taken over the current label
-// distribution of o.
+// (Eq. 13) by full recount: the expected number of faulty workers that would
+// be detected if the expert validated object o, where the expectation is
+// taken over the current label distribution of o, and every hypothesis
+// re-runs the whole community detection. It is the reference the
+// incremental scorer of WorkerDriven is tested against.
 func ExpectedDetectedFaultyWorkers(ctx *Context, object int, priors []float64) (float64, error) {
-	return expectedDetectedFaulty(ctx, object, priors, ctx.ProbSet.Validation.Clone())
-}
-
-// expectedDetectedFaulty is ExpectedDetectedFaultyWorkers against a
-// caller-owned scratch validation, mutated and restored per hypothesis. The
-// scratch must equal ctx.ProbSet.Validation on entry.
-func expectedDetectedFaulty(ctx *Context, object int, priors []float64, scratch *model.Validation) (float64, error) {
 	detector := ctx.detector()
+	hypo := ctx.ProbSet.Validation.Clone()
 	m := ctx.ProbSet.Assignment.NumLabels()
 	expected := 0.0
 	for l := 0; l < m; l++ {
@@ -90,9 +77,8 @@ func expectedDetectedFaulty(ctx *Context, object int, priors []float64, scratch 
 		if p <= 0 {
 			continue
 		}
-		scratch.Set(object, model.Label(l))
-		count, err := detector.CountFaultyContext(ctx.ctx(), ctx.Answers, scratch, priors)
-		scratch.Set(object, model.NoLabel)
+		hypo.Set(object, model.Label(l))
+		count, err := detector.CountFaultyContext(ctx.ctx(), ctx.Answers, hypo, priors)
 		if err != nil {
 			return 0, err
 		}

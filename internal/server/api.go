@@ -67,9 +67,9 @@ type SessionConfig struct {
 	DeltaScoring bool `json:"deltaScoring,omitempty"`
 	// CostBudget enables the monetary budget tracker (WithCostBudget): the
 	// total budget b, charged θ per expert validation; further submissions
-	// are refused with ErrBudgetExhausted (HTTP 409) once it is spent. The
-	// "budget" option above is the distinct effort *count* limit. Zero
-	// leaves the session unbudgeted.
+	// and selections are refused with ErrBudgetExhausted (HTTP 409) once it
+	// is spent. The "budget" option above is the distinct effort *count*
+	// limit. Zero leaves the session unbudgeted.
 	CostBudget float64 `json:"costBudget,omitempty"`
 	// CostTheta overrides the expert-to-crowd cost ratio θ; 0 keeps the
 	// default (≈ 12.5).

@@ -427,23 +427,9 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	return e, nil
 }
 
-// update runs fn with exclusive access to the named session, transparently
-// resuming it from its park file when it is parked. Afterwards the session's
-// memory estimate is re-accounted and, when the budget is exceeded, cold
-// sessions are parked (never the one just used).
-func (m *Manager) update(ctx context.Context, name string, fn func(*crowdval.Session) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	e, err := m.lookup(name)
-	if err != nil {
-		return err
-	}
-	return m.exclusive(e, name, fn)
-}
-
-// updateLogged is update with the log-before-apply discipline: rec is
-// appended to the session's WAL (when one is configured) before fn runs, a
+// updateLogged runs fn with exclusive access to the named session (see
+// exclusive) under the log-before-apply discipline: rec is appended to the
+// session's WAL (when one is configured) before fn runs, a
 // failed append skips fn entirely, and a checkpoint is taken afterwards when
 // due. fn's own error does not suppress the logged record — replaying a
 // record whose application failed re-fails deterministically, because the
@@ -477,9 +463,11 @@ func (m *Manager) updateLogged(ctx context.Context, name string, rec wal.Record,
 	})
 }
 
-// exclusive is the shared write path behind update and view's parked-session
-// fallback: lock the entry, resume it if parked, run fn, re-account and park
-// budget victims.
+// exclusive is the shared write path — logged updates, ingest drains, the
+// fabric's snapshot and replication paths, and the parked-session fallback
+// of view and the global ranking: lock the entry, resume it if parked, run
+// fn, re-account the session's memory and park budget victims (never the
+// session just used).
 func (m *Manager) exclusive(e *entry, name string, fn func(*crowdval.Session) error) error {
 	e.mu.Lock()
 	if e.deleted {
@@ -980,9 +968,6 @@ func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resume
 	var out []crowdval.GlobalNextCandidate
 	fn := func(s *crowdval.Session) error {
 		tracker, hasBudget := s.CostBudget()
-		if hasBudget && tracker.Exhausted() {
-			return nil
-		}
 		ranked, err := s.NextObjectsContext(ctx, k)
 		if err != nil {
 			if errors.Is(err, cverr.ErrSessionDone) || errors.Is(err, cverr.ErrNoCandidates) ||

@@ -139,14 +139,15 @@ func WithUncertaintyGoal(threshold float64) Option {
 func WithSeed(seed int64) Option { return func(c *sessionConfig) { c.seed = seed } }
 
 // WithExact opts a session out of both delta paths: every aggregation runs
-// the full warm-started EM to convergence, and guidance scores each
-// (candidate, label) hypothesis with a full warm EM — the paper's literal
-// i-EM and Eq. 8, the reference the delta paths are measured against. A
+// the full warm-started EM to convergence, and uncertainty-driven guidance
+// scores each (candidate, label) hypothesis with a full warm EM — the
+// paper's literal i-EM and Eq. 8, the reference the delta paths are measured
+// against. The worker-driven scorer is exact and the same in both modes. A
 // serving tier never merges an exact session's concurrent ingests, so such a
 // session stays bit-for-bit equal to a serial replay of its requests. Exact
 // sessions are slower: a validation re-converges the whole corpus (about 20
 // full sweeps on the serving workloads), and a guided selection runs a warm
-// EM per hypothesis.
+// EM per hypothesis of the uncertainty-driven strategy.
 //
 // The option is captured in snapshots: a resumed session keeps its mode.
 // WithDeltaIngest or WithDeltaScoring after WithExact turns the named path
@@ -189,10 +190,11 @@ func WithDeltaMaxDirtyFraction(fraction float64) Option {
 // hundreds of warm-EM runs into milliseconds (see BENCHMARKS.md,
 // BenchmarkNextObject).
 //
-// The worker-driven scorer stays exact under this option; the
-// uncertainty-driven scorer approximates the full-EM reference, and
-// selections agree with it up to a documented information-gain tolerance
-// (see the parity suite), but not bit-for-bit. The option is captured in
+// The option affects the uncertainty-driven scorer (alone or as a hybrid
+// branch), which then approximates the full-EM reference: selections agree
+// with it up to a documented information-gain tolerance (see the parity
+// suite), but not bit-for-bit. The worker-driven strategy has one exact
+// scorer, the same with and without the option. The option is captured in
 // snapshots: a resumed session keeps its scoring mode.
 func WithDeltaScoring() Option { return func(c *sessionConfig) { c.deltaScoring = true } }
 
@@ -200,8 +202,8 @@ func WithDeltaScoring() Option { return func(c *sessionConfig) { c.deltaScoring 
 // model: every accepted validation is charged against the tracker (θ crowd-
 // answer units per validation, batches as a whole), and once neither the
 // budget nor the optional completion-time deadline admits another validation,
-// submissions fail with ErrBudgetExhausted and Done reports true, so
-// RunWithOracle stops there. This is the monetary counterpart
+// submissions and selections (NextObject, NextObjects) fail with
+// ErrBudgetExhausted and Done reports true, so RunWithOracle stops there. This is the monetary counterpart
 // of WithBudget's plain validation count; the two compose — whichever limit
 // is hit first stops the spending. A failed submission refunds its charge, so
 // errors are free.
@@ -293,10 +295,10 @@ func newSession(answers *AnswerSet, cfg sessionConfig, restored *core.RestoredSt
 		SloppyThreshold:  cfg.sloppyThreshold,
 		Parallelism:      cfg.parallelism,
 	}
-	// Aggregator is left nil: the engine builds an IncrementalEM with
-	// Parallelism = MaxParallelism, and — when parallel scoring is on — a
-	// serial variant for the guidance step so the two levels of parallelism
-	// do not multiply.
+	// The engine builds its IncrementalEM with Parallelism =
+	// MaxParallelism, and — when parallel scoring is on — a Parallelism-1
+	// copy for the guidance step so the two levels of parallelism do not
+	// multiply.
 	engineCfg := core.Config{
 		Strategy:            strategy,
 		Detector:            detector,

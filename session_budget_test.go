@@ -64,6 +64,42 @@ func TestRunWithOracleStopsAtCostBudget(t *testing.T) {
 	}
 }
 
+// TestSelectionRefusedPastCostBudget: once the monetary budget admits no
+// further validation, selections fail with ErrBudgetExhausted like they do
+// past the effort budget, and refuse before the hybrid roulette draw, so the
+// session's pseudo-random state (part of the snapshot) is left as it was.
+func TestSelectionRefusedPastCostBudget(t *testing.T) {
+	budgets := map[string]Option{
+		"cost":   WithCostBudget(CostTracker{Theta: 1, Budget: 2}),
+		"effort": WithBudget(2),
+	}
+	for name, budget := range budgets {
+		t.Run(name, func(t *testing.T) {
+			d := spammyCrowd(t, 30, 8, 5)
+			s, err := NewSession(d.Answers, WithStrategy(StrategyHybrid), WithSeed(5), budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.RunWithOracle(d.Truth); err != nil || n != 2 {
+				t.Fatalf("RunWithOracle = %d, %v; want 2 validations", n, err)
+			}
+			if !s.Done() {
+				t.Fatal("Done is false with the budget exhausted")
+			}
+			before := mustSnapshot(t, s)
+			if object, err := s.NextObject(); !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("NextObject past the budget = %d, %v; want ErrBudgetExhausted", object, err)
+			}
+			if ranked, err := s.NextObjects(3); !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("NextObjects past the budget = %v, %v; want ErrBudgetExhausted", ranked, err)
+			}
+			if !bytes.Equal(before, mustSnapshot(t, s)) {
+				t.Fatal("refused selections changed the session state")
+			}
+		})
+	}
+}
+
 // TestSubmitSingleVsBatchOfOne: a validation submitted on its own and the
 // same validation submitted as a batch of one take the same integration
 // path. Under the uncertainty strategy (no worker-driven quarantine) two
