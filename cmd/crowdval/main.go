@@ -175,12 +175,16 @@ func cmdValidate(args []string, out io.Writer) error {
 		timeout     = fs.Duration("timeout", 0, "abort the whole validation run after this duration (0 = no limit)")
 		resumePath  = fs.String("resume", "", "resume the session from this snapshot file instead of starting fresh (options come from the snapshot; -budget and -parallelism may override)")
 		snapOut     = fs.String("snapshot-out", "", "write the session snapshot to this file when the run ends (resume later with -resume)")
+		exact       = fs.Bool("exact", false, "run the paper's literal i-EM: full warm-EM aggregation after every validation and exact candidate scoring, instead of the default delta paths")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *inPath == "" {
 		return fmt.Errorf("validate: -in is required")
+	}
+	if *exact && *resumePath != "" {
+		return fmt.Errorf("validate: -exact cannot be combined with -resume: a resumed session keeps the mode its snapshot records")
 	}
 	file, err := dataset.Load(*inPath)
 	if err != nil {
@@ -232,6 +236,9 @@ func cmdValidate(args []string, out io.Writer) error {
 		}
 		if *period > 0 {
 			opts = append(opts, crowdval.WithConfirmationCheck(*period))
+		}
+		if *exact {
+			opts = append(opts, crowdval.WithExact())
 		}
 		session, err = crowdval.NewSession(file.Dataset.Answers, opts...)
 		if err != nil {

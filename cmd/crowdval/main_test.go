@@ -7,10 +7,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"crowdval"
+	"crowdval/internal/dataset"
 )
 
 func TestCLIEndToEnd(t *testing.T) {
@@ -296,5 +298,71 @@ func TestCLIUnknownStrategyHasTypedName(t *testing.T) {
 	}
 	if name := crowdval.ErrorName(err); name != "ErrUnknownStrategy" {
 		t.Fatalf("ErrorName = %q, want ErrUnknownStrategy", name)
+	}
+}
+
+// TestCLIValidateExact: `validate -exact` runs the literal i-EM session, so
+// its selections are those of a library session built with WithExact() on
+// the same options, and -exact is refused together with -resume.
+func TestCLIValidateExact(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "data.json")
+	var out bytes.Buffer
+	if err := run([]string{"generate", "-out", dataPath, "-objects", "40", "-workers", "10", "-answers-per-object", "4", "-seed", "4"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8
+	out.Reset()
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "8", "-strategy", "uncertainty", "-seed", "2", "-exact"}, &out); err != nil {
+		t.Fatalf("validate -exact: %v", err)
+	}
+	var cli []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "validation ") {
+			cli = append(cli, strings.Fields(strings.SplitN(line, "->", 2)[0])[3])
+		}
+	}
+
+	file, err := dataset.Load(dataPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selections := func(opts ...crowdval.Option) []string {
+		session, err := crowdval.NewSession(file.Dataset.Answers, append([]crowdval.Option{
+			crowdval.WithStrategy(crowdval.StrategyUncertainty), crowdval.WithCandidateLimit(8),
+			crowdval.WithSeed(2), crowdval.WithBudget(budget)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var objects []string
+		for !session.Done() {
+			object, err := session.NextObject()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := session.SubmitValidation(object, file.Dataset.Truth[object]); err != nil {
+				t.Fatal(err)
+			}
+			objects = append(objects, strconv.Itoa(object))
+		}
+		return objects
+	}
+	lib := selections(crowdval.WithExact())
+	if len(lib) != budget || strings.Join(cli, " ") != strings.Join(lib, " ") {
+		t.Fatalf("validate -exact selected %v, a WithExact() library session %v", cli, lib)
+	}
+	// On this crowd the delta session selects differently, so the check
+	// above sees whether -exact reached the session.
+	if delta := selections(); strings.Join(delta, " ") == strings.Join(lib, " ") {
+		t.Fatalf("delta and exact sessions both selected %v; the crowd cannot tell the modes apart", delta)
+	}
+
+	snapPath := filepath.Join(dir, "session.cvsn")
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "2", "-snapshot-out", snapPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"validate", "-in", dataPath, "-resume", snapPath, "-exact"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-exact cannot be combined with -resume") {
+		t.Fatalf("validate -resume -exact: error %v, want a refusal", err)
 	}
 }

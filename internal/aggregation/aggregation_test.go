@@ -213,7 +213,7 @@ func TestBatchEMOutperformsMajorityVoting(t *testing.T) {
 
 func TestBatchEMInitStrategies(t *testing.T) {
 	a, truth := syntheticAnswers(t, 200, []float64{0.9, 0.9, 0.8, 0.6, 0.5}, 7)
-	for _, init := range []InitStrategy{InitMajorityVote, InitUniform, InitRandom} {
+	for _, init := range []InitStrategy{InitMajorityVote, InitRandom} {
 		em := &BatchEM{Init: init, Rand: rand.New(rand.NewSource(3))}
 		res, err := em.Aggregate(a, nil, nil)
 		if err != nil {

@@ -18,8 +18,6 @@ const (
 	// InitMajorityVote initializes the assignment matrix with per-object
 	// label frequencies. This is the standard Dawid–Skene initialization.
 	InitMajorityVote InitStrategy = iota
-	// InitUniform initializes every object with the uniform distribution.
-	InitUniform
 	// InitRandom initializes every object with a random distribution,
 	// matching the "random probability estimation" the paper attributes to
 	// traditional, non-incremental EM.
@@ -52,10 +50,6 @@ const (
 	DefaultMaxIterations = 100
 	DefaultTolerance     = 1e-4
 	DefaultSmoothing     = 1e-2
-
-	// uniformInitAccuracy is the assumed worker accuracy used to break the
-	// symmetry of a uniform cold start (see BatchEM.Aggregate).
-	uniformInitAccuracy = 0.7
 )
 
 func (c EMConfig) maxIterations() int {
@@ -117,21 +111,9 @@ func (b *BatchEM) AggregateContext(ctx context.Context, answers *model.AnswerSet
 	if err != nil {
 		return nil, err
 	}
-	var confusions []*model.ConfusionMatrix
-	if b.Init == InitUniform {
-		// A fully uniform assignment is a degenerate EM fixed point: soft
-		// counts would yield rank-one confusion matrices and the E-step
-		// would reproduce the uniform distribution. Break the symmetry by
-		// assuming workers are better than random.
-		confusions = make([]*model.ConfusionMatrix, answers.NumWorkers())
-		for w := range confusions {
-			confusions[w] = model.NewDiagonalConfusionMatrix(answers.NumLabels(), uniformInitAccuracy)
-		}
-	} else {
-		confusions, err = initialConfusions(ctx, answers, assignment, b.Config.smoothing(), b.Config.Parallelism)
-		if err != nil {
-			return nil, err
-		}
+	confusions, err := initialConfusions(ctx, answers, assignment, b.Config.smoothing(), b.Config.Parallelism)
+	if err != nil {
+		return nil, err
 	}
 	return runEM(ctx, answers, validation, assignment, confusions, b.Config)
 }
@@ -146,9 +128,6 @@ func (b *BatchEM) initialAssignment(ctx context.Context, answers *model.AnswerSe
 		if err != nil {
 			return nil, err
 		}
-	case InitUniform:
-		// NewAssignmentMatrix is already uniform.
-		u = model.NewAssignmentMatrix(n, m)
 	case InitRandom:
 		u = model.NewAssignmentMatrix(n, m)
 		rng := b.Rand

@@ -92,9 +92,6 @@ func TestParallelEMBitwiseEqualsSerial(t *testing.T) {
 		{"batch-mv", func(p int) aggregator {
 			return &BatchEM{Config: EMConfig{Parallelism: p}}
 		}},
-		{"batch-uniform", func(p int) aggregator {
-			return &BatchEM{Init: InitUniform, Config: EMConfig{Parallelism: p}}
-		}},
 		{"batch-random", func(p int) aggregator {
 			return &BatchEM{Init: InitRandom, Rand: rand.New(rand.NewSource(5)), Config: EMConfig{Parallelism: p}}
 		}},

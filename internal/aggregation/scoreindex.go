@@ -38,7 +38,11 @@ import (
 // ripple row and hypothesis, and no exp. A ripple row costs O(its touched
 // answers) — usually one — instead of O(its degree), and no object's answer
 // list is read. Rows whose factors leave the normal float range fall back to
-// taking their m−1 exponentials directly.
+// taking their m−1 exponentials directly. A row hit by one touched answer —
+// most rows — reads that answer's staged run in place; only a row hit twice
+// gets an accumulator of its own. Binary candidates score their rows in a
+// kernel that holds both hypotheses in locals and repeats the m-label loop's
+// floating-point operations one for one, so the two agree bit for bit.
 //
 // The result is a first-order estimate of the exact conditional uncertainty:
 // it captures the hypothesis' local ripple (the frontier's rows and its
@@ -260,28 +264,36 @@ type HypoScratch struct {
 	sums  []float64
 	// staged holds, per touched worker, one 4m-float run per answered label
 	// a: the "other" and "own" re-estimated-minus-current log entries
-	// (m each), then their exponentials.
+	// (m each), then their exponentials. After the touched workers' runs
+	// come the accumulators of the ripple rows hit more than once, each a
+	// 4m-float run laid out like a staged run: the "other" and "own" logit
+	// changes Δ, then the products Π of their exponentials.
 	staged []float64
-	// ripple lists the candidate's ripple rows in first-seen order; acc
-	// holds 4m floats per row, laid out like a staged run: the "other" and
-	// "own" logit changes Δ, then the products Π of their exponentials
-	// (turned into the row's logits and factors before its entropy is
-	// taken).
+	// ripple lists the candidate's ripple rows in first-seen order, and
+	// pos[slot] is the offset in staged of the row's sums: of its first
+	// hit's staged run while the row has one hit (that run is its sums, so
+	// it is read in place), and of its own accumulator, which starts as a
+	// copy of that run, from its second hit on.
 	// hits counts each row's touched answers (the factors in its Π). seen
 	// maps an object to its ripple slot: seen[o] − base is o's slot when it
 	// lies in [0, len(ripple)), and negative otherwise. Each candidate moves
 	// base past every slot it handed out, so no clearing is needed between
 	// candidates.
 	ripple []int
-	acc    []float64
+	pos    []int
 	hits   []int32
 	seen   []int32
 	base   int32
+	// row holds one ripple row's logits and factors for the m-label loop.
+	row []float64
 	// deltaH holds each hypothesis' entropy change.
 	deltaH []float64
 	// fallbacks counts the ripple rows whose entropy was taken with exp
 	// because their factors could not be trusted.
 	fallbacks int
+	// generic makes a binary scratch score its ripple rows with the m-label
+	// loop instead of the binary kernel; the kernel-equality test sets it.
+	generic bool
 }
 
 // NewHypoScratch prepares a per-goroutine scratch for hypothetical scoring.
@@ -296,6 +308,7 @@ func (ix *ScoreIndex) NewHypoScratch() *HypoScratch {
 		confT:  make([]float64, m*m),
 		own:    make([]float64, m),
 		sums:   make([]float64, 2*m),
+		row:    make([]float64, 4*m),
 		seen:   make([]int32, ix.n),
 		base:   1,
 		deltaH: make([]float64, m),
@@ -379,13 +392,18 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 
 	// Frontier M-step: every answering worker's block under all m
 	// hypotheses, staged in scratch as differences to the index's block so
-	// the shared index stays untouched.
+	// the shared index stays untouched. The touched workers' answer count,
+	// reach, bounds the number of ripple rows, and at most reach/2 of them
+	// can be hit more than once.
 	touched := ix.answers.ObjectView(object)
-	sc.staged = grow(sc.staged, len(touched)*m*run)
 	reach := 0
+	for _, wa := range touched {
+		reach += len(ix.answers.WorkerView(wa.Worker))
+	}
+	stagedLen := len(touched) * m * run
+	sc.staged = grow(sc.staged, stagedLen+reach/2*run)
 	maxStaged := 0.0
 	for i, wa := range touched {
-		reach += len(ix.answers.WorkerView(wa.Worker))
 		maxStaged = math.Max(maxStaged, sc.stageWorker(sc.staged[i*m*run:(i+1)*m*run], wa.Worker, object))
 	}
 	// A row may multiply up to maxHits factors, each within e^±maxStaged.
@@ -397,9 +415,8 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	// Frontier E-step, from the touched workers' side: every answer of a
 	// touched worker adds its staged log entries to the Δ of the answered
 	// object and multiplies their exponentials into its Π. Objects shared by
-	// several touched workers get one slot, in first-seen order; the touched
-	// workers' answer count bounds the number of slots.
-	sc.acc = grow(sc.acc, reach*run)
+	// several touched workers get one slot, in first-seen order.
+	sc.pos = grow(sc.pos, reach)
 	sc.hits = grow(sc.hits, reach)
 	sc.ripple = grow(sc.ripple, reach)
 	if int(sc.base) > math.MaxInt32-ix.n {
@@ -408,31 +425,40 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	}
 	base := sc.base
 	sc.ripple = sc.ripple[:0]
+	next := stagedLen
 	for i, wa := range touched {
-		st := sc.staged[i*m*run : (i+1)*m*run]
+		st := i * m * run
 		for _, oa := range ix.answers.WorkerView(wa.Worker) {
 			r := oa.Object
 			if r == object {
 				continue
 			}
-			src := st[int(oa.Label)*run:][:run]
+			src := st + int(oa.Label)*run
 			slot := int(sc.seen[r] - base)
 			if slot < 0 {
-				// A first hit starts the sums at its own entries, which is
-				// what adding them to 0 and multiplying them into 1 gives.
+				// A first hit's sums are its own entries, which is what
+				// adding them to 0 and multiplying them into 1 gives; the
+				// row reads them where they were staged.
 				slot = len(sc.ripple)
 				sc.seen[r] = base + int32(slot)
 				sc.ripple = append(sc.ripple, r)
-				copy(sc.acc[slot*run:(slot+1)*run], src)
+				sc.pos[slot] = src
 				sc.hits[slot] = 1
 				continue
 			}
-			dst := sc.acc[slot*run : (slot+1)*run]
-			for j, v := range src[:2*m] {
+			at := sc.pos[slot]
+			if sc.hits[slot] == 1 {
+				copy(sc.staged[next:next+run], sc.staged[at:at+run])
+				at, sc.pos[slot] = next, next
+				next += run
+			}
+			dst := sc.staged[at : at+run]
+			add := sc.staged[src : src+run]
+			for j, v := range add[:2*m] {
 				dst[j] += v
 			}
 			prod := dst[2*m:]
-			for j, v := range src[2*m:] {
+			for j, v := range add[2*m:] {
 				prod[j] *= v
 			}
 			sc.hits[slot]++
@@ -445,24 +471,29 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 	for h := range sc.deltaH {
 		sc.deltaH[h] = -ix.entropies[object]
 	}
-	validation := ix.probSet.Validation
-	for slot, r := range sc.ripple {
-		if validation.Get(r) != model.NoLabel {
-			continue
+	if m == 2 && !sc.generic {
+		sc.binaryRipple(probs, maxHits)
+	} else {
+		validation := ix.probSet.Validation
+		row := sc.row
+		for slot, r := range sc.ripple {
+			if validation.Get(r) != model.NoLabel {
+				continue
+			}
+			// Turn the row's sums into its hypothetical logits x and
+			// factors q = R·Π, "other" and "own" variants alike.
+			sums := sc.staged[sc.pos[slot]:][:run]
+			lr := ix.logRows[r*m : (r+1)*m]
+			rx := ix.rowExp[r*m : (r+1)*m]
+			for l, v := range lr {
+				b := ix.logPriors[l] + v
+				row[l] = sums[l] + b
+				row[m+l] = sums[m+l] + b
+				row[2*m+l] = sums[2*m+l] * rx[l]
+				row[3*m+l] = sums[3*m+l] * rx[l]
+			}
+			sc.addRowEntropies(row, probs, sc.hits[slot] <= maxHits, ix.entropies[r])
 		}
-		// Turn the row's accumulators into its hypothetical logits x and
-		// factors q = R·Π, "other" and "own" variants alike.
-		acc := sc.acc[slot*run : (slot+1)*run]
-		lr := ix.logRows[r*m : (r+1)*m]
-		rx := ix.rowExp[r*m : (r+1)*m]
-		for l, v := range lr {
-			b := ix.logPriors[l] + v
-			acc[l] += b
-			acc[m+l] += b
-			acc[2*m+l] *= rx[l]
-			acc[3*m+l] *= rx[l]
-		}
-		sc.addRowEntropies(acc, probs, sc.hits[slot] <= maxHits, ix.entropies[r])
 	}
 
 	expected := 0.0
@@ -541,6 +572,106 @@ func (sc *HypoScratch) addRowEntropies(acc, probs []float64, trusted bool, hr fl
 		}
 		sc.deltaH[h] += math.Log(s) - t/s - hr
 	}
+}
+
+// binaryRipple is addRowEntropies over every unvalidated ripple row of a
+// binary candidate, in ripple order, with both hypotheses' logits, factors
+// and entropy changes held in locals. It forms each row's logits and factors
+// as the m-label loop does and takes S and T with exactly the operations,
+// in exactly the order, of addRowEntropies — strict > for the maximal
+// logit, the same trust test and exp fallback, s and t summed from 0 — so
+// deltaH and fallbacks come out bit-identical to the m-label loop's. The
+// two hypotheses run the same code on different inputs; it is written out
+// twice because a function that size is not inlined, and a call per row and
+// hypothesis made BenchmarkHypoScorer/m=2 measurably slower.
+func (sc *HypoScratch) binaryRipple(probs []float64, maxHits int32) {
+	ix := sc.ix
+	validation := ix.probSet.Validation
+	lp0, lp1 := ix.logPriors[0], ix.logPriors[1]
+	live0, live1 := probs[0] > 0, probs[1] > 0
+	d0, d1 := sc.deltaH[0], sc.deltaH[1]
+	fallbacks := 0
+	for slot, r := range sc.ripple {
+		if validation.Get(r) != model.NoLabel {
+			continue
+		}
+		sums := sc.staged[sc.pos[slot]:][:8]
+		lr := ix.logRows[2*r:][:2]
+		rx := ix.rowExp[2*r:][:2]
+		b0 := lp0 + lr[0]
+		b1 := lp1 + lr[1]
+		// The "other" (o) and "own" (w) logits and factors of both labels.
+		xo0, xo1, xw0, xw1 := sums[0]+b0, sums[1]+b1, sums[2]+b0, sums[3]+b1
+		qo0, qo1, qw0, qw1 := sums[4]*rx[0], sums[5]*rx[1], sums[6]*rx[0], sums[7]*rx[1]
+		trusted := sc.hits[slot] <= maxHits
+		hr := ix.entropies[r]
+		// Hypothesis 0 reads label 0's "own" variants and label 1's
+		// "other" ones; hypothesis 1 the reverse.
+		if live0 {
+			x0, x1, q0, q1 := xw0, xo1, qw0, qo1
+			arg, maxLog, qArg := 0, x0, q0
+			if x1 > maxLog {
+				arg, maxLog, qArg = 1, x1, q1
+			}
+			s, t := 0.0, 0.0
+			ok := trusted && isNormal(qArg)
+			if ok {
+				ok = isNormal(q0)
+				e := q0 / qArg
+				s += e
+				t += e * (x0 - maxLog)
+				ok = ok && isNormal(q1)
+				e = q1 / qArg
+				s += e
+				t += e * (x1 - maxLog)
+			}
+			if !ok {
+				fallbacks++
+				s, t = binaryFallback(x0, x1, maxLog, arg)
+			}
+			d0 += math.Log(s) - t/s - hr
+		}
+		if live1 {
+			x0, x1, q0, q1 := xo0, xw1, qo0, qw1
+			arg, maxLog, qArg := 0, x0, q0
+			if x1 > maxLog {
+				arg, maxLog, qArg = 1, x1, q1
+			}
+			s, t := 0.0, 0.0
+			ok := trusted && isNormal(qArg)
+			if ok {
+				ok = isNormal(q0)
+				e := q0 / qArg
+				s += e
+				t += e * (x0 - maxLog)
+				ok = ok && isNormal(q1)
+				e = q1 / qArg
+				s += e
+				t += e * (x1 - maxLog)
+			}
+			if !ok {
+				fallbacks++
+				s, t = binaryFallback(x0, x1, maxLog, arg)
+			}
+			d1 += math.Log(s) - t/s - hr
+		}
+	}
+	sc.deltaH[0], sc.deltaH[1] = d0, d1
+	sc.fallbacks += fallbacks
+}
+
+// binaryFallback is addRowEntropies' exp fallback for a binary row: S and T
+// from the one exponential of the non-maximal logit.
+func binaryFallback(x0, x1, maxLog float64, arg int) (s, t float64) {
+	d := x1 - maxLog
+	if arg == 1 {
+		d = x0 - maxLog
+	}
+	s, t = 1, 0
+	e := math.Exp(d)
+	s += e
+	t += e * d
+	return s, t
 }
 
 // isNormal reports whether v is a positive, finite, normal float64 (false

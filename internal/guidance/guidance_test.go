@@ -154,7 +154,7 @@ func TestInformationGainPrefersAmbiguousObjects(t *testing.T) {
 		}
 	}
 	if mostAmbiguous == leastAmbiguous {
-		t.Skip("degenerate aggregation: all objects equally certain")
+		t.Fatal("degenerate aggregation: the pinned crowd (seed 3) must leave objects of different certainty")
 	}
 	currentH := aggregation.Uncertainty(ctx.ProbSet)
 	igMost, err := InformationGain(ctx, mostAmbiguous, currentH)

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
-	"time"
 )
 
 // spammyCrowd generates a crowd with a heavy spammer presence, so that the
@@ -287,7 +287,7 @@ func TestAddAnswersStashesQuarantinedWorkers(t *testing.T) {
 	driveSteps(t, s, d.Truth, 15)
 	quarantined := s.QuarantinedWorkers()
 	if len(quarantined) == 0 {
-		t.Skip("no worker quarantined with this seed")
+		t.Fatal("no worker quarantined: the pinned crowd (seed 7) and session seed (11) must quarantine one")
 	}
 	w := quarantined[0]
 	workingBefore := s.ProbabilisticResult().Answers.AnswerCount()
@@ -445,9 +445,43 @@ func TestContextCancellationLeavesStateIntact(t *testing.T) {
 	}
 }
 
-// TestCancelMidEM cancels a context while a large aggregation is running and
-// asserts the cancellation surfaces as context.Canceled with the session
-// still usable afterwards.
+// pollCancelCtx is a context that cancels itself on its k-th Err poll. The
+// engine polls its context at fixed points — once per iteration of the delta
+// frontier phase, at every shard boundary of a full sweep, between stages —
+// so on a serial session a given k lands at the same point of the same
+// aggregation on every run. k = 0 never cancels and only counts the polls.
+type pollCancelCtx struct {
+	context.Context
+	mu    sync.Mutex
+	k     int
+	polls int
+	done  chan struct{}
+}
+
+func newPollCancelCtx(k int) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.polls++
+	if c.k == 0 || c.polls < c.k {
+		return nil
+	}
+	if c.polls == c.k {
+		close(c.done)
+	}
+	return context.Canceled
+}
+
+// TestCancelMidEM cancels a validation at every poll of its context in
+// turn — on this crowd the spam assessment, the delta frontier iteration and
+// the settle sweep's E- and M-steps — and asserts each cancellation surfaces
+// as context.Canceled with the session untouched, and that a resubmission
+// then takes the step an uncancelled session takes.
 func TestCancelMidEM(t *testing.T) {
 	d, err := GenerateCrowd(CrowdConfig{
 		NumObjects: 3000, NumWorkers: 60, NumLabels: 2,
@@ -456,32 +490,50 @@ func TestCancelMidEM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(d.Answers, WithStrategy(StrategyBaseline), WithBudget(50))
+	newSession := func() (*Session, int) {
+		s, err := NewSession(d.Answers, WithStrategy(StrategyBaseline), WithBudget(50), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		object, err := s.NextObject()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, object
+	}
+
+	control, object := newSession()
+	counter := newPollCancelCtx(0)
+	want, err := control.SubmitValidationContext(counter, object, d.Truth[object])
 	if err != nil {
 		t.Fatal(err)
 	}
-	object, err := s.NextObject()
-	if err != nil {
-		t.Fatal(err)
+	polls := counter.polls
+	t.Logf("an uncancelled validation polls its context %d times", polls)
+	// The delta frontier phase polls once per iteration and each settle
+	// sweep at least four times (its E- and M-step, each on entry and exit).
+	if polls < 5 {
+		t.Fatalf("an uncancelled validation polled its context %d times, want at least 5", polls)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(200 * time.Microsecond)
-		cancel()
-	}()
-	_, err = s.SubmitValidationContext(ctx, object, d.Truth[object])
-	if err == nil {
-		t.Skip("aggregation finished before the cancellation landed")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-EM cancellation: %v", err)
-	}
-	if s.Validation().Validated(object) || s.EffortSpent() != 0 {
-		t.Fatal("cancelled mid-EM submission corrupted the session state")
-	}
-	// Resubmitting with a live context succeeds.
-	if _, err := s.SubmitValidation(object, d.Truth[object]); err != nil {
-		t.Fatalf("resubmission after cancellation: %v", err)
+	for k := 1; k <= polls; k++ {
+		s, o := newSession()
+		if o != object {
+			t.Fatalf("fresh session selected %d, control %d", o, object)
+		}
+		ctx := newPollCancelCtx(k)
+		if _, err := s.SubmitValidationContext(ctx, o, d.Truth[o]); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: error %v, want context.Canceled", k, polls, err)
+		}
+		if s.Validation().Validated(o) || s.EffortSpent() != 0 {
+			t.Fatalf("cancellation at poll %d of %d corrupted the session state", k, polls)
+		}
+		got, err := s.SubmitValidation(o, d.Truth[o])
+		if err != nil {
+			t.Fatalf("resubmission after cancellation at poll %d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("after cancellation at poll %d, resubmission gave %+v, uncancelled session %+v", k, got, want)
+		}
 	}
 }
 
