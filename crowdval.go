@@ -145,21 +145,14 @@ func NewAnswerSetFromMatrix(matrix [][]int, numLabels int) (*AnswerSet, error) {
 		return nil, fmt.Errorf("%w: explicit numLabels %d but the matrix contains label %d (labels are 0-based, so it needs at least %d)",
 			cverr.ErrOutOfRange, numLabels, maxLabel, maxLabel+1)
 	}
-	answers, err := model.NewAnswerSet(len(matrix), width, numLabels)
-	if err != nil {
-		return nil, err
-	}
-	for o, row := range matrix {
-		for w, v := range row {
-			if v < 0 {
-				continue
-			}
-			if err := answers.SetAnswer(o, w, Label(v)); err != nil {
-				return nil, err
-			}
+	return model.LoadAnswers(len(matrix), width, numLabels, len(matrix)*width, func(i int) Answer {
+		o, w := i/width, i%width
+		label := Label(matrix[o][w])
+		if label < 0 {
+			label = NoLabel
 		}
-	}
-	return answers, nil
+		return Answer{Object: o, Worker: w, Label: label}
+	})
 }
 
 // NewValidation creates an empty expert validation function for numObjects

@@ -12,8 +12,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"unsafe"
 
 	"crowdval/internal/aggregation"
 	"crowdval/internal/cost"
@@ -846,6 +848,155 @@ func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, ra
 		clear(e.rankCache)
 	}
 	e.rankCache[exec] = entry
+}
+
+// RankingMemo is an engine's memoized rankings detached from it, so that an
+// engine restored from a snapshot of the same state can serve them without
+// re-ranking: RestoreEngine installs the probabilistic state bit for bit, a
+// ranking is a pure function of that state, and the hybrid draw is consumed
+// before the memo lookup, so a carried ranking is exact. Entries are keyed
+// by the role their strategy plays in the engine, because a restored engine
+// has new strategy instances. The zero value and nil are the empty memo.
+type RankingMemo struct {
+	state   memoState
+	entries map[memoRole]cachedRanking
+}
+
+// memoRole names a strategy by the part it plays in an engine: the engine's
+// own strategy, or the hybrid's uncertainty or worker branch.
+type memoRole uint8
+
+const (
+	roleStrategy memoRole = iota
+	roleUncertainty
+	roleWorker
+)
+
+// memoState is the part of an engine's state and configuration a carried
+// memo is checked against before an engine adopts it: shape, progress,
+// scoring setup and a hash of the probabilistic state's bits. It does not
+// prove two states equal — carrying a memo only from a parked engine to the
+// engine resumed from that park's snapshot does — but it refuses a memo
+// handed to an engine that has moved on or never held that state.
+type memoState struct {
+	objects, workers, labels, answers, validated int
+	iteration, effort                            int
+	strategy                                     string
+	deltaScoring                                 bool
+	candidateLimit                               [3]int
+	probHash                                     uint64
+}
+
+// memoRoles returns the roles of the engine's cacheable strategies with
+// their instances.
+func (e *Engine) memoRoles() map[memoRole]guidance.Strategy {
+	if e.hybrid != nil {
+		return map[memoRole]guidance.Strategy{roleUncertainty: e.hybrid.Uncertainty, roleWorker: e.hybrid.Worker}
+	}
+	return map[memoRole]guidance.Strategy{roleStrategy: e.strategy}
+}
+
+// memoState samples the engine's memoState. Callers hold selMu.
+func (e *Engine) memoState() memoState {
+	st := memoState{
+		objects:      e.working.NumObjects(),
+		workers:      e.working.NumWorkers(),
+		labels:       e.working.NumLabels(),
+		answers:      e.AnswerCount(),
+		validated:    e.validation.Count(),
+		iteration:    e.iteration,
+		effort:       e.effortSpent,
+		strategy:     e.strategy.Name(),
+		deltaScoring: e.cfg.DeltaScoring,
+		probHash:     probHash(e.probSet),
+	}
+	for role, s := range e.memoRoles() {
+		switch s := s.(type) {
+		case *guidance.UncertaintyDriven:
+			st.candidateLimit[role] = s.CandidateLimit
+		case *guidance.WorkerDriven:
+			st.candidateLimit[role] = s.CandidateLimit
+		}
+	}
+	return st
+}
+
+// probHash folds the bits of a probabilistic state's assignment rows and
+// confusion matrices into one FNV-1a style hash.
+func probHash(p *model.ProbabilisticAnswerSet) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(f float64) {
+		h ^= math.Float64bits(f)
+		h *= 1099511628211
+	}
+	for o := 0; o < p.Assignment.NumObjects(); o++ {
+		for _, f := range p.Assignment.RowSlice(o) {
+			mix(f)
+		}
+	}
+	for _, c := range p.Confusions {
+		m := model.Label(c.NumLabels())
+		for l := model.Label(0); l < m; l++ {
+			for l2 := model.Label(0); l2 < m; l2++ {
+				mix(c.At(l, l2))
+			}
+		}
+	}
+	return h
+}
+
+// TakeRankingMemo detaches the engine's memoized rankings of its current
+// state, keyed by role. The engine keeps none of them. It returns nil when
+// nothing is memoized. A serving tier takes the memo in the same exclusive
+// section that snapshots the engine for parking, so both describe one state.
+func (e *Engine) TakeRankingMemo() *RankingMemo {
+	e.selMu.Lock()
+	defer e.selMu.Unlock()
+	memo := &RankingMemo{entries: make(map[memoRole]cachedRanking)}
+	for role, s := range e.memoRoles() {
+		if entry, ok := e.rankCache[s]; ok {
+			memo.entries[role] = entry
+		}
+	}
+	clear(e.rankCache)
+	if len(memo.entries) == 0 {
+		return nil
+	}
+	memo.state = e.memoState()
+	return memo
+}
+
+// InstallRankingMemo hands a carried memo to an engine restored from the
+// snapshot taken together with it, so its next selections are served from
+// the memo instead of a fresh ranking. It reports whether the engine adopted
+// the memo; it refuses an empty memo, a memo whose state sample does not
+// match the engine's, and any memo when the selection cache is disabled.
+func (e *Engine) InstallRankingMemo(memo *RankingMemo) bool {
+	if memo == nil || len(memo.entries) == 0 || e.cfg.DisableSelectionCache {
+		return false
+	}
+	e.selMu.Lock()
+	defer e.selMu.Unlock()
+	if memo.state != e.memoState() {
+		return false
+	}
+	roles := e.memoRoles()
+	for role, entry := range memo.entries {
+		e.rankCache[roles[role]] = entry
+	}
+	return true
+}
+
+// Bytes returns the memory the memo's rankings hold.
+func (m *RankingMemo) Bytes() int64 {
+	if m == nil {
+		return 0
+	}
+	var n int64
+	for _, entry := range m.entries {
+		n += int64(cap(entry.ranked)) * int64(unsafe.Sizeof(guidance.ScoredObject{}))
+	}
+	return n
 }
 
 // beginSelection performs the serialized prologue of one selection under the

@@ -107,15 +107,24 @@ func (a *AnswerSet) workerPos(worker, object int) (int, bool) {
 	return i, i < len(col) && col[i].Object == object
 }
 
-// SetAnswer records that worker answered object with the given label.
-// Passing NoLabel removes a previously recorded answer.
-func (a *AnswerSet) SetAnswer(object, worker int, label Label) error {
+// checkAnswer returns the error SetAnswer fails with for the answer, nil
+// when SetAnswer accepts it.
+func (a *AnswerSet) checkAnswer(object, worker int, label Label) error {
 	if object < 0 || object >= a.numObjects || worker < 0 || worker >= a.numWorkers {
 		return fmt.Errorf("%w: object %d, worker %d (dims %d×%d)",
 			ErrOutOfRange, object, worker, a.numObjects, a.numWorkers)
 	}
 	if label != NoLabel && !label.Valid(a.numLabels) {
 		return fmt.Errorf("%w: label %d (task has %d labels)", ErrInvalidLabel, label, a.numLabels)
+	}
+	return nil
+}
+
+// SetAnswer records that worker answered object with the given label.
+// Passing NoLabel removes a previously recorded answer.
+func (a *AnswerSet) SetAnswer(object, worker int, label Label) error {
+	if err := a.checkAnswer(object, worker, label); err != nil {
+		return err
 	}
 	oi, oFound := a.objectPos(object, worker)
 	if label == NoLabel {
@@ -145,6 +154,103 @@ func (a *AnswerSet) SetAnswer(object, worker int, label Label) error {
 	a.count++
 	a.markAnswerDirty(object, worker)
 	return nil
+}
+
+// LoadAnswers builds the numObjects×numWorkers answer set with numLabels
+// labels that recording at(0), …, at(count−1) one after another with
+// SetAnswer on an empty set builds, and fails with the error of the first
+// answer SetAnswer would reject: a later answer for the same (object,
+// worker) pair replaces an earlier one, and NoLabel removes the pair.
+//
+// It makes no sorted insert per answer. It counts the answers per object and
+// per worker, carves one backing array per side and fills both in (object,
+// worker) order, so a load is linear when the answers already come in that
+// order (as Snapshot writes them) and sorts a copy of them once otherwise.
+// Each row's capacity ends where the next row begins, so a later insert into
+// a row reallocates that row instead of overwriting its neighbour.
+func LoadAnswers(numObjects, numWorkers, numLabels, count int, at func(i int) Answer) (*AnswerSet, error) {
+	a, err := NewAnswerSet(numObjects, numWorkers, numLabels)
+	if err != nil {
+		return nil, err
+	}
+	ordered := true
+	prev := Answer{Object: -1}
+	for i := 0; i < count; i++ {
+		x := at(i)
+		if err := a.checkAnswer(x.Object, x.Worker, x.Label); err != nil {
+			return nil, err
+		}
+		if x.Object < prev.Object || x.Object == prev.Object && x.Worker <= prev.Worker {
+			ordered = false
+		}
+		prev = x
+	}
+	if !ordered {
+		canon := canonicalAnswers(count, at)
+		count, at = len(canon), func(i int) Answer { return canon[i] }
+	}
+
+	// Row starts, offset by one so the counting pass and the prefix sum
+	// share the arrays.
+	objStart := make([]int, numObjects+1)
+	wrkStart := make([]int, numWorkers+1)
+	for i := 0; i < count; i++ {
+		if x := at(i); x.Label != NoLabel {
+			objStart[x.Object+1]++
+			wrkStart[x.Worker+1]++
+			a.count++
+		}
+	}
+	for o := 0; o < numObjects; o++ {
+		objStart[o+1] += objStart[o]
+	}
+	for w := 0; w < numWorkers; w++ {
+		wrkStart[w+1] += wrkStart[w]
+	}
+	objBuf := make([]WorkerAnswer, a.count)
+	wrkBuf := make([]ObjectAnswer, a.count)
+	for o := range a.byObject {
+		if lo, hi := objStart[o], objStart[o+1]; hi > lo {
+			a.byObject[o] = objBuf[lo:lo:hi]
+		}
+	}
+	for w := range a.byWorker {
+		if lo, hi := wrkStart[w], wrkStart[w+1]; hi > lo {
+			a.byWorker[w] = wrkBuf[lo:lo:hi]
+		}
+	}
+	for i := 0; i < count; i++ {
+		x := at(i)
+		if x.Label == NoLabel {
+			continue
+		}
+		a.byObject[x.Object] = append(a.byObject[x.Object], WorkerAnswer{Worker: x.Worker, Label: x.Label})
+		a.byWorker[x.Worker] = append(a.byWorker[x.Worker], ObjectAnswer{Object: x.Object, Label: x.Label})
+	}
+	return a, nil
+}
+
+// canonicalAnswers returns the outcome of at(0), …, at(count−1) in strictly
+// increasing (object, worker) order: the last answer of each pair, with the
+// pairs whose last answer is NoLabel left out.
+func canonicalAnswers(count int, at func(i int) Answer) []Answer {
+	all := make([]Answer, count)
+	for i := range all {
+		all[i] = at(i)
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		return all[i].Object < all[j].Object || all[i].Object == all[j].Object && all[i].Worker < all[j].Worker
+	})
+	out := all[:0]
+	for i, x := range all {
+		if i+1 < len(all) && all[i+1].Object == x.Object && all[i+1].Worker == x.Worker {
+			continue // a later answer for the pair wins
+		}
+		if x.Label != NoLabel {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Answer returns M(o, w): the label worker assigned to object, or NoLabel if

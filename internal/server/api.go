@@ -10,6 +10,7 @@ import (
 
 	"crowdval"
 	"crowdval/internal/cverr"
+	"crowdval/internal/model"
 )
 
 // CreateSessionRequest is the body of POST /v1/sessions. Answers are given
@@ -143,16 +144,10 @@ func (req *CreateSessionRequest) answerSet() (*crowdval.AnswerSet, error) {
 	if len(req.Matrix) > 0 {
 		return crowdval.NewAnswerSetFromMatrix(req.Matrix, req.NumLabels)
 	}
-	answers, err := crowdval.NewAnswerSet(req.Objects, req.Workers, req.NumLabels)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range req.Answers {
-		if err := answers.SetAnswer(a.Object, a.Worker, crowdval.Label(a.Label)); err != nil {
-			return nil, err
-		}
-	}
-	return answers, nil
+	return model.LoadAnswers(req.Objects, req.Workers, req.NumLabels, len(req.Answers), func(i int) crowdval.Answer {
+		a := req.Answers[i]
+		return crowdval.Answer{Object: a.Object, Worker: a.Worker, Label: crowdval.Label(a.Label)}
+	})
 }
 
 // SessionSummary is the response of session creation and listing detail.

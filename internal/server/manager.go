@@ -132,6 +132,10 @@ type Manager struct {
 	globalSelections atomic.Int64 // served marketplace reads (GlobalNext calls)
 	evictions        atomic.Int64
 	resumes          atomic.Int64
+	memoResumes      atomic.Int64 // resumes that adopted a carried ranking memo
+	// memoBytes is the gauge of the bytes held by the ranking memos parked
+	// entries carry (see entry.memo).
+	memoBytes atomic.Int64
 	// Session statistics (EM and delta iterations, delta outcomes,
 	// score-index builds and patches) summed over all sessions; see
 	// foldSession.
@@ -173,6 +177,11 @@ type entry struct {
 	sess     *crowdval.Session // nil while parked (or while creation is in flight)
 	deleted  bool
 	isParked bool
+	// memo is the ranking memo park took from the session together with its
+	// park file. It is set only by park and consumed only by unpark, which
+	// hands it to the session resumed from that file; every other way out of
+	// the parked state (retire, a failed unpark) drops it. Guarded by mu.
+	memo crowdval.RankingMemo
 	// folded is how much of the session's statistics foldSession has
 	// already added to the manager's totals.
 	folded sessionCounters
@@ -385,6 +394,7 @@ func (m *Manager) retire(e *entry) {
 	e.deleted = true
 	e.sess = nil
 	e.isParked = false
+	m.takeMemo(e)
 	if w := e.log; w != nil {
 		switch w.state {
 		case walDegraded:
@@ -564,9 +574,12 @@ func addMonotone(seen, total *atomic.Int64, cur int64) {
 	}
 }
 
-// unpark resumes a parked session from its park file. The caller holds the
-// entry's write lock.
+// unpark resumes a parked session from its park file and hands it the
+// ranking memo park carried, so a session parked with a valid ranking serves
+// its next selection without re-ranking. A failed unpark drops the memo. The
+// caller holds the entry's write lock.
 func (m *Manager) unpark(e *entry) error {
+	memo := m.takeMemo(e)
 	path := m.parkPath(e.name)
 	f, err := os.Open(path)
 	if err != nil {
@@ -578,6 +591,9 @@ func (m *Manager) unpark(e *entry) error {
 		return fmt.Errorf("server: unparking session %q: %w", e.name, err)
 	}
 	_ = os.Remove(path)
+	if sess.AdoptRankingMemo(memo) {
+		m.memoResumes.Add(1)
+	}
 	e.sess = sess
 	e.isParked = false
 	e.folded = sessionCounters{}
@@ -589,6 +605,15 @@ func (m *Manager) unpark(e *entry) error {
 	m.resumes.Add(1)
 	m.mu.Unlock()
 	return nil
+}
+
+// takeMemo detaches the entry's carried ranking memo and releases its bytes
+// from the gauge. The caller holds the entry's write lock.
+func (m *Manager) takeMemo(e *entry) crowdval.RankingMemo {
+	memo := e.memo
+	e.memo = crowdval.RankingMemo{}
+	m.memoBytes.Add(-memo.Bytes())
+	return memo
 }
 
 // settle re-accounts a session after an operation — statistics, budget and
@@ -635,6 +660,15 @@ func (m *Manager) parkAll(victims []*entry) {
 // park snapshots a victim to disk and drops it from memory. A session that
 // was deleted, already parked, or cannot be snapshotted stays as it is.
 //
+// What survives a park: the session's full state, in the park file, and —
+// in memory, on the entry — the rankings it had memoized for that state
+// (Session.TakeRankingMemo), taken in the same write-locked section that
+// writes the file so both describe one state. unpark resumes the file and
+// installs the memo, so a session parked with a valid ranking answers its
+// next selection without re-ranking. The scoring index and every other
+// derived structure are rebuilt on demand. The memo's bytes are not charged
+// to the memory budget; CarriedMemoBytes reports them.
+//
 // Parking a WAL session writes a .cvsn park file, not a checkpoint, although
 // a checkpoint at the applied LSN would hold the same state. A checkpoint
 // puts an fsync and a log rewrite on the request path that triggered the
@@ -652,6 +686,8 @@ func (m *Manager) park(v *entry) {
 	}
 	err := m.writeParkFile(v)
 	if err == nil {
+		v.memo = v.sess.TakeRankingMemo()
+		m.memoBytes.Add(v.memo.Bytes())
 		v.sess = nil
 		v.isParked = true
 	}
@@ -1159,7 +1195,13 @@ type Stats struct {
 	BudgetRemaining float64 `json:"budgetRemaining" prom:"crowdval_budget_remaining,gauge" help:"Summed monetary budget remaining across budgeted sessions."`
 	Evictions       int64   `json:"evictions" prom:"crowdval_evictions_total,counter" help:"Sessions parked to disk under memory pressure."`
 	Resumes         int64   `json:"resumes" prom:"crowdval_resumes_total,counter" help:"Parked sessions resumed on touch."`
-	EMIterations    int64   `json:"emIterations" prom:"crowdval_em_iterations_total,counter" help:"Full EM iterations run across all sessions."`
+	// MemoResumes counts the resumes that adopted the ranking memo carried
+	// from the park (their next selection re-ranks nothing);
+	// CarriedMemoBytes is the memory those memos hold while their sessions
+	// are parked, outside MemoryBudget.
+	MemoResumes      int64 `json:"memoResumes" prom:"crowdval_memo_resumes_total,counter" help:"Resumes that adopted the ranking memo carried from the park."`
+	CarriedMemoBytes int64 `json:"carriedMemoBytes" prom:"crowdval_carried_memo_bytes,gauge" help:"Bytes of ranking memos carried by parked sessions; not charged to the memory budget."`
+	EMIterations     int64 `json:"emIterations" prom:"crowdval_em_iterations_total,counter" help:"Full EM iterations run across all sessions."`
 	// DeltaIterations is the cumulative count of frontier-restricted
 	// iterations run by delta-incremental sessions (the default; see
 	// WithDeltaIngest).
@@ -1234,6 +1276,8 @@ func (m *Manager) Stats() Stats {
 	s.GlobalSelections = m.globalSelections.Load()
 	s.Evictions = m.evictions.Load()
 	s.Resumes = m.resumes.Load()
+	s.MemoResumes = m.memoResumes.Load()
+	s.CarriedMemoBytes = m.memoBytes.Load()
 	s.EMIterations = m.emIters.Load()
 	s.DeltaIterations = m.deltaIters.Load()
 	s.DeltaAccepted = m.deltaOutcomes.accepted.Load()

@@ -161,19 +161,48 @@ func ResumeSessionFrom(r io.Reader, opts ...Option) (*Session, error) {
 	return resumeFromState(st, opts)
 }
 
+// RankingMemo carries a session's memoized rankings across a park, so the
+// session resumed from the park's snapshot serves its next NextObjects
+// without re-ranking. It is opaque and lives in memory only: the snapshot
+// stays pure state, and a memo never reaches disk or another process.
+//
+// A serving tier that parks cold sessions takes the memo with
+// TakeRankingMemo in the same exclusive section that writes the snapshot
+// (SnapshotTo), keeps it beside the parked session, and hands it to the
+// session ResumeSessionFrom restores from exactly that snapshot with
+// AdoptRankingMemo. Any other transition of the parked session — deletion,
+// replacement, a failed resume — must drop the memo. The zero value is the
+// empty memo.
+type RankingMemo struct{ memo *core.RankingMemo }
+
+// TakeRankingMemo detaches the rankings the session has memoized for its
+// current state; the session keeps none of them and re-ranks on its next
+// selection.
+func (s *Session) TakeRankingMemo() RankingMemo {
+	return RankingMemo{s.engine.TakeRankingMemo()}
+}
+
+// AdoptRankingMemo installs a memo taken from the session this one was
+// resumed from, before any mutation, and reports whether the session adopted
+// it. A memo that does not match the session's state, shape and scoring
+// options is refused, and so is the empty memo.
+func (s *Session) AdoptRankingMemo(m RankingMemo) bool {
+	return s.engine.InstallRankingMemo(m.memo)
+}
+
+// Bytes returns the memory the memo's rankings hold.
+func (m RankingMemo) Bytes() int64 { return m.memo.Bytes() }
+
 func resumeFromState(st *snapshot.State, opts []Option) (*Session, error) {
 	n, k, m := int(st.NumObjects), int(st.NumWorkers), int(st.NumLabels)
-	answers, err := model.NewAnswerSet(n, k, m)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", cverr.ErrBadSnapshot, err)
-	}
 	if len(st.AnswerObjects) != len(st.AnswerWorkers) || len(st.AnswerObjects) != len(st.AnswerLabels) {
 		return nil, fmt.Errorf("%w: inconsistent answer arrays", cverr.ErrBadSnapshot)
 	}
-	for i := range st.AnswerObjects {
-		if err := answers.SetAnswer(int(st.AnswerObjects[i]), int(st.AnswerWorkers[i]), Label(st.AnswerLabels[i])); err != nil {
-			return nil, fmt.Errorf("%w: %v", cverr.ErrBadSnapshot, err)
-		}
+	answers, err := model.LoadAnswers(n, k, m, len(st.AnswerObjects), func(i int) Answer {
+		return Answer{Object: int(st.AnswerObjects[i]), Worker: int(st.AnswerWorkers[i]), Label: Label(st.AnswerLabels[i])}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", cverr.ErrBadSnapshot, err)
 	}
 	answers.ObjectNames = st.ObjectNames
 	answers.WorkerNames = st.WorkerNames
