@@ -201,7 +201,7 @@ func cmdValidate(args []string, out io.Writer) error {
 	}
 	var session *crowdval.Session
 	if *resumePath != "" {
-		f, err := os.Open(*resumePath)
+		snap, err := os.ReadFile(*resumePath)
 		if err != nil {
 			return fmt.Errorf("validate: %w", err)
 		}
@@ -212,8 +212,7 @@ func cmdValidate(args []string, out io.Writer) error {
 		if *budget > 0 {
 			resumeOpts = append(resumeOpts, crowdval.WithBudget(*budget))
 		}
-		session, err = crowdval.ResumeSessionFrom(f, resumeOpts...)
-		f.Close()
+		session, err = crowdval.ResumeSession(snap, resumeOpts...)
 		if err != nil {
 			return fmt.Errorf("validate: resuming %s: %w", *resumePath, err)
 		}
@@ -274,18 +273,30 @@ func cmdValidate(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "wrote validated dataset to %s\n", *outPath)
 	}
 	if *snapOut != "" {
-		f, err := os.Create(*snapOut)
-		if err != nil {
-			return fmt.Errorf("validate: %w", err)
-		}
-		if err := session.SnapshotTo(f); err != nil {
-			f.Close()
-			return fmt.Errorf("validate: writing snapshot: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeSnapshot(*snapOut, session); err != nil {
 			return fmt.Errorf("validate: writing snapshot: %w", err)
 		}
 		fmt.Fprintf(out, "wrote session snapshot to %s\n", *snapOut)
+	}
+	return nil
+}
+
+// writeSnapshot writes the session's snapshot to <path>.tmp and renames it
+// over path, so a failed write leaves the previous file — possibly the
+// snapshot this run resumed from — intact.
+func writeSnapshot(path string, session *crowdval.Session) error {
+	snap, err := session.Snapshot()
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
 	}
 	return nil
 }

@@ -226,6 +226,72 @@ func TestCLIResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCLISnapshotRewriteInPlace: -resume and -snapshot-out may name the same
+// file, as in the usage line; the rewritten snapshot resumes where the run
+// stopped.
+func TestCLISnapshotRewriteInPlace(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "data.json")
+	snapPath := filepath.Join(dir, "session.cvsn")
+	var out bytes.Buffer
+	if err := run([]string{"generate", "-out", dataPath, "-objects", "25", "-workers", "10", "-seed", "5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "3", "-snapshot-out", snapPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "6", "-resume", snapPath, "-snapshot-out", snapPath}, &out); err != nil {
+		t.Fatalf("resume and rewrite in place: %v", err)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := crowdval.ResumeSession(snap)
+	if err != nil {
+		t.Fatalf("rewritten snapshot does not resume: %v", err)
+	}
+	if got := s.EffortSpent(); got != 6 {
+		t.Fatalf("rewritten snapshot resumes at %d validations, want 6", got)
+	}
+	if _, err := os.Stat(snapPath + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary snapshot file left behind: %v", err)
+	}
+}
+
+// TestCLISnapshotWriteFailureKeepsPrevious: a snapshot write that fails — here
+// because its temporary path cannot be created — reports an error and leaves
+// the previous snapshot byte-identical, even when the run resumed from it.
+func TestCLISnapshotWriteFailureKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "data.json")
+	snapPath := filepath.Join(dir, "session.cvsn")
+	var out bytes.Buffer
+	if err := run([]string{"generate", "-out", dataPath, "-objects", "25", "-workers", "10", "-seed", "5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "2", "-snapshot-out", snapPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snapPath+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"validate", "-in", dataPath, "-budget", "4", "-resume", snapPath, "-snapshot-out", snapPath}, &out); err == nil {
+		t.Fatal("snapshot write through an unwritable temporary path succeeded")
+	}
+	after, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("a failed snapshot write changed the previous snapshot")
+	}
+}
+
 // TestCLIResumeMalformedSnapshotTypedError pins the contract the exit path
 // relies on: a malformed snapshot passed to -resume surfaces an error whose
 // ErrorName is the stable sentinel identifier, which main prints to stderr

@@ -4,14 +4,14 @@
 // code behind `crowdval serve`) in-process and plays a client against it:
 //
 //  1. a SessionManager starts with a deliberately tiny memory budget, so
-//     cold sessions are parked to disk as snapshots and transparently
+//     cold sessions are parked to disk as checksummed snapshot files and
 //     resumed on their next touch — watch the evictions/resumes counters;
 //  2. two validation campaigns are created over HTTP from dense answer
 //     matrices;
 //  3. crowd answers stream into one campaign while the expert works through
 //     guided validation steps on both (next → validate, plus one batch);
-//  4. a snapshot of a parked session is downloaded — it is served straight
-//     from the park file, without waking the session;
+//  4. a snapshot of a parked session is downloaded — it is read from the
+//     park file and checksum-verified, without waking the session;
 //  5. the metrics endpoint reports sessions resident/parked, ingest and
 //     validation counts, EM iterations, evictions and resumes.
 //
@@ -128,8 +128,8 @@ func main() {
 	postJSON(api.URL+"/v1/sessions/birds/validations", map[string]any{"validations": batch})
 	fmt.Printf("submitted a batch of %d validations to \"birds\"\n\n", len(batch))
 
-	// Downloading the snapshot of the now-cold "sentiment" session reads the
-	// park file directly.
+	// Downloading the snapshot of the now-cold "sentiment" session reads and
+	// verifies its park file; the session stays parked.
 	resp, err := http.Get(api.URL + "/v1/sessions/sentiment/snapshot")
 	if err != nil {
 		log.Fatal(err)

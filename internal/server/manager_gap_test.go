@@ -1,18 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"crowdval"
+	"crowdval/internal/snapshot"
 )
 
 // TestCorruptedParkFileErrBadSnapshotOverHTTP: a parked session whose park
@@ -20,8 +23,7 @@ import (
 // with the stable code — when the next touch tries to resume it, not a 500
 // or a panic.
 func TestCorruptedParkFileErrBadSnapshotOverHTTP(t *testing.T) {
-	parkDir := t.TempDir()
-	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: parkDir})
+	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestCorruptedParkFileErrBadSnapshotOverHTTP(t *testing.T) {
 	if err := manager.Create(ctx, "filler", d.Answers.Clone(), crowdval.WithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
-	parkPath := filepath.Join(parkDir, "victim.cvsn")
+	parkPath := manager.parkPath("victim")
 	waitFor(t, func() bool { _, err := os.Stat(parkPath); return err == nil })
 
 	if err := os.WriteFile(parkPath, []byte("definitely not a snapshot"), 0o644); err != nil {
@@ -58,6 +60,76 @@ func TestCorruptedParkFileErrBadSnapshotOverHTTP(t *testing.T) {
 	}
 	if _, err := os.Stat(parkPath); !os.IsNotExist(err) {
 		t.Fatalf("park file survived the delete: %v", err)
+	}
+}
+
+// TestDamagedParkFileRefused: one flipped bit inside the assignment or the
+// confusion floats of a park file leaves a well-formed snapshot that would
+// resume with silently altered state; the park file's checksum catches it.
+// Manager.Snapshot refuses to hand out the damaged bytes, the next touch
+// answers 400 ErrBadSnapshot, and the session is not resumed.
+func TestDamagedParkFileRefused(t *testing.T) {
+	for _, region := range []string{"assignment", "confusions"} {
+		t.Run(region, func(t *testing.T) {
+			manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &client{t: t, base: serveManager(t, manager), http: http.DefaultClient}
+			d := testCrowd(t, 16, 5, 2)
+			ctx := context.Background()
+			if err := manager.Create(ctx, "victim", d.Answers.Clone(), crowdval.WithSeed(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := manager.Create(ctx, "filler", d.Answers.Clone(), crowdval.WithSeed(2)); err != nil {
+				t.Fatal(err)
+			}
+			path := manager.parkPath("victim")
+			waitFor(t, func() bool { _, err := os.Stat(path); return err == nil })
+
+			// Locate the region's floats in the park file by their encoding.
+			snap, err := manager.Snapshot(ctx, "victim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := snapshot.Decode(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floats := st.Assignment
+			if region == "confusions" {
+				floats = st.Confusions
+			}
+			var encoded []byte
+			for _, v := range floats {
+				encoded = binary.LittleEndian.AppendUint64(encoded, math.Float64bits(v))
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := bytes.Index(raw, encoded)
+			if at < 0 {
+				t.Fatalf("the %s floats are not in the park file", region)
+			}
+			// The lowest mantissa bit of a middle float.
+			raw[at+8*(len(floats)/2)] ^= 0x01
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			resumes := manager.Stats().Resumes
+			if data, err := manager.Snapshot(ctx, "victim"); !errors.Is(err, crowdval.ErrBadSnapshot) {
+				t.Fatalf("snapshot of the damaged park file = %d bytes, %v; want ErrBadSnapshot", len(data), err)
+			}
+			status, errResp := c.do("GET", "/v1/sessions/victim/result", nil, nil)
+			if status != http.StatusBadRequest || errResp == nil || errResp.Code != "ErrBadSnapshot" {
+				t.Fatalf("touching the damaged session: status %d, %+v; want 400 ErrBadSnapshot", status, errResp)
+			}
+			if st := manager.Stats(); st.Resumes != resumes || st.Parked != 1 {
+				t.Fatalf("the damaged session was resumed: %d -> %d resumes, %d parked", resumes, st.Resumes, st.Parked)
+			}
+		})
 	}
 }
 
@@ -90,8 +162,7 @@ func waitFor(t testing.TB, cond func() bool) {
 // must not survive, and the manager's accounting must stay consistent. Run
 // with -race in CI.
 func TestEvictionRacesDelete(t *testing.T) {
-	parkDir := t.TempDir()
-	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: parkDir})
+	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +198,7 @@ func TestEvictionRacesDelete(t *testing.T) {
 		if err := manager.Delete(name); !errors.Is(err, crowdval.ErrSessionNotFound) {
 			t.Fatalf("iteration %d: second delete = %v, want ErrSessionNotFound", i, err)
 		}
-		if _, err := os.Stat(filepath.Join(parkDir, name+".cvsn")); !os.IsNotExist(err) {
+		if _, err := os.Stat(manager.parkPath(name)); !os.IsNotExist(err) {
 			t.Fatalf("iteration %d: park file of the deleted session survived", i)
 		}
 	}

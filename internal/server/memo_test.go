@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"crowdval"
@@ -305,14 +303,7 @@ func TestParkResumeNoStaleMemo(t *testing.T) {
 	t.Run("failed-unpark", func(t *testing.T) {
 		m := plain(t)
 		parkRanked(t, m)
-		path := filepath.Join(m.dir, "s.cvsn")
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, info.Size()/2); err != nil {
-			t.Fatal(err)
-		}
+		corruptFile(t, m.parkPath("s"))
 		if _, err := m.NextObjects(ctx, "s", 5); err == nil {
 			t.Fatal("resume from a corrupt park file succeeded")
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"crowdval"
+	"crowdval/internal/cverr"
 )
 
 // DefaultMaxBodyBytes bounds request bodies (dense matrices and ingestion
@@ -236,8 +237,12 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if !s.checkOwner(w, name) {
 		return
 	}
-	body := http.MaxBytesReader(nil, r.Body, s.maxBody())
-	if err := s.manager.CreateFromSnapshot(ctx, name, body); err != nil {
+	snap, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.maxBody()))
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: reading snapshot body: %v", cverr.ErrBadSnapshot, err))
+		return
+	}
+	if err := s.manager.CreateFromSnapshot(ctx, name, snap); err != nil {
 		writeError(w, err)
 		return
 	}

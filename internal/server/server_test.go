@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -305,8 +304,7 @@ func TestServerRequestTimeoutRollsBack(t *testing.T) {
 }
 
 func TestManagerEvictionParksAndResumes(t *testing.T) {
-	parkDir := t.TempDir()
-	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: parkDir})
+	manager, err := NewManager(ManagerConfig{MemoryBudget: 1, ParkDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,18 +322,8 @@ func TestManagerEvictionParksAndResumes(t *testing.T) {
 	if stats.Parked == 0 || stats.Evictions == 0 {
 		t.Fatalf("nothing parked under a 1-byte budget: %+v", stats)
 	}
-	entries, err := os.ReadDir(parkDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parkFiles []string
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".cvsn" {
-			parkFiles = append(parkFiles, e.Name())
-		}
-	}
-	if len(parkFiles) == 0 {
-		t.Fatal("no park file written")
+	if _, err := os.Stat(manager.parkPath("a")); err != nil {
+		t.Fatalf("no park file written: %v", err)
 	}
 
 	// Touching the parked session resumes it transparently and the operation
@@ -369,7 +357,7 @@ func TestManagerEvictionParksAndResumes(t *testing.T) {
 	if err := manager.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(parkDir, "a.cvsn")); !os.IsNotExist(err) {
+	if _, err := os.Stat(manager.parkPath("a")); !os.IsNotExist(err) {
 		t.Fatalf("park file survived delete: %v", err)
 	}
 	if err := manager.Delete("a"); err == nil {
@@ -618,5 +606,53 @@ func TestConcurrentClientsBitForBit(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("session %s: server-path snapshot differs from serial replay (%d vs %d bytes) — the serving layer broke determinism", p.name, len(got), len(want))
 		}
+	}
+}
+
+// TestResumeBodyOverLimitOrShort: the resume handler reads the snapshot body
+// under the server's body limit. A body over the limit and a truncated body
+// both answer 400 ErrBadSnapshot and install nothing; a body exactly at the
+// limit resumes.
+func TestResumeBodyOverLimitOrShort(t *testing.T) {
+	s, err := crowdval.NewSession(testCrowd(t, 20, 6, 3).Answers, crowdval.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager, err := NewManager(ManagerConfig{ParkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(manager)
+	srv.MaxBodyBytes = int64(len(snap))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	post := func(name string, body []byte) (int, ErrorResponse) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/sessions/"+name+"/resume", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var errBody ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&errBody)
+		return resp.StatusCode, errBody
+	}
+	for name, body := range map[string][]byte{
+		"over":  append(append([]byte(nil), snap...), 0),
+		"short": snap[:len(snap)/2],
+	} {
+		if status, errBody := post(name, body); status != http.StatusBadRequest || errBody.Code != "ErrBadSnapshot" {
+			t.Fatalf("%s body: status %d, %+v; want 400 ErrBadSnapshot", name, status, errBody)
+		}
+		if manager.Has(name) {
+			t.Fatalf("%s body installed a session", name)
+		}
+	}
+	if status, errBody := post("exact", snap); status != http.StatusCreated {
+		t.Fatalf("body at the limit: status %d, %+v; want 201", status, errBody)
 	}
 }

@@ -30,6 +30,12 @@ import (
 //	*.tmp             in-flight atomic writes; debris after a crash, removed
 //	                  by recovery
 //
+// A parked session (inside ManagerConfig.ParkDir, with or without a WAL):
+//
+//	<name>.park       the session's snapshot in the checkpoint frame, at its
+//	                  applied LSN; written without an fsync, read back through
+//	                  the same parser as the checkpoints, and removed on resume
+//
 // Rotation invariant: the log is only ever truncated down to the LSN of the
 // *older* surviving checkpoint, so a corrupt newest checkpoint can always
 // fall back to <name>.ckpt.prev plus a longer replay — no single torn write
@@ -387,14 +393,14 @@ func (m *Manager) writeFileSynced(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-// readCheckpointFile loads and verifies one checkpoint generation.
+// readCheckpointFile loads and verifies one checkpoint frame: a checkpoint
+// generation or a park file.
 func readCheckpointFile(path string) (lsn uint64, snapshot []byte, err error) {
-	f, err := os.Open(path)
+	frame, err := os.ReadFile(path)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer f.Close()
-	return wal.ReadCheckpoint(f)
+	return wal.ParseCheckpoint(frame)
 }
 
 // answersRecord frames an ingest batch as a log record.

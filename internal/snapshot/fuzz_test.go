@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/iotest"
 
 	"crowdval/internal/cverr"
 )
@@ -41,26 +40,16 @@ func fuzzSeeds() [][]byte {
 // never panic; on rejection return an error wrapping ErrBadSnapshot or
 // ErrSnapshotVersion; on acceptance the decoded state must re-encode to a
 // stable fixed point (encode→decode→encode reproduces the bytes — the
-// encoding is canonical up to non-canonical bool bytes in the input), and the
-// streaming decoder must agree with the slice decoder on both the verdict and
-// the decoded state.
+// encoding is canonical up to non-canonical bool bytes in the input).
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
-		streamState, streamErr := DecodeFrom(bytes.NewReader(data))
 		if err != nil {
 			typedCodecError(t, err)
-			if streamErr == nil {
-				t.Fatal("stream decoder accepted input the slice decoder rejected")
-			}
-			typedCodecError(t, streamErr)
 			return
-		}
-		if streamErr != nil {
-			t.Fatalf("stream decoder rejected input the slice decoder accepted: %v", streamErr)
 		}
 
 		// Fixed point: one re-encoding canonicalizes, after which the round
@@ -73,11 +62,6 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !bytes.Equal(Encode(s2), canonical) {
 			t.Fatal("encode→decode→encode is not a fixed point")
-		}
-		// The stream decoder produced the same state, compared through the
-		// canonical encoding (reflect.DeepEqual would stumble over NaNs).
-		if !bytes.Equal(Encode(streamState), canonical) {
-			t.Fatal("stream decoder state differs from slice decoder state")
 		}
 	})
 }
@@ -112,7 +96,7 @@ func budgetFuzzSeeds() [][]byte {
 // FuzzDecodeBudget focuses the mutator on the version-4 budget tail: the
 // seeds differ from each other almost exclusively in the tail bytes, so
 // mutations concentrate there. The contract extends FuzzDecode's — never
-// panic, typed errors, slice/stream agreement, canonical fixed point — with
+// panic, typed errors, canonical fixed point — with
 // the version gate: an accepted pre-v4 image must decode every budget field
 // as zero, since older snapshots carry no budget state to misread.
 func FuzzDecodeBudget(f *testing.F) {
@@ -121,17 +105,9 @@ func FuzzDecodeBudget(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
-		streamState, streamErr := DecodeFrom(bytes.NewReader(data))
 		if err != nil {
 			typedCodecError(t, err)
-			if streamErr == nil {
-				t.Fatal("stream decoder accepted input the slice decoder rejected")
-			}
-			typedCodecError(t, streamErr)
 			return
-		}
-		if streamErr != nil {
-			t.Fatalf("stream decoder rejected input the slice decoder accepted: %v", streamErr)
 		}
 		if len(data) >= 6 {
 			if version := uint16(data[4]) | uint16(data[5])<<8; version < 4 {
@@ -148,33 +124,6 @@ func FuzzDecodeBudget(f *testing.F) {
 		}
 		if !bytes.Equal(Encode(s2), canonical) {
 			t.Fatal("encode→decode→encode is not a fixed point")
-		}
-		if !bytes.Equal(Encode(streamState), canonical) {
-			t.Fatal("stream decoder state differs from slice decoder state")
-		}
-	})
-}
-
-// FuzzDecodeFrom stresses the streaming decoder's incremental reads: the same
-// input is decoded from a one-byte-at-a-time reader, which exercises every
-// partial-read path in the primitives, and must behave exactly like the
-// slice decoder.
-func FuzzDecodeFrom(f *testing.F) {
-	for _, seed := range fuzzSeeds() {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sliceState, sliceErr := Decode(data)
-		s, err := DecodeFrom(iotest.OneByteReader(bytes.NewReader(data)))
-		if (err == nil) != (sliceErr == nil) {
-			t.Fatalf("one-byte stream verdict %v, slice verdict %v", err, sliceErr)
-		}
-		if err != nil {
-			typedCodecError(t, err)
-			return
-		}
-		if !bytes.Equal(Encode(s), Encode(sliceState)) {
-			t.Fatal("one-byte stream decoded a different state")
 		}
 	})
 }

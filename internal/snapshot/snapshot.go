@@ -10,15 +10,14 @@
 // bit-for-bit — identical guidance selections, aggregation results and step
 // summaries. The format is little-endian, length-prefixed and versioned; a
 // decoder rejects snapshots from unknown versions with ErrSnapshotVersion and
-// anything structurally damaged with ErrBadSnapshot.
+// anything structurally damaged with ErrBadSnapshot. Encode and Decode work
+// on whole byte slices; the serving tier stores them inside the CRC-checked
+// checkpoint frame of package wal, both for checkpoints and for park files.
 package snapshot
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"crowdval/internal/cverr"
@@ -122,31 +121,45 @@ type HistoryRecord struct {
 	SuspectCrowd     []int64
 }
 
-// Encode serializes the state into a byte slice.
+// Encode serializes the state into one byte slice, sized up front from the
+// state's collections.
 func Encode(s *State) []byte {
-	var buf bytes.Buffer
-	// A bytes.Buffer never fails to write, so the error is impossible.
-	_ = EncodeTo(&buf, s)
-	return buf.Bytes()
+	w := writer{buf: make([]byte, 0, encodedSize(s))}
+	w.encode(s)
+	return w.buf
 }
 
-// EncodeTo streams the encoded state to w without materializing the whole
-// snapshot in memory first — the parking path of a serving tier writes
-// sessions straight to disk. Writers other than *bytes.Buffer are wrapped in
-// a bufio.Writer, so callers need not buffer small field writes themselves.
-func EncodeTo(dst io.Writer, s *State) (err error) {
-	w := &writer{w: dst}
-	if _, ok := dst.(*bytes.Buffer); !ok {
-		bw := bufio.NewWriter(dst)
-		w.w = bw
-		defer func() {
-			if err == nil {
-				err = bw.Flush()
-			}
-		}()
+// minHistoryRecordSize is the minimal encoding of one history record: five
+// i64 fields, three f64 fields, one bool and six slice length prefixes.
+const minHistoryRecordSize = 5*8 + 3*8 + 1 + 6*8
+
+// encodedSize returns the exact byte length of the state's encoding.
+func encodedSize(s *State) int {
+	const fixed = 4 + 2 + // magic, version
+		8*8 + 1 + // the options after the strategy
+		8 + 8 + 1 + // stochastic state
+		3*8 + // dimensions
+		8 + 8 + 8 + // iteration, effort spent, history length
+		1 + 8 + 1 + // version-2 and version-3 tails
+		1 + 6*8 // version-4 tail
+	n := fixed + 8 + len(s.Strategy)
+	for _, vs := range [...][]int64{s.AnswerObjects, s.AnswerWorkers, s.AnswerLabels,
+		s.Validation, s.Quarantined, s.ConfirmedObjects, s.ConfirmedLabels} {
+		n += 8 + 8*len(vs)
 	}
-	w.encode(s)
-	return w.err
+	n += 8 + 8*len(s.Assignment) + 8 + 8*len(s.Confusions)
+	for _, vs := range [...][]string{s.ObjectNames, s.WorkerNames, s.LabelNames} {
+		n += 8
+		for _, v := range vs {
+			n += 8 + len(v)
+		}
+	}
+	for i := range s.History {
+		h := &s.History[i]
+		n += minHistoryRecordSize + 8*(len(h.Masked)+len(h.Restored)+len(h.Revised)+
+			len(h.SuspectObjects)+len(h.SuspectExpert)+len(h.SuspectCrowd))
+	}
+	return n
 }
 
 func (w *writer) encode(s *State) {
@@ -240,26 +253,6 @@ func Decode(data []byte) (*State, error) {
 	return s, nil
 }
 
-// DecodeFrom deserializes a snapshot from a sequential stream, reading it
-// incrementally — the resume path of a serving tier decodes parked sessions
-// straight from disk. Corrupted length prefixes cannot force allocations
-// beyond the data actually present: collections grow chunk-wise as their
-// elements are read, so a hostile length fails with ErrBadSnapshot once the
-// stream runs dry. The stream must end with the snapshot; trailing bytes are
-// rejected like in Decode.
-func DecodeFrom(src io.Reader) (*State, error) {
-	r := &reader{stream: bufio.NewReader(src)}
-	s, err := r.decode()
-	if err != nil {
-		return nil, err
-	}
-	var one [1]byte
-	if _, err := io.ReadFull(r.stream, one[:]); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing bytes after snapshot", cverr.ErrBadSnapshot)
-	}
-	return s, nil
-}
-
 func (r *reader) decode() (*State, error) {
 	if magic, err := r.u32(); err != nil || magic != Magic {
 		return nil, fmt.Errorf("%w: bad magic", cverr.ErrBadSnapshot)
@@ -312,27 +305,22 @@ func (r *reader) decode() (*State, error) {
 		}
 	}
 
-	// Five i64 fields, three f64 fields, one bool and six slice length
-	// prefixes: the minimal encoding of one history record. Bounding the
-	// declared count by remaining/minHistoryRecordSize keeps the allocation
-	// below the payload size even for corrupted or hostile length fields; in
-	// stream mode the equivalent guard is the chunk-wise growth below.
-	const minHistoryRecordSize = 5*8 + 3*8 + 1 + 6*8
+	// Bounding the declared count by remaining/minHistoryRecordSize keeps the
+	// allocation below the payload size even for corrupted or hostile length
+	// fields.
 	historyLen, err := r.u64()
 	if err != nil {
 		return nil, err
 	}
-	if r.stream == nil && historyLen > uint64(len(r.buf)-r.pos)/minHistoryRecordSize {
+	if historyLen > uint64(len(r.buf)-r.pos)/minHistoryRecordSize {
 		return nil, fmt.Errorf("%w: history length %d exceeds remaining payload", cverr.ErrBadSnapshot, historyLen)
 	}
 	if historyLen > 0 {
-		s.History = make([]HistoryRecord, 0, min(historyLen, maxPrealloc/minHistoryRecordSize))
-		for i := uint64(0); i < historyLen; i++ {
-			var h HistoryRecord
-			if err := r.historyRecord(&h); err != nil {
+		s.History = make([]HistoryRecord, historyLen)
+		for i := range s.History {
+			if err := r.historyRecord(&s.History[i]); err != nil {
 				return nil, err
 			}
-			s.History = append(s.History, h)
 		}
 	}
 
@@ -368,55 +356,28 @@ func (r *reader) decode() (*State, error) {
 	return s, nil
 }
 
-// writer streams little-endian, length-prefixed primitives to an io.Writer.
-// The first write error sticks and turns the remaining writes into no-ops, so
-// the encoding routines stay straight-line.
-type writer struct {
-	w       io.Writer
-	scratch [8]byte
-	err     error
-}
+// writer appends little-endian, length-prefixed primitives to one buffer.
+type writer struct{ buf []byte }
 
-func (w *writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
-}
-
-func (w *writer) u16(v uint16) {
-	binary.LittleEndian.PutUint16(w.scratch[:2], v)
-	w.write(w.scratch[:2])
-}
-
-func (w *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.scratch[:4], v)
-	w.write(w.scratch[:4])
-}
-
-func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], v)
-	w.write(w.scratch[:8])
-}
-
-func (w *writer) i64(v int64) { w.u64(uint64(v)) }
+func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
 func (w *writer) f64(v float64) {
 	w.u64(math.Float64bits(v))
 }
 
 func (w *writer) bool(v bool) {
-	w.scratch[0] = 0
+	var b byte
 	if v {
-		w.scratch[0] = 1
+		b = 1
 	}
-	w.write(w.scratch[:1])
+	w.buf = append(w.buf, b)
 }
 
 func (w *writer) str(s string) {
 	w.u64(uint64(len(s)))
-	if w.err == nil && len(s) > 0 {
-		_, w.err = io.WriteString(w.w, s)
-	}
+	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) i64s(vs []int64) {
@@ -440,36 +401,13 @@ func (w *writer) strs(vs []string) {
 	}
 }
 
-// maxPrealloc caps the bytes any single collection pre-allocates before its
-// elements have actually been read. Collections larger than the cap grow by
-// appending, so memory stays proportional to the data present even when a
-// corrupted length prefix declares a giant count.
-const maxPrealloc = 1 << 20
-
 // reader consumes what writer produced, with bounds checks that turn
 // truncation or corruption into ErrBadSnapshot instead of panics or huge
-// allocations. It operates in one of two modes: over a fully materialized
-// byte slice (Decode), where declared lengths are checked against the
-// remaining payload up front, or over a sequential stream (DecodeFrom),
-// where the chunk-wise allocation strategy provides the same protection.
+// allocations: every declared length is checked against the remaining
+// payload before anything is allocated for it.
 type reader struct {
-	buf     []byte
-	pos     int
-	stream  *bufio.Reader
-	scratch [8]byte
-}
-
-// read returns n bytes (n <= 8) as a view that is only valid until the next
-// read call.
-func (r *reader) read(n int) ([]byte, error) {
-	if r.stream == nil {
-		return r.take(n)
-	}
-	b := r.scratch[:n]
-	if _, err := io.ReadFull(r.stream, b); err != nil {
-		return nil, fmt.Errorf("%w: truncated stream", cverr.ErrBadSnapshot)
-	}
-	return b, nil
+	buf []byte
+	pos int
 }
 
 // historyRecord decodes one HistoryRecord with straight-line reads — no
@@ -533,7 +471,7 @@ func (r *reader) take(n int) ([]byte, error) {
 }
 
 func (r *reader) u16() (uint16, error) {
-	b, err := r.read(2)
+	b, err := r.take(2)
 	if err != nil {
 		return 0, err
 	}
@@ -541,7 +479,7 @@ func (r *reader) u16() (uint16, error) {
 }
 
 func (r *reader) u32() (uint32, error) {
-	b, err := r.read(4)
+	b, err := r.take(4)
 	if err != nil {
 		return 0, err
 	}
@@ -549,7 +487,7 @@ func (r *reader) u32() (uint32, error) {
 }
 
 func (r *reader) u64() (uint64, error) {
-	b, err := r.read(8)
+	b, err := r.take(8)
 	if err != nil {
 		return 0, err
 	}
@@ -567,113 +505,78 @@ func (r *reader) f64() (float64, error) {
 }
 
 func (r *reader) bool() (bool, error) {
-	b, err := r.read(1)
+	b, err := r.take(1)
 	if err != nil {
 		return false, err
 	}
 	return b[0] != 0, nil
 }
 
-// length reads a collection length. In slice mode it is sanity-checked
-// against the number of bytes that remain, given each element occupies at
-// least elemSize bytes; in stream mode the callers' chunk-wise allocation
-// bounds memory instead.
-func (r *reader) length(elemSize int) (uint64, error) {
+// length reads a collection length and checks it against the number of
+// bytes that remain, given each element occupies at least elemSize bytes.
+func (r *reader) length(elemSize int) (int, error) {
 	v, err := r.u64()
 	if err != nil {
 		return 0, err
 	}
-	if r.stream == nil && v > uint64(len(r.buf)-r.pos)/uint64(elemSize) {
+	if v > uint64(len(r.buf)-r.pos)/uint64(elemSize) {
 		return 0, fmt.Errorf("%w: length %d exceeds remaining payload", cverr.ErrBadSnapshot, v)
 	}
-	return v, nil
+	return int(v), nil
 }
 
 func (r *reader) str() (string, error) {
 	n, err := r.length(1)
-	if err != nil {
+	if err != nil || n == 0 {
 		return "", err
 	}
-	if n == 0 {
-		return "", nil
-	}
-	if r.stream == nil {
-		b, err := r.take(int(n))
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	// Chunked reads bound the allocation by the bytes actually present; a
-	// corrupted length (possibly beyond int64) fails at EOF instead of
-	// over-allocating or overflowing.
-	var sb bytes.Buffer
-	sb.Grow(int(min(n, maxPrealloc)))
-	var chunk [4096]byte
-	for remaining := n; remaining > 0; {
-		step := min(remaining, uint64(len(chunk)))
-		if _, err := io.ReadFull(r.stream, chunk[:step]); err != nil {
-			return "", fmt.Errorf("%w: truncated stream", cverr.ErrBadSnapshot)
-		}
-		sb.Write(chunk[:step])
-		remaining -= step
-	}
-	return sb.String(), nil
+	b, err := r.take(n)
+	return string(b), err
 }
 
-func (r *reader) i64s() ([]int64, error) {
+// words reads a length-prefixed array of 8-byte words in one take.
+func (r *reader) words() ([]byte, error) {
 	n, err := r.length(8)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
+	return r.take(8 * n)
+}
+
+func (r *reader) i64s() ([]int64, error) {
+	b, err := r.words()
+	if err != nil || len(b) == 0 {
+		return nil, err
 	}
-	out := make([]int64, 0, min(n, maxPrealloc/8))
-	for i := uint64(0); i < n; i++ {
-		v, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	out := make([]int64, len(b)/8)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }
 
 func (r *reader) f64s() ([]float64, error) {
-	n, err := r.length(8)
-	if err != nil {
+	b, err := r.words()
+	if err != nil || len(b) == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]float64, 0, min(n, maxPrealloc/8))
-	for i := uint64(0); i < n; i++ {
-		v, err := r.f64()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }
 
 func (r *reader) strs() ([]string, error) {
 	n, err := r.length(8)
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, 0, min(n, maxPrealloc/16))
-	for i := uint64(0); i < n; i++ {
-		s, err := r.str()
-		if err != nil {
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = r.str(); err != nil {
 			return nil, err
 		}
-		out = append(out, s)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -16,7 +15,7 @@ import (
 // LSN > lsn. The CRC covers the LSN field as well as the snapshot, so a
 // damaged checkpoint — including a silently flipped replay floor — is
 // detected and recovery falls back to the previous generation instead of
-// resuming garbage.
+// resuming garbage. A serving tier's park files use the same frame.
 
 // CheckpointMagic identifies a crowdval checkpoint file ("CVCK").
 const CheckpointMagic = 0x4356434b
@@ -38,36 +37,29 @@ func WriteCheckpoint(w io.Writer, lsn uint64, snapshot []byte) error {
 	return err
 }
 
-// ReadCheckpoint parses a checkpoint stream and returns the covered LSN and
-// the snapshot bytes. Structural damage — bad magic or version, truncated
-// header, snapshot CRC mismatch — is reported through ErrBadWAL.
-func ReadCheckpoint(r io.Reader) (lsn uint64, snapshot []byte, err error) {
-	var hdr [checkpointHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, badWAL("checkpoint header truncated: %v", err)
+// ParseCheckpoint parses a checkpoint frame and returns the covered LSN and
+// the snapshot bytes, a sub-slice of frame. Structural damage — bad magic or
+// version, truncated header, snapshot CRC mismatch — is reported through
+// ErrBadWAL.
+func ParseCheckpoint(frame []byte) (lsn uint64, snapshot []byte, err error) {
+	if len(frame) < checkpointHeaderSize {
+		return 0, nil, badWAL("checkpoint header truncated: %d of %d bytes", len(frame), checkpointHeaderSize)
 	}
+	hdr := frame[:checkpointHeaderSize]
 	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != CheckpointMagic {
 		return 0, nil, badWAL("bad checkpoint magic %#x", got)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
 		return 0, nil, badWAL("unsupported checkpoint version %d", v)
 	}
-	lsn = binary.LittleEndian.Uint64(hdr[8:16])
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
-		return 0, nil, badWAL("reading checkpoint snapshot: %v", err)
-	}
-	snapshot = buf.Bytes()
+	snapshot = frame[checkpointHeaderSize:]
 	if got, want := checkpointCRC(hdr[8:16], snapshot), binary.LittleEndian.Uint32(hdr[16:20]); got != want {
 		return 0, nil, badWAL("checkpoint checksum mismatch")
 	}
-	return lsn, snapshot, nil
+	return binary.LittleEndian.Uint64(hdr[8:16]), snapshot, nil
 }
 
 // checkpointCRC checksums the LSN field together with the snapshot bytes.
 func checkpointCRC(lsnBytes, snapshot []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write(lsnBytes)
-	h.Write(snapshot)
-	return h.Sum32()
+	return crc32.Update(crc32.ChecksumIEEE(lsnBytes), crc32.IEEETable, snapshot)
 }

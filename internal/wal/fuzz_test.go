@@ -185,3 +185,69 @@ func FuzzWALReader(f *testing.F) {
 		}
 	})
 }
+
+// checkpointSeeds returns frames for the checkpoint mutator to start from: an
+// empty snapshot at LSN 0, a short snapshot, a binary snapshot at a high LSN,
+// a truncated header and a frame with a damaged checksum. The same seeds,
+// each with a flip byte of 0xff, are checked into
+// testdata/fuzz/FuzzParseCheckpoint.
+func checkpointSeeds() [][]byte {
+	frame := func(lsn uint64, snapshot []byte) []byte {
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, lsn, snapshot); err != nil {
+			panic(err)
+		}
+		return buf.Bytes()
+	}
+	binarySnap := make([]byte, 64)
+	for i := range binarySnap {
+		binarySnap[i] = byte(i * 37)
+	}
+	short := frame(41, []byte("the-session-snapshot"))
+	badCRC := append([]byte(nil), short...)
+	badCRC[16] ^= 0x01
+	return [][]byte{
+		frame(0, nil),
+		short,
+		frame(1<<40+7, binarySnap),
+		short[:checkpointHeaderSize-3],
+		badCRC,
+	}
+}
+
+// FuzzParseCheckpoint feeds mutated checkpoint frames to the parser. The
+// contract: never panic; every rejection wraps ErrBadWAL; an accepted frame
+// re-encodes byte-identically through WriteCheckpoint; and any single-byte
+// change to an accepted frame (xor flip, at every position) is rejected —
+// magic and version are checked exactly, and CRC-32 detects every error
+// burst of 32 bits or fewer in the LSN and snapshot it covers.
+func FuzzParseCheckpoint(f *testing.F) {
+	for _, seed := range checkpointSeeds() {
+		f.Add(seed, byte(0xff))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte, flip byte) {
+		lsn, snapshot, err := ParseCheckpoint(frame)
+		if err != nil {
+			typedWALError(t, err)
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, lsn, snapshot); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), frame) {
+			t.Fatal("accepted frame does not re-encode byte-identically")
+		}
+		if flip == 0 {
+			flip = 0xff
+		}
+		damaged := append([]byte(nil), frame...)
+		for i := range damaged {
+			damaged[i] ^= flip
+			if _, _, err := ParseCheckpoint(damaged); !errors.Is(err, cverr.ErrBadWAL) {
+				t.Fatalf("byte %d xor %#x: parse = %v, want ErrBadWAL", i, flip, err)
+			}
+			damaged[i] ^= flip
+		}
+	})
+}

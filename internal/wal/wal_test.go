@@ -368,24 +368,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	lsn, got, err := ReadCheckpoint(bytes.NewReader(data))
+	lsn, got, err := ParseCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lsn != 41 || !bytes.Equal(got, snapshot) {
-		t.Fatalf("ReadCheckpoint = (%d, %q)", lsn, got)
+		t.Fatalf("ParseCheckpoint = (%d, %q)", lsn, got)
 	}
 
 	// Every single-byte corruption or truncation must be detected.
 	for pos := 0; pos < len(data); pos++ {
 		corrupt := append([]byte(nil), data...)
 		corrupt[pos] ^= 0xff
-		if _, _, err := ReadCheckpoint(bytes.NewReader(corrupt)); !errors.Is(err, cverr.ErrBadWAL) {
+		if _, _, err := ParseCheckpoint(corrupt); !errors.Is(err, cverr.ErrBadWAL) {
 			t.Fatalf("corruption at %d: %v", pos, err)
 		}
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := ReadCheckpoint(bytes.NewReader(data[:cut])); !errors.Is(err, cverr.ErrBadWAL) {
+		if _, _, err := ParseCheckpoint(data[:cut]); !errors.Is(err, cverr.ErrBadWAL) {
 			t.Fatalf("truncation to %d: %v", cut, err)
 		}
 	}

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"crowdval/internal/simulation"
+	"crowdval/internal/wal"
 )
 
-// BenchmarkParkResume times one park/resume cycle of a serving tier at the
-// market workload's session shape (5 000 objects × 100 workers, 7 answers
-// per object, uncertainty-driven with 64 candidates): a park (SnapshotTo,
-// taking the ranking memo), a resume (ResumeSessionFrom, adopting the memo)
-// and the first NextObjects(5) after it.
+// BenchmarkParkResume times one park/resume cycle of a serving tier, in
+// memory, at the market workload's session shape (5 000 objects × 100
+// workers, 7 answers per object, uncertainty-driven with 64 candidates): a
+// park (Snapshot framed by wal.WriteCheckpoint, taking the ranking memo), a
+// resume (wal.ParseCheckpoint and ResumeSession, adopting the memo) and the
+// first NextObjects(5) after it.
 //
 //   - memo: the session was ranked before the park, so the first selection
 //     after the resume is served from the carried memo.
@@ -71,11 +73,19 @@ func BenchmarkParkResume(b *testing.B) {
 					b.StartTimer()
 				}
 				buf.Reset()
-				if err := s.SnapshotTo(&buf); err != nil {
+				snap, err := s.Snapshot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := wal.WriteCheckpoint(&buf, 0, snap); err != nil {
 					b.Fatal(err)
 				}
 				memo := s.TakeRankingMemo()
-				if s, err = ResumeSessionFrom(&buf); err != nil {
+				_, parked, err := wal.ParseCheckpoint(buf.Bytes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s, err = ResumeSession(parked); err != nil {
 					b.Fatal(err)
 				}
 				s.AdoptRankingMemo(memo)

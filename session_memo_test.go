@@ -1,7 +1,6 @@
 package crowdval
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -36,8 +35,8 @@ func TestRankingMemoCarriesEveryRole(t *testing.T) {
 				got, want := mustNextObjects(t, parked, 64), mustNextObjects(t, twin, 64)
 				sameScored(t, got, want, "pre-park")
 			}
-			var buf bytes.Buffer
-			if err := parked.SnapshotTo(&buf); err != nil {
+			snap, err := parked.Snapshot()
+			if err != nil {
 				t.Fatal(err)
 			}
 			memo := parked.TakeRankingMemo()
@@ -47,7 +46,7 @@ func TestRankingMemoCarriesEveryRole(t *testing.T) {
 			if again := parked.TakeRankingMemo(); again.memo != nil {
 				t.Fatal("a taken memo stayed with the session")
 			}
-			resumed, err := ResumeSessionFrom(&buf)
+			resumed, err := ResumeSession(snap)
 			if err != nil {
 				t.Fatal(err)
 			}

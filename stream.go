@@ -2,7 +2,6 @@ package crowdval
 
 import (
 	"fmt"
-	"io"
 
 	"crowdval/internal/core"
 	"crowdval/internal/cost"
@@ -31,13 +30,6 @@ type ValidationInput = core.ValidationInput
 // expert interaction lands.
 func (s *Session) Snapshot() ([]byte, error) {
 	return snapshot.Encode(s.snapshotState()), nil
-}
-
-// SnapshotTo streams the snapshot to w without materializing the encoded
-// bytes in memory first — the parking path for serving tiers that write cold
-// sessions straight to disk. The encoding is identical to Snapshot.
-func (s *Session) SnapshotTo(w io.Writer) error {
-	return snapshot.EncodeTo(w, s.snapshotState())
 }
 
 // snapshotState captures the full session state in the codec's serializable
@@ -150,27 +142,15 @@ func ResumeSession(data []byte, opts ...Option) (*Session, error) {
 	return resumeFromState(st, opts)
 }
 
-// ResumeSessionFrom is ResumeSession reading the snapshot incrementally from
-// a sequential stream — the resume path for serving tiers that park cold
-// sessions on disk. It accepts the same option overrides as ResumeSession.
-func ResumeSessionFrom(r io.Reader, opts ...Option) (*Session, error) {
-	st, err := snapshot.DecodeFrom(r)
-	if err != nil {
-		return nil, err
-	}
-	return resumeFromState(st, opts)
-}
-
 // RankingMemo carries a session's memoized rankings across a park, so the
 // session resumed from the park's snapshot serves its next NextObjects
 // without re-ranking. It is opaque and lives in memory only: the snapshot
 // stays pure state, and a memo never reaches disk or another process.
 //
 // A serving tier that parks cold sessions takes the memo with
-// TakeRankingMemo in the same exclusive section that writes the snapshot
-// (SnapshotTo), keeps it beside the parked session, and hands it to the
-// session ResumeSessionFrom restores from exactly that snapshot with
-// AdoptRankingMemo. Any other transition of the parked session — deletion,
+// TakeRankingMemo in the same exclusive section that takes the Snapshot it
+// parks, keeps it beside the parked session, and hands it to the session
+// ResumeSession restores from exactly that snapshot with AdoptRankingMemo. Any other transition of the parked session — deletion,
 // replacement, a failed resume — must drop the memo. The zero value is the
 // empty memo.
 type RankingMemo struct{ memo *core.RankingMemo }
