@@ -94,6 +94,16 @@ type ScoreIndex struct {
 	logConfT  []float64
 	logRows   []float64
 	rowExp    []float64
+	// The rank-bound tables of a binary index (RankBound), built by
+	// EnsureRankBounds and nil until then. taylor holds,
+	// per object, the coefficients E, F, S of its entropy change around its
+	// current logit gap, side by side. softCounts holds each worker's M-step
+	// soft counts over all of its answers in the layout of logConfT
+	// (block[a·m + l] = Σ of row l of the objects it answered a). maxLogit
+	// is the largest |b_l| of any object.
+	taylor     []float64
+	softCounts []float64
+	maxLogit   float64
 
 	// free holds released hypothetical-scoring scratches for reuse by later
 	// rankings of this index (AcquireHypoScratch/ReleaseHypoScratch).
@@ -162,12 +172,37 @@ func (ix *ScoreIndex) EnsureHypoTables() {
 	ix.fillRowExp()
 }
 
+// EnsureRankBounds builds a binary index's rank-bound tables (RankBound),
+// after the hypothetical-scoring tables if those are missing, and reports
+// whether the index has them: an index with m ≥ 3 has none. Only rankings
+// that bound their candidates need them, so strategies that score every
+// candidate never pay for them; once built, Rebase keeps them current. Like
+// EnsureHypoTables it is idempotent but not safe for concurrent first calls.
+func (ix *ScoreIndex) EnsureRankBounds() bool {
+	if ix.m != 2 {
+		return false
+	}
+	if ix.taylor == nil {
+		ix.EnsureHypoTables()
+		ix.taylor = make([]float64, 3*ix.n)
+		ix.softCounts = make([]float64, len(ix.logConfT))
+		ix.fillSoftCounts(ix.probSet.Assignment)
+		// Refilling the row factors repeats their bits and fills the Taylor
+		// table alongside, as a Rebase does.
+		ix.fillRowExp()
+	}
+	return true
+}
+
 // fillRowExp recomputes every object's row factors from logPriors and
 // logRows, with the same operations in the same order whether called from a
 // build or a Rebase. The logits b_l = logPriors[l] + logRows[r·m+l] are
-// formed exactly as the scorer forms them.
+// formed exactly as the scorer forms them. An index with rank-bound tables
+// fills its Taylor table and maxLogit in the same pass, so the entropies
+// must be current.
 func (ix *ScoreIndex) fillRowExp() {
 	m := ix.m
+	maxLogit := 0.0
 	for o := 0; o < ix.n; o++ {
 		lr := ix.logRows[o*m : (o+1)*m]
 		rx := ix.rowExp[o*m : (o+1)*m]
@@ -177,6 +212,11 @@ func (ix *ScoreIndex) fillRowExp() {
 			if rx[l] > rx[arg] {
 				arg = l
 			}
+		}
+		z := 0.0
+		if ix.taylor != nil {
+			z = rx[1] - rx[0]
+			maxLogit = max(maxLogit, math.Abs(rx[0]), math.Abs(rx[1]))
 		}
 		maxB := rx[arg]
 		for l, b := range rx {
@@ -188,6 +228,47 @@ func (ix *ScoreIndex) fillRowExp() {
 				r = 0
 			}
 			rx[l] = r
+		}
+		if ix.taylor != nil {
+			ix.fillTaylor(o, z, min(rx[0], rx[1]))
+		}
+	}
+	ix.maxLogit = maxLogit
+}
+
+// fillTaylor writes object o's rank-bound coefficients from its logit gap
+// z = b₁ − b₀ and its non-maximal row factor y = e^−|z| (0 once that
+// underflows). With f(z) the binary entropy as a function of the gap, and
+// p(1−p) = y/(1+y)², z·tanh(z/2) = |z|(1−y)/(1+y):
+//
+//	E = f(z) − entropies[o],  f(z) = log1p(y) + |z|·y/(1+y)
+//	F = f′(z)  = −z·p(1−p)
+//	S = f″(z)/2 = −p(1−p)(1 − z·tanh(z/2))/2
+//
+// one log1p and no exp per object.
+func (ix *ScoreIndex) fillTaylor(o int, z, y float64) {
+	az := math.Abs(z)
+	inv := 1 / (1 + y)
+	pMin := y * inv
+	q := pMin * inv
+	t := ix.taylor[3*o:][:3]
+	t[0] = math.Log1p(y) + az*pMin - ix.entropies[o]
+	t[1] = -z * q
+	t[2] = -0.5 * q * (1 - az*(1-y)*inv)
+}
+
+// fillSoftCounts recomputes every worker's soft counts from the assignment
+// u, adding its answers' rows in WorkerView order onto zero.
+func (ix *ScoreIndex) fillSoftCounts(u *model.AssignmentMatrix) {
+	m := ix.m
+	clear(ix.softCounts)
+	for w := 0; w < len(ix.softCounts)/(m*m); w++ {
+		block := ix.softCounts[w*m*m : (w+1)*m*m]
+		for _, oa := range ix.answers.WorkerView(w) {
+			cells := block[int(oa.Label)*m:][:m]
+			for l, p := range u.RowSlice(oa.Object) {
+				cells[l] += p
+			}
 		}
 	}
 }
@@ -414,57 +495,8 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 
 	// Frontier E-step, from the touched workers' side: every answer of a
 	// touched worker adds its staged log entries to the Δ of the answered
-	// object and multiplies their exponentials into its Π. Objects shared by
-	// several touched workers get one slot, in first-seen order.
-	sc.pos = grow(sc.pos, reach)
-	sc.hits = grow(sc.hits, reach)
-	sc.ripple = grow(sc.ripple, reach)
-	if int(sc.base) > math.MaxInt32-ix.n {
-		clear(sc.seen)
-		sc.base = 1
-	}
-	base := sc.base
-	sc.ripple = sc.ripple[:0]
-	next := stagedLen
-	for i, wa := range touched {
-		st := i * m * run
-		for _, oa := range ix.answers.WorkerView(wa.Worker) {
-			r := oa.Object
-			if r == object {
-				continue
-			}
-			src := st + int(oa.Label)*run
-			slot := int(sc.seen[r] - base)
-			if slot < 0 {
-				// A first hit's sums are its own entries, which is what
-				// adding them to 0 and multiplying them into 1 gives; the
-				// row reads them where they were staged.
-				slot = len(sc.ripple)
-				sc.seen[r] = base + int32(slot)
-				sc.ripple = append(sc.ripple, r)
-				sc.pos[slot] = src
-				sc.hits[slot] = 1
-				continue
-			}
-			at := sc.pos[slot]
-			if sc.hits[slot] == 1 {
-				copy(sc.staged[next:next+run], sc.staged[at:at+run])
-				at, sc.pos[slot] = next, next
-				next += run
-			}
-			dst := sc.staged[at : at+run]
-			add := sc.staged[src : src+run]
-			for j, v := range add[:2*m] {
-				dst[j] += v
-			}
-			prod := dst[2*m:]
-			for j, v := range add[2*m:] {
-				prod[j] *= v
-			}
-			sc.hits[slot]++
-		}
-	}
-	sc.base += int32(len(sc.ripple))
+	// object and multiplies their exponentials into its Π.
+	sc.rippleWalk(object, touched, stagedLen, reach, run)
 
 	// Validated ripple rows stay pinned at zero entropy. Each hypothesis
 	// sums its row entropy changes in ripple order.
@@ -508,6 +540,71 @@ func (sc *HypoScratch) ConditionalUncertainty(object int) float64 {
 		expected += p * hv
 	}
 	return expected
+}
+
+// rippleWalk gathers a candidate's ripple rows from its touched workers'
+// side: every answer of a touched worker folds the staged run of its label
+// into the answered object's sums, adding the run's first 2m floats (the
+// logit changes) and multiplying the rest (their exponentials, if staged).
+// Objects shared by several touched workers get one slot, in first-seen
+// order; a row hit once reads its staged run in place, a row hit again gets
+// an accumulator after the stagedLen staged floats. It returns the largest
+// number of hits of any row.
+func (sc *HypoScratch) rippleWalk(object int, touched []model.WorkerAnswer, stagedLen, reach, run int) int32 {
+	ix := sc.ix
+	m := ix.m
+	sc.pos = grow(sc.pos, reach)
+	sc.hits = grow(sc.hits, reach)
+	sc.ripple = grow(sc.ripple, reach)
+	if int(sc.base) > math.MaxInt32-ix.n {
+		clear(sc.seen)
+		sc.base = 1
+	}
+	base := sc.base
+	sc.ripple = sc.ripple[:0]
+	next := stagedLen
+	maxHits := int32(1)
+	for i, wa := range touched {
+		st := i * m * run
+		for _, oa := range ix.answers.WorkerView(wa.Worker) {
+			r := oa.Object
+			if r == object {
+				continue
+			}
+			src := st + int(oa.Label)*run
+			slot := int(sc.seen[r] - base)
+			if slot < 0 {
+				// A first hit's sums are its own entries, which is what
+				// adding them to 0 and multiplying them into 1 gives; the
+				// row reads them where they were staged.
+				slot = len(sc.ripple)
+				sc.seen[r] = base + int32(slot)
+				sc.ripple = append(sc.ripple, r)
+				sc.pos[slot] = src
+				sc.hits[slot] = 1
+				continue
+			}
+			at := sc.pos[slot]
+			if sc.hits[slot] == 1 {
+				copy(sc.staged[next:next+run], sc.staged[at:at+run])
+				at, sc.pos[slot] = next, next
+				next += run
+			}
+			dst := sc.staged[at : at+run]
+			add := sc.staged[src : src+run]
+			for j, v := range add[:2*m] {
+				dst[j] += v
+			}
+			prod := dst[2*m:]
+			for j, v := range add[2*m:] {
+				prod[j] *= v
+			}
+			sc.hits[slot]++
+			maxHits = max(maxHits, sc.hits[slot])
+		}
+	}
+	sc.base += int32(len(sc.ripple))
+	return maxHits
 }
 
 // addRowEntropies adds one ripple row's entropy change, its hypothetical
@@ -776,4 +873,190 @@ func stagedLog(count, sum float64, m int) float64 {
 		p = 1e-12
 	}
 	return math.Log(p)
+}
+
+// rankBoundK3 bounds |f‴| for the binary entropy f as a function of the
+// logit gap z. With u = z/2, t = tanh u and p(1−p) = (1−t²)/4 = sech²u/4,
+// differentiating f′(z) = −z·p(1−p) twice more gives
+//
+//	f‴(z) = p(1−p)·(2t + u(1 − 3t²)),
+//
+// so |f‴| ≤ ½·|t|(1−t²) + ½·|u|·sech²u, using |1 − 3t²| ≤ 2. The first term
+// is at most ½·2/(3√3) ≈ 0.1925 (t(1−t²) peaks at t = 1/√3); the second at
+// most ½·½, because cosh²u ≥ 1 + u² gives |u|·sech²u ≤ |u|/(1+u²) ≤ ½.
+// Hence sup|f‴| ≤ 0.4425 (the true supremum is about 0.2174;
+// TestRankBoundK3 checks both on a dense grid).
+const rankBoundK3 = 0.45
+
+// RankBound returns an upper bound on the information gain the scorer
+// computes for object o, ix.TotalUncertainty() − ConditionalUncertainty(o),
+// at a fraction of its cost; +Inf when no bound can be given. The index must
+// have its rank-bound tables (EnsureRankBounds).
+//
+// It runs the scorer's frontier M-step and ripple walk, with two changes.
+// The stage subtracts the candidate's row from the index's per-worker soft
+// counts instead of re-summing the worker's answers, and stages no
+// exponentials. Each ripple row then adds, in place of the log of its
+// hypothetical entropy, a Taylor lower bound on its entropy change under
+// hypothesis h: with δ the change of its logit gap (hypothesis 0:
+// sums[1] − sums[2]; hypothesis 1: sums[3] − sums[0]),
+//
+//	f(z+δ) − H_r ≥ E + F·δ + S·δ² − (K₃/6)·|δ|³,
+//
+// Taylor's theorem with K₃ ≥ sup|f‴| (rankBoundK3), floored at −1 because
+// an entropy change is at least −H_r > −ln 2. Validated rows, the pinned
+// row's entropy, the p_h weights and the clamp at zero are the scorer's.
+// A lower bound on every hypothesis' entropy change is an upper bound on
+// the gain, once the float-error pad of rankBoundPad is taken off each
+// change.
+func (sc *HypoScratch) RankBound(object int) float64 {
+	ix := sc.ix
+	const m, run = 2, 4
+	probs := ix.probSet.Assignment.RowSlice(object)
+	touched := ix.answers.ObjectView(object)
+	reach := 0
+	for _, wa := range touched {
+		reach += len(ix.answers.WorkerView(wa.Worker))
+	}
+	stagedLen := len(touched) * m * run
+	sc.staged = grow(sc.staged, stagedLen+reach/2*run)
+	maxStaged, rho := 0.0, 0.0
+	for i, wa := range touched {
+		ms, r := sc.boundStage(sc.staged[i*m*run:(i+1)*m*run], wa.Worker, int(wa.Label), probs)
+		maxStaged, rho = max(maxStaged, ms), max(rho, r)
+	}
+	if math.IsInf(rho, 1) {
+		return math.Inf(1)
+	}
+	maxHits := sc.rippleWalk(object, touched, stagedLen, reach, run)
+
+	validation := ix.probSet.Validation
+	k := rankBoundK3 / 6
+	d0 := -ix.entropies[object]
+	d1 := d0
+	for slot, r := range sc.ripple {
+		if validation.Get(r) != model.NoLabel {
+			continue
+		}
+		sums := sc.staged[sc.pos[slot]:][:run]
+		t := ix.taylor[3*r:][:3]
+		e, f, s := t[0], t[1], t[2]
+		x := sums[1] - sums[2]
+		b := e + x*(f+x*(s-k*math.Abs(x)))
+		if b < -1 {
+			b = -1
+		}
+		d0 += b
+		x = sums[3] - sums[0]
+		b = e + x*(f+x*(s-k*math.Abs(x)))
+		if b < -1 {
+			b = -1
+		}
+		d1 += b
+	}
+	pad := sc.rankBoundPad(len(sc.ripple), float64(maxHits), maxStaged, rho)
+	expected := 0.0
+	for h, d := range [2]float64{d0, d1} {
+		p := probs[h]
+		if p <= 0 {
+			continue
+		}
+		hv := ix.totalH + (d - pad)
+		if hv < 0 {
+			hv = 0
+		}
+		expected += p * hv
+	}
+	bound := ix.totalH - expected
+	if math.IsNaN(bound) {
+		return math.Inf(1)
+	}
+	return bound
+}
+
+// rankBoundPad returns the amount RankBound takes off each hypothesis'
+// entropy change so that its bound also holds against the float results of
+// the scorer, for a candidate with n ripple rows, hit at most hits times
+// each, staged log entries of magnitude at most maxStaged and soft-count
+// error ratio rho (boundStage). With ε = 2⁻⁵² it covers, generously:
+//
+//   - each row's rounding in the scorer and in the bound: logits x = b + Δ
+//     of magnitude at most Λ = maxLogit + hits·maxStaged carry absolute
+//     errors of a few ε·Λ, a product of hits staged factors a relative
+//     error of hits·ε, entropy moves by at most sup|f′| ≈ 0.224 per unit
+//     of logit, and log, division and the Taylor polynomial (each term below
+//     5 where it is not floored, since |δ| ≥ 4 floors it) add a few ε each:
+//     128·ε·(1 + Λ + hits) per row;
+//   - both sequential sums of n + 1 terms of magnitude at most 1: ε·(n+1)²
+//     each;
+//   - totalH + d, the p_h-weighted sum and the final totalH − expected, in
+//     the scorer and in the bound: 8·ε·(totalH + n + 1);
+//   - the stage: a subtracted soft count differs from the scorer's re-sum by
+//     at most rho relative, so a staged log by 2·rho, a row's δ by
+//     4·hits·rho, and, f being 0.224-Lipschitz, its entropy by hits·rho.
+func (sc *HypoScratch) rankBoundPad(n int, hits, maxStaged, rho float64) float64 {
+	const eps = 0x1p-52
+	rows := float64(n)
+	lambda := sc.ix.maxLogit + hits*maxStaged + hits
+	return eps*(128*rows*(1+lambda)+2*(rows+1)*(rows+1)+8*(sc.ix.totalH+rows+1)) + 2*rows*hits*rho
+}
+
+// boundStage is stageWorker for RankBound: it writes worker w's "other"
+// and "own" staged log entries (2m floats per answered label, no
+// exponentials) with the candidate's row, answered a₀, subtracted from the
+// index's soft counts instead of re-summing w's answers. It returns the
+// largest staged magnitude and rho, a bound on the relative difference of
+// any subtracted count from the scorer's re-sum: both sum at most n_w terms
+// of at most 1 onto counts of total n_w (error ≤ n_w²·ε each), the
+// subtraction adds ε relative, and the smallest cell, smoothing included,
+// divides. rho is +Inf when a cell is not positive.
+func (sc *HypoScratch) boundStage(dst []float64, w, a0 int, row []float64) (maxAbs, rho float64) {
+	ix := sc.ix
+	const m, run = 2, 4
+	confT, own := sc.confT, sc.own
+	copy(confT, ix.softCounts[w*m*m:(w+1)*m*m])
+	minCell := math.Inf(1)
+	for l := 0; l < m; l++ {
+		c := confT[a0*m+l] - row[l]
+		own[l] = c + 1 + ix.smoothing
+		confT[a0*m+l] = c
+	}
+	for i := range confT {
+		confT[i] += ix.smoothing
+		minCell = min(minCell, confT[i])
+	}
+	if !(minCell > 0) {
+		return 0, math.Inf(1)
+	}
+	nw := float64(len(ix.answers.WorkerView(w)))
+	rho = 0x1p-52 * (2*nw*nw + nw + 1) / minCell
+
+	other, ownSum := sc.sums[:m], sc.sums[m:]
+	for l := 0; l < m; l++ {
+		so, sw := 0.0, 0.0
+		for a := 0; a < m; a++ {
+			c := confT[a*m+l]
+			so += c
+			if a == a0 {
+				c = own[l]
+			}
+			sw += c
+		}
+		other[l], ownSum[l] = so, sw
+	}
+	cur := ix.logConfT[w*m*m : (w+1)*m*m]
+	for a := 0; a < m; a++ {
+		out := dst[a*run : (a+1)*run]
+		for l := 0; l < m; l++ {
+			c := confT[a*m+l]
+			d := stagedLog(c, other[l], m) - cur[a*m+l]
+			if a == a0 {
+				c = own[l]
+			}
+			e := stagedLog(c, ownSum[l], m) - cur[a*m+l]
+			out[l], out[m+l] = d, e
+			maxAbs = max(maxAbs, math.Abs(d), math.Abs(e))
+		}
+	}
+	return maxAbs, rho
 }

@@ -38,8 +38,9 @@ func (ix *ScoreIndex) ProbSet() *model.ProbabilisticAnswerSet { return ix.probSe
 // Only moved rows are re-entropied and only moved blocks re-logged; totalH is
 // re-summed exactly as NewScoreIndex sums it whenever any entropy moved, the
 // per-object answer log-likelihoods are refilled whenever any block moved,
-// and the per-object row factors (which also depend on the priors) are
-// refilled on every patch.
+// a binary index's worker soft counts whenever any row or block moved, and
+// the per-object row factors and Taylor coefficients (which also depend on
+// the priors) on every patch.
 func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAnswerSet) bool {
 	if p == nil || answers == nil || answers != ix.answers {
 		return false
@@ -52,6 +53,7 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 	}
 
 	old := ix.probSet
+	rowsMoved := false
 	if p.Assignment != old.Assignment {
 		changed := false
 		for o := 0; o < ix.n; o++ {
@@ -70,6 +72,7 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 			}
 			ix.totalH = total
 		}
+		rowsMoved = changed
 	}
 
 	if ix.logConfT != nil {
@@ -91,7 +94,13 @@ func (ix *ScoreIndex) Rebase(answers *model.AnswerSet, p *model.ProbabilisticAns
 		if moved {
 			ix.fillLogRows()
 		}
-		// The row factors depend on both the priors and the rows.
+		// A worker's soft counts move with the rows it answered and with
+		// its answers, which a moved block flags.
+		if ix.softCounts != nil && (rowsMoved || moved) {
+			ix.fillSoftCounts(p.Assignment)
+		}
+		// The row factors depend on both the priors and the rows, and the
+		// Taylor table on those and the entropies.
 		ix.fillRowExp()
 	}
 

@@ -41,10 +41,13 @@ func assertIndexBitIdentical(t *testing.T, step int, got, want *ScoreIndex) {
 		t.Fatalf("step %d: totalH: maintained %v, rebuild %v", step, got.totalH, want.totalH)
 	}
 	for name, pair := range map[string][2][]float64{
-		"logPriors": {got.logPriors, want.logPriors},
-		"logConfT":  {got.logConfT, want.logConfT},
-		"logRows":   {got.logRows, want.logRows},
-		"rowExp":    {got.rowExp, want.rowExp},
+		"logPriors":  {got.logPriors, want.logPriors},
+		"logConfT":   {got.logConfT, want.logConfT},
+		"logRows":    {got.logRows, want.logRows},
+		"rowExp":     {got.rowExp, want.rowExp},
+		"taylor":     {got.taylor, want.taylor},
+		"softCounts": {got.softCounts, want.softCounts},
+		"maxLogit":   {{got.maxLogit}, {want.maxLogit}},
 	} {
 		if len(pair[0]) != len(pair[1]) {
 			t.Fatalf("step %d: %s length: maintained %d, rebuild %d", step, name, len(pair[0]), len(pair[1]))
@@ -103,6 +106,7 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 			}
 			maintained := NewScoreIndex(answers, res.ProbSet, cfg)
 			maintained.EnsureHypoTables()
+			maintained.EnsureRankBounds()
 
 			patched, rebuilt := 0, 0
 			for step := 0; step < 40; step++ {
@@ -161,6 +165,7 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 					// cold and patches from there.
 					maintained = NewScoreIndex(answers, res.ProbSet, cfg)
 					maintained.EnsureHypoTables()
+					maintained.EnsureRankBounds()
 				} else if maintained.Rebase(answers, res.ProbSet) {
 					patched++
 				} else {
@@ -169,6 +174,7 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 					}
 					maintained = NewScoreIndex(answers, res.ProbSet, cfg)
 					maintained.EnsureHypoTables()
+					maintained.EnsureRankBounds()
 					rebuilt++
 				}
 				if grew && step != 20 && maintained.NumObjects() == 0 {
@@ -177,6 +183,7 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 
 				fresh := NewScoreIndex(answers, res.ProbSet, cfg)
 				fresh.EnsureHypoTables()
+				fresh.EnsureRankBounds()
 				assertIndexBitIdentical(t, step, maintained, fresh)
 
 				// The maintained index must also serve hypothetical scoring

@@ -205,15 +205,20 @@ type Engine struct {
 	invalidateIndex bool
 	// rankCache memoizes the most recent ranking per stateless scoring
 	// strategy, keyed by strategy instance, so repeated SelectNextK calls on
-	// an unchanged state are served in O(k) from the maintained view instead
-	// of re-scoring every candidate. Guarded by selMu; dropped whenever the
-	// probabilistic state moves.
-	rankCache map[guidance.Strategy]cachedRanking
+	// an unchanged state are served in O(k) from the maintained view, and a
+	// larger k continues the ranking instead of re-scoring every candidate.
+	// Entries are never modified once stored. Guarded by selMu; dropped
+	// whenever the probabilistic state moves.
+	rankCache map[guidance.Strategy]*guidance.Ranking
 	// scoreIndexBuilds and scoreIndexPatches count from-scratch index builds
 	// and successful in-place patches (selMu). Serving-tier statistics like
 	// emIterations, not snapshot state.
 	scoreIndexBuilds  int
 	scoreIndexPatches int
+	// rankScored and rankPruned count the candidates rankings scored
+	// exactly and those fresh rankings left at their bound (selMu); like
+	// the index counters, statistics.
+	rankScored, rankPruned int
 
 	iteration   int
 	effortSpent int
@@ -257,21 +262,6 @@ func NewEngineContext(ctx context.Context, answers *model.AnswerSet, cfg Config)
 	e.setProbSet(res.ProbSet)
 	e.emIterations += res.Iterations
 	return e, nil
-}
-
-// rankCacheWidth is how many candidates a cacheable selection ranks beyond
-// the caller's k, so subsequent selections on the same state with any k up to
-// the width are served from the memoized ranking.
-const rankCacheWidth = 64
-
-// cachedRanking memoizes one strategy's ranking of the current probabilistic
-// state. The slice is never handed out directly — lookups and stores copy —
-// so callers may retain or truncate returned rankings freely.
-type cachedRanking struct {
-	ranked []guidance.ScoredObject
-	// exhaustive records that ranked holds every candidate the strategy had,
-	// so requests for more than len(ranked) are still cache hits.
-	exhaustive bool
 }
 
 // setProbSet installs a new probabilistic state: it re-instantiates the
@@ -363,7 +353,7 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 	}
 	e.quarantine = spamdetect.NewQuarantine()
 	e.confirmedValidations = make(map[int]model.Label)
-	e.rankCache = make(map[guidance.Strategy]cachedRanking)
+	e.rankCache = make(map[guidance.Strategy]*guidance.Ranking)
 	return e
 }
 
@@ -584,6 +574,17 @@ func (d *DeltaOutcomes) add(o aggregation.DeltaOutcome) {
 // outcome. Like TotalDeltaIterations it is a statistic, not snapshot state.
 func (e *Engine) DeltaOutcomes() DeltaOutcomes { return e.deltaOutcomes }
 
+// RankStats returns how many candidates the engine's rankings scored
+// exactly and how many candidates fresh rankings left unscored, at a bound
+// below their top k. A ranking continued for a larger k adds the
+// candidates it scores to scored, so a candidate can count in both. Like
+// ScoreIndexStats they are statistics, not snapshot state.
+func (e *Engine) RankStats() (scored, pruned int) {
+	e.selMu.Lock()
+	defer e.selMu.Unlock()
+	return e.rankScored, e.rankPruned
+}
+
 // ScoreIndexStats returns how many times the guidance scoring index was
 // built from scratch and how many times it was patched in place onto a
 // successor aggregation result (ScoreIndex.Rebase). Like TotalEMIterations
@@ -756,7 +757,8 @@ func (e *Engine) SelectNextKContext(ctx context.Context, k int) ([]guidance.Scor
 // strategy-branch decision run under the selection lock, the expensive
 // read-only candidate scoring outside it, so a serving tier can run
 // selections under its read lock concurrently with other selections and
-// views.
+// views. A Ranker ranks exactly k (continuing a memoized ranking of the
+// same state when it holds one); other strategies select through SelectK.
 func (e *Engine) selectRanked(ctx context.Context, k int) ([]guidance.ScoredObject, error) {
 	sel, err := e.beginSelection(ctx, k)
 	if err != nil {
@@ -766,25 +768,27 @@ func (e *Engine) selectRanked(ctx context.Context, k int) ([]guidance.ScoredObje
 	if sel.cached != nil {
 		return sel.cached, nil
 	}
-	want := k
-	if sel.cacheable && want < rankCacheWidth {
-		// Rank a wider prefix than asked so subsequent selections on the
-		// same state are served from the memoized ranking. The comparator is
-		// a strict total order (score descending, object ascending), so the
-		// first k entries of the wider ranking are exactly the k-ranking.
-		want = rankCacheWidth
-	}
-	ranked, err := sel.exec.SelectK(sel.gctx, want)
-	if err != nil {
+	var ranked []guidance.ScoredObject
+	if ranker, ok := sel.exec.(guidance.Ranker); ok {
+		r, work, err := ranker.Rank(sel.gctx, sel.from, k)
+		e.selMu.Lock()
+		e.rankScored += work.Scored
+		e.rankPruned += work.Pruned
+		e.selMu.Unlock()
+		if err != nil {
+			return nil, fmt.Errorf("core: selection failed: %w", err)
+		}
+		ranked, _ = r.Top(k)
+		if sel.cacheable {
+			e.storeRanking(sel.exec, sel.gctx, r)
+		}
+	} else if ranked, err = sel.exec.SelectK(sel.gctx, k); err != nil {
 		return nil, fmt.Errorf("core: selection failed: %w", err)
 	}
 	if len(ranked) == 0 {
 		// Defensive: a caller-supplied strategy may legitimately return an
 		// empty ranking when its own filtering leaves no candidate.
 		return nil, fmt.Errorf("core: selection failed: %w", cverr.ErrNoCandidates)
-	}
-	if sel.cacheable {
-		e.storeRanking(sel.exec, sel.gctx, ranked, want)
 	}
 	if len(ranked) > k {
 		ranked = ranked[:k]
@@ -801,41 +805,20 @@ type selection struct {
 	// per-strategy memoization — the maintained-view fast path; exec and
 	// gctx are unset and no scoring runs.
 	cached []guidance.ScoredObject
+	// from is the memoized ranking of the current state that could not
+	// serve k on its own; the selection continues it.
+	from *guidance.Ranking
 	// cacheable marks exec as a stateless scoring strategy whose ranking of
 	// the current state may be memoized.
 	cacheable bool
 }
 
-// cachedRanking returns a copy of the memoized ranking prefix for exec if it
-// can serve k candidates of the current state. Callers hold selMu.
-func (e *Engine) cachedRanking(exec guidance.Strategy, k int) ([]guidance.ScoredObject, bool) {
-	entry, ok := e.rankCache[exec]
-	if !ok || len(entry.ranked) == 0 {
-		return nil, false
-	}
-	if len(entry.ranked) < k && !entry.exhaustive {
-		return nil, false
-	}
-	n := k
-	if len(entry.ranked) < n {
-		n = len(entry.ranked)
-	}
-	out := make([]guidance.ScoredObject, n)
-	copy(out, entry.ranked[:n])
-	return out, true
-}
-
-// storeRanking memoizes a freshly computed ranking for exec. It runs outside
+// storeRanking memoizes r, a ranking of gctx's state for exec that no one
+// else holds: every candidate, the certified prefix first. It runs outside
 // the selection lock (after the unlocked scoring), so it re-takes the lock
 // and drops the store if the probabilistic state moved since the scoring
 // started — a stale ranking must never be memoized against a newer state.
-// want is how many candidates the scoring asked for: a shorter result means
-// the strategy ran out of candidates, making the ranking exhaustive.
-func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, ranked []guidance.ScoredObject, want int) {
-	entry := cachedRanking{
-		ranked:     append([]guidance.ScoredObject(nil), ranked...),
-		exhaustive: len(ranked) < want,
-	}
+func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, r *guidance.Ranking) {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
 	if gctx.ProbSet != e.probSet {
@@ -847,7 +830,7 @@ func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, ra
 		// at most a handful of stable instances.
 		clear(e.rankCache)
 	}
-	e.rankCache[exec] = entry
+	e.rankCache[exec] = r
 }
 
 // RankingMemo is an engine's memoized rankings detached from it, so that an
@@ -859,7 +842,7 @@ func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, ra
 // has new strategy instances. The zero value and nil are the empty memo.
 type RankingMemo struct {
 	state   memoState
-	entries map[memoRole]cachedRanking
+	entries map[memoRole]*guidance.Ranking
 }
 
 // memoRole names a strategy by the part it plays in an engine: the engine's
@@ -952,7 +935,7 @@ func probHash(p *model.ProbabilisticAnswerSet) uint64 {
 func (e *Engine) TakeRankingMemo() *RankingMemo {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
-	memo := &RankingMemo{entries: make(map[memoRole]cachedRanking)}
+	memo := &RankingMemo{entries: make(map[memoRole]*guidance.Ranking)}
 	for role, s := range e.memoRoles() {
 		if entry, ok := e.rankCache[s]; ok {
 			memo.entries[role] = entry
@@ -994,7 +977,7 @@ func (m *RankingMemo) Bytes() int64 {
 	}
 	var n int64
 	for _, entry := range m.entries {
-		n += int64(cap(entry.ranked)) * int64(unsafe.Sizeof(guidance.ScoredObject{}))
+		n += int64(cap(entry.Entries)) * int64(unsafe.Sizeof(guidance.ScoredObject{}))
 	}
 	return n
 }
@@ -1053,15 +1036,21 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 		// has not moved, otherwise share the per-aggregation index and score
 		// outside the lock.
 		sel.cacheable = !e.cfg.DisableSelectionCache
-		if sel.cacheable {
-			if hit, ok := e.cachedRanking(exec, k); ok {
+		if entry := e.rankCache[exec]; sel.cacheable && entry != nil {
+			if hit, ok := entry.Top(k); ok && len(hit) > 0 {
 				e.selMu.Unlock()
 				sel.cached = hit
 				return sel, nil
 			}
+			sel.from = entry
 		}
 		sel.gctx = e.guidanceContext(ctx)
 		sel.gctx.Index = e.ensureScoreIndex()
+		if _, ok := exec.(*guidance.UncertaintyDriven); ok && e.cfg.DeltaScoring {
+			// Its bound pass reads the index's rank-bound tables; build
+			// them here, since the index is shared outside the lock.
+			sel.gctx.Index.EnsureRankBounds()
+		}
 		e.selMu.Unlock()
 		return sel, nil
 	default:

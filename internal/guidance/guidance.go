@@ -226,19 +226,32 @@ func (b *Baseline) Name() string { return "baseline-entropy" }
 // scored by that entropy. Entropies come from the per-aggregation index (or
 // are computed once when the context carries none).
 func (b *Baseline) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
+	if k < 1 {
+		k = 1
+	}
+	return selectTop(ctx, b, k)
+}
+
+// Rank implements Ranker: every candidate scored by its entropy.
+func (b *Baseline) Rank(ctx *Context, from *Ranking, k int) (*Ranking, RankWork, error) {
+	return rankWith(ctx, b, from, k)
+}
+
+func (b *Baseline) candidates(ctx *Context) ([]int, error) {
 	candidates := ctx.candidates()
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
+	return candidates, nil
+}
+
+func (b *Baseline) bounds(*Context, []int) ([]float64, error) { return nil, nil }
+
+func (b *Baseline) scorer(ctx *Context) (scorerFactory, error) {
 	ix := ctx.index()
-	scores := make([]float64, len(candidates))
-	for i, o := range candidates {
-		scores[i] = ix.ObjectEntropy(o)
-	}
-	if k < 1 {
-		k = 1
-	}
-	return topKByScore(candidates, scores, k), nil
+	return func() (scorerFunc, func()) {
+		return func(o int) (float64, error) { return ix.ObjectEntropy(o), nil }, nil
+	}, nil
 }
 
 // scorerFunc scores one candidate object. A scorer is used by exactly one
@@ -293,20 +306,6 @@ func scoreAll(ctx *Context, candidates []int, newScorer scorerFactory) ([]float6
 		}
 	}
 	return scores, nil
-}
-
-// scoreTopK scores every candidate and returns the k best as a deterministic
-// ranking (score descending, ties toward the smaller object index).
-func scoreTopK(ctx *Context, candidates []int, newScorer scorerFactory, k int) ([]ScoredObject, error) {
-	scores, err := scoreAll(ctx, candidates, newScorer)
-	if err != nil {
-		return nil, err
-	}
-	ranked := topKByScore(candidates, scores, k)
-	if len(ranked) == 0 {
-		return nil, ErrNoCandidates
-	}
-	return ranked, nil
 }
 
 // topKByScore selects the k best (score descending, ties toward the smaller

@@ -3,6 +3,7 @@ package guidance
 import (
 	"crowdval/internal/aggregation"
 	"crowdval/internal/model"
+	"crowdval/internal/par"
 )
 
 // UncertaintyDriven selects the object whose validation is expected to reduce
@@ -30,34 +31,46 @@ func (u *UncertaintyDriven) Name() string { return "uncertainty-driven" }
 // SelectK implements Strategy: the top-k candidates ranked by information
 // gain.
 func (u *UncertaintyDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
-	candidates, newScorer, err := u.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return scoreTopK(ctx, candidates, newScorer, k)
+	return selectTop(ctx, u, k)
 }
 
-// prepare narrows the candidate set and builds the per-goroutine scorer
-// factory for the configured scoring mode. It runs before scoring fans out,
-// so the shared index is fully built here. Delta scorers lease their scratch
-// from the index and hand it back when their goroutine is done, so warm
-// rankings of one index allocate no scratch.
-func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, scorerFactory, error) {
-	ix := ctx.index()
-	candidates, err := ctx.prefilter(ix, u.CandidateLimit)
-	if err != nil {
-		return nil, nil, err
+// Rank implements Ranker. The delta scorer of a binary crowd bounds every
+// candidate's gain first (aggregation.HypoScratch.RankBound, a fraction of
+// a score) and scores only the candidates whose bound can still reach the
+// top k; every other scorer gives no bound and scores every candidate.
+// Either way the certified entries are those of scoring every candidate.
+func (u *UncertaintyDriven) Rank(ctx *Context, from *Ranking, k int) (*Ranking, RankWork, error) {
+	return rankWith(ctx, u, from, k)
+}
+
+func (u *UncertaintyDriven) candidates(ctx *Context) ([]int, error) {
+	return ctx.prefilter(ctx.index(), u.CandidateLimit)
+}
+
+func (u *UncertaintyDriven) bounds(ctx *Context, candidates []int) ([]float64, error) {
+	if ix := ctx.index(); ctx.DeltaScore && ix.EnsureRankBounds() {
+		return rankBounds(ctx, ix, candidates)
 	}
+	return nil, nil
+}
+
+// scorer builds the per-goroutine scorer factory for the configured scoring
+// mode. It runs before scoring fans out, so the shared index is fully built
+// here. Delta scorers lease their scratch from the index and hand it back
+// when their goroutine is done, so warm rankings of one index allocate no
+// scratch.
+func (u *UncertaintyDriven) scorer(ctx *Context) (scorerFactory, error) {
+	ix := ctx.index()
 	currentH := ix.TotalUncertainty()
 	if ctx.DeltaScore {
-		return candidates, func() (scorerFunc, func()) {
+		return func() (scorerFunc, func()) {
 			sc := ix.AcquireHypoScratch()
 			return func(o int) (float64, error) {
 				return currentH - sc.ConditionalUncertainty(o), nil
 			}, func() { ix.ReleaseHypoScratch(sc) }
 		}, nil
 	}
-	return candidates, func() (scorerFunc, func()) {
+	return func() (scorerFunc, func()) {
 		// One scratch validation per scoring goroutine, set/unset per
 		// hypothesis — not one Clone per (candidate, label).
 		scratch := ctx.ProbSet.Validation.Clone()
@@ -69,6 +82,28 @@ func (u *UncertaintyDriven) prepare(ctx *Context) ([]int, scorerFactory, error) 
 			return currentH - conditional, nil
 		}, nil
 	}, nil
+}
+
+// rankBounds bounds every candidate's information gain
+// (HypoScratch.RankBound), in shards when scoring is parallel.
+func rankBounds(ctx *Context, ix *aggregation.ScoreIndex, candidates []int) ([]float64, error) {
+	bounds := make([]float64, len(candidates))
+	cancel := ctx.ctx()
+	shards := 1
+	if ctx.Parallel && len(candidates) > 1 {
+		shards = par.Shards(ctx.parallelism(), len(candidates))
+	}
+	err := par.ForNCtx(cancel, len(candidates), shards, func(_, lo, hi int) {
+		sc := ix.AcquireHypoScratch()
+		defer ix.ReleaseHypoScratch(sc)
+		for i := lo; i < hi && cancel.Err() == nil; i++ {
+			bounds[i] = sc.RankBound(candidates[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return bounds, nil
 }
 
 // InformationGain computes IG(o) = H(P) − H(P | o) for one object (Eq. 9).

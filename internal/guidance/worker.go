@@ -29,29 +29,32 @@ func (w *WorkerDriven) Name() string { return "worker-driven" }
 // SelectK implements Strategy: the top-k candidates ranked by the expected
 // number of detected faulty workers.
 func (w *WorkerDriven) SelectK(ctx *Context, k int) ([]ScoredObject, error) {
-	candidates, newScorer, err := w.prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return scoreTopK(ctx, candidates, newScorer, k)
+	return selectTop(ctx, w, k)
 }
 
-// prepare narrows the candidate set, runs the baseline community detection
-// (once, before scoring fans out) and builds the per-goroutine scorer
-// factory.
-func (w *WorkerDriven) prepare(ctx *Context) ([]int, scorerFactory, error) {
-	candidates, err := ctx.prefilter(ctx.Index, w.CandidateLimit)
-	if err != nil {
-		return nil, nil, err
-	}
+// Rank implements Ranker. The scorer gives no bound, so every candidate is
+// scored.
+func (w *WorkerDriven) Rank(ctx *Context, from *Ranking, k int) (*Ranking, RankWork, error) {
+	return rankWith(ctx, w, from, k)
+}
+
+func (w *WorkerDriven) candidates(ctx *Context) ([]int, error) {
+	return ctx.prefilter(ctx.Index, w.CandidateLimit)
+}
+
+func (w *WorkerDriven) bounds(*Context, []int) ([]float64, error) { return nil, nil }
+
+// scorer runs the baseline community detection (once, before scoring fans
+// out) and builds the per-goroutine scorer factory.
+func (w *WorkerDriven) scorer(ctx *Context) (scorerFactory, error) {
 	priors := ctx.ProbSet.Assignment.Priors()
 	detector := ctx.detector()
 	base, err := detector.DetectContext(ctx.ctx(), ctx.Answers, ctx.ProbSet.Validation, priors)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	baseFaulty := len(base.FaultyWorkers())
-	return candidates, func() (scorerFunc, func()) {
+	return func() (scorerFunc, func()) {
 		// One scratch validation per scoring goroutine, set/unset per
 		// hypothesis — not one Clone per (candidate, label).
 		scratch := ctx.ProbSet.Validation.Clone()

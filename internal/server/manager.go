@@ -143,6 +143,8 @@ type Manager struct {
 	deltaOutcomes     outcomeCounters
 	scoreIndexBuilds  atomic.Int64
 	scoreIndexPatches atomic.Int64
+	rankScored        atomic.Int64
+	rankPruned        atomic.Int64
 	// Durability counters (see walstate.go).
 	walRecords      atomic.Int64
 	walBytes        atomic.Int64
@@ -525,9 +527,10 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 
 // sessionCounters are a session's cumulative statistics as already folded
 // into the manager's totals: EM and delta iterations, delta outcomes,
-// score-index builds and patches.
+// score-index builds and patches, ranking candidates scored and pruned.
 type sessionCounters struct {
 	emIters, deltaIters, builds, patches atomic.Int64
+	scored, pruned                       atomic.Int64
 	outcomes                             outcomeCounters
 }
 
@@ -554,6 +557,9 @@ func (m *Manager) foldSession(e *entry, sess *crowdval.Session) {
 	addMonotone(&e.folded.outcomes.cold, &m.deltaOutcomes.cold, int64(o.Cold))
 	addMonotone(&e.folded.builds, &m.scoreIndexBuilds, int64(builds))
 	addMonotone(&e.folded.patches, &m.scoreIndexPatches, int64(patches))
+	scored, pruned := sess.RankStats()
+	addMonotone(&e.folded.scored, &m.rankScored, int64(scored))
+	addMonotone(&e.folded.pruned, &m.rankPruned, int64(pruned))
 }
 
 // addMonotone folds a session's monotone cumulative counter value cur into
@@ -1238,6 +1244,12 @@ type Stats struct {
 	// proportional to what each ingest changed.
 	ScoreIndexBuilds  int64 `json:"scoreIndexBuilds" prom:"crowdval_score_index_builds_total,counter" help:"Guidance scoring indexes built from scratch."`
 	ScoreIndexPatches int64 `json:"scoreIndexPatches" prom:"crowdval_score_index_patches_total,counter" help:"Guidance scoring indexes patched in place (maintained view)."`
+	// RankCandidatesScored/RankCandidatesPruned count, across all sessions,
+	// the ranking candidates scored exactly and those a fresh ranking left
+	// at an upper bound below its top k (Session.RankStats); the pruned
+	// share is the work the early stop saved.
+	RankCandidatesScored int64 `json:"rankCandidatesScored" prom:"crowdval_rank_candidates_scored_total,counter" help:"Ranking candidates scored exactly."`
+	RankCandidatesPruned int64 `json:"rankCandidatesPruned" prom:"crowdval_rank_candidates_pruned_total,counter" help:"Ranking candidates left unscored at an upper bound below the top k."`
 	// Durability counters; all zero when the manager runs without a WAL.
 	// WALRecords/WALBytes/WALSyncs are cumulative appender totals across all
 	// sessions; Checkpoints/CheckpointFailures count snapshot-checkpoint
@@ -1298,6 +1310,8 @@ func (m *Manager) Stats() Stats {
 	s.ShedIngests = m.shed.Load()
 	s.ScoreIndexBuilds = m.scoreIndexBuilds.Load()
 	s.ScoreIndexPatches = m.scoreIndexPatches.Load()
+	s.RankCandidatesScored = m.rankScored.Load()
+	s.RankCandidatesPruned = m.rankPruned.Load()
 	s.WALRecords = m.walRecords.Load()
 	s.WALBytes = m.walBytes.Load()
 	s.WALSyncs = m.walSyncs.Load()

@@ -17,14 +17,15 @@ import (
 // parked; and no other transition of the entry lets a memo outlive the state
 // it describes.
 
-// memoOpts are the options of the memo tests' sessions: every candidate
-// scored, so a memoized ranking holds the full rankCacheWidth (64) entries.
+// memoOpts are the options of the memo tests' sessions: no candidate limit,
+// so a memoized ranking holds every unvalidated object of their crowds.
 func memoOpts(strategy crowdval.StrategyName, seed int64) []crowdval.Option {
 	return []crowdval.Option{crowdval.WithStrategy(strategy), crowdval.WithSeed(seed), crowdval.WithParallelism(1)}
 }
 
-// fullMemoBytes is what one memoized ranking of 64 candidates holds.
-const fullMemoBytes = 64 * 16
+// fullMemoBytes is what one memoized ranking of a 120-object test crowd
+// holds: every candidate, exact or at its bound, 16 B each.
+const fullMemoBytes = 120 * 16
 
 // touch resumes a session without ranking it, which parks every other
 // session under a one-byte budget.
@@ -314,7 +315,9 @@ func TestParkResumeNoStaleMemo(t *testing.T) {
 // TestMemoCountersPerTrigger pins the park/resume counters and the carried
 // memo gauge per trigger: parking an unranked session carries nothing, a
 // ranked one carries one full ranking, a resume adopts it (no index build),
-// a state change drops it before the next park, and a delete releases it.
+// a larger k continues it (scoring only what the first ranking left at its
+// bound), a state change drops it before the next park, and a delete
+// releases it.
 func TestMemoCountersPerTrigger(t *testing.T) {
 	ctx := context.Background()
 	d := testCrowd(t, 120, 12, 81)
@@ -341,12 +344,25 @@ func TestMemoCountersPerTrigger(t *testing.T) {
 	want("create parks the unranked session", counters{1, 0, 0, 0, 0})
 	managerRanking(t, m, "a", 5)
 	want("first ranking resumes without a memo and builds", counters{2, 1, 0, 0, 1})
+	first := m.Stats()
+	if first.RankCandidatesScored+first.RankCandidatesPruned != 120 || first.RankCandidatesPruned == 0 {
+		t.Fatalf("first ranking scored %d and pruned %d of 120 candidates, want some pruned",
+			first.RankCandidatesScored, first.RankCandidatesPruned)
+	}
 	touch(t, m, "pad")
 	want("parking the ranked session carries its memo", counters{3, 2, 0, fullMemoBytes, 1})
 	managerRanking(t, m, "a", 5)
 	want("resume adopts the memo, no build", counters{4, 3, 1, 0, 1})
 	managerRanking(t, m, "a", 64)
-	want("resident memo hit", counters{4, 3, 1, 0, 1})
+	// Scoring the candidates the memo holds at their bound needs the
+	// scoring index; the memo is continued, not re-ranked: no candidate is
+	// pruned anew and none is scored twice.
+	want("a larger k continues the resumed memo", counters{4, 3, 1, 0, 2})
+	if st := m.Stats(); st.RankCandidatesPruned != first.RankCandidatesPruned || st.RankCandidatesScored > 120 ||
+		st.RankCandidatesScored < 64 {
+		t.Fatalf("after k = 64: %d scored, %d pruned; want at most 120 scored, at least 64, and %d pruned",
+			st.RankCandidatesScored, st.RankCandidatesPruned, first.RankCandidatesPruned)
+	}
 	var answers []crowdval.Answer
 	for o := 0; o < 120; o++ {
 		if l := extra.Answers.Answer(o, 0); l >= 0 {
@@ -357,13 +373,13 @@ func TestMemoCountersPerTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	touch(t, m, "pad")
-	want("an ingest drops the memo before the park", counters{5, 4, 1, 0, 1})
+	want("an ingest drops the memo before the park", counters{5, 4, 1, 0, 2})
 	managerRanking(t, m, "a", 5)
-	want("resume without a memo builds", counters{6, 5, 1, 0, 2})
+	want("resume without a memo builds", counters{6, 5, 1, 0, 3})
 	touch(t, m, "pad")
-	want("parked again with its memo", counters{7, 6, 1, fullMemoBytes, 2})
+	want("parked again with its memo", counters{7, 6, 1, fullMemoBytes, 3})
 	if err := m.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	want("delete releases the memo", counters{7, 6, 1, 0, 2})
+	want("delete releases the memo", counters{7, 6, 1, 0, 3})
 }

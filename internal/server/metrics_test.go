@@ -38,6 +38,8 @@ func pinnedStats() (Stats, ClusterStats) {
 		ShedIngests:          116,
 		ScoreIndexBuilds:     117,
 		ScoreIndexPatches:    118,
+		RankCandidatesScored: 138,
+		RankCandidatesPruned: 139,
 		WALRecords:           119,
 		WALBytes:             120,
 		WALSyncs:             121,
@@ -100,6 +102,8 @@ var wantExposition = map[string]promSample{
 	"crowdval_shed_ingests_total":           {"counter", "Ingest requests shed with ErrOverloaded (HTTP 429).", "116"},
 	"crowdval_score_index_builds_total":     {"counter", "Guidance scoring indexes built from scratch.", "117"},
 	"crowdval_score_index_patches_total":    {"counter", "Guidance scoring indexes patched in place (maintained view).", "118"},
+	"crowdval_rank_candidates_scored_total": {"counter", "Ranking candidates scored exactly.", "138"},
+	"crowdval_rank_candidates_pruned_total": {"counter", "Ranking candidates left unscored at an upper bound below the top k.", "139"},
 	"crowdval_wal_records_total":            {"counter", "Records appended to session write-ahead logs.", "119"},
 	"crowdval_wal_bytes_total":              {"counter", "Bytes written to session write-ahead logs.", "120"},
 	"crowdval_wal_fsyncs_total":             {"counter", "Fsyncs issued by session write-ahead logs.", "121"},
@@ -124,7 +128,7 @@ var wantExposition = map[string]promSample{
 }
 
 // wantMetricsJSON is the /v1/metrics body for pinnedStats.
-const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"deltaCold":135,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
+const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"deltaCold":135,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"rankCandidatesScored":138,"rankCandidatesPruned":139,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
 `
 
 // renderExposition is what GET /metrics serves for a node with cluster

@@ -587,6 +587,14 @@ type DeltaOutcomes = core.DeltaOutcomes
 // of the snapshot state.
 func (s *Session) DeltaOutcomes() DeltaOutcomes { return s.engine.DeltaOutcomes() }
 
+// RankStats returns how many ranking candidates the session scored exactly
+// and how many fresh rankings left unscored, at an upper bound on their
+// score below the top k (delta scoring of binary crowds; see
+// WithDeltaScoring). A ranking continued for a larger k counts the
+// candidates it scores again under scored. Like ScoreIndexStats these are
+// statistics, not snapshot state: a resumed session counts from zero.
+func (s *Session) RankStats() (scored, pruned int) { return s.engine.RankStats() }
+
 // ScoreIndexStats returns how many times the session's guidance scoring
 // index was built from scratch and how many times it was patched in place
 // onto a new aggregation result (the maintained-view path). Serving tiers
