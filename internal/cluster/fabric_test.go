@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -444,4 +445,43 @@ func routerPost(t testing.TB, base, path string, body any) (int, []byte) {
 	defer resp.Body.Close()
 	out, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, out
+}
+
+// TestNodeStatsLoadsEveryCounter: Node.Stats copies every live fabric counter
+// into its own field. Each int64 field of the live counters gets a distinct
+// value; Stats must return each value in the same field, except the gauges,
+// which it computes from the ring, the manager and the follower instead.
+func TestNodeStatsLoadsEveryCounter(t *testing.T) {
+	manager, err := server.NewManager(server.ManagerConfig{ParkDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(NodeConfig{Self: "10.0.0.1:7001", Peers: []string{"10.0.0.2:7001"}, Manager: manager, Server: server.New(manager)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauges := map[string]int64{"Peers": 2, "SessionsOwned": 0, "FollowedSessions": 0, "ReplicationLagLSN": 0}
+	live := reflect.ValueOf(&n.live).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		if live.Field(i).Kind() == reflect.Int64 {
+			live.Field(i).SetInt(int64(1000 + i))
+		}
+	}
+	got := reflect.ValueOf(n.Stats())
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		name := got.Type().Field(i).Name
+		want, gauge := gauges[name]
+		if !gauge {
+			want = int64(1000 + i)
+		}
+		if v := got.Field(i).Int(); v != want {
+			t.Errorf("Stats().%s = %d, want %d", name, v, want)
+		}
+	}
+	if s := n.Stats().Self; s != "10.0.0.1:7001" {
+		t.Errorf("Stats().Self = %q", s)
+	}
 }

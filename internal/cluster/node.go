@@ -38,6 +38,14 @@ type NodeConfig struct {
 // are routed here, everything else falls through to the public API with the
 // ownership gate applied.
 type Node struct {
+	// live holds the fabric counters (handoffs, promotions, not-owner
+	// rejects), incremented in place with sync/atomic and sampled by Stats
+	// through server.LoadStats; its gauges are unused, Stats computes them.
+	// It is the first field because the 64-bit atomic functions need 8-byte
+	// alignment, which Go guarantees on 32-bit platforms only for the first
+	// word of an allocated struct.
+	live server.ClusterStats
+
 	self    string
 	ring    *Ring
 	manager *server.Manager
@@ -49,11 +57,7 @@ type Node struct {
 	overrides map[string]string // session -> owner, layered over the ring
 	follower  *Follower
 
-	draining    atomic.Bool
-	handoffsIn  atomic.Int64
-	handoffsOut atomic.Int64
-	promotions  atomic.Int64
-	notOwner    atomic.Int64
+	draining atomic.Bool
 }
 
 // NewNode builds a fabric member and installs its ownership gate and
@@ -147,7 +151,7 @@ func (n *Node) checkOwner(name string) error {
 	if owner == n.self {
 		return nil
 	}
-	n.notOwner.Add(1)
+	atomic.AddInt64(&n.live.NotOwnerRejects, 1)
 	return &server.NotOwnerError{Name: name, Owner: owner}
 }
 
@@ -163,17 +167,13 @@ func (n *Node) Stats() server.ClusterStats {
 	if f := n.followerRef(); f != nil {
 		followed, lag = f.Stats()
 	}
-	return server.ClusterStats{
-		Self:              n.self,
-		Peers:             int64(len(n.ring.peers)),
-		SessionsOwned:     owned,
-		FollowedSessions:  followed,
-		HandoffsIn:        n.handoffsIn.Load(),
-		HandoffsOut:       n.handoffsOut.Load(),
-		ReplicationLagLSN: lag,
-		Promotions:        n.promotions.Load(),
-		NotOwnerRejects:   n.notOwner.Load(),
-	}
+	s := server.LoadStats(&n.live)
+	s.Self = n.self
+	s.Peers = int64(len(n.ring.peers))
+	s.SessionsOwned = owned
+	s.FollowedSessions = followed
+	s.ReplicationLagLSN = lag
+	return s
 }
 
 // Promote adopts session name: this node must already hold its state (via
@@ -187,7 +187,7 @@ func (n *Node) Promote(name string) error {
 		f.Stop(name)
 	}
 	n.setOverride(name, n.self)
-	n.promotions.Add(1)
+	atomic.AddInt64(&n.live.Promotions, 1)
 	return nil
 }
 
@@ -225,7 +225,7 @@ func (n *Node) handoffTo(ctx context.Context, name string) error {
 		})
 		if err == nil {
 			n.setOverride(name, target)
-			n.handoffsOut.Add(1)
+			atomic.AddInt64(&n.live.HandoffsOut, 1)
 			return nil
 		}
 		if errors.Is(err, cverr.ErrSessionNotFound) {
@@ -287,7 +287,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.setOverride(name, n.self)
-	n.handoffsIn.Add(1)
+	atomic.AddInt64(&n.live.HandoffsIn, 1)
 	w.WriteHeader(http.StatusNoContent)
 }
 

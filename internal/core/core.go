@@ -66,7 +66,7 @@ type Config struct {
 	Goal Goal
 	// HandleFaultyWorkers enables the quarantine of detected faulty workers
 	// when the worker-driven branch selected the object (Algorithm 1,
-	// line 12). It is enabled by default through NewEngine when the hybrid
+	// line 12). It is enabled by default through NewEngineContext when the hybrid
 	// or worker-driven strategy is used.
 	HandleFaultyWorkers bool
 	// Parallel enables parallel candidate scoring in the guidance step.
@@ -173,19 +173,19 @@ type Engine struct {
 	scoringDetector   *spamdetect.Detector
 	quarantine        *spamdetect.Quarantine
 	hybrid            *guidance.Hybrid
-	// lastWorkerDriven records whether the most recent SelectNext call used
+	// lastWorkerDriven records whether the most recent selection used
 	// the worker-driven branch.
 	lastWorkerDriven bool
 
 	// selMu guards the mutable selection state — the hybrid roulette draw
 	// (and any other strategy-owned pseudo-random state), lastWorkerDriven
 	// and the lazily built scoreIndex — so selections may run concurrently
-	// with each other and with read-only state access (a serving tier calls
-	// SelectNext under its read lock). The expensive candidate scoring runs
+	// with each other and with read-only state access (a serving tier
+	// selects under its read lock). The expensive candidate scoring runs
 	// outside the lock; only the draw and the index build are serialized.
-	// Selections must still not run concurrently with mutations (Integrate,
-	// AddAnswers, ...): that exclusion is the caller's, e.g. a single-writer
-	// RWMutex in the serving tier.
+	// Selections must still not run concurrently with mutations
+	// (IntegrateContext, AddAnswers, ...): that exclusion is the caller's,
+	// e.g. a single-writer RWMutex in the serving tier.
 	selMu sync.Mutex
 	// scoreIndex is the per-aggregation guidance scoring index (per-object
 	// entropies, hypothetical-scoring tables), built lazily on the first
@@ -204,37 +204,20 @@ type Engine struct {
 	// needs no extra lock.
 	invalidateIndex bool
 	// rankCache memoizes the most recent ranking per stateless scoring
-	// strategy, keyed by strategy instance, so repeated SelectNextK calls on
+	// strategy, keyed by strategy instance, so repeated SelectNextKContext calls on
 	// an unchanged state are served in O(k) from the maintained view, and a
 	// larger k continues the ranking instead of re-scoring every candidate.
 	// Entries are never modified once stored. Guarded by selMu; dropped
 	// whenever the probabilistic state moves.
 	rankCache map[guidance.Strategy]*guidance.Ranking
-	// scoreIndexBuilds and scoreIndexPatches count from-scratch index builds
-	// and successful in-place patches (selMu). Serving-tier statistics like
-	// emIterations, not snapshot state.
-	scoreIndexBuilds  int
-	scoreIndexPatches int
-	// rankScored and rankPruned count the candidates rankings scored
-	// exactly and those fresh rankings left at their bound (selMu); like
-	// the index counters, statistics.
-	rankScored, rankPruned int
+	// counters are the engine's cumulative statistics. The index and rank
+	// counters are written under selMu; the aggregation counters by the
+	// mutation paths, which are exclusive.
+	counters Counters
 
 	iteration   int
 	effortSpent int
 	history     []IterationRecord
-	// emIterations accumulates the EM iterations of every aggregation this
-	// engine ran (initial, per-validation, batch, ingestion, revision). It is
-	// a serving-tier statistic, not part of the snapshot state: a restored
-	// engine starts counting from zero again.
-	emIterations int
-	// deltaIterations accumulates the frontier-restricted iterations of the
-	// delta-incremental path; like emIterations it is a statistic, not
-	// snapshot state. A session that never used the delta path reports zero.
-	deltaIterations int
-	// deltaOutcomes counts the delta-path aggregations by outcome; a
-	// statistic like deltaIterations.
-	deltaOutcomes DeltaOutcomes
 
 	// confirmedValidations records, per object, the label the expert has
 	// explicitly re-confirmed after the confirmation check flagged it. Such
@@ -242,14 +225,9 @@ type Engine struct {
 	confirmedValidations map[int]model.Label
 }
 
-// NewEngine prepares a validation engine over a copy of the given answer set
-// and runs the initial aggregation (iteration 0). The engine never reads or
-// writes the caller's set again.
-func NewEngine(answers *model.AnswerSet, cfg Config) (*Engine, error) {
-	return NewEngineContext(context.Background(), answers, cfg)
-}
-
-// NewEngineContext is NewEngine with cancellation of the initial aggregation.
+// NewEngineContext prepares a validation engine over a copy of the given
+// answer set and runs the initial aggregation (iteration 0) under ctx. The
+// engine never reads or writes the caller's set again.
 func NewEngineContext(ctx context.Context, answers *model.AnswerSet, cfg Config) (*Engine, error) {
 	if answers == nil {
 		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
@@ -260,7 +238,7 @@ func NewEngineContext(ctx context.Context, answers *model.AnswerSet, cfg Config)
 		return nil, fmt.Errorf("core: initial aggregation: %w", err)
 	}
 	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
+	e.counters.EMIterations += int64(res.Iterations)
 	return e, nil
 }
 
@@ -300,7 +278,7 @@ func (e *Engine) refreshScoreIndex() {
 
 // newEngineShell wires up an engine over answers, which it adopts as its
 // working set — components, quarantine, bookkeeping — without running the
-// initial aggregation. NewEngine aggregates afterwards; RestoreEngine
+// initial aggregation. NewEngineContext aggregates afterwards; RestoreEngine
 // installs a snapshotted probabilistic state instead.
 func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 	e := &Engine{cfg: cfg, working: answers}
@@ -358,7 +336,7 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 }
 
 // RestoredState is the dynamic part of an engine captured by a session
-// snapshot: everything NewEngine cannot rebuild from the answer set and the
+// snapshot: everything NewEngineContext cannot rebuild from the answer set and the
 // configuration alone.
 type RestoredState struct {
 	// Validation holds the expert validations collected so far.
@@ -376,7 +354,7 @@ type RestoredState struct {
 	EffortSpent int
 	// LastWorkerDriven restores whether the most recent selection used the
 	// worker-driven branch (relevant when a snapshot was taken between
-	// SelectNext and Integrate).
+	// SelectNextContext and IntegrateContext).
 	LastWorkerDriven bool
 	// ConfirmedValidations restores the labels the expert re-confirmed after
 	// the confirmation check flagged them.
@@ -492,7 +470,7 @@ func (e *Engine) ConfirmedValidations() map[int]model.Label {
 	return out
 }
 
-// LastWorkerDriven reports whether the most recent SelectNext call used the
+// LastWorkerDriven reports whether the most recent selection used the
 // worker-driven branch.
 func (e *Engine) LastWorkerDriven() bool { return e.lastWorkerDriven }
 
@@ -531,69 +509,60 @@ func (e *Engine) Uncertainty() float64 { return aggregation.Uncertainty(e.probSe
 // History returns the per-iteration records collected so far.
 func (e *Engine) History() []IterationRecord { return e.history }
 
-// TotalEMIterations returns the cumulative number of EM iterations of every
-// aggregation this engine instance ran (initial aggregation, per-validation
-// and batch integrations, ingestions, revisions). It is a resource-usage
-// statistic for serving tiers; it is not serialized, so a restored engine
-// counts from zero.
-func (e *Engine) TotalEMIterations() int { return e.emIterations }
-
-// TotalDeltaIterations returns the cumulative number of frontier-restricted
-// iterations the delta-incremental aggregation path ran. Zero when the delta
-// path is disabled or never kicked in; like TotalEMIterations it is a
-// statistic, not snapshot state.
-func (e *Engine) TotalDeltaIterations() int { return e.deltaIterations }
-
-// DeltaOutcomes counts an engine's delta-path aggregations by the way each
-// went (aggregation.DeltaOutcome): the frontier phase accepted or stalled at
-// its iteration cap, or the call fell back to the full path for an
-// oversized frontier or a cold start. The engine grows its warm state with
-// the session, so it never starts cold itself. Aggregations without the
-// delta path count nowhere.
-type DeltaOutcomes struct {
-	Accepted      int
-	Stalled       int
-	LargeFrontier int
-	Cold          int
+// Counters are an engine's cumulative statistics for serving tiers. They are
+// not snapshot state: a restored engine counts from zero. Each field is
+// summed, across sessions, into the server.Stats field of the same name.
+type Counters struct {
+	// EMIterations counts the EM iterations of every aggregation the engine
+	// ran: initial, per-validation, batch, ingestion and revision.
+	EMIterations int64
+	// DeltaIterations counts the frontier-restricted iterations of the
+	// delta-incremental path; zero when that path is off or never ran.
+	DeltaIterations int64
+	// DeltaAccepted, DeltaStalled, DeltaLargeFrontier and DeltaCold count
+	// the delta-path aggregations by outcome (aggregation.DeltaOutcome): the
+	// frontier phase accepted or stalled at its iteration cap, or the call
+	// fell back to the full path for an oversized frontier or a cold start.
+	// The engine grows its warm state with the session, so it never starts
+	// cold itself. Aggregations without the delta path count nowhere.
+	DeltaAccepted      int64
+	DeltaStalled       int64
+	DeltaLargeFrontier int64
+	DeltaCold          int64
+	// ScoreIndexBuilds and ScoreIndexPatches count how often the guidance
+	// scoring index was built from scratch and how often it was patched in
+	// place onto a successor aggregation result (ScoreIndex.Rebase).
+	ScoreIndexBuilds  int64
+	ScoreIndexPatches int64
+	// RankCandidatesScored and RankCandidatesPruned count the candidates
+	// rankings scored exactly and those fresh rankings left unscored, at a
+	// bound below their top k. A ranking continued for a larger k adds the
+	// candidates it scores to RankCandidatesScored, so a candidate can count
+	// in both.
+	RankCandidatesScored int64
+	RankCandidatesPruned int64
 }
 
-func (d *DeltaOutcomes) add(o aggregation.DeltaOutcome) {
+// addOutcome counts one delta-path aggregation by its outcome.
+func (c *Counters) addOutcome(o aggregation.DeltaOutcome) {
 	switch o {
 	case aggregation.DeltaAccepted:
-		d.Accepted++
+		c.DeltaAccepted++
 	case aggregation.DeltaStalled:
-		d.Stalled++
+		c.DeltaStalled++
 	case aggregation.DeltaLargeFrontier:
-		d.LargeFrontier++
+		c.DeltaLargeFrontier++
 	case aggregation.DeltaCold:
-		d.Cold++
+		c.DeltaCold++
 	}
 }
 
-// DeltaOutcomes returns the engine's delta-path aggregations counted by
-// outcome. Like TotalDeltaIterations it is a statistic, not snapshot state.
-func (e *Engine) DeltaOutcomes() DeltaOutcomes { return e.deltaOutcomes }
-
-// RankStats returns how many candidates the engine's rankings scored
-// exactly and how many candidates fresh rankings left unscored, at a bound
-// below their top k. A ranking continued for a larger k adds the
-// candidates it scores to scored, so a candidate can count in both. Like
-// ScoreIndexStats they are statistics, not snapshot state.
-func (e *Engine) RankStats() (scored, pruned int) {
+// Counters returns the engine's cumulative statistics. It reads under the
+// selection lock, so it may run concurrently with selections.
+func (e *Engine) Counters() Counters {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
-	return e.rankScored, e.rankPruned
-}
-
-// ScoreIndexStats returns how many times the guidance scoring index was
-// built from scratch and how many times it was patched in place onto a
-// successor aggregation result (ScoreIndex.Rebase). Like TotalEMIterations
-// they are serving-tier statistics, not snapshot state: a restored engine
-// counts from zero.
-func (e *Engine) ScoreIndexStats() (builds, patches int) {
-	e.selMu.Lock()
-	defer e.selMu.Unlock()
-	return e.scoreIndexBuilds, e.scoreIndexPatches
+	return e.counters
 }
 
 // QuarantinedWorkers returns the indices of currently quarantined workers.
@@ -649,7 +618,7 @@ func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
 func (e *Engine) ensureScoreIndex() *aggregation.ScoreIndex {
 	if ix := e.scoreIndex; ix != nil && ix.ProbSet() != e.probSet {
 		if ix.Rebase(e.working, e.probSet) {
-			e.scoreIndexPatches++
+			e.counters.ScoreIndexPatches++
 		} else {
 			e.scoreIndex = nil
 		}
@@ -660,7 +629,7 @@ func (e *Engine) ensureScoreIndex() *aggregation.ScoreIndex {
 			ix.EnsureHypoTables()
 		}
 		e.scoreIndex = ix
-		e.scoreIndexBuilds++
+		e.counters.ScoreIndexBuilds++
 	}
 	return e.scoreIndex
 }
@@ -700,8 +669,8 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 		return nil, err
 	}
 	e.working.ClearDirty()
-	e.deltaIterations += res.DeltaIterations
-	e.deltaOutcomes.add(res.DeltaOutcome)
+	e.counters.DeltaIterations += int64(res.DeltaIterations)
+	e.counters.addOutcome(res.DeltaOutcome)
 	if !res.DeltaOutcome.RanFrontier() {
 		// A full-path aggregation (delta path off, cold state or oversized
 		// frontier): every row may have moved, so patching the index would
@@ -711,30 +680,21 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 	return res, nil
 }
 
-// SelectNext runs the guidance strategy and returns the object the expert
-// should validate next (step (1) of Algorithm 1). It does not modify the
-// validation state; callers elicit the expert input themselves and feed it
-// back through Integrate. Interactive applications use SelectNext/Integrate
-// directly; batch runs use Step or Run, which combine them with an Expert.
-func (e *Engine) SelectNext() (int, error) {
-	return e.SelectNextContext(context.Background())
-}
-
-// SelectNextContext is SelectNext with cancellation of the candidate scoring.
-// It fails with ErrSessionDone when every object is validated or the goal is
-// reached, and with ErrBudgetExhausted when the effort budget is spent.
+// SelectNextContext runs the guidance strategy and returns the object the
+// expert should validate next (step (1) of Algorithm 1); ctx cancels the
+// candidate scoring. It does not modify the validation state; callers elicit
+// the expert input themselves and feed it back through IntegrateContext.
+// Interactive applications use SelectNextContext/IntegrateContext directly;
+// batch runs use StepContext or RunContext, which combine them with an
+// Expert. It fails with ErrSessionDone when every object is validated or the
+// goal is reached, and with ErrBudgetExhausted when the effort budget is
+// spent.
 func (e *Engine) SelectNextContext(ctx context.Context) (int, error) {
 	ranked, err := e.selectRanked(ctx, 1)
 	if err != nil {
 		return -1, err
 	}
 	return ranked[0].Object, nil
-}
-
-// SelectNextK returns the top k candidate objects for the next expert
-// validation, ranked by the strategy's score (see SelectNextKContext).
-func (e *Engine) SelectNextK(k int) ([]guidance.ScoredObject, error) {
-	return e.SelectNextKContext(context.Background(), k)
 }
 
 // SelectNextKContext is the batched form of SelectNextContext: one scoring
@@ -772,8 +732,8 @@ func (e *Engine) selectRanked(ctx context.Context, k int) ([]guidance.ScoredObje
 	if ranker, ok := sel.exec.(guidance.Ranker); ok {
 		r, work, err := ranker.Rank(sel.gctx, sel.from, k)
 		e.selMu.Lock()
-		e.rankScored += work.Scored
-		e.rankPruned += work.Pruned
+		e.counters.RankCandidatesScored += int64(work.Scored)
+		e.counters.RankCandidatesPruned += int64(work.Pruned)
 		e.selMu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("core: selection failed: %w", err)
@@ -1060,20 +1020,15 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 	}
 }
 
-// Integrate records the expert's validation of an object and performs the
-// remaining steps of one iteration of Algorithm 1: faulty-worker detection
-// and quarantining, hybrid-weight update, confirmation check (without
-// automatic re-elicitation — suspects are reported in the record), and the
-// conclude/filter steps that refresh the probabilistic answer set and the
-// deterministic assignment.
-func (e *Engine) Integrate(object int, label model.Label) (IterationRecord, error) {
-	return e.IntegrateContext(context.Background(), object, label)
-}
-
-// IntegrateContext is Integrate with cancellation. All mutations are rolled
-// back when the detection, confirmation check or aggregation fails or is
-// cancelled, so a context.Canceled return leaves the engine exactly as it was
-// before the call and the validation can be resubmitted.
+// IntegrateContext records the expert's validation of an object and performs
+// the remaining steps of one iteration of Algorithm 1: faulty-worker
+// detection and quarantining, hybrid-weight update, confirmation check
+// (without automatic re-elicitation — suspects are reported in the record),
+// and the conclude/filter steps that refresh the probabilistic answer set and
+// the deterministic assignment. All mutations are rolled back when the
+// detection, confirmation check or aggregation fails or is cancelled, so a
+// context.Canceled return leaves the engine exactly as it was before the
+// call and the validation can be resubmitted.
 func (e *Engine) IntegrateContext(ctx context.Context, object int, label model.Label) (IterationRecord, error) {
 	records, err := e.integrate(ctx, []ValidationInput{{Object: object, Label: label}}, e.lastWorkerDriven)
 	if err != nil {
@@ -1082,17 +1037,11 @@ func (e *Engine) IntegrateContext(ctx context.Context, object int, label model.L
 	return records[0], nil
 }
 
-// ReviseValidation replaces an earlier expert validation (typically after the
-// confirmation check flagged it) and re-aggregates. The revision counts as
-// one additional unit of expert effort. The revised object is appended to the
-// latest history record.
-func (e *Engine) ReviseValidation(object int, label model.Label) error {
-	return e.ReviseValidationContext(context.Background(), object, label)
-}
-
-// ReviseValidationContext is ReviseValidation with cancellation; a cancelled
-// aggregation restores the previous validation and leaves the engine state
-// untouched.
+// ReviseValidationContext replaces an earlier expert validation (typically
+// after the confirmation check flagged it) and re-aggregates. The revision
+// counts as one additional unit of expert effort. The revised object is
+// appended to the latest history record. A cancelled aggregation restores
+// the previous validation and leaves the engine state untouched.
 func (e *Engine) ReviseValidationContext(ctx context.Context, object int, label model.Label) error {
 	if !e.validation.Validated(object) {
 		return fmt.Errorf("%w: object %d has no validation to revise", cverr.ErrNotValidated, object)
@@ -1130,7 +1079,7 @@ type ValidationInput struct {
 // It is the integration path for batch expert UIs, where a validator submits
 // a page of answers at a time.
 //
-// Semantics relative to len(inputs) sequential Integrate calls: every
+// Semantics relative to len(inputs) sequential IntegrateContext calls: every
 // validation is recorded, effort grows by len(inputs), and per-input error
 // rates are measured against the probabilistic answer set from before the
 // batch. The detection runs once after all validations are applied, the
@@ -1246,8 +1195,8 @@ func (e *Engine) integrate(ctx context.Context, inputs []ValidationInput, worker
 	}
 
 	// (3b) Confirmation check for erroneous expert input. The suspects are
-	// reported in the record; revision happens in Step (batch mode) or is
-	// left to the caller (interactive mode) via ReviseValidation.
+	// reported in the record; revision happens in StepContext (batch mode) or is
+	// left to the caller (interactive mode) via ReviseValidationContext.
 	// Validations the expert already re-confirmed are not flagged again —
 	// without this, a correct validation that merely disagrees with a noisy
 	// crowd would be re-elicited on every check.
@@ -1300,7 +1249,7 @@ func (e *Engine) conclude(ctx context.Context) (*aggregation.Result, error) {
 		return nil, fmt.Errorf("core: aggregation: %w", err)
 	}
 	e.setProbSet(res.ProbSet)
-	e.emIterations += res.Iterations
+	e.counters.EMIterations += int64(res.Iterations)
 	return res, nil
 }
 
@@ -1318,7 +1267,7 @@ func (e *Engine) conclude(ctx context.Context) (*aggregation.Result, error) {
 // labels outside it fail with ErrInvalidLabel before anything is mutated.
 // A cancelled context aborts the re-aggregation: the answers remain ingested
 // and the probabilistic state stays consistent (grown, warm), so a later
-// Integrate or AddAnswers call picks them up.
+// IntegrateContext or AddAnswers call picks them up.
 func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) error {
 	if len(newAnswers) == 0 {
 		return nil
@@ -1427,16 +1376,11 @@ func (e *Engine) AddAnswers(ctx context.Context, newAnswers []model.Answer) erro
 	return err
 }
 
-// Step executes one full iteration of Algorithm 1 against an Expert: select
-// an object, elicit expert input, integrate it, and — when the confirmation
-// check flags suspect validations — immediately re-elicit those from the
-// expert. It returns the record of the iteration.
-func (e *Engine) Step(expert Expert) (IterationRecord, error) {
-	return e.StepContext(context.Background(), expert)
-}
-
-// StepContext is Step with cancellation of the selection, integration and
-// re-elicitation work.
+// StepContext executes one full iteration of Algorithm 1 against an Expert:
+// select an object, elicit expert input, integrate it, and — when the
+// confirmation check flags suspect validations — immediately re-elicit those
+// from the expert. It returns the record of the iteration; ctx cancels the
+// selection, integration and re-elicitation work.
 func (e *Engine) StepContext(ctx context.Context, expert Expert) (IterationRecord, error) {
 	if expert == nil {
 		return IterationRecord{}, fmt.Errorf("core: %w", cverr.ErrNilExpert)
@@ -1486,17 +1430,13 @@ type Summary struct {
 	History []IterationRecord
 }
 
-// Run executes validation steps until the goal is reached, the budget is
-// exhausted or every object has been validated. The optional onStep callback
-// is invoked after every iteration (e.g. to record precision against a held
-// ground truth); returning false from the callback stops the run early.
-func (e *Engine) Run(expert Expert, onStep func(IterationRecord) bool) (*Summary, error) {
-	return e.RunContext(context.Background(), expert, onStep)
-}
-
-// RunContext is Run with cancellation: the loop stops with ctx.Err() between
-// iterations and the iteration in flight rolls back cleanly, so a cancelled
-// run leaves the engine resumable.
+// RunContext executes validation steps until the goal is reached, the budget
+// is exhausted or every object has been validated. The optional onStep
+// callback is invoked after every iteration (e.g. to record precision against
+// a held ground truth); returning false from the callback stops the run
+// early. Cancellation stops the loop with ctx.Err() between iterations and
+// the iteration in flight rolls back cleanly, so a cancelled run leaves the
+// engine resumable.
 func (e *Engine) RunContext(ctx context.Context, expert Expert, onStep func(IterationRecord) bool) (*Summary, error) {
 	for !e.Done() {
 		if err := ctx.Err(); err != nil {

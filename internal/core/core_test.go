@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func smallDataset(t *testing.T, objects int, seed int64) *simulation.Dataset {
 
 func TestNewEngineInitialAggregation(t *testing.T) {
 	d := smallDataset(t, 20, 1)
-	e, err := NewEngine(d.Answers, Config{})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +47,21 @@ func TestNewEngineInitialAggregation(t *testing.T) {
 	if e.Uncertainty() < 0 {
 		t.Fatal("negative uncertainty")
 	}
-	if _, err := NewEngine(nil, Config{}); err == nil {
+	if _, err := NewEngineContext(context.Background(), nil, Config{}); err == nil {
 		t.Fatal("nil answer set accepted")
 	}
 }
 
 func TestEngineStepWithOracleExpert(t *testing.T) {
 	d := smallDataset(t, 15, 2)
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy: &guidance.Baseline{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	expert := &simulation.OracleExpert{Truth: d.Truth}
-	rec, err := e.Step(expert)
+	rec, err := e.StepContext(context.Background(), expert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestEngineStepWithOracleExpert(t *testing.T) {
 	// The same object is never selected twice.
 	seen := map[int]bool{rec.Object: true}
 	for i := 0; i < 5; i++ {
-		r, err := e.Step(expert)
+		r, err := e.StepContext(context.Background(), expert)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,47 +102,47 @@ func TestEngineStepWithOracleExpert(t *testing.T) {
 
 func TestEngineStepErrors(t *testing.T) {
 	d := smallDataset(t, 5, 3)
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Random{Rand: rand.New(rand.NewSource(1))}})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Random{Rand: rand.New(rand.NewSource(1))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(nil); err == nil {
+	if _, err := e.StepContext(context.Background(), nil); err == nil {
 		t.Fatal("nil expert accepted")
 	}
 	badExpert := ExpertFunc(func(object int) (model.Label, error) {
 		return model.NoLabel, fmt.Errorf("boom")
 	})
-	if _, err := e.Step(badExpert); err == nil {
+	if _, err := e.StepContext(context.Background(), badExpert); err == nil {
 		t.Fatal("expert error not propagated")
 	}
 	invalidExpert := ExpertFunc(func(object int) (model.Label, error) {
 		return model.Label(99), nil
 	})
-	if _, err := e.Step(invalidExpert); err == nil {
+	if _, err := e.StepContext(context.Background(), invalidExpert); err == nil {
 		t.Fatal("invalid expert label accepted")
 	}
 	// Exhaust all objects, then stepping must fail.
 	oracle := &simulation.OracleExpert{Truth: d.Truth}
 	for i := 0; i < 5; i++ {
-		if _, err := e.Step(oracle); err != nil {
+		if _, err := e.StepContext(context.Background(), oracle); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Step(oracle); err == nil {
+	if _, err := e.StepContext(context.Background(), oracle); err == nil {
 		t.Fatal("step on fully validated answer set accepted")
 	}
 }
 
 func TestEngineRunBudgetAndGoal(t *testing.T) {
 	d := smallDataset(t, 20, 4)
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy: &guidance.Baseline{},
 		Budget:   5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestEngineRunBudgetAndGoal(t *testing.T) {
 	}
 
 	// A goal stops the run before the budget is exhausted.
-	e2, err := NewEngine(d.Answers, Config{
+	e2, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy: &guidance.Baseline{},
 		Budget:   20,
 		Goal:     UncertaintyBelow(1e9), // trivially satisfied
@@ -164,7 +165,7 @@ func TestEngineRunBudgetAndGoal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary2, err := e2.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary2, err := e2.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +174,12 @@ func TestEngineRunBudgetAndGoal(t *testing.T) {
 	}
 
 	// The onStep callback can stop the run.
-	e3, err := NewEngine(d.Answers, Config{Strategy: &guidance.Baseline{}})
+	e3, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Baseline{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	steps := 0
-	summary3, err := e3.Run(&simulation.OracleExpert{Truth: d.Truth}, func(IterationRecord) bool {
+	summary3, err := e3.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, func(IterationRecord) bool {
 		steps++
 		return steps < 3
 	})
@@ -192,11 +193,11 @@ func TestEngineRunBudgetAndGoal(t *testing.T) {
 
 func TestEngineRunWithoutBudgetValidatesEverything(t *testing.T) {
 	d := smallDataset(t, 10, 5)
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Random{Rand: rand.New(rand.NewSource(2))}})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Random{Rand: rand.New(rand.NewSource(2))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestEngineRunWithoutBudgetValidatesEverything(t *testing.T) {
 
 func TestEnginePrecisionImprovesWithValidation(t *testing.T) {
 	d := smallDataset(t, 40, 6)
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy: &guidance.Hybrid{
 			Uncertainty: &guidance.UncertaintyDriven{CandidateLimit: 8},
 			Rand:        rand.New(rand.NewSource(3)),
@@ -225,7 +226,7 @@ func TestEnginePrecisionImprovesWithValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	initialPrecision := metrics.Precision(e.Assignment(), d.Truth)
-	summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestEngineHybridQuarantinesSpammers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy: &guidance.Hybrid{
 			Uncertainty: &guidance.UncertaintyDriven{CandidateLimit: 5},
 			Rand:        rand.New(rand.NewSource(11)),
@@ -261,7 +262,7 @@ func TestEngineHybridQuarantinesSpammers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestEngineConfirmationCheckRevisesMistakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	expert := simulation.NewErroneousExpert(d.Truth, 2, 0.5, rand.New(rand.NewSource(5)))
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy:     &guidance.Baseline{},
 		Confirmation: &guidance.ConfirmationCheck{Period: 1},
 		Budget:       30,
@@ -305,7 +306,7 @@ func TestEngineConfirmationCheckRevisesMistakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := e.Run(expert, nil)
+	summary, err := e.RunContext(context.Background(), expert, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestEngineConfirmationCheckRevisesMistakes(t *testing.T) {
 func TestEngineParallelMatchesSerialSelection(t *testing.T) {
 	d := smallDataset(t, 12, 9)
 	run := func(parallel bool) []int {
-		e, err := NewEngine(d.Answers, Config{
+		e, err := NewEngineContext(context.Background(), d.Answers, Config{
 			Strategy:       &guidance.UncertaintyDriven{},
 			Parallel:       parallel,
 			MaxParallelism: 4,
@@ -341,7 +342,7 @@ func TestEngineParallelMatchesSerialSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+		summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +374,7 @@ func TestExpertFuncAdapter(t *testing.T) {
 
 func TestUncertaintyBelowGoal(t *testing.T) {
 	d := smallDataset(t, 10, 10)
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Baseline{}})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Baseline{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +388,7 @@ func TestUncertaintyBelowGoal(t *testing.T) {
 
 func TestEngineWorkerDrivenStrategyReportsBranch(t *testing.T) {
 	d := smallDataset(t, 15, 11)
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy:            &guidance.WorkerDriven{},
 		HandleFaultyWorkers: true,
 		Budget:              5,
@@ -395,7 +396,7 @@ func TestEngineWorkerDrivenStrategyReportsBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, err := e.Run(&simulation.OracleExpert{Truth: d.Truth}, nil)
+	summary, err := e.RunContext(context.Background(), &simulation.OracleExpert{Truth: d.Truth}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,18 @@ import (
 	"crowdval/internal/model"
 )
 
-// These tests pin the delta-path outcome counters (Engine.DeltaOutcomes,
+// These tests pin the delta-path outcome counters (Engine.Counters,
 // exported as crowdval_delta_{accepted,stalled,large_frontier,cold}_total
 // on /metrics) per trigger, in the style of the score-index counter tests:
 // each mutation counts exactly one outcome, the one its frontier calls for,
 // and no-op settles and selections count nothing.
 
-func wantOutcomes(t *testing.T, e *Engine, want DeltaOutcomes, what string) {
+// wantOutcomes compares the engine's four outcome counters with want's.
+func wantOutcomes(t *testing.T, e *Engine, want Counters, what string) {
 	t.Helper()
-	if got := e.DeltaOutcomes(); got != want {
+	c := e.Counters()
+	got := Counters{DeltaAccepted: c.DeltaAccepted, DeltaStalled: c.DeltaStalled, DeltaLargeFrontier: c.DeltaLargeFrontier, DeltaCold: c.DeltaCold}
+	if got != want {
 		t.Fatalf("%s: delta outcomes %+v, want %+v", what, got, want)
 	}
 }
@@ -29,28 +32,28 @@ func wantOutcomes(t *testing.T, e *Engine, want DeltaOutcomes, what string) {
 func TestDeltaOutcomeCountersPerTrigger(t *testing.T) {
 	ctx := context.Background()
 	e := deltaScoringEngine(t, 24, 21)
-	wantOutcomes(t, e, DeltaOutcomes{}, "fresh engine (the initial aggregation is not a delta call)")
+	wantOutcomes(t, e, Counters{}, "fresh engine (the initial aggregation is not a delta call)")
 
-	first, err := e.SelectNextK(3)
+	first, err := e.SelectNextKContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{}, "selection")
+	wantOutcomes(t, e, Counters{}, "selection")
 
-	if _, err := e.Integrate(first[0].Object, 0); err != nil {
+	if _, err := e.IntegrateContext(ctx, first[0].Object, 0); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Accepted: 1}, "validation")
+	wantOutcomes(t, e, Counters{DeltaAccepted: 1}, "validation")
 
 	if err := e.AddAnswers(ctx, []model.Answer{{Object: 1, Worker: 1, Label: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Accepted: 2}, "small ingest")
+	wantOutcomes(t, e, Counters{DeltaAccepted: 2}, "small ingest")
 
 	if err := e.AddAnswers(ctx, []model.Answer{{Object: 24, Worker: 4, Label: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Accepted: 3}, "growth by one object and one worker")
+	wantOutcomes(t, e, Counters{DeltaAccepted: 3}, "growth by one object and one worker")
 
 	var flood []model.Answer
 	for o := 0; o < 25; o++ {
@@ -59,19 +62,19 @@ func TestDeltaOutcomeCountersPerTrigger(t *testing.T) {
 	if err := e.AddAnswers(ctx, flood); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Accepted: 3, LargeFrontier: 1}, "ingest dirtying every object")
+	wantOutcomes(t, e, Counters{DeltaAccepted: 3, DeltaLargeFrontier: 1}, "ingest dirtying every object")
 
-	if _, err := e.SelectNextK(3); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Accepted: 3, LargeFrontier: 1}, "selection after the fallback")
+	wantOutcomes(t, e, Counters{DeltaAccepted: 3, DeltaLargeFrontier: 1}, "selection after the fallback")
 }
 
 // TestDeltaOutcomeCountersStall: with the frontier phase capped at one
 // iteration, evidence that needs more than one counts a stall, and the
 // settle phase still certifies the result.
 func TestDeltaOutcomeCountersStall(t *testing.T) {
-	e, err := NewEngine(selectKAnswers(t, 40, 23), Config{
+	e, err := NewEngineContext(context.Background(), selectKAnswers(t, 40, 23), Config{
 		Strategy: &guidance.UncertaintyDriven{},
 		Delta:    aggregation.DeltaConfig{Enabled: true, MaxDeltaIterations: 1},
 	})
@@ -85,9 +88,9 @@ func TestDeltaOutcomeCountersStall(t *testing.T) {
 	if err := e.AddAnswers(context.Background(), contrarian); err != nil {
 		t.Fatal(err)
 	}
-	wantOutcomes(t, e, DeltaOutcomes{Stalled: 1}, "contrarian ingest under a one-iteration cap")
-	if e.TotalDeltaIterations() != 1 {
-		t.Fatalf("stalled frontier phase ran %d iterations, want the cap of 1", e.TotalDeltaIterations())
+	wantOutcomes(t, e, Counters{DeltaStalled: 1}, "contrarian ingest under a one-iteration cap")
+	if n := e.Counters().DeltaIterations; n != 1 {
+		t.Fatalf("stalled frontier phase ran %d iterations, want the cap of 1", n)
 	}
 	residual, err := aggregation.FixedPointResidual(context.Background(), e.ProbSet(), 1)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"crowdval/internal/guidance"
@@ -10,22 +11,22 @@ import (
 )
 
 // TestEngineInteractiveAPI drives the engine through the split
-// SelectNext/Integrate API used by interactive applications.
+// SelectNextContext/IntegrateContext API used by interactive applications.
 func TestEngineInteractiveAPI(t *testing.T) {
 	d := smallDataset(t, 12, 21)
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Baseline{}, Budget: 6})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Baseline{}, Budget: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		object, err := e.SelectNext()
+		object, err := e.SelectNextContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if e.Validation().Validated(object) {
 			t.Fatal("selected an already validated object")
 		}
-		rec, err := e.Integrate(object, d.Truth[object])
+		rec, err := e.IntegrateContext(context.Background(), object, d.Truth[object])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,14 +44,14 @@ func TestEngineInteractiveAPI(t *testing.T) {
 
 func TestEngineIntegrateErrors(t *testing.T) {
 	d := smallDataset(t, 6, 22)
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Baseline{}})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Baseline{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Integrate(-1, 0); err == nil {
+	if _, err := e.IntegrateContext(context.Background(), -1, 0); err == nil {
 		t.Fatal("negative object accepted")
 	}
-	if _, err := e.Integrate(0, model.Label(9)); err == nil {
+	if _, err := e.IntegrateContext(context.Background(), 0, model.Label(9)); err == nil {
 		t.Fatal("invalid label accepted")
 	}
 }
@@ -64,26 +65,26 @@ func TestEngineReviseValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(d.Answers, Config{Strategy: &guidance.Baseline{}})
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{Strategy: &guidance.Baseline{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Revising before any validation exists fails.
-	if err := e.ReviseValidation(0, 0); err == nil {
+	if err := e.ReviseValidationContext(context.Background(), 0, 0); err == nil {
 		t.Fatal("revision without validation accepted")
 	}
 	// Integrate a wrong label, then revise it.
 	wrong := model.Label(1 - int(d.Truth[0]))
-	if _, err := e.Integrate(0, wrong); err != nil {
+	if _, err := e.IntegrateContext(context.Background(), 0, wrong); err != nil {
 		t.Fatal(err)
 	}
 	if e.Assignment()[0] != wrong {
 		t.Fatal("validation not reflected in the assignment")
 	}
-	if err := e.ReviseValidation(0, model.Label(9)); err == nil {
+	if err := e.ReviseValidationContext(context.Background(), 0, model.Label(9)); err == nil {
 		t.Fatal("invalid revision label accepted")
 	}
-	if err := e.ReviseValidation(0, d.Truth[0]); err != nil {
+	if err := e.ReviseValidationContext(context.Background(), 0, d.Truth[0]); err != nil {
 		t.Fatal(err)
 	}
 	if e.Assignment()[0] != d.Truth[0] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func hybridEngine(t *testing.T, seed int64) *Engine {
 		Rand:        rand.New(rand.NewSource(seed)),
 	}
 	h.SetWeight(0.5)
-	e, err := NewEngine(selectKAnswers(t, 80, 9), Config{
+	e, err := NewEngineContext(context.Background(), selectKAnswers(t, 80, 9), Config{
 		Strategy:     h,
 		Delta:        aggregation.DeltaConfig{Enabled: true},
 		DeltaScoring: true,
@@ -36,7 +37,7 @@ func hybridEngine(t *testing.T, seed int64) *Engine {
 func TestRankingMemoKeyedByRole(t *testing.T) {
 	from := hybridEngine(t, 1)
 	for i := 0; i < 12; i++ {
-		if _, err := from.SelectNextK(5); err != nil {
+		if _, err := from.SelectNextKContext(context.Background(), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +63,7 @@ func TestRankingMemoKeyedByRole(t *testing.T) {
 		t.Fatal("worker branch memo not installed under the engine's own instance")
 	}
 	for i := 0; i < 12; i++ {
-		if _, err := to.SelectNextK(5); err != nil {
+		if _, err := to.SelectNextKContext(context.Background(), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestRankingMemoKeyedByRole(t *testing.T) {
 
 	// A memo does not cross strategies: a plain uncertainty engine over the
 	// same answers refuses the hybrid's memo.
-	plain, err := NewEngine(selectKAnswers(t, 80, 9), Config{
+	plain, err := NewEngineContext(context.Background(), selectKAnswers(t, 80, 9), Config{
 		Strategy:     &guidance.UncertaintyDriven{},
 		Delta:        aggregation.DeltaConfig{Enabled: true},
 		DeltaScoring: true,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"crowdval/internal/aggregation"
@@ -11,7 +12,7 @@ import (
 
 // These tests pin the early-stopping ranking's work per trigger by counting
 // the candidates it scored exactly and those it left at their bound
-// (Engine.RankStats, also exported as rank_candidates_{scored,pruned} on
+// (Engine.Counters, also exported as rank_candidates_{scored,pruned} on
 // /metrics): a fresh ranking scores a few candidates and leaves the rest at
 // their bound, a larger k on the same state scores only what it adds, a
 // memoized prefix scores nothing, and a state change ranks afresh.
@@ -30,9 +31,10 @@ func rankCrowd(t *testing.T) *model.AnswerSet {
 	return d.Answers
 }
 
-func wantRankStats(t *testing.T, e *Engine, scored, pruned int, what string) {
+func wantRankStats(t *testing.T, e *Engine, scored, pruned int64, what string) {
 	t.Helper()
-	s, p := e.RankStats()
+	c := e.Counters()
+	s, p := c.RankCandidatesScored, c.RankCandidatesPruned
 	if s != scored || p != pruned {
 		t.Fatalf("%s: scored/pruned = %d/%d, want %d/%d", what, s, p, scored, pruned)
 	}
@@ -42,7 +44,7 @@ func wantRankStats(t *testing.T, e *Engine, scored, pruned int, what string) {
 // scoring of 32 candidates: k = 1, then 5 and 10 on the same state, a
 // repeat, then a validation that moves the state.
 func TestRankCountersPerTrigger(t *testing.T) {
-	e, err := NewEngine(rankCrowd(t), Config{
+	e, err := NewEngineContext(context.Background(), rankCrowd(t), Config{
 		Strategy:     &guidance.UncertaintyDriven{CandidateLimit: 32},
 		Delta:        aggregation.DeltaConfig{Enabled: true},
 		DeltaScoring: true,
@@ -51,27 +53,27 @@ func TestRankCountersPerTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 0, 0, "fresh engine")
-	first, err := e.SelectNextK(1)
+	first, err := e.SelectNextKContext(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 2, 30, "k = 1 ranks afresh")
-	if _, err := e.SelectNextK(5); err != nil {
+	if _, err := e.SelectNextKContext(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 7, 30, "k = 5 continues the memo")
-	if _, err := e.SelectNextK(10); err != nil {
+	if _, err := e.SelectNextKContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 11, 30, "k = 10 continues the memo")
-	if _, err := e.SelectNextK(10); err != nil {
+	if _, err := e.SelectNextKContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 11, 30, "a certified prefix is a memo hit")
-	if _, err := e.Integrate(first[0].Object, 0); err != nil {
+	if _, err := e.IntegrateContext(context.Background(), first[0].Object, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(1); err != nil {
+	if _, err := e.SelectNextKContext(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	wantRankStats(t, e, 16, 57, "a state change ranks afresh")
@@ -97,15 +99,15 @@ func TestRankCountersWithoutBounds(t *testing.T) {
 		{"worker-driven", rankCrowd(t), Config{Strategy: &guidance.WorkerDriven{CandidateLimit: 8}, DeltaScoring: true}},
 		{"three labels", ternary.Answers, Config{Strategy: &guidance.UncertaintyDriven{CandidateLimit: 8}, DeltaScoring: true}},
 	} {
-		e, err := NewEngine(c.answers, c.cfg)
+		e, err := NewEngineContext(context.Background(), c.answers, c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.SelectNextK(1); err != nil {
+		if _, err := e.SelectNextKContext(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		if s, p := e.RankStats(); s != 8 || p != 0 {
-			t.Fatalf("%s: scored/pruned = %d/%d, want 8/0", c.name, s, p)
+		if got := e.Counters(); got.RankCandidatesScored != 8 || got.RankCandidatesPruned != 0 {
+			t.Fatalf("%s: scored/pruned = %d/%d, want 8/0", c.name, got.RankCandidatesScored, got.RankCandidatesPruned)
 		}
 	}
 }

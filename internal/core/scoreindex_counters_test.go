@@ -12,7 +12,7 @@ import (
 )
 
 // These tests pin the maintained-view lifecycle of the selection state by
-// counting index builds and in-place patches (Engine.ScoreIndexStats, also
+// counting index builds and in-place patches (Engine.Counters, also
 // exported as score_index_{builds,patches} on /metrics): a delta-scoring
 // session must build its scoring index exactly once and patch it across
 // ingests, rebuild only on the documented invalidation events (full-path
@@ -21,7 +21,7 @@ import (
 
 func deltaScoringEngine(t *testing.T, n int, seed int64) *Engine {
 	t.Helper()
-	e, err := NewEngine(selectKAnswers(t, n, seed), Config{
+	e, err := NewEngineContext(context.Background(), selectKAnswers(t, n, seed), Config{
 		Strategy:     &guidance.UncertaintyDriven{},
 		Delta:        aggregation.DeltaConfig{Enabled: true},
 		DeltaScoring: true,
@@ -32,9 +32,10 @@ func deltaScoringEngine(t *testing.T, n int, seed int64) *Engine {
 	return e
 }
 
-func wantStats(t *testing.T, e *Engine, builds, patches int, what string) {
+func wantStats(t *testing.T, e *Engine, builds, patches int64, what string) {
 	t.Helper()
-	b, p := e.ScoreIndexStats()
+	c := e.Counters()
+	b, p := c.ScoreIndexBuilds, c.ScoreIndexPatches
 	if b != builds || p != patches {
 		t.Fatalf("%s: builds/patches = %d/%d, want %d/%d", what, b, p, builds, patches)
 	}
@@ -50,13 +51,13 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	e := deltaScoringEngine(t, 24, 21)
 	wantStats(t, e, 0, 0, "fresh engine")
 
-	first, err := e.SelectNextK(3)
+	first, err := e.SelectNextKContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 0, "first selection")
 
-	again, err := e.SelectNextK(3)
+	again, err := e.SelectNextKContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +74,16 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 0, "ingest before selection (patching is lazy)")
-	if _, err := e.SelectNextK(3); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 1, "selection after delta ingest")
 
 	// An expert validation flows through the same delta frontier.
-	if _, err := e.Integrate(first[0].Object, 0); err != nil {
+	if _, err := e.IntegrateContext(ctx, first[0].Object, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(3); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 2, "selection after validation")
@@ -96,7 +97,7 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	if err := e.AddAnswers(ctx, flood); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(3); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 2, 2, "selection after full-path fallback")
@@ -107,17 +108,17 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 func TestScoreIndexRebuiltOnGrowth(t *testing.T) {
 	ctx := context.Background()
 	e := deltaScoringEngine(t, 16, 22)
-	if _, err := e.SelectNextK(2); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, e, 1, 0, "first selection")
 	if err := e.AddAnswers(ctx, []model.Answer{{Object: 16, Worker: 0, Label: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(2); err != nil {
+	if _, err := e.SelectNextKContext(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	builds, _ := e.ScoreIndexStats()
+	builds := e.Counters().ScoreIndexBuilds
 	if builds != 2 {
 		t.Fatalf("builds after growth = %d, want 2 (dimension change cannot be patched)", builds)
 	}
@@ -140,11 +141,12 @@ func TestStashOnlyIngestIsNoOp(t *testing.T) {
 	e.setProbSet(res.ProbSet)
 
 	before := e.ProbSet()
-	first, err := e.SelectNextK(3)
+	first, err := e.SelectNextKContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds0, patches0 := e.ScoreIndexStats()
+	c0 := e.Counters()
+	builds0, patches0 := c0.ScoreIndexBuilds, c0.ScoreIndexPatches
 
 	// Every answer in this batch comes from the masked worker: all stashed,
 	// frontier empty, fixed point still holds.
@@ -157,7 +159,7 @@ func TestStashOnlyIngestIsNoOp(t *testing.T) {
 	if e.ProbSet() != before {
 		t.Fatal("stash-only ingest moved the probabilistic state")
 	}
-	again, err := e.SelectNextK(3)
+	again, err := e.SelectNextKContext(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestQuarantineChangeRebuildsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(d.Answers, Config{
+	e, err := NewEngineContext(context.Background(), d.Answers, Config{
 		Strategy:            &guidance.WorkerDriven{},
 		Detector:            &spamdetect.Detector{MinValidatedAnswers: 3},
 		HandleFaultyWorkers: true,
@@ -193,22 +195,22 @@ func TestQuarantineChangeRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		o, err := e.SelectNext()
+		o, err := e.SelectNextContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b0, _ := e.ScoreIndexStats()
-		rec, err := e.Integrate(o, d.Truth[o])
+		b0 := e.Counters().ScoreIndexBuilds
+		rec, err := e.IntegrateContext(context.Background(), o, d.Truth[o])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rec.MaskedWorkers)+len(rec.RestoredWorkers) == 0 {
 			continue
 		}
-		if _, err := e.SelectNext(); err != nil {
+		if _, err := e.SelectNextContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		b1, _ := e.ScoreIndexStats()
+		b1 := e.Counters().ScoreIndexBuilds
 		if b1 != b0+1 {
 			t.Fatalf("quarantine change at step %d: builds %d -> %d, want a rebuild", i, b0, b1)
 		}

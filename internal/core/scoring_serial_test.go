@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"crowdval/internal/model"
@@ -27,7 +28,7 @@ func scoringTestAnswers(t *testing.T) *model.AnswerSet {
 func TestParallelScoringGetsSerialVariants(t *testing.T) {
 	answers := scoringTestAnswers(t)
 
-	e, err := NewEngine(answers, Config{Parallel: true, MaxParallelism: 4})
+	e, err := NewEngineContext(context.Background(), answers, Config{Parallel: true, MaxParallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestParallelScoringGetsSerialVariants(t *testing.T) {
 // scoring cannot nest, and sharded per-candidate aggregation is desirable.
 func TestSerialScoringSharesAggregator(t *testing.T) {
 	answers := scoringTestAnswers(t)
-	e, err := NewEngine(answers, Config{})
+	e, err := NewEngineContext(context.Background(), answers, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

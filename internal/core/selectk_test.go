@@ -42,25 +42,25 @@ func selectKAnswers(t *testing.T, n int, seed int64) *model.AnswerSet {
 func TestSelectNextKMatchesSelectNext(t *testing.T) {
 	answers := selectKAnswers(t, 12, 1)
 	for _, deltaScoring := range []bool{false, true} {
-		single, err := NewEngine(answers, Config{
+		single, err := NewEngineContext(context.Background(), answers, Config{
 			Strategy:     &guidance.Hybrid{Rand: rand.New(rand.NewSource(5))},
 			DeltaScoring: deltaScoring,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batched, err := NewEngine(answers, Config{
+		batched, err := NewEngineContext(context.Background(), answers, Config{
 			Strategy:     &guidance.Hybrid{Rand: rand.New(rand.NewSource(5))},
 			DeltaScoring: deltaScoring,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		object, err := single.SelectNext()
+		object, err := single.SelectNextContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranked, err := batched.SelectNextK(4)
+		ranked, err := batched.SelectNextKContext(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestSelectNextKMatchesSelectNext(t *testing.T) {
 		}
 		// Repeated selection without integration is stable: no state moved
 		// besides the (identically consumed) roulette draw.
-		again, err := single.SelectNextK(4)
+		again, err := single.SelectNextKContext(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,36 +84,36 @@ func TestSelectNextKMatchesSelectNext(t *testing.T) {
 // TestSelectNextKPreconditions mirrors SelectNext's error taxonomy.
 func TestSelectNextKPreconditions(t *testing.T) {
 	answers := selectKAnswers(t, 6, 2)
-	e, err := NewEngine(answers, Config{Strategy: &guidance.Baseline{}, Budget: 1})
+	e, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.Baseline{}, Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(0); !errors.Is(err, cverr.ErrOutOfRange) {
+	if _, err := e.SelectNextKContext(context.Background(), 0); !errors.Is(err, cverr.ErrOutOfRange) {
 		t.Fatalf("k=0: %v, want ErrOutOfRange", err)
 	}
 	// Ranking may exceed the remaining budget; effort gates integration.
-	ranked, err := e.SelectNextK(4)
+	ranked, err := e.SelectNextKContext(context.Background(), 4)
 	if err != nil || len(ranked) != 4 {
 		t.Fatalf("ranked = %v (%v)", ranked, err)
 	}
-	if _, err := e.Integrate(ranked[0].Object, 0); err != nil {
+	if _, err := e.IntegrateContext(context.Background(), ranked[0].Object, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SelectNextK(2); !errors.Is(err, cverr.ErrBudgetExhausted) {
+	if _, err := e.SelectNextKContext(context.Background(), 2); !errors.Is(err, cverr.ErrBudgetExhausted) {
 		t.Fatalf("budget spent: %v, want ErrBudgetExhausted", err)
 	}
 
-	done, err := NewEngine(answers, Config{Strategy: &guidance.Baseline{}, Goal: func(*Engine) bool { return true }})
+	done, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.Baseline{}, Goal: func(*Engine) bool { return true }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := done.SelectNextK(2); !errors.Is(err, cverr.ErrSessionDone) {
+	if _, err := done.SelectNextKContext(context.Background(), 2); !errors.Is(err, cverr.ErrSessionDone) {
 		t.Fatalf("goal reached: %v, want ErrSessionDone", err)
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	e2, err := NewEngine(answers, Config{Strategy: &guidance.UncertaintyDriven{}})
+	e2, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.UncertaintyDriven{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestSelectNextKPreconditions(t *testing.T) {
 // every remaining candidate.
 func TestSelectNextKClampsToCandidates(t *testing.T) {
 	answers := selectKAnswers(t, 5, 3)
-	e, err := NewEngine(answers, Config{Strategy: &guidance.UncertaintyDriven{}})
+	e, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.UncertaintyDriven{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := e.SelectNextK(50)
+	ranked, err := e.SelectNextKContext(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSelectNextKClampsToCandidates(t *testing.T) {
 // ranking. Run under -race in CI.
 func TestConcurrentSelectionsAreSafe(t *testing.T) {
 	answers := selectKAnswers(t, 20, 4)
-	e, err := NewEngine(answers, Config{DeltaScoring: true, Rand: rand.New(rand.NewSource(7))})
+	e, err := NewEngineContext(context.Background(), answers, Config{DeltaScoring: true, Rand: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestConcurrentSelectionsAreSafe(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ranks[g], errs[g] = e.SelectNextK(3)
+			ranks[g], errs[g] = e.SelectNextKContext(context.Background(), 3)
 		}(g)
 	}
 	wg.Wait()
@@ -182,19 +182,19 @@ func TestConcurrentSelectionsAreSafe(t *testing.T) {
 // the guidance-level gate.
 func TestDeltaScoringEngineAgreesWithExact(t *testing.T) {
 	answers := selectKAnswers(t, 16, 5)
-	exact, err := NewEngine(answers, Config{Strategy: &guidance.UncertaintyDriven{}})
+	exact, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.UncertaintyDriven{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := NewEngine(answers, Config{Strategy: &guidance.UncertaintyDriven{}, DeltaScoring: true})
+	delta, err := NewEngineContext(context.Background(), answers, Config{Strategy: &guidance.UncertaintyDriven{}, DeltaScoring: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactPick, err := exact.SelectNext()
+	exactPick, err := exact.SelectNextContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaPick, err := delta.SelectNext()
+	deltaPick, err := delta.SelectNextContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

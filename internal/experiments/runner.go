@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -151,7 +152,9 @@ func RunValidationCurve(d *simulation.Dataset, cfg CurveConfig) ([]CurvePoint, *
 			Aggregator: &aggregation.BatchEM{Config: aggregation.EMConfig{MaxIterations: 20}},
 		}
 	}
-	engine, err := core.NewEngine(d.Answers, engineCfg)
+	// RunValidationCurve takes no context; the run is not cancellable.
+	ctx := context.TODO()
+	engine, err := core.NewEngineContext(ctx, d.Answers, engineCfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,7 +178,7 @@ func RunValidationCurve(d *simulation.Dataset, cfg CurveConfig) ([]CurvePoint, *
 	}}
 	stats := &RunStats{InitialPrecision: initialPrecision}
 
-	summary, err := engine.Run(expert, func(rec core.IterationRecord) bool {
+	summary, err := engine.RunContext(ctx, expert, func(rec core.IterationRecord) bool {
 		precision := metrics.Precision(engine.Assignment(), d.Truth)
 		points = append(points, CurvePoint{
 			Effort:      engine.EffortRatio(),

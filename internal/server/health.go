@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"crowdval"
@@ -69,8 +70,8 @@ func (m *Manager) degradeWAL(w *sessionWAL, err error) {
 	}
 	w.state = walDegraded
 	w.cause = err
-	m.walDegraded.Add(1)
-	m.degradeEvents.Add(1)
+	atomic.AddInt64(&m.live.WALDegradedSessions, 1)
+	atomic.AddInt64(&m.live.DegradeEvents, 1)
 }
 
 // failStopWAL moves a log to the terminal fail-stop state from any state.
@@ -80,11 +81,11 @@ func (m *Manager) failStopWAL(w *sessionWAL, err error) {
 		return
 	}
 	if w.state == walDegraded {
-		m.walDegraded.Add(-1)
+		atomic.AddInt64(&m.live.WALDegradedSessions, -1)
 	}
 	w.state = walFailStop
 	w.cause = err
-	m.walFailStop.Add(1)
+	atomic.AddInt64(&m.live.WALFailStopSessions, 1)
 }
 
 // healWAL moves a degraded log back to healthy after a successful heal. The
@@ -95,8 +96,8 @@ func (m *Manager) healWAL(w *sessionWAL) {
 	}
 	w.state = walHealthy
 	w.cause = nil
-	m.walDegraded.Add(-1)
-	m.walHeals.Add(1)
+	atomic.AddInt64(&m.live.WALDegradedSessions, -1)
+	atomic.AddInt64(&m.live.WALHeals, 1)
 }
 
 // healSession rebuilds a session's durability state from its in-memory
@@ -157,11 +158,11 @@ func (m *Manager) probeWAL() error {
 // healed. With no degraded session it returns immediately — the loop costs
 // two atomic loads per tick on a healthy node.
 func (m *Manager) ProbeOnce(ctx context.Context) (int, error) {
-	if m.walDir == "" || m.walDegraded.Load() == 0 {
+	if m.walDir == "" || atomic.LoadInt64(&m.live.WALDegradedSessions) == 0 {
 		return 0, nil
 	}
 	if err := m.probeWAL(); err != nil {
-		m.probeFailures.Add(1)
+		atomic.AddInt64(&m.live.ProbeFailures, 1)
 		return 0, err
 	}
 	m.mu.Lock()
@@ -236,8 +237,8 @@ type HealthStatus struct {
 func (m *Manager) Health() HealthStatus {
 	h := HealthStatus{
 		State:            "healthy",
-		DegradedSessions: m.walDegraded.Load(),
-		FailStopSessions: m.walFailStop.Load(),
+		DegradedSessions: atomic.LoadInt64(&m.live.WALDegradedSessions),
+		FailStopSessions: atomic.LoadInt64(&m.live.WALFailStopSessions),
 	}
 	switch {
 	case h.FailStopSessions > 0:

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,17 @@ const DefaultCheckpointEvery = 256
 // guarded separately so slow session work never blocks bookkeeping of other
 // sessions.
 type Manager struct {
+	// live holds the metric counters, each incremented in place where its
+	// event happens, with sync/atomic functions: selections run under shared
+	// entry read locks, WAL appends inside per-session critical sections, and
+	// a metrics scrape must never queue behind (or take a lock inside)
+	// either. Stats loads every int64 field (LoadStats); the table gauges in
+	// it are unused here, computed under mu instead. live is the first field
+	// because the 64-bit atomic functions need 8-byte alignment, which Go
+	// guarantees on 32-bit platforms only for the first word of an allocated
+	// struct.
+	live Stats
+
 	budget int64
 	dir    string
 
@@ -117,52 +129,6 @@ type Manager struct {
 	// budgeted sessions, folded in by settle after every exclusive operation
 	// (a read never changes a budget).
 	budgetRemaining float64
-
-	// Cumulative counters, each incremented where its event happens. They
-	// are atomics, not mu-guarded fields: selections run under shared entry
-	// read locks, WAL appends inside per-session critical sections, and a
-	// metrics scrape must never queue behind (or take a lock inside) either.
-	ingested         atomic.Int64
-	ingestBatches    atomic.Int64 // AddAnswers calls actually executed against sessions
-	coalesced        atomic.Int64 // ingest requests merged into another request's batch
-	shed             atomic.Int64
-	validations      atomic.Int64
-	selections       atomic.Int64
-	globalSelections atomic.Int64 // served marketplace reads (GlobalNext calls)
-	evictions        atomic.Int64
-	resumes          atomic.Int64
-	memoResumes      atomic.Int64 // resumes that adopted a carried ranking memo
-	// memoBytes is the gauge of the bytes held by the ranking memos parked
-	// entries carry (see entry.memo).
-	memoBytes atomic.Int64
-	// Session statistics (EM and delta iterations, delta outcomes,
-	// score-index builds and patches) summed over all sessions; see
-	// foldSession.
-	emIters           atomic.Int64
-	deltaIters        atomic.Int64
-	deltaOutcomes     outcomeCounters
-	scoreIndexBuilds  atomic.Int64
-	scoreIndexPatches atomic.Int64
-	rankScored        atomic.Int64
-	rankPruned        atomic.Int64
-	// Durability counters (see walstate.go).
-	walRecords      atomic.Int64
-	walBytes        atomic.Int64
-	walSyncs        atomic.Int64
-	checkpoints     atomic.Int64
-	checkpointFails atomic.Int64
-	recovered       atomic.Int64
-	replayed        atomic.Int64
-
-	// Health gauges and counters (see health.go). walDegraded/walFailStop
-	// are current-state gauges maintained by the state transitions, which
-	// run under entry write locks; the rest are cumulative.
-	walDegraded    atomic.Int64
-	walFailStop    atomic.Int64
-	degradeEvents  atomic.Int64
-	walHeals       atomic.Int64
-	probeFailures  atomic.Int64
-	enospcReclaims atomic.Int64
 }
 
 // entry is the manager's handle for one named session.
@@ -172,6 +138,11 @@ type Manager struct {
 // both are held is the accounting step after an operation, which takes
 // them in the fixed order entry.mu → manager.mu.
 type entry struct {
+	// folded is how much of the session's statistics foldSession has
+	// already added to the manager's totals. It is updated atomically and is
+	// the first field for the same alignment reason as Manager.live.
+	folded crowdval.SessionCounters
+
 	name string
 
 	mu       sync.RWMutex
@@ -183,9 +154,6 @@ type entry struct {
 	// hands it to the session resumed from that file; every other way out of
 	// the parked state (retire, a failed unpark) drops it. Guarded by mu.
 	memo crowdval.RankingMemo
-	// folded is how much of the session's statistics foldSession has
-	// already added to the manager's totals.
-	folded sessionCounters
 	// log is the session's write-ahead log state; nil when the manager runs
 	// without a WAL. It is guarded by mu like sess: every append runs inside
 	// the session's write critical section, which is what keeps log order
@@ -399,9 +367,9 @@ func (m *Manager) retire(e *entry) {
 	if w := e.log; w != nil {
 		switch w.state {
 		case walDegraded:
-			m.walDegraded.Add(-1)
+			atomic.AddInt64(&m.live.WALDegradedSessions, -1)
 		case walFailStop:
-			m.walFailStop.Add(-1)
+			atomic.AddInt64(&m.live.WALFailStopSessions, -1)
 		}
 		w.close()
 		e.log = nil
@@ -525,19 +493,25 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 	return m.exclusive(e, name, fn)
 }
 
-// sessionCounters are a session's cumulative statistics as already folded
-// into the manager's totals: EM and delta iterations, delta outcomes,
-// score-index builds and patches, ranking candidates scored and pruned.
-type sessionCounters struct {
-	emIters, deltaIters, builds, patches atomic.Int64
-	scored, pruned                       atomic.Int64
-	outcomes                             outcomeCounters
-}
+// foldPairs pairs each SessionCounters field with the same-named Stats field
+// it is summed into, by field index. Computed once: foldSession runs after
+// every operation.
+var foldPairs = pairFields(reflect.TypeFor[crowdval.SessionCounters](), reflect.TypeFor[Stats]())
 
-// outcomeCounters count delta-path aggregations by outcome
-// (crowdval.DeltaOutcomes).
-type outcomeCounters struct {
-	accepted, stalled, largeFrontier, cold atomic.Int64
+// pairFields returns, for every field of from, its index and the index of the
+// same-named int64 field of to. It panics when to has no such field: a
+// session counter the metrics would silently drop.
+func pairFields(from, to reflect.Type) [][2]int {
+	pairs := make([][2]int, from.NumField())
+	for i := range pairs {
+		name := from.Field(i).Name
+		f, ok := to.FieldByName(name)
+		if !ok || f.Type.Kind() != reflect.Int64 || from.Field(i).Type.Kind() != reflect.Int64 {
+			panic(fmt.Sprintf("server: session counter %s has no int64 %s field of the same name", name, to.Name()))
+		}
+		pairs[i] = [2]int{i, f.Index[0]}
+	}
+	return pairs
 }
 
 // foldSession adds what the session's cumulative statistics gained since the
@@ -547,33 +521,27 @@ type outcomeCounters struct {
 // increment exactly once. unpark resets the entry's folded counters, since a
 // resumed session counts from zero.
 func (m *Manager) foldSession(e *entry, sess *crowdval.Session) {
-	builds, patches := sess.ScoreIndexStats()
-	addMonotone(&e.folded.emIters, &m.emIters, int64(sess.TotalEMIterations()))
-	addMonotone(&e.folded.deltaIters, &m.deltaIters, int64(sess.TotalDeltaIterations()))
-	o := sess.DeltaOutcomes()
-	addMonotone(&e.folded.outcomes.accepted, &m.deltaOutcomes.accepted, int64(o.Accepted))
-	addMonotone(&e.folded.outcomes.stalled, &m.deltaOutcomes.stalled, int64(o.Stalled))
-	addMonotone(&e.folded.outcomes.largeFrontier, &m.deltaOutcomes.largeFrontier, int64(o.LargeFrontier))
-	addMonotone(&e.folded.outcomes.cold, &m.deltaOutcomes.cold, int64(o.Cold))
-	addMonotone(&e.folded.builds, &m.scoreIndexBuilds, int64(builds))
-	addMonotone(&e.folded.patches, &m.scoreIndexPatches, int64(patches))
-	scored, pruned := sess.RankStats()
-	addMonotone(&e.folded.scored, &m.rankScored, int64(scored))
-	addMonotone(&e.folded.pruned, &m.rankPruned, int64(pruned))
+	cur := sess.Counters()
+	curV := reflect.ValueOf(&cur).Elem()
+	seenV := reflect.ValueOf(&e.folded).Elem()
+	liveV := reflect.ValueOf(&m.live).Elem()
+	for _, p := range foldPairs {
+		addMonotone(seenV.Field(p[0]).Addr().Interface().(*int64), liveV.Field(p[1]).Addr().Interface().(*int64), curV.Field(p[0]).Int())
+	}
 }
 
 // addMonotone folds a session's monotone cumulative counter value cur into
 // total, with seen remembering how much of cur is already folded in. Safe for
 // concurrent callers: the CAS guarantees each increment of cur is added to
 // total exactly once, and callers observing a stale (smaller) cur drop out.
-func addMonotone(seen, total *atomic.Int64, cur int64) {
+func addMonotone(seen, total *int64, cur int64) {
 	for {
-		s := seen.Load()
+		s := atomic.LoadInt64(seen)
 		if cur <= s {
 			return
 		}
-		if seen.CompareAndSwap(s, cur) {
-			total.Add(cur - s)
+		if atomic.CompareAndSwapInt64(seen, s, cur) {
+			atomic.AddInt64(total, cur-s)
 			return
 		}
 	}
@@ -595,17 +563,17 @@ func (m *Manager) unpark(e *entry) error {
 	}
 	_ = os.Remove(m.parkPath(e.name))
 	if sess.AdoptRankingMemo(memo) {
-		m.memoResumes.Add(1)
+		atomic.AddInt64(&m.live.MemoResumes, 1)
 	}
 	e.sess = sess
 	e.isParked = false
-	e.folded = sessionCounters{}
+	e.folded = crowdval.SessionCounters{}
 	m.mu.Lock()
 	e.bytes = sess.MemoryEstimate()
 	m.resident += e.bytes
 	e.parkedAccounted = false
 	m.parked--
-	m.resumes.Add(1)
+	atomic.AddInt64(&m.live.Resumes, 1)
 	m.mu.Unlock()
 	return nil
 }
@@ -615,7 +583,7 @@ func (m *Manager) unpark(e *entry) error {
 func (m *Manager) takeMemo(e *entry) crowdval.RankingMemo {
 	memo := e.memo
 	e.memo = crowdval.RankingMemo{}
-	m.memoBytes.Add(-memo.Bytes())
+	atomic.AddInt64(&m.live.CarriedMemoBytes, -memo.Bytes())
 	return memo
 }
 
@@ -691,7 +659,7 @@ func (m *Manager) park(v *entry) {
 	err := m.writeParkFile(v)
 	if err == nil {
 		v.memo = v.sess.TakeRankingMemo()
-		m.memoBytes.Add(v.memo.Bytes())
+		atomic.AddInt64(&m.live.CarriedMemoBytes, v.memo.Bytes())
 		v.sess = nil
 		v.isParked = true
 	}
@@ -704,7 +672,7 @@ func (m *Manager) park(v *entry) {
 		v.bytes = 0
 		v.parkedAccounted = true
 		m.parked++
-		m.evictions.Add(1)
+		atomic.AddInt64(&m.live.Evictions, 1)
 	}
 	m.mu.Unlock()
 }
@@ -774,7 +742,7 @@ func (m *Manager) AddAnswers(ctx context.Context, name string, answers []crowdva
 	e.ingestMu.Lock()
 	if m.maxIngestQ > 0 && len(e.ingestQueue) >= m.maxIngestQ {
 		e.ingestMu.Unlock()
-		m.shed.Add(1)
+		atomic.AddInt64(&m.live.ShedIngests, 1)
 		return 0, fmt.Errorf("%w: session %q has %d queued ingest requests", cverr.ErrOverloaded, name, m.maxIngestQ)
 	}
 	e.ingestQueue = append(e.ingestQueue, t)
@@ -916,9 +884,9 @@ func (m *Manager) failOwnIngest(e *entry, own *ingestTicket, err error) {
 // accountIngest updates the ingest counters: batches actually executed,
 // requests that rode along in someone else's batch, answers ingested.
 func (m *Manager) accountIngest(batches, coalesced, answers int64) {
-	m.ingestBatches.Add(batches)
-	m.coalesced.Add(coalesced)
-	m.ingested.Add(answers)
+	atomic.AddInt64(&m.live.IngestBatches, batches)
+	atomic.AddInt64(&m.live.CoalescedIngests, coalesced)
+	atomic.AddInt64(&m.live.IngestedAnswers, answers)
 }
 
 func ingestedOnSuccess(err error, n int) int64 {
@@ -944,7 +912,7 @@ func (m *Manager) NextObject(ctx context.Context, name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.selections.Add(1)
+	atomic.AddInt64(&m.live.Selections, 1)
 	return object, nil
 }
 
@@ -961,7 +929,7 @@ func (m *Manager) NextObjects(ctx context.Context, name string, k int) ([]crowdv
 	if err != nil {
 		return nil, err
 	}
-	m.selections.Add(1)
+	atomic.AddInt64(&m.live.Selections, 1)
 	return ranked, nil
 }
 
@@ -1006,7 +974,7 @@ func (m *Manager) GlobalNext(ctx context.Context, k int, includeParked bool) ([]
 		}
 		cands = append(cands, per...)
 	}
-	m.globalSelections.Add(1)
+	atomic.AddInt64(&m.live.GlobalSelections, 1)
 	return crowdval.MergeGlobalNext(cands, k), nil
 }
 
@@ -1086,7 +1054,7 @@ func (m *Manager) Submit(ctx context.Context, name string, object int, label cro
 	if err != nil {
 		return crowdval.StepInfo{}, err
 	}
-	m.validations.Add(1)
+	atomic.AddInt64(&m.live.SubmittedValidations, 1)
 	return info, nil
 }
 
@@ -1102,7 +1070,7 @@ func (m *Manager) SubmitBatch(ctx context.Context, name string, inputs []crowdva
 	if err != nil {
 		return nil, err
 	}
-	m.validations.Add(int64(len(inputs)))
+	atomic.AddInt64(&m.live.SubmittedValidations, int64(len(inputs)))
 	return infos, nil
 }
 
@@ -1181,8 +1149,10 @@ func (m *Manager) Sessions() []SessionInfo {
 // Stats is the manager's aggregate state for the metrics endpoints. Each
 // numeric field is one metric: its json tag names it in GET /v1/metrics, its
 // prom and help tags declare it in GET /metrics (see RenderPrometheus).
-// Adding a metric means adding one tagged field here and filling it in
-// Manager.Stats.
+// Adding a metric means adding one tagged field here plus its increment,
+// atomic.AddInt64(&m.live.<Field>, n); a session statistic is instead one
+// field of crowdval.SessionCounters, which foldSession sums into the
+// same-named field here.
 type Stats struct {
 	// Sessions is the total number of managed sessions; Resident of them are
 	// in memory and Parked on disk.
@@ -1246,7 +1216,7 @@ type Stats struct {
 	ScoreIndexPatches int64 `json:"scoreIndexPatches" prom:"crowdval_score_index_patches_total,counter" help:"Guidance scoring indexes patched in place (maintained view)."`
 	// RankCandidatesScored/RankCandidatesPruned count, across all sessions,
 	// the ranking candidates scored exactly and those a fresh ranking left
-	// at an upper bound below its top k (Session.RankStats); the pruned
+	// at an upper bound below its top k (Session.Counters); the pruned
 	// share is the work the early stop saved.
 	RankCandidatesScored int64 `json:"rankCandidatesScored" prom:"crowdval_rank_candidates_scored_total,counter" help:"Ranking candidates scored exactly."`
 	RankCandidatesPruned int64 `json:"rankCandidatesPruned" prom:"crowdval_rank_candidates_pruned_total,counter" help:"Ranking candidates left unscored at an upper bound below the top k."`
@@ -1277,53 +1247,18 @@ type Stats struct {
 
 // Stats samples the manager's aggregate state. The table-derived values
 // (sessions, residency, budget) are read together under the manager's lock;
-// the counters are atomics sampled individually — a scrape never waits
+// the counters are loaded atomically one by one — a scrape never waits
 // behind an in-flight fsync — so they can trail each other by a few
 // operations; every counter is individually monotone.
 func (m *Manager) Stats() Stats {
+	s := LoadStats(&m.live)
 	m.mu.Lock()
-	s := Stats{
-		Sessions:        int64(len(m.sessions)),
-		Resident:        int64(len(m.sessions)) - m.parked,
-		Parked:          m.parked,
-		ResidentBytes:   m.resident,
-		MemoryBudget:    m.budget,
-		BudgetRemaining: m.budgetRemaining,
-	}
-	m.mu.Unlock()
-	s.IngestedAnswers = m.ingested.Load()
-	s.IngestBatches = m.ingestBatches.Load()
-	s.CoalescedIngests = m.coalesced.Load()
-	s.SubmittedValidations = m.validations.Load()
-	s.Selections = m.selections.Load()
-	s.GlobalSelections = m.globalSelections.Load()
-	s.Evictions = m.evictions.Load()
-	s.Resumes = m.resumes.Load()
-	s.MemoResumes = m.memoResumes.Load()
-	s.CarriedMemoBytes = m.memoBytes.Load()
-	s.EMIterations = m.emIters.Load()
-	s.DeltaIterations = m.deltaIters.Load()
-	s.DeltaAccepted = m.deltaOutcomes.accepted.Load()
-	s.DeltaStalled = m.deltaOutcomes.stalled.Load()
-	s.DeltaLargeFrontier = m.deltaOutcomes.largeFrontier.Load()
-	s.DeltaCold = m.deltaOutcomes.cold.Load()
-	s.ShedIngests = m.shed.Load()
-	s.ScoreIndexBuilds = m.scoreIndexBuilds.Load()
-	s.ScoreIndexPatches = m.scoreIndexPatches.Load()
-	s.RankCandidatesScored = m.rankScored.Load()
-	s.RankCandidatesPruned = m.rankPruned.Load()
-	s.WALRecords = m.walRecords.Load()
-	s.WALBytes = m.walBytes.Load()
-	s.WALSyncs = m.walSyncs.Load()
-	s.Checkpoints = m.checkpoints.Load()
-	s.CheckpointFailures = m.checkpointFails.Load()
-	s.RecoveredSessions = m.recovered.Load()
-	s.ReplayedRecords = m.replayed.Load()
-	s.WALDegradedSessions = m.walDegraded.Load()
-	s.WALFailStopSessions = m.walFailStop.Load()
-	s.DegradeEvents = m.degradeEvents.Load()
-	s.WALHeals = m.walHeals.Load()
-	s.ProbeFailures = m.probeFailures.Load()
-	s.ENOSPCReclaims = m.enospcReclaims.Load()
+	defer m.mu.Unlock()
+	s.Sessions = int64(len(m.sessions))
+	s.Resident = int64(len(m.sessions)) - m.parked
+	s.Parked = m.parked
+	s.ResidentBytes = m.resident
+	s.MemoryBudget = m.budget
+	s.BudgetRemaining = m.budgetRemaining
 	return s
 }

@@ -71,7 +71,7 @@ func residentBuilds(t testing.TB, m *Manager, name string) int {
 	t.Helper()
 	var builds int
 	if err := m.View(context.Background(), name, func(s *crowdval.Session) error {
-		builds, _ = s.ScoreIndexStats()
+		builds = int(s.Counters().ScoreIndexBuilds)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 )
 
 // This file renders the manager statistics in the Prometheus text exposition
@@ -35,6 +36,21 @@ func RenderPrometheus(stats any) string {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, f.Tag.Get("help"), name, typ, name, v.Field(i))
 	}
 	return b.String()
+}
+
+// LoadStats samples a live Stats or ClusterStats, whose int64 fields are
+// counters and gauges updated in place with sync/atomic: it loads each int64
+// field atomically and leaves every other field zero, for the owner to fill.
+func LoadStats[T Stats | ClusterStats](live *T) T {
+	var out T
+	src := reflect.ValueOf(live).Elem()
+	dst := reflect.ValueOf(&out).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		if f := src.Field(i); f.Kind() == reflect.Int64 {
+			dst.Field(i).SetInt(atomic.LoadInt64(f.Addr().Interface().(*int64)))
+		}
+	}
+	return out
 }
 
 // ClusterStats is the cluster fabric's contribution to the metrics endpoints

@@ -274,3 +274,35 @@ func TestMetricTagInvariants(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsLoadsEveryCounter: Manager.Stats copies every live counter into
+// its own field. Each int64 field of the live counters gets a distinct value;
+// Stats must return each value in the same field, except the table gauges,
+// which it fills from the session table instead.
+func TestStatsLoadsEveryCounter(t *testing.T) {
+	m, err := NewManager(ManagerConfig{ParkDir: t.TempDir(), MemoryBudget: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauges := map[string]int64{"Sessions": 0, "Resident": 0, "Parked": 0, "ResidentBytes": 0, "MemoryBudget": 4096}
+	live := reflect.ValueOf(&m.live).Elem()
+	for i := 0; i < live.NumField(); i++ {
+		if live.Field(i).Kind() == reflect.Int64 {
+			live.Field(i).SetInt(int64(1000 + i))
+		}
+	}
+	got := reflect.ValueOf(m.Stats())
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		name := got.Type().Field(i).Name
+		want, gauge := gauges[name]
+		if !gauge {
+			want = int64(1000 + i)
+		}
+		if v := got.Field(i).Int(); v != want {
+			t.Errorf("Stats().%s = %d, want %d", name, v, want)
+		}
+	}
+}

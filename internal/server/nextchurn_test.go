@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -237,12 +238,25 @@ func TestNextKChurnBitForBit(t *testing.T) {
 	}
 }
 
+// TestFoldPairingNeedsStatsTwin: a session counter without a same-named
+// int64 Stats field fails the pairing (at package init, for the real types)
+// instead of being silently dropped from the metrics.
+func TestFoldPairingNeedsStatsTwin(t *testing.T) {
+	type counters struct{ EMIterations, NoSuchMetric int64 }
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pairing a counter without a Stats twin did not panic")
+		}
+	}()
+	pairFields(reflect.TypeFor[counters](), reflect.TypeFor[Stats]())
+}
+
 // TestSessionCountersFoldExactly pins the manager's session-statistics fold:
 // with selections (per-session and global), delta ingests and validations
-// racing over several resident sessions, the manager's EMIterations,
-// DeltaIterations, ScoreIndexBuilds and ScoreIndexPatches must equal, not
-// merely bound, the sums of the sessions' own cumulative statistics. Run it
-// under -race -count=N to shake out lost or doubled folds.
+// racing over several resident sessions, every Stats field that a
+// SessionCounters field is folded into must equal, not merely bound, the sum
+// of the sessions' own counters of that name. Run it under -race -count=N to
+// shake out lost or doubled folds.
 func TestSessionCountersFoldExactly(t *testing.T) {
 	m, err := NewManager(ManagerConfig{ParkDir: t.TempDir()})
 	if err != nil {
@@ -360,28 +374,33 @@ func TestSessionCountersFoldExactly(t *testing.T) {
 
 	// Sample the manager first: the View calls below fold too, and must not
 	// be what makes the totals add up.
-	got := m.Stats()
-	var want Stats
+	got := reflect.ValueOf(m.Stats())
+	want := make(map[string]int64)
 	for _, name := range names {
 		if err := m.View(ctx, name, func(s *crowdval.Session) error {
-			builds, patches := s.ScoreIndexStats()
-			want.EMIterations += int64(s.TotalEMIterations())
-			want.DeltaIterations += int64(s.TotalDeltaIterations())
-			want.ScoreIndexBuilds += int64(builds)
-			want.ScoreIndexPatches += int64(patches)
+			c := reflect.ValueOf(s.Counters())
+			for i := 0; i < c.NumField(); i++ {
+				want[c.Type().Field(i).Name] += c.Field(i).Int()
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got.EMIterations != want.EMIterations || got.DeltaIterations != want.DeltaIterations ||
-		got.ScoreIndexBuilds != want.ScoreIndexBuilds || got.ScoreIndexPatches != want.ScoreIndexPatches {
-		t.Fatalf("manager totals (em %d, delta %d, builds %d, patches %d) != session sums (em %d, delta %d, builds %d, patches %d)",
-			got.EMIterations, got.DeltaIterations, got.ScoreIndexBuilds, got.ScoreIndexPatches,
-			want.EMIterations, want.DeltaIterations, want.ScoreIndexBuilds, want.ScoreIndexPatches)
+	for field, sum := range want {
+		if total := got.FieldByName(field).Int(); total != sum {
+			t.Errorf("manager %s = %d, want the session sum %d", field, total, sum)
+		}
 	}
-	if want.DeltaIterations == 0 || want.ScoreIndexBuilds == 0 || want.ScoreIndexPatches == 0 {
-		t.Fatalf("the churn left a counter untouched (delta %d, builds %d, patches %d): the test would prove nothing",
-			want.DeltaIterations, want.ScoreIndexBuilds, want.ScoreIndexPatches)
+	// No session churn moves DeltaStalled or DeltaCold (a session cannot cap
+	// its delta iterations and never starts cold), so the comparison above
+	// cannot see them dropped from the fold: check that it pairs every field.
+	if len(foldPairs) != len(want) {
+		t.Errorf("the fold pairs %d of the %d session counters", len(foldPairs), len(want))
+	}
+	for _, field := range []string{"DeltaIterations", "DeltaAccepted", "ScoreIndexBuilds", "ScoreIndexPatches", "RankCandidatesScored", "RankCandidatesPruned"} {
+		if want[field] == 0 {
+			t.Errorf("the churn left %s untouched: the test would prove nothing for it", field)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"syscall"
 
 	"crowdval"
@@ -61,7 +62,7 @@ type sessionWAL struct {
 	sinceCkpt   int
 	lastCkptLSN uint64
 	// seen* are the appender metrics already folded into the manager's
-	// atomic counters.
+	// live counters.
 	seenBytes, seenRecords, seenSyncs int64
 }
 
@@ -96,12 +97,12 @@ func (m *Manager) wrapWAL(name string, f *os.File) wal.File {
 }
 
 // foldWALMetrics folds the appender's cumulative metrics into the manager's
-// atomic counters as deltas against the last fold.
+// live counters as deltas against the last fold.
 func (m *Manager) foldWALMetrics(w *sessionWAL) {
 	b, r, s := w.app.Metrics()
-	m.walBytes.Add(b - w.seenBytes)
-	m.walRecords.Add(r - w.seenRecords)
-	m.walSyncs.Add(s - w.seenSyncs)
+	atomic.AddInt64(&m.live.WALBytes, b-w.seenBytes)
+	atomic.AddInt64(&m.live.WALRecords, r-w.seenRecords)
+	atomic.AddInt64(&m.live.WALSyncs, s-w.seenSyncs)
 	w.seenBytes, w.seenRecords, w.seenSyncs = b, r, s
 }
 
@@ -183,7 +184,7 @@ func (m *Manager) logMutation(e *entry, rec wal.Record) error {
 		// the biggest space reclaim this session can make. The probe loop
 		// handles the case where even that does not fit.
 		if herr := m.healSession(e.name, e.sess, w); herr == nil {
-			m.enospcReclaims.Add(1)
+			atomic.AddInt64(&m.live.ENOSPCReclaims, 1)
 			_, err = w.app.Append(rec)
 			m.foldWALMetrics(w)
 		}
@@ -215,11 +216,11 @@ func (m *Manager) maybeCheckpoint(e *entry) {
 		return
 	}
 	if err := m.checkpoint(e.name, e.sess, w); err != nil {
-		m.checkpointFails.Add(1)
+		atomic.AddInt64(&m.live.CheckpointFailures, 1)
 		w.sinceCkpt = 0
 		return
 	}
-	m.checkpoints.Add(1)
+	atomic.AddInt64(&m.live.Checkpoints, 1)
 }
 
 // checkpoint writes the session's snapshot as the new newest checkpoint,
@@ -495,8 +496,8 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 		}
 		r := m.recoverSession(ctx, name)
 		if r.Err == nil {
-			m.recovered.Add(1)
-			m.replayed.Add(int64(r.Replayed))
+			atomic.AddInt64(&m.live.RecoveredSessions, 1)
+			atomic.AddInt64(&m.live.ReplayedRecords, int64(r.Replayed))
 		}
 		out = append(out, r)
 	}
@@ -626,7 +627,7 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 		os.Remove(m.ckptPath(name))
 	}
 	if err := m.checkpoint(name, sess, w); err != nil {
-		m.checkpointFails.Add(1)
+		atomic.AddInt64(&m.live.CheckpointFailures, 1)
 		if r.TornTail {
 			// Without the rewrite the torn bytes are still in the file and
 			// appending after them would corrupt the log: degrade, and let
@@ -634,7 +635,7 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 			m.degradeWAL(w, err)
 		}
 	} else {
-		m.checkpoints.Add(1)
+		atomic.AddInt64(&m.live.Checkpoints, 1)
 	}
 	return sess, w, nil
 }

@@ -566,41 +566,16 @@ func (s *Session) NumLabels() int { return s.engine.Answers().NumLabels() }
 // including answers ingested through AddAnswers.
 func (s *Session) AnswerCount() int { return s.engine.AnswerCount() }
 
-// TotalEMIterations returns the cumulative number of EM iterations across
-// every aggregation this session instance ran (initial cold start,
-// validations, batches, ingestions, revisions). Serving tiers report it as a
-// resource-usage statistic; it is not part of the snapshot state, so a
-// resumed session counts from zero.
-func (s *Session) TotalEMIterations() int { return s.engine.TotalEMIterations() }
+// SessionCounters are a session's cumulative statistics: EM and delta
+// iterations, delta outcomes, scoring-index builds and patches, ranking
+// candidates scored and pruned (see the field docs). Serving tiers sum them
+// across sessions into their metrics. They are not snapshot state: a resumed
+// session counts from zero.
+type SessionCounters = core.Counters
 
-// TotalDeltaIterations returns the cumulative number of frontier-restricted
-// iterations the delta-incremental path ran (see WithDeltaIngest). Zero for
-// exact sessions; not part of the snapshot state.
-func (s *Session) TotalDeltaIterations() int { return s.engine.TotalDeltaIterations() }
-
-// DeltaOutcomes counts a session's delta-path aggregations by outcome.
-type DeltaOutcomes = core.DeltaOutcomes
-
-// DeltaOutcomes returns how the session's delta-path aggregations went:
-// frontier phase accepted or stalled, or fallen back to the full path for an
-// oversized frontier or a cold start. All zero for exact sessions; not part
-// of the snapshot state.
-func (s *Session) DeltaOutcomes() DeltaOutcomes { return s.engine.DeltaOutcomes() }
-
-// RankStats returns how many ranking candidates the session scored exactly
-// and how many fresh rankings left unscored, at an upper bound on their
-// score below the top k (delta scoring of binary crowds; see
-// WithDeltaScoring). A ranking continued for a larger k counts the
-// candidates it scores again under scored. Like ScoreIndexStats these are
-// statistics, not snapshot state: a resumed session counts from zero.
-func (s *Session) RankStats() (scored, pruned int) { return s.engine.RankStats() }
-
-// ScoreIndexStats returns how many times the session's guidance scoring
-// index was built from scratch and how many times it was patched in place
-// onto a new aggregation result (the maintained-view path). Serving tiers
-// report the pair as score_index_builds / score_index_patches; like
-// TotalEMIterations it is a statistic, not snapshot state.
-func (s *Session) ScoreIndexStats() (builds, patches int) { return s.engine.ScoreIndexStats() }
+// Counters returns the session's cumulative statistics. Safe to call
+// concurrently with selections.
+func (s *Session) Counters() SessionCounters { return s.engine.Counters() }
 
 // DeltaIngestEnabled reports whether the session runs the delta-incremental
 // aggregation path (the default; off under WithExact). Serving tiers use it

@@ -87,11 +87,11 @@ func TestNewSessionDefaultsToDelta(t *testing.T) {
 	if _, err := s.SubmitValidation(o, d.Truth[o]); err != nil {
 		t.Fatal(err)
 	}
-	if s.TotalDeltaIterations() == 0 {
+	if s.Counters().DeltaIterations == 0 {
 		t.Fatal("one validation on a default session ran no delta iterations")
 	}
-	if got := s.DeltaOutcomes(); got != (DeltaOutcomes{Accepted: 1}) {
-		t.Fatalf("delta outcomes after one validation: %+v, want one accepted", got)
+	if c := s.Counters(); c.DeltaAccepted != 1 || c.DeltaStalled+c.DeltaLargeFrontier+c.DeltaCold != 0 {
+		t.Fatalf("delta outcomes after one validation: %+v, want one accepted", c)
 	}
 	if snap := s.snapshotState(); !snap.DeltaEnabled || !snap.DeltaScoring {
 		t.Fatalf("snapshot records delta ingest %v, delta scoring %v; want both", snap.DeltaEnabled, snap.DeltaScoring)
@@ -103,11 +103,11 @@ func TestNewSessionDefaultsToDelta(t *testing.T) {
 // option-less session produced before delta became the default.
 func TestWithExactMatchesEarlierDefault(t *testing.T) {
 	s := defaultModeStream(t, WithExact())
-	if n := s.TotalDeltaIterations(); n != 0 {
+	if n := s.Counters().DeltaIterations; n != 0 {
 		t.Fatalf("an exact session ran %d delta iterations", n)
 	}
-	if got := s.DeltaOutcomes(); got != (DeltaOutcomes{}) {
-		t.Fatalf("an exact session counted delta outcomes %+v", got)
+	if c := s.Counters(); c.DeltaAccepted+c.DeltaStalled+c.DeltaLargeFrontier+c.DeltaCold != 0 {
+		t.Fatalf("an exact session counted delta outcomes %+v", c)
 	}
 	got, err := s.Snapshot()
 	if err != nil {
@@ -155,7 +155,7 @@ func TestOldExactSnapshotsResumeExact(t *testing.T) {
 		if _, err := s.SubmitValidation(o, 0); err != nil {
 			t.Fatal(err)
 		}
-		if n := s.TotalDeltaIterations(); n != 0 {
+		if n := s.Counters().DeltaIterations; n != 0 {
 			t.Fatalf("%s: the resumed session ran %d delta iterations", name, n)
 		}
 	}

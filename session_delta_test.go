@@ -157,10 +157,10 @@ func TestDeltaParityRandomHistories(t *testing.T) {
 				}
 			}
 
-			if deltaSession.TotalDeltaIterations() == 0 {
+			if deltaSession.Counters().DeltaIterations == 0 {
 				t.Fatal("the delta path never ran a frontier iteration over the whole history")
 			}
-			if fullSession.TotalDeltaIterations() != 0 {
+			if fullSession.Counters().DeltaIterations != 0 {
 				t.Fatal("the full-path session ran delta iterations")
 			}
 
@@ -235,7 +235,7 @@ func TestDeltaSnapshotCarriesConfig(t *testing.T) {
 	if err := resumed.AddAnswers(context.Background(), []Answer{{Object: 1, Worker: 2, Label: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.TotalDeltaIterations() == 0 {
+	if resumed.Counters().DeltaIterations == 0 {
 		t.Fatal("resumed delta session did not use the delta path")
 	}
 }

@@ -93,7 +93,7 @@ func TestEarlyStopMatchesFullScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameBits(t, mustNextObjects(t, s, k), fullScanRanking(t, s, limit, k), "fresh session")
-					if _, pruned := s.RankStats(); k < 64 && pruned == 0 {
+					if pruned := s.Counters().RankCandidatesPruned; k < 64 && pruned == 0 {
 						t.Fatalf("k = %d: the ranking scored every candidate", k)
 					}
 				}

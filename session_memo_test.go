@@ -57,7 +57,7 @@ func TestRankingMemoCarriesEveryRole(t *testing.T) {
 				k := 1 + 7*i
 				sameScored(t, mustNextObjects(t, resumed, k), mustNextObjects(t, twin, k), "resumed")
 			}
-			if builds, _ := resumed.ScoreIndexStats(); builds != 0 {
+			if builds := resumed.Counters().ScoreIndexBuilds; builds != 0 {
 				t.Fatalf("resumed session built its scoring index %d times, want 0", builds)
 			}
 		})

@@ -144,7 +144,7 @@ func TestMaintainedSelectionMatchesRebuildAllStrategies(t *testing.T) {
 			}
 
 			// The cache-disabled twin must never patch its index.
-			if _, patches := rebuild.ScoreIndexStats(); patches != 0 {
+			if patches := rebuild.Counters().ScoreIndexPatches; patches != 0 {
 				t.Fatalf("rebuild session patched its index %d times with the cache disabled", patches)
 			}
 		})
@@ -171,7 +171,8 @@ func TestMaintainedSelectionPatchesNotRebuilds(t *testing.T) {
 	rebuild := build(WithoutSelectionCache())
 	maintainedPairHistory(t, maintained, rebuild, d, 31, false)
 
-	builds, patches := maintained.ScoreIndexStats()
+	c := maintained.Counters()
+	builds, patches := c.ScoreIndexBuilds, c.ScoreIndexPatches
 	if patches == 0 {
 		t.Fatalf("maintained session never patched its index (builds=%d)", builds)
 	}
