@@ -7,7 +7,6 @@ import (
 	"crowdval/internal/aggregation"
 	"crowdval/internal/experiments"
 	"crowdval/internal/guidance"
-	"crowdval/internal/linalg"
 	"crowdval/internal/model"
 	"crowdval/internal/simulation"
 	"crowdval/internal/spamdetect"
@@ -362,23 +361,6 @@ func benchmarkNextObject(b *testing.B, objects, workers, perObject int) {
 func BenchmarkNextObject(b *testing.B) {
 	b.Run("2500x100", func(b *testing.B) { benchmarkNextObject(b, 2500, 100, 8) })
 	b.Run("50000x500", func(b *testing.B) { benchmarkNextObject(b, 50000, 500, 5) })
-}
-
-func BenchmarkJacobiSVD4x4(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := linalg.NewMatrix(4, 4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			m.Set(i, j, rng.NormFloat64())
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linalg.ComputeSVD(m); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkGuidedSessionStep(b *testing.B) {

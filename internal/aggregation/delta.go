@@ -92,8 +92,8 @@ func (c DeltaConfig) settleTolerance(em EMConfig) float64 {
 type DeltaOutcome uint8
 
 // The outcomes of the delta path. DeltaAccepted and DeltaStalled end in the
-// certified settle phase; DeltaLargeFrontier and DeltaCold are the fallbacks,
-// which run the plain full path (AggregateContext) instead.
+// certified settle phase; DeltaLargeFrontier is the fallback, which runs the
+// plain full path (AggregateContext) instead.
 const (
 	// DeltaNotRun: the delta path is disabled, and the call was a plain
 	// full aggregation.
@@ -103,12 +103,11 @@ const (
 	// DeltaStalled: the frontier phase hit DeltaConfig.MaxDeltaIterations
 	// without converging; the settle phase resolved the rest.
 	DeltaStalled
-	// DeltaLargeFrontier: the frontier was unknown (nil delta) or larger
-	// than DeltaConfig.MaxDirtyFraction, so the frontier phase was skipped.
+	// DeltaLargeFrontier: there was no usable warm state (no previous
+	// result, or one of another shape), the frontier was unknown (nil
+	// delta), or it was larger than DeltaConfig.MaxDirtyFraction, so the
+	// frontier phase was skipped.
 	DeltaLargeFrontier
-	// DeltaCold: there was no usable warm state (no previous result, or one
-	// of another shape), so the call was a full aggregation.
-	DeltaCold
 )
 
 // RanFrontier reports whether the frontier phase ran, i.e. whether only the
@@ -186,9 +185,9 @@ func (ie *IncrementalEM) deltaFallback(answers *model.AnswerSet, prev *model.Pro
 	case !ie.Delta.Enabled:
 		return DeltaNotRun
 	case prev == nil || prev.Assignment == nil || len(prev.Confusions) != answers.NumWorkers() ||
-		prev.Assignment.NumObjects() != answers.NumObjects() || prev.Assignment.NumLabels() != answers.NumLabels():
-		return DeltaCold
-	case delta == nil || float64(len(delta.Objects)) > ie.Delta.maxDirtyFraction()*float64(answers.NumObjects()):
+		prev.Assignment.NumObjects() != answers.NumObjects() || prev.Assignment.NumLabels() != answers.NumLabels(),
+		// No usable warm state above; an unknown or oversized frontier here.
+		delta == nil || float64(len(delta.Objects)) > ie.Delta.maxDirtyFraction()*float64(answers.NumObjects()):
 		return DeltaLargeFrontier
 	}
 	return DeltaAccepted

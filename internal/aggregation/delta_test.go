@@ -253,7 +253,7 @@ func TestDeltaStallProceedsToSettle(t *testing.T) {
 }
 
 // TestDeltaOutcomeReported pins Result.DeltaOutcome for every way a delta
-// call can go: disabled, cold start, unknown or oversized frontier, frontier
+// call can go: disabled, no warm state, unknown or oversized frontier, frontier
 // converged, and frontier stalled at its iteration cap.
 func TestDeltaOutcomeReported(t *testing.T) {
 	answers, truth := deltaTestSet(t, 80, 12, 19)
@@ -291,7 +291,7 @@ func TestDeltaOutcomeReported(t *testing.T) {
 		want     DeltaOutcome
 	}{
 		{"disabled", DeltaConfig{}, small, base.ProbSet, smallFrontier, DeltaNotRun},
-		{"cold", enabled, small, nil, smallFrontier, DeltaCold},
+		{"no warm state", enabled, small, nil, smallFrontier, DeltaLargeFrontier},
 		{"nil frontier", enabled, small, base.ProbSet, nil, DeltaLargeFrontier},
 		{"large frontier", enabled, large, base.ProbSet, largeFrontier, DeltaLargeFrontier},
 		{"accepted", enabled, small, base.ProbSet, smallFrontier, DeltaAccepted},

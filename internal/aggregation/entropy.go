@@ -35,19 +35,6 @@ func Uncertainty(p *model.ProbabilisticAnswerSet) float64 {
 	return total
 }
 
-// NormalizedUncertainty returns H(P) divided by the maximal possible
-// uncertainty n·log(m), yielding a value in [0, 1] that is comparable across
-// datasets of different size.
-func NormalizedUncertainty(p *model.ProbabilisticAnswerSet) float64 {
-	n := p.Assignment.NumObjects()
-	m := p.Assignment.NumLabels()
-	if n == 0 || m <= 1 {
-		return 0
-	}
-	maxH := float64(n) * math.Log(float64(m))
-	return Uncertainty(p) / maxH
-}
-
 // CorrectLabelProbabilities returns, for every object with a known ground
 // truth label, the probability the aggregation assigns to that correct label.
 // It feeds the probability histogram of Figure 6.

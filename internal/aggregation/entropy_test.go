@@ -33,18 +33,6 @@ func TestUncertaintySumsObjectEntropies(t *testing.T) {
 	if got := Uncertainty(p); math.Abs(got-math.Log(2)) > 1e-12 {
 		t.Fatalf("Uncertainty = %v, want %v", got, math.Log(2))
 	}
-	norm := NormalizedUncertainty(p)
-	if math.Abs(norm-0.5) > 1e-12 {
-		t.Fatalf("NormalizedUncertainty = %v, want 0.5", norm)
-	}
-}
-
-func TestNormalizedUncertaintySingleLabel(t *testing.T) {
-	a := model.MustNewAnswerSet(2, 1, 1)
-	p := model.NewProbabilisticAnswerSet(a)
-	if got := NormalizedUncertainty(p); got != 0 {
-		t.Fatalf("single-label normalized uncertainty = %v", got)
-	}
 }
 
 func TestCorrectLabelProbabilities(t *testing.T) {
@@ -92,11 +80,7 @@ func TestUncertaintyBoundsProperty(t *testing.T) {
 		}
 		h := Uncertainty(res.ProbSet)
 		maxH := float64(n) * math.Log(3)
-		if h < 0 || h > maxH+1e-9 {
-			return false
-		}
-		nu := NormalizedUncertainty(res.ProbSet)
-		return nu >= 0 && nu <= 1+1e-9
+		return h >= 0 && h <= maxH+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -519,16 +519,14 @@ type Counters struct {
 	// DeltaIterations counts the frontier-restricted iterations of the
 	// delta-incremental path; zero when that path is off or never ran.
 	DeltaIterations int64
-	// DeltaAccepted, DeltaStalled, DeltaLargeFrontier and DeltaCold count
-	// the delta-path aggregations by outcome (aggregation.DeltaOutcome): the
+	// DeltaAccepted, DeltaStalled and DeltaLargeFrontier count the
+	// delta-path aggregations by outcome (aggregation.DeltaOutcome): the
 	// frontier phase accepted or stalled at its iteration cap, or the call
-	// fell back to the full path for an oversized frontier or a cold start.
-	// The engine grows its warm state with the session, so it never starts
-	// cold itself. Aggregations without the delta path count nowhere.
+	// fell back to the full path for an oversized frontier. Aggregations
+	// without the delta path count nowhere.
 	DeltaAccepted      int64
 	DeltaStalled       int64
 	DeltaLargeFrontier int64
-	DeltaCold          int64
 	// ScoreIndexBuilds and ScoreIndexPatches count how often the guidance
 	// scoring index was built from scratch and how often it was patched in
 	// place onto a successor aggregation result (ScoreIndex.Rebase).
@@ -552,8 +550,6 @@ func (c *Counters) addOutcome(o aggregation.DeltaOutcome) {
 		c.DeltaStalled++
 	case aggregation.DeltaLargeFrontier:
 		c.DeltaLargeFrontier++
-	case aggregation.DeltaCold:
-		c.DeltaCold++
 	}
 }
 
@@ -672,8 +668,8 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 	e.counters.DeltaIterations += int64(res.DeltaIterations)
 	e.counters.addOutcome(res.DeltaOutcome)
 	if !res.DeltaOutcome.RanFrontier() {
-		// A full-path aggregation (delta path off, cold state or oversized
-		// frontier): every row may have moved, so patching the index would
+		// A full-path aggregation (delta path off or oversized frontier):
+		// every row may have moved, so patching the index would
 		// cost as much as rebuilding it.
 		e.invalidateIndex = true
 	}

@@ -10,16 +10,16 @@ import (
 )
 
 // These tests pin the delta-path outcome counters (Engine.Counters,
-// exported as crowdval_delta_{accepted,stalled,large_frontier,cold}_total
+// exported as crowdval_delta_{accepted,stalled,large_frontier}_total
 // on /metrics) per trigger, in the style of the score-index counter tests:
 // each mutation counts exactly one outcome, the one its frontier calls for,
 // and no-op settles and selections count nothing.
 
-// wantOutcomes compares the engine's four outcome counters with want's.
+// wantOutcomes compares the engine's three outcome counters with want's.
 func wantOutcomes(t *testing.T, e *Engine, want Counters, what string) {
 	t.Helper()
 	c := e.Counters()
-	got := Counters{DeltaAccepted: c.DeltaAccepted, DeltaStalled: c.DeltaStalled, DeltaLargeFrontier: c.DeltaLargeFrontier, DeltaCold: c.DeltaCold}
+	got := Counters{DeltaAccepted: c.DeltaAccepted, DeltaStalled: c.DeltaStalled, DeltaLargeFrontier: c.DeltaLargeFrontier}
 	if got != want {
 		t.Fatalf("%s: delta outcomes %+v, want %+v", what, got, want)
 	}

@@ -81,11 +81,11 @@ func ExpectedDetectedFaultyWorkers(ctx *Context, object int, priors []float64) (
 			continue
 		}
 		hypo.Set(object, model.Label(l))
-		count, err := detector.CountFaultyContext(ctx.ctx(), ctx.Answers, hypo, priors)
+		det, err := detector.DetectContext(ctx.ctx(), ctx.Answers, hypo, priors)
 		if err != nil {
 			return 0, err
 		}
-		expected += p * float64(count)
+		expected += p * float64(len(det.FaultyWorkers()))
 	}
 	return expected, nil
 }

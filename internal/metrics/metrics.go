@@ -47,15 +47,6 @@ func PrecisionImprovement(pi, p0 float64) float64 {
 	return r
 }
 
-// RelativeEffort returns E_i = i/n, the number of expert validations relative
-// to the number of objects.
-func RelativeEffort(validations, numObjects int) float64 {
-	if numObjects <= 0 {
-		return 0
-	}
-	return float64(validations) / float64(numObjects)
-}
-
 // PrecisionRecall computes precision and recall of a detection task given the
 // set of predicted positives and the set of actual positives. With no
 // predictions the precision is 1 by convention (nothing wrongly flagged);
@@ -84,14 +75,6 @@ func PrecisionRecall(predicted, actual []int) (precision, recall float64) {
 	return precision, recall
 }
 
-// F1 returns the harmonic mean of precision and recall (0 when both are 0).
-func F1(precision, recall float64) float64 {
-	if precision+recall == 0 {
-		return 0
-	}
-	return 2 * precision * recall / (precision + recall)
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -102,20 +85,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // PearsonCorrelation returns the Pearson correlation coefficient of two

@@ -107,18 +107,6 @@ func blockWorkers(objects []int, objectWorkers [][]int) []int {
 // NumBlocks returns the number of blocks.
 func (p *Partitioning) NumBlocks() int { return len(p.Blocks) }
 
-// LargestBlock returns the maximal number of objects in a block (0 when there
-// are no blocks).
-func (p *Partitioning) LargestBlock() int {
-	largest := 0
-	for _, b := range p.Blocks {
-		if len(b.Objects) > largest {
-			largest = len(b.Objects)
-		}
-	}
-	return largest
-}
-
 // CoversAllObjects reports whether every object of the answer set appears in
 // exactly one block.
 func (p *Partitioning) CoversAllObjects() bool {
@@ -140,62 +128,4 @@ func (p *Partitioning) CoversAllObjects() bool {
 		}
 	}
 	return true
-}
-
-// Density returns, for one block, the fraction of (object, worker) cells of
-// the block's sub-matrix that contain an answer. Empty blocks have density 0.
-func (p *Partitioning) Density(block int) float64 {
-	if block < 0 || block >= len(p.Blocks) || p.answers == nil {
-		return 0
-	}
-	b := p.Blocks[block]
-	if len(b.Objects) == 0 || len(b.Workers) == 0 {
-		return 0
-	}
-	inBlock := make(map[int]bool, len(b.Workers))
-	for _, w := range b.Workers {
-		inBlock[w] = true
-	}
-	filled := 0
-	for _, o := range b.Objects {
-		for _, wa := range p.answers.ObjectView(o) {
-			if inBlock[wa.Worker] {
-				filled++
-			}
-		}
-	}
-	return float64(filled) / float64(len(b.Objects)*len(b.Workers))
-}
-
-// SubAnswerSet materializes one block as a standalone answer set whose object
-// and worker indices are renumbered densely. The returned mappings give, for
-// each new index, the original object/worker index.
-func (p *Partitioning) SubAnswerSet(block int) (*model.AnswerSet, []int, []int, error) {
-	if block < 0 || block >= len(p.Blocks) {
-		return nil, nil, nil, fmt.Errorf("partition: block %d out of range (have %d)", block, len(p.Blocks))
-	}
-	b := p.Blocks[block]
-	if len(b.Objects) == 0 || len(b.Workers) == 0 {
-		return nil, nil, nil, fmt.Errorf("partition: block %d has no answers", block)
-	}
-	sub, err := model.NewAnswerSet(len(b.Objects), len(b.Workers), p.answers.NumLabels())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	workerIndex := make(map[int]int, len(b.Workers))
-	for wi, w := range b.Workers {
-		workerIndex[w] = wi
-	}
-	for oi, o := range b.Objects {
-		for _, wa := range p.answers.ObjectView(o) {
-			wi, ok := workerIndex[wa.Worker]
-			if !ok {
-				continue
-			}
-			if err := sub.SetAnswer(oi, wi, wa.Label); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-	return sub, append([]int(nil), b.Objects...), append([]int(nil), b.Workers...), nil
 }

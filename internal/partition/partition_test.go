@@ -23,6 +23,15 @@ func denseAnswers(t *testing.T, objects, workers int) *model.AnswerSet {
 	return a
 }
 
+// largestBlock returns the number of objects in p's largest block.
+func largestBlock(p *Partitioning) int {
+	largest := 0
+	for _, b := range p.Blocks {
+		largest = max(largest, len(b.Objects))
+	}
+	return largest
+}
+
 func TestPartitionNil(t *testing.T) {
 	if _, err := Partition(nil, Options{}); err == nil {
 		t.Fatal("nil answer set accepted")
@@ -38,8 +47,8 @@ func TestPartitionCoversAllObjects(t *testing.T) {
 	if !p.CoversAllObjects() {
 		t.Fatal("partitioning does not cover all objects exactly once")
 	}
-	if p.LargestBlock() > 5 {
-		t.Fatalf("largest block = %d, want <= 5", p.LargestBlock())
+	if largest := largestBlock(p); largest > 5 {
+		t.Fatalf("largest block = %d, want <= 5", largest)
 	}
 	if p.NumBlocks() < 4 {
 		t.Fatalf("blocks = %d, want >= 4 for 17 objects with max 5", p.NumBlocks())
@@ -52,8 +61,8 @@ func TestPartitionZeroMaxObjectsClampedToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumBlocks() != 3 || p.LargestBlock() != 1 {
-		t.Fatalf("blocks = %d largest = %d, want 3 blocks of 1", p.NumBlocks(), p.LargestBlock())
+	if p.NumBlocks() != 3 || largestBlock(p) != 1 {
+		t.Fatalf("blocks = %d largest = %d, want 3 blocks of 1", p.NumBlocks(), largestBlock(p))
 	}
 }
 
@@ -106,72 +115,6 @@ func TestPartitionGroupsConnectedObjects(t *testing.T) {
 		if len(b.Objects) != 3 || len(b.Workers) != 2 {
 			t.Fatalf("block %d = %+v", i, b)
 		}
-		if d := p.Density(i); d != 1 {
-			t.Fatalf("block %d density = %v, want 1", i, d)
-		}
-	}
-	if p.Density(-1) != 0 || p.Density(99) != 0 {
-		t.Fatal("out-of-range density should be 0")
-	}
-}
-
-func TestSubAnswerSet(t *testing.T) {
-	a := model.MustNewAnswerSet(4, 3, 2)
-	if err := a.SetAnswer(2, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetAnswer(3, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	p, err := Partition(a, Options{MaxObjectsPerBlock: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find the block containing object 2.
-	blockIdx := -1
-	for i, b := range p.Blocks {
-		for _, o := range b.Objects {
-			if o == 2 {
-				blockIdx = i
-			}
-		}
-	}
-	if blockIdx < 0 {
-		t.Fatal("object 2 not in any block")
-	}
-	sub, objMap, workerMap, err := p.SubAnswerSet(blockIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumLabels() != 2 {
-		t.Fatalf("sub labels = %d", sub.NumLabels())
-	}
-	// Every answer in the sub matrix must match the original through the maps.
-	for oi := 0; oi < sub.NumObjects(); oi++ {
-		for wi := 0; wi < sub.NumWorkers(); wi++ {
-			if sub.Answer(oi, wi) != a.Answer(objMap[oi], workerMap[wi]) {
-				t.Fatalf("sub answer mismatch at (%d,%d)", oi, wi)
-			}
-		}
-	}
-	if _, _, _, err := p.SubAnswerSet(-1); err == nil {
-		t.Fatal("negative block index accepted")
-	}
-	if _, _, _, err := p.SubAnswerSet(99); err == nil {
-		t.Fatal("out-of-range block index accepted")
-	}
-}
-
-func TestSubAnswerSetEmptyBlock(t *testing.T) {
-	// An answer set with a fully unanswered object creates a block without
-	// workers, which cannot be materialized.
-	a := model.MustNewAnswerSet(1, 1, 2)
-	p, err := Partition(a, Options{MaxObjectsPerBlock: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := p.SubAnswerSet(0); err == nil {
-		t.Fatal("empty block materialization should fail")
 	}
 }
 
@@ -196,7 +139,7 @@ func TestPartitionInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.CoversAllObjects() && p.LargestBlock() <= limit
+		return p.CoversAllObjects() && largestBlock(p) <= limit
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

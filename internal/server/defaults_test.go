@@ -37,13 +37,13 @@ func TestCreateSessionDefaultsToDelta(t *testing.T) {
 		}
 	}
 
-	wantOutcomes := func(what string, accepted, largeFrontier, cold int64) {
+	wantOutcomes := func(what string, accepted, largeFrontier int64) {
 		t.Helper()
 		var s Stats
 		c.must("GET", "/v1/metrics", nil, &s)
-		if s.DeltaAccepted != accepted || s.DeltaStalled != 0 || s.DeltaLargeFrontier != largeFrontier || s.DeltaCold != cold {
-			t.Fatalf("%s: delta accepted/stalled/large-frontier/cold = %d/%d/%d/%d, want %d/0/%d/%d", what,
-				s.DeltaAccepted, s.DeltaStalled, s.DeltaLargeFrontier, s.DeltaCold, accepted, largeFrontier, cold)
+		if s.DeltaAccepted != accepted || s.DeltaStalled != 0 || s.DeltaLargeFrontier != largeFrontier {
+			t.Fatalf("%s: delta accepted/stalled/large-frontier = %d/%d/%d, want %d/0/%d", what,
+				s.DeltaAccepted, s.DeltaStalled, s.DeltaLargeFrontier, accepted, largeFrontier)
 		}
 	}
 	flood := IngestRequest{}
@@ -58,8 +58,8 @@ func TestCreateSessionDefaultsToDelta(t *testing.T) {
 		c.must("POST", "/v1/sessions/"+name+"/answers", flood, nil)
 		c.must("POST", "/v1/sessions/"+name+"/answers", growth, nil)
 		if name == "exact" {
-			wantOutcomes("after the exact session's operations", 0, 0, 0)
+			wantOutcomes("after the exact session's operations", 0, 0)
 		}
 	}
-	wantOutcomes("after the default session's operations", 2, 1, 0)
+	wantOutcomes("after the default session's operations", 2, 1)
 }

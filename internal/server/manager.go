@@ -1193,17 +1193,16 @@ type Stats struct {
 	// iterations run by delta-incremental sessions (the default; see
 	// WithDeltaIngest).
 	DeltaIterations int64 `json:"deltaIterations" prom:"crowdval_delta_iterations_total,counter" help:"Frontier-restricted delta iterations run across all sessions."`
-	// DeltaAccepted/DeltaStalled/DeltaLargeFrontier/DeltaCold count the
-	// delta-path aggregations by outcome (aggregation.DeltaOutcome): the
-	// frontier phase converged, or hit its iteration cap before the settle
-	// phase; or the call fell back to a full aggregation because the
-	// frontier was too large or there was no warm state of the right shape.
+	// DeltaAccepted/DeltaStalled/DeltaLargeFrontier count the delta-path
+	// aggregations by outcome (aggregation.DeltaOutcome): the frontier phase
+	// converged, or hit its iteration cap before the settle phase; or the
+	// call fell back to a full aggregation because the frontier was too
+	// large.
 	// A rising fallback share means delta sessions are paying exact-path
 	// costs.
 	DeltaAccepted      int64 `json:"deltaAccepted" prom:"crowdval_delta_accepted_total,counter" help:"Delta aggregations whose frontier phase converged."`
 	DeltaStalled       int64 `json:"deltaStalled" prom:"crowdval_delta_stalled_total,counter" help:"Delta aggregations whose frontier phase hit its iteration cap before the settle phase."`
 	DeltaLargeFrontier int64 `json:"deltaLargeFrontier" prom:"crowdval_delta_large_frontier_total,counter" help:"Delta aggregations that fell back to a full aggregation on an oversized frontier."`
-	DeltaCold          int64 `json:"deltaCold" prom:"crowdval_delta_cold_total,counter" help:"Delta aggregations that fell back to a full aggregation without a usable warm state."`
 	// ShedIngests counts AddAnswers requests rejected with ErrOverloaded
 	// because a session's ingest queue was at its configured bound.
 	ShedIngests int64 `json:"shedIngests" prom:"crowdval_shed_ingests_total,counter" help:"Ingest requests shed with ErrOverloaded (HTTP 429)."`

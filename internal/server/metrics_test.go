@@ -34,7 +34,6 @@ func pinnedStats() (Stats, ClusterStats) {
 		DeltaAccepted:        132,
 		DeltaStalled:         133,
 		DeltaLargeFrontier:   134,
-		DeltaCold:            135,
 		ShedIngests:          116,
 		ScoreIndexBuilds:     117,
 		ScoreIndexPatches:    118,
@@ -98,7 +97,6 @@ var wantExposition = map[string]promSample{
 	"crowdval_delta_accepted_total":         {"counter", "Delta aggregations whose frontier phase converged.", "132"},
 	"crowdval_delta_stalled_total":          {"counter", "Delta aggregations whose frontier phase hit its iteration cap before the settle phase.", "133"},
 	"crowdval_delta_large_frontier_total":   {"counter", "Delta aggregations that fell back to a full aggregation on an oversized frontier.", "134"},
-	"crowdval_delta_cold_total":             {"counter", "Delta aggregations that fell back to a full aggregation without a usable warm state.", "135"},
 	"crowdval_shed_ingests_total":           {"counter", "Ingest requests shed with ErrOverloaded (HTTP 429).", "116"},
 	"crowdval_score_index_builds_total":     {"counter", "Guidance scoring indexes built from scratch.", "117"},
 	"crowdval_score_index_patches_total":    {"counter", "Guidance scoring indexes patched in place (maintained view).", "118"},
@@ -128,7 +126,7 @@ var wantExposition = map[string]promSample{
 }
 
 // wantMetricsJSON is the /v1/metrics body for pinnedStats.
-const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"deltaCold":135,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"rankCandidatesScored":138,"rankCandidatesPruned":139,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
+const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"rankCandidatesScored":138,"rankCandidatesPruned":139,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
 `
 
 // renderExposition is what GET /metrics serves for a node with cluster

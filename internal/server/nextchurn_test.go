@@ -392,9 +392,9 @@ func TestSessionCountersFoldExactly(t *testing.T) {
 			t.Errorf("manager %s = %d, want the session sum %d", field, total, sum)
 		}
 	}
-	// No session churn moves DeltaStalled or DeltaCold (a session cannot cap
-	// its delta iterations and never starts cold), so the comparison above
-	// cannot see them dropped from the fold: check that it pairs every field.
+	// No session churn moves DeltaStalled (a session cannot cap its delta
+	// iterations), so the comparison above cannot see it dropped from the
+	// fold: check that it pairs every field.
 	if len(foldPairs) != len(want) {
 		t.Errorf("the fold pairs %d of the %d session counters", len(foldPairs), len(want))
 	}

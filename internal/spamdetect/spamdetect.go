@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"crowdval/internal/cverr"
-	"crowdval/internal/linalg"
 	"crowdval/internal/model"
 	"crowdval/internal/par"
 )
@@ -120,17 +120,6 @@ func (d Detection) Spammers() []int {
 	return out
 }
 
-// SloppyWorkers returns the indices of all workers flagged as sloppy.
-func (d Detection) SloppyWorkers() []int {
-	var out []int
-	for _, a := range d.Assessments {
-		if a.Sloppy {
-			out = append(out, a.Worker)
-		}
-	}
-	return out
-}
-
 // FaultyRatio returns the fraction of workers flagged as faulty, the r_i
 // quantity of the hybrid weighting scheme (Eq. 15).
 func (d Detection) FaultyRatio() float64 {
@@ -165,13 +154,74 @@ func ValidationConfusion(answers *model.AnswerSet, validation *model.Validation,
 
 // SpammerScore computes s(w) = min_{rank-1 F̂} ‖F − F̂‖_F for a confusion
 // matrix (Eq. 11).
-func SpammerScore(c *model.ConfusionMatrix) (float64, error) {
-	m := c.NumLabels()
-	dense, err := linalg.NewMatrixFromSlice(m, m, c.Dense())
-	if err != nil {
-		return 0, fmt.Errorf("spamdetect: %w", err)
+func SpammerScore(c *model.ConfusionMatrix) float64 {
+	return rank1Distance(c.Dense(), c.NumLabels())
+}
+
+// maxJacobiSweeps bounds the Jacobi sweeps of rank1Distance. Small matrices
+// converge in a handful of sweeps; the bound only guards pathological input.
+const maxJacobiSweeps = 60
+
+// rank1Distance returns sqrt(Σ_{i≥2} σ_i²), the Frobenius distance of the
+// m×m row-major matrix a to its closest rank-one matrix (Eckart–Young). The
+// singular values σ_1 ≥ σ_2 ≥ … are the column norms that one-sided Jacobi
+// rotations leave once the columns are mutually orthogonal; norms at or
+// below the convergence threshold count as zero. a is overwritten.
+func rank1Distance(a []float64, m int) float64 {
+	const eps = 1e-12
+	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
+		offDiag := 0.0
+		for p := 0; p < m-1; p++ {
+			for q := p + 1; q < m; q++ {
+				// The 2×2 Gram matrix of columns p and q.
+				alpha, beta, gamma := 0.0, 0.0, 0.0
+				for i := 0; i < len(a); i += m {
+					ap, aq := a[i+p], a[i+q]
+					alpha += ap * ap
+					beta += aq * aq
+					gamma += ap * aq
+				}
+				offDiag += math.Abs(gamma)
+				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) {
+					continue
+				}
+				// The rotation that annihilates gamma.
+				zeta := (beta - alpha) / (2 * gamma)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				c := 1 / math.Sqrt(1+t*t)
+				s := c * t
+				for i := 0; i < len(a); i += m {
+					ap, aq := a[i+p], a[i+q]
+					a[i+p] = c*ap - s*aq
+					a[i+q] = s*ap + c*aq
+				}
+			}
+		}
+		if offDiag < eps {
+			break
+		}
 	}
-	return linalg.DistanceToRank1(dense)
+	// Column j's norm overwrites a[j], which no later column reads.
+	sigma := a[:m]
+	for j := range sigma {
+		norm := 0.0
+		for i := j; i < len(a); i += m {
+			norm += a[i] * a[i]
+		}
+		norm = math.Sqrt(norm)
+		if !(norm > eps) { // a NaN norm is flushed too
+			norm = 0
+		}
+		sigma[j] = norm
+	}
+	// Sum the squares of all but the largest, in descending order: the order
+	// fixes the bits of the score.
+	slices.Sort(sigma)
+	sum := 0.0
+	for j := m - 2; j >= 0; j-- {
+		sum += sigma[j] * sigma[j]
+	}
+	return math.Sqrt(sum)
 }
 
 // Detect assesses every worker of the answer set against the current expert
@@ -199,31 +249,16 @@ func (d *Detector) DetectContext(ctx context.Context, answers *model.AnswerSet, 
 	minAnswers := d.minValidatedAnswers()
 
 	// Workers are assessed independently, so the worker range is sharded;
-	// every shard writes disjoint slots of the assessment slice. Shards
-	// cover contiguous worker ranges, so taking the error of the first
-	// failed shard reports the same (smallest) failing worker as a serial
-	// scan would.
+	// every shard writes disjoint slots of the assessment slice.
 	k := answers.NumWorkers()
 	assessments := make([]WorkerAssessment, k)
-	shards := par.Shards(d.parallelism(), k)
-	shardErr := make([]error, shards)
-	ctxErr := par.ForNCtx(ctx, k, shards, func(shard, lo, hi int) {
+	err := par.ForCtx(ctx, k, d.parallelism(), func(lo, hi int) {
 		for w := lo; w < hi; w++ {
-			assessment, err := assessWorker(answers, validation, w, priors, spamThr, sloppyThr, minAnswers)
-			if err != nil {
-				shardErr[shard] = err
-				return
-			}
-			assessments[w] = assessment
+			assessments[w] = assessWorker(answers, validation, w, priors, spamThr, sloppyThr, minAnswers)
 		}
 	})
-	if ctxErr != nil {
-		return Detection{}, ctxErr
-	}
-	for _, err := range shardErr {
-		if err != nil {
-			return Detection{}, err
-		}
+	if err != nil {
+		return Detection{}, err
 	}
 	return Detection{Assessments: assessments}, nil
 }
@@ -232,7 +267,7 @@ func (d *Detector) DetectContext(ctx context.Context, answers *model.AnswerSet, 
 // with explicit thresholds — the shared body of the community detection shard
 // loop and the per-worker AssessWorker entry point.
 func assessWorker(answers *model.AnswerSet, validation *model.Validation, worker int, priors []float64,
-	spamThr, sloppyThr float64, minAnswers int) (WorkerAssessment, error) {
+	spamThr, sloppyThr float64, minAnswers int) WorkerAssessment {
 
 	confusion, count := ValidationConfusion(answers, validation, worker)
 	assessment := WorkerAssessment{
@@ -242,17 +277,14 @@ func assessWorker(answers *model.AnswerSet, validation *model.Validation, worker
 		ErrorRate:        math.NaN(),
 	}
 	if count >= minAnswers {
-		score, err := SpammerScore(confusion)
-		if err != nil {
-			return WorkerAssessment{}, err
-		}
+		score := SpammerScore(confusion)
 		errRate := confusion.ErrorRate(priors)
 		assessment.SpammerScore = score
 		assessment.ErrorRate = errRate
 		assessment.Spammer = score < spamThr
 		assessment.Sloppy = errRate > sloppyThr
 	}
-	return assessment, nil
+	return assessment
 }
 
 // AssessWorker assesses a single worker against the current expert
@@ -272,21 +304,5 @@ func (d *Detector) AssessWorker(answers *model.AnswerSet, validation *model.Vali
 			cverr.ErrOutOfRange, worker, answers.NumWorkers())
 	}
 	return assessWorker(answers, validation, worker, priors,
-		d.spammerThreshold(), d.sloppyThreshold(), d.minValidatedAnswers())
-}
-
-// CountFaulty is a convenience wrapper returning only the number of faulty
-// workers detected under the given validation state. It backs the
-// R(W | o = l) quantity of the worker-driven guidance (Eq. 12).
-func (d *Detector) CountFaulty(answers *model.AnswerSet, validation *model.Validation, priors []float64) (int, error) {
-	return d.CountFaultyContext(context.Background(), answers, validation, priors)
-}
-
-// CountFaultyContext is CountFaulty with cancellation.
-func (d *Detector) CountFaultyContext(ctx context.Context, answers *model.AnswerSet, validation *model.Validation, priors []float64) (int, error) {
-	det, err := d.DetectContext(ctx, answers, validation, priors)
-	if err != nil {
-		return 0, err
-	}
-	return len(det.FaultyWorkers()), nil
+		d.spammerThreshold(), d.sloppyThreshold(), d.minValidatedAnswers()), nil
 }

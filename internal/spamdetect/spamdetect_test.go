@@ -87,11 +87,7 @@ func TestSpammerScores(t *testing.T) {
 	scoreOf := func(w int) float64 {
 		t.Helper()
 		conf, _ := ValidationConfusion(a, v, w)
-		s, err := SpammerScore(conf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+		return SpammerScore(conf)
 	}
 	if s := scoreOf(0); s > 1e-9 {
 		t.Fatalf("random spammer score = %v, want ~0", s)
@@ -162,9 +158,6 @@ func TestDetectorFlagsSloppyWorkers(t *testing.T) {
 	if detection.Assessments[0].Spammer {
 		t.Fatal("anti-correlated worker wrongly flagged as rank-one spammer")
 	}
-	if got := detection.SloppyWorkers(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("sloppy workers = %v", got)
-	}
 }
 
 func TestDetectorThresholdDefaultsAndErrors(t *testing.T) {
@@ -184,18 +177,6 @@ func TestDetectorThresholdDefaultsAndErrors(t *testing.T) {
 	a := model.MustNewAnswerSet(2, 1, 2)
 	if _, err := det.Detect(a, model.NewValidation(3), nil); err == nil {
 		t.Fatal("mismatched validation accepted")
-	}
-}
-
-func TestCountFaulty(t *testing.T) {
-	a, v := paperWorkersAnswerSet(t)
-	det := &Detector{}
-	n, err := det.CountFaulty(a, v, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("CountFaulty = %d, want 2", n)
 	}
 }
 

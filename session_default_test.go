@@ -90,7 +90,7 @@ func TestNewSessionDefaultsToDelta(t *testing.T) {
 	if s.Counters().DeltaIterations == 0 {
 		t.Fatal("one validation on a default session ran no delta iterations")
 	}
-	if c := s.Counters(); c.DeltaAccepted != 1 || c.DeltaStalled+c.DeltaLargeFrontier+c.DeltaCold != 0 {
+	if c := s.Counters(); c.DeltaAccepted != 1 || c.DeltaStalled+c.DeltaLargeFrontier != 0 {
 		t.Fatalf("delta outcomes after one validation: %+v, want one accepted", c)
 	}
 	if snap := s.snapshotState(); !snap.DeltaEnabled || !snap.DeltaScoring {
@@ -106,7 +106,7 @@ func TestWithExactMatchesEarlierDefault(t *testing.T) {
 	if n := s.Counters().DeltaIterations; n != 0 {
 		t.Fatalf("an exact session ran %d delta iterations", n)
 	}
-	if c := s.Counters(); c.DeltaAccepted+c.DeltaStalled+c.DeltaLargeFrontier+c.DeltaCold != 0 {
+	if c := s.Counters(); c.DeltaAccepted+c.DeltaStalled+c.DeltaLargeFrontier != 0 {
 		t.Fatalf("an exact session counted delta outcomes %+v", c)
 	}
 	got, err := s.Snapshot()
