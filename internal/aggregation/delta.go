@@ -110,10 +110,6 @@ const (
 	DeltaLargeFrontier
 )
 
-// RanFrontier reports whether the frontier phase ran, i.e. whether only the
-// frontier's neighbourhood can have moved beyond the settle tolerance.
-func (o DeltaOutcome) RanFrontier() bool { return o == DeltaAccepted || o == DeltaStalled }
-
 // Delta describes the dirty frontier of one aggregation call: the objects
 // whose evidence or pinned validation changed since the previous fixed point
 // was computed, and the workers whose answer sets or quarantine status

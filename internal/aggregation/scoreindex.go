@@ -65,9 +65,9 @@ import (
 // delta-accelerated hypothetical scorer — the log-prior, log-confusion and
 // per-object answer log-likelihood tables of the current fixed point. An
 // index describes exactly one aggregation result; when the state moves to a
-// successor result the index is either patched onto it in place (Rebase —
-// the maintained-view path, cost proportional to what actually changed) or
-// rebuilt from scratch. The index is immutable between those transitions and
+// successor result of the same shape the index is refilled in place (Rebase
+// — the maintained-view path, which keeps the index's buffers); otherwise a
+// new index is built. The index is immutable between those transitions and
 // safe for concurrent readers; Rebase mutates it and must be serialized
 // against readers by the caller (the engine runs it under its selection
 // lock, with mutations excluded). Per-goroutine mutable state lives in
@@ -129,12 +129,20 @@ func NewScoreIndex(answers *model.AnswerSet, p *model.ProbabilisticAnswerSet, cf
 		smoothing: cfg.smoothing(),
 		entropies: make([]float64, n),
 	}
-	for o := 0; o < n; o++ {
-		h := ObjectEntropy(p.Assignment, o)
-		ix.entropies[o] = h
-		ix.totalH += h
-	}
+	ix.fillEntropies()
 	return ix
+}
+
+// fillEntropies recomputes every object's entropy and re-sums totalH in
+// index order onto zero, the accumulation order of Uncertainty.
+func (ix *ScoreIndex) fillEntropies() {
+	total := 0.0
+	for o := range ix.entropies {
+		h := ObjectEntropy(ix.probSet.Assignment, o)
+		ix.entropies[o] = h
+		total += h
+	}
+	ix.totalH = total
 }
 
 // TotalUncertainty returns H(P) of the indexed probabilistic answer set. The
@@ -158,17 +166,23 @@ func (ix *ScoreIndex) EnsureHypoTables() {
 		return
 	}
 	m := ix.m
-	logPriors := make([]float64, m)
-	fillLogPriors(logPriors, ix.probSet.Assignment)
-	logConfT := make([]float64, len(ix.probSet.Confusions)*m*m)
-	for w := range ix.probSet.Confusions {
-		fillLogConfBlockT(logConfT[w*m*m:(w+1)*m*m], ix.probSet.Confusions[w], m)
-	}
-	ix.logPriors = logPriors
-	ix.logConfT = logConfT
+	ix.logPriors = make([]float64, m)
+	ix.logConfT = make([]float64, len(ix.probSet.Confusions)*m*m)
 	ix.logRows = make([]float64, ix.n*m)
-	ix.fillLogRows()
 	ix.rowExp = make([]float64, ix.n*m)
+	ix.fillHypoTables()
+}
+
+// fillHypoTables recomputes every hypothetical-scoring table the index has,
+// rank-bound tables included, each from the tables it depends on. The
+// entropies must be current.
+func (ix *ScoreIndex) fillHypoTables() {
+	fillLogPriors(ix.logPriors, ix.probSet.Assignment)
+	ix.fillLogConfT()
+	ix.fillLogRows()
+	if ix.softCounts != nil {
+		ix.fillSoftCounts()
+	}
 	ix.fillRowExp()
 }
 
@@ -186,17 +200,16 @@ func (ix *ScoreIndex) EnsureRankBounds() bool {
 		ix.EnsureHypoTables()
 		ix.taylor = make([]float64, 3*ix.n)
 		ix.softCounts = make([]float64, len(ix.logConfT))
-		ix.fillSoftCounts(ix.probSet.Assignment)
+		ix.fillSoftCounts()
 		// Refilling the row factors repeats their bits and fills the Taylor
-		// table alongside, as a Rebase does.
+		// table alongside.
 		ix.fillRowExp()
 	}
 	return true
 }
 
 // fillRowExp recomputes every object's row factors from logPriors and
-// logRows, with the same operations in the same order whether called from a
-// build or a Rebase. The logits b_l = logPriors[l] + logRows[r·m+l] are
+// logRows. The logits b_l = logPriors[l] + logRows[r·m+l] are
 // formed exactly as the scorer forms them. An index with rank-bound tables
 // fills its Taylor table and maxLogit in the same pass, so the entropies
 // must be current.
@@ -257,10 +270,11 @@ func (ix *ScoreIndex) fillTaylor(o int, z, y float64) {
 	t[2] = -0.5 * q * (1 - az*(1-y)*inv)
 }
 
-// fillSoftCounts recomputes every worker's soft counts from the assignment
-// u, adding its answers' rows in WorkerView order onto zero.
-func (ix *ScoreIndex) fillSoftCounts(u *model.AssignmentMatrix) {
+// fillSoftCounts recomputes every worker's soft counts from the assignment,
+// adding its answers' rows in WorkerView order onto zero.
+func (ix *ScoreIndex) fillSoftCounts() {
 	m := ix.m
+	u := ix.probSet.Assignment
 	clear(ix.softCounts)
 	for w := 0; w < len(ix.softCounts)/(m*m); w++ {
 		block := ix.softCounts[w*m*m : (w+1)*m*m]
@@ -274,9 +288,7 @@ func (ix *ScoreIndex) fillSoftCounts(u *model.AssignmentMatrix) {
 }
 
 // fillLogRows recomputes every object's summed answer log-likelihoods from
-// logConfT, adding the answers in ObjectView order onto zero — the same
-// operations in the same order whether called from a build or a Rebase, so
-// the two produce identical bits.
+// logConfT, adding the answers in ObjectView order onto zero.
 func (ix *ScoreIndex) fillLogRows() {
 	m := ix.m
 	mm := m * m
@@ -300,6 +312,14 @@ func fillLogPriors(dst []float64, u *model.AssignmentMatrix) {
 			p = 1e-12
 		}
 		dst[l] = math.Log(p)
+	}
+}
+
+// fillLogConfT recomputes every worker's log-confusion block.
+func (ix *ScoreIndex) fillLogConfT() {
+	mm := ix.m * ix.m
+	for w, f := range ix.probSet.Confusions {
+		fillLogConfBlockT(ix.logConfT[w*mm:(w+1)*mm], f, ix.m)
 	}
 }
 
@@ -432,8 +452,9 @@ func (ix *ScoreIndex) AcquireHypoScratch() *HypoScratch {
 
 // ReleaseHypoScratch puts a scratch of this index back on its free list. The
 // list lives as long as the index: it survives Rebase (the scratch keeps only
-// buffers and the seen stamps, which stay valid for a patched index of the
-// same shape) and is dropped with the index when the engine rebuilds it.
+// buffers and the seen stamps, which stay valid for a refilled index of the
+// same shape) and is dropped with the index when the engine builds a new
+// one.
 // Safe for concurrent use.
 func (ix *ScoreIndex) ReleaseHypoScratch(sc *HypoScratch) {
 	if sc.ix != ix {

@@ -1,6 +1,7 @@
 package aggregation
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -59,5 +60,51 @@ func BenchmarkHypoScorer(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*candidates), "ns/candidate")
 		})
+	}
+}
+
+// BenchmarkScoreIndexRebase measures one in-place refill of the scoring
+// index at the shape of perfbench's validate workload: a converged 10 000 ×
+// 200 binary crowd with five answers per object (75% normal workers of
+// accuracy 0.7, 25% random spammers), the hypothetical-scoring and
+// rank-bound tables built. The index alternates between the fixed point
+// before and after one validation (the highest-entropy object, validated to
+// its true label and settled on the delta path), so every iteration refills
+// it for a state it does not describe.
+func BenchmarkScoreIndexRebase(b *testing.B) {
+	const n = 10000
+	d, err := simulation.GenerateCrowd(simulation.CrowdConfig{
+		NumObjects: n, NumWorkers: 200, NumLabels: 2, AnswersPerObject: 5,
+		NormalAccuracy: 0.7, Mix: simulation.WorkerMix{Normal: 0.75, RandomSpammer: 0.25}, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := EMConfig{Parallelism: 1}
+	iem := &IncrementalEM{Config: cfg, Delta: DeltaConfig{Enabled: true}}
+	validation := model.NewValidation(n)
+	before, err := iem.Aggregate(d.Answers, validation, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := NewScoreIndex(d.Answers, before.ProbSet, cfg)
+	ix.EnsureRankBounds()
+	o := 0
+	for c := range n {
+		if ix.ObjectEntropy(c) > ix.ObjectEntropy(o) {
+			o = c
+		}
+	}
+	validation.Set(o, d.Truth[o])
+	after, err := iem.AggregateDeltaContext(context.Background(), d.Answers, validation, before.ProbSet, &Delta{Objects: []int{o}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	states := [2]*model.ProbabilisticAnswerSet{after.ProbSet, before.ProbSet}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !ix.Rebase(d.Answers, states[i%2]) {
+			b.Fatal("Rebase refused a same-shape successor")
+		}
 	}
 }

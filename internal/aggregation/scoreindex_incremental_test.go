@@ -74,7 +74,10 @@ func sortedDedup(xs []int) []int {
 // TestScoreIndexRebaseMatchesRebuild drives seeded random histories of
 // ingests, validations, retractions and growth through the delta aggregation
 // path, maintaining one index by Rebase across every step and asserting it
-// stays bit-identical to a from-scratch rebuild. Mid-history the maintained
+// stays bit-identical to a from-scratch rebuild. The histories also move one
+// worker's answers out of the set and back, as a quarantine mask and restore
+// do, and run full-path aggregations warm-started from the previous state;
+// both are refilled like any other successor. Mid-history the maintained
 // index is dropped and rebuilt cold — the snapshot/resume shape — and
 // patching must resume seamlessly. Growth must fail the patch (dimension
 // change) and fall back to the rebuild.
@@ -108,7 +111,11 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 			maintained.EnsureHypoTables()
 			maintained.EnsureRankBounds()
 
-			patched, rebuilt := 0, 0
+			patched, rebuilt, quarantined, fullPath := 0, 0, 0, 0
+			// A second stream layers the quarantine changes and the
+			// full-path settles onto the history, which it leaves as is.
+			extra := rand.New(rand.NewSource(seed + 100))
+			maskedWorker, stash := -1, []model.ObjectAnswer(nil)
 			for step := 0; step < 40; step++ {
 				var dirtyObjects, dirtyWorkers []int
 				grew := false
@@ -145,12 +152,35 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 					}
 					dirtyObjects = append(dirtyObjects, o)
 				}
+				full := false
+				switch extra.Intn(5) {
+				case 0: // quarantine: mask a worker, or restore the masked one
+					quarantined++
+					w, moved := maskedWorker, stash
+					if w < 0 {
+						w = extra.Intn(answers.NumWorkers())
+						moved = answers.MaskWorker(w)
+						maskedWorker, stash = w, moved
+					} else {
+						answers.RestoreWorker(w, moved)
+						maskedWorker, stash = -1, nil
+					}
+					for _, oa := range moved {
+						dirtyObjects = append(dirtyObjects, oa.Object)
+					}
+					dirtyWorkers = append(dirtyWorkers, w)
+				case 1: // settle on the full path, warm-started from prev
+					full = !grew
+				}
 
 				prev := res.ProbSet
 				if grew {
 					// A grown session re-aggregates cold at this layer; the
 					// engine's warm growth path is covered by the root suite.
 					res, err = iem.Aggregate(answers, validation, nil)
+				} else if full {
+					fullPath++
+					res, err = iem.AggregateContext(context.Background(), answers, validation, prev)
 				} else {
 					delta := &Delta{Objects: sortedDedup(dirtyObjects), Workers: sortedDedup(dirtyWorkers)}
 					res, err = iem.AggregateDeltaContext(context.Background(), answers, validation, prev, delta)
@@ -213,6 +243,9 @@ func TestScoreIndexRebaseMatchesRebuild(t *testing.T) {
 			}
 			if rebuilt == 0 {
 				t.Fatal("history never exercised the growth-rebuild fallback")
+			}
+			if quarantined == 0 || fullPath == 0 {
+				t.Fatalf("history ran %d quarantine changes and %d full-path aggregations, want both", quarantined, fullPath)
 			}
 		})
 	}

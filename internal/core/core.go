@@ -99,9 +99,10 @@ type Config struct {
 	// unaffected.
 	DeltaScoring bool
 	// DisableSelectionCache turns off the maintained-view serving caches: the
-	// in-place ScoreIndex patching (Rebase) and the per-strategy ranking
-	// memoization. Every aggregation then invalidates the scoring index and
-	// every selection rebuilds and rescans — the pre-maintained-view behavior.
+	// in-place ScoreIndex refill (Rebase) and the per-strategy ranking
+	// memoization. Every aggregation then drops the scoring index, and every
+	// selection allocates and builds a new one and rescans — the
+	// pre-maintained-view behavior.
 	// It is a pure performance knob for benchmarking and differential testing:
 	// selections are bit-identical either way.
 	DisableSelectionCache bool
@@ -189,20 +190,13 @@ type Engine struct {
 	selMu sync.Mutex
 	// scoreIndex is the per-aggregation guidance scoring index (per-object
 	// entropies, hypothetical-scoring tables), built lazily on the first
-	// selection after an aggregation. With the delta path enabled it is a
-	// maintained view: when the probabilistic state moves it is kept and
-	// patched in place onto the successor result (ScoreIndex.Rebase) at the
-	// next selection — one patch per coalesced batch, cost proportional to
-	// what changed — instead of being rebuilt from scratch. Full invalidation
-	// remains the fallback for full-path aggregations, quarantine changes and
-	// growth (see invalidateIndex), and for sessions without the delta path.
+	// selection. It is a maintained view: when the probabilistic state moves
+	// it is kept and refilled in place for the successor result
+	// (ScoreIndex.Rebase) at the next selection — one refill per coalesced
+	// batch, reusing its buffers — instead of being allocated anew. A new
+	// index is built only when the shape changed (growth) or the caches are
+	// disabled.
 	scoreIndex *aggregation.ScoreIndex
-	// invalidateIndex marks the maintained scoreIndex as not patchable onto
-	// the next state: set by the mutation paths on full-path aggregations and
-	// quarantine changes, consumed by refreshScoreIndex. Mutations are
-	// exclusive (the caller's single-writer contract), so the flag itself
-	// needs no extra lock.
-	invalidateIndex bool
 	// rankCache memoizes the most recent ranking per stateless scoring
 	// strategy, keyed by strategy instance, so repeated SelectNextKContext calls on
 	// an unchanged state are served in O(k) from the maintained view, and a
@@ -260,18 +254,14 @@ func (e *Engine) setProbSet(p *model.ProbabilisticAnswerSet) {
 // probabilistic answer set, under the selection lock so in-flight selections
 // on other goroutines never observe a half-moved view. Memoized rankings
 // always describe exactly one state and are dropped. The scoring index is
-// kept for an in-place Rebase at the next selection (the maintained-view
-// path) unless a mutation flagged the move as non-patchable — full-path
-// aggregation, quarantine change — or the session runs without the delta
-// path or with the caches disabled, in which case it is dropped for a
-// from-scratch rebuild.
+// kept for an in-place refill at the next selection (the maintained-view
+// path) unless the caches are disabled, in which case it is dropped for a
+// from-scratch build.
 func (e *Engine) refreshScoreIndex() {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
 	clear(e.rankCache)
-	drop := e.invalidateIndex
-	e.invalidateIndex = false
-	if e.scoreIndex != nil && (drop || !e.cfg.Delta.Enabled || e.cfg.DisableSelectionCache) {
+	if e.cfg.DisableSelectionCache {
 		e.scoreIndex = nil
 	}
 }
@@ -528,8 +518,11 @@ type Counters struct {
 	DeltaStalled       int64
 	DeltaLargeFrontier int64
 	// ScoreIndexBuilds and ScoreIndexPatches count how often the guidance
-	// scoring index was built from scratch and how often it was patched in
-	// place onto a successor aggregation result (ScoreIndex.Rebase).
+	// scoring index was allocated and built — at the first selection, after
+	// growth, after a resume, and at every selection that follows a state
+	// change under DisableSelectionCache — and how often it was refilled in
+	// place for a successor aggregation result of the same shape
+	// (ScoreIndex.Rebase), which recomputes every table.
 	ScoreIndexBuilds  int64
 	ScoreIndexPatches int64
 	// RankCandidatesScored and RankCandidatesPruned count the candidates
@@ -605,12 +598,11 @@ func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
 }
 
 // ensureScoreIndex returns the guidance scoring index for the current
-// probabilistic state. Callers hold selMu. An index retained across a delta
-// aggregation is patched onto the current state in place
-// (ScoreIndex.Rebase), touching only entries whose rows actually moved; a
-// failed patch (growth, snapshot resume, shape change) and a missing index
-// fall back to the from-scratch build. For delta scoring the hypothetical
-// tables are (re)filled as part of the same step.
+// probabilistic state. Callers hold selMu. An index retained across an
+// aggregation is refilled in place for the current state
+// (ScoreIndex.Rebase); a failed refill (growth, shape change) and a missing
+// index fall back to the from-scratch build. For delta scoring the
+// hypothetical tables are (re)filled as part of the same step.
 func (e *Engine) ensureScoreIndex() *aggregation.ScoreIndex {
 	if ix := e.scoreIndex; ix != nil && ix.ProbSet() != e.probSet {
 		if ix.Rebase(e.working, e.probSet) {
@@ -656,7 +648,7 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 			// with the quarantine), so that fixed point still holds.
 			// Returning it as-is also keeps the maintained index and
 			// memoized rankings valid — setProbSet sees the same pointer
-			// — instead of forcing a pointless rebuild.
+			// — instead of forcing a pointless refill.
 			return &aggregation.Result{ProbSet: e.probSet, Converged: true}, nil
 		}
 	}
@@ -667,12 +659,6 @@ func (e *Engine) aggregate(ctx context.Context) (*aggregation.Result, error) {
 	e.working.ClearDirty()
 	e.counters.DeltaIterations += int64(res.DeltaIterations)
 	e.counters.addOutcome(res.DeltaOutcome)
-	if !res.DeltaOutcome.RanFrontier() {
-		// A full-path aggregation (delta path off or oversized frontier):
-		// every row may have moved, so patching the index would
-		// cost as much as rebuilding it.
-		e.invalidateIndex = true
-	}
 	return res, nil
 }
 
@@ -942,7 +928,7 @@ func (m *RankingMemo) Bytes() int64 {
 // selection lock: the goal and budget preconditions, the stateful
 // strategy-branch decision (hybrid roulette draw, lastWorkerDriven
 // bookkeeping), the memoized-ranking lookup and the scoring-index
-// build-or-patch. The hybrid draw is consumed before the cache lookup, so
+// build-or-refill. The hybrid draw is consumed before the cache lookup, so
 // cache hits and misses consume identical pseudo-random state and snapshots
 // stay aligned either way. For the stateless scoring strategies it releases
 // the lock before returning, so the expensive scoring runs unlocked;
@@ -1179,11 +1165,6 @@ func (e *Engine) integrate(ctx context.Context, inputs []ValidationInput, worker
 		masked, restored = e.quarantine.Apply(e.working, detection)
 		last.MaskedWorkers = masked
 		last.RestoredWorkers = restored
-		if len(masked)+len(restored) > 0 {
-			// Quarantine changes rewrite whole workers' answer sets; the
-			// maintained scoring index is rebuilt rather than patched.
-			e.invalidateIndex = true
-		}
 	}
 	weight := 0.0
 	if e.hybrid != nil {

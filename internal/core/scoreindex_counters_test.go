@@ -12,12 +12,12 @@ import (
 )
 
 // These tests pin the maintained-view lifecycle of the selection state by
-// counting index builds and in-place patches (Engine.Counters, also
+// counting index builds and in-place refills (Engine.Counters, also
 // exported as score_index_{builds,patches} on /metrics): a delta-scoring
-// session must build its scoring index exactly once and patch it across
-// ingests, rebuild only on the documented invalidation events (full-path
-// aggregation, quarantine changes, growth), and do nothing at all for no-op
-// settles and repeated selections.
+// session must build its scoring index exactly once and refill it across
+// ingests, validations, full-path aggregations and quarantine changes,
+// build a new one only when growth changes its shape, and do nothing at all
+// for no-op settles and repeated selections.
 
 func deltaScoringEngine(t *testing.T, n int, seed int64) *Engine {
 	t.Helper()
@@ -43,8 +43,8 @@ func wantStats(t *testing.T, e *Engine, builds, patches int64, what string) {
 
 // TestScoreIndexBuiltOnceAndPatchedAcrossIngests: the regression test for the
 // maintained view. One build at first selection; zero work for repeated
-// selections (memoized ranking); one patch — not a rebuild — per settled
-// delta ingest or validation; a rebuild only when the aggregator falls back
+// selections (memoized ranking); one refill — not a rebuild — per settled
+// ingest or validation, whether it settled on the delta path or fell back
 // to the full path on an oversized frontier.
 func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	ctx := context.Background()
@@ -89,7 +89,8 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	wantStats(t, e, 1, 2, "selection after validation")
 
 	// A batch dirtying every object exceeds MaxDirtyFraction: the aggregator
-	// falls back to the full path and the index must be rebuilt, not patched.
+	// falls back to the full path, and the index is refilled like after any
+	// other successor of the same shape.
 	var flood []model.Answer
 	for o := 0; o < 24; o++ {
 		flood = append(flood, model.Answer{Object: o, Worker: 2, Label: model.Label(o % 2)})
@@ -100,7 +101,10 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	if _, err := e.SelectNextKContext(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	wantStats(t, e, 2, 2, "selection after full-path fallback")
+	if c := e.Counters(); c.DeltaLargeFrontier != 1 {
+		t.Fatalf("flood settled with %d full-path fallbacks, want 1", c.DeltaLargeFrontier)
+	}
+	wantStats(t, e, 1, 3, "selection after full-path fallback")
 }
 
 // TestScoreIndexRebuiltOnGrowth: growth changes the index dimensions, so the
@@ -172,8 +176,9 @@ func TestStashOnlyIngestIsNoOp(t *testing.T) {
 }
 
 // TestQuarantineChangeRebuildsIndex: a masking (or restoring) quarantine
-// decision rewrites whole worker rows, so the next selection must rebuild the
-// index from scratch rather than patch it.
+// decision rewrites whole workers' answers in the same answer set, so the
+// next selection refills the index in place instead of building a new one,
+// and the refilled index scores exactly like one built from scratch.
 func TestQuarantineChangeRebuildsIndex(t *testing.T) {
 	d, err := simulation.GenerateCrowd(simulation.CrowdConfig{
 		NumObjects: 30, NumWorkers: 10, NumLabels: 2,
@@ -199,7 +204,7 @@ func TestQuarantineChangeRebuildsIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b0 := e.Counters().ScoreIndexBuilds
+		c0 := e.Counters()
 		rec, err := e.IntegrateContext(context.Background(), o, d.Truth[o])
 		if err != nil {
 			t.Fatal(err)
@@ -210,9 +215,19 @@ func TestQuarantineChangeRebuildsIndex(t *testing.T) {
 		if _, err := e.SelectNextContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		b1 := e.Counters().ScoreIndexBuilds
-		if b1 != b0+1 {
-			t.Fatalf("quarantine change at step %d: builds %d -> %d, want a rebuild", i, b0, b1)
+		wantStats(t, e, c0.ScoreIndexBuilds, c0.ScoreIndexPatches+1, "selection after a quarantine change")
+		ix := e.scoreIndex
+		fresh := aggregation.NewScoreIndex(e.working, e.probSet, aggregation.EMConfigOf(e.scoringAggregator))
+		if ix.ProbSet() != fresh.ProbSet() || ix.TotalUncertainty() != fresh.TotalUncertainty() {
+			t.Fatalf("refilled index: H(P) %v, fresh build %v", ix.TotalUncertainty(), fresh.TotalUncertainty())
+		}
+		for o := 0; o < fresh.NumObjects(); o++ {
+			if got, want := ix.ObjectEntropy(o), fresh.ObjectEntropy(o); got != want {
+				t.Fatalf("refilled index: H(%d) %v, fresh build %v", o, got, want)
+			}
+			if got, want := ix.NewHypoScratch().ConditionalUncertainty(o), fresh.NewHypoScratch().ConditionalUncertainty(o); got != want {
+				t.Fatalf("refilled index: H(P|%d) %v, fresh build %v", o, got, want)
+			}
 		}
 		return
 	}

@@ -1207,10 +1207,10 @@ type Stats struct {
 	// because a session's ingest queue was at its configured bound.
 	ShedIngests int64 `json:"shedIngests" prom:"crowdval_shed_ingests_total,counter" help:"Ingest requests shed with ErrOverloaded (HTTP 429)."`
 	// ScoreIndexBuilds/ScoreIndexPatches count, across all sessions, how
-	// often a selection built the guidance scoring index from scratch versus
-	// patching the maintained one in place (the incremental-view path); a
-	// patch-dominated ratio means selections are being served at cost
-	// proportional to what each ingest changed.
+	// often a selection allocated and built the guidance scoring index
+	// versus refilling the maintained one in place (Session.Counters); a
+	// patch-dominated ratio means selections reuse their sessions' index
+	// buffers, and builds come from first selections, growth and resumes.
 	ScoreIndexBuilds  int64 `json:"scoreIndexBuilds" prom:"crowdval_score_index_builds_total,counter" help:"Guidance scoring indexes built from scratch."`
 	ScoreIndexPatches int64 `json:"scoreIndexPatches" prom:"crowdval_score_index_patches_total,counter" help:"Guidance scoring indexes patched in place (maintained view)."`
 	// RankCandidatesScored/RankCandidatesPruned count, across all sessions,

@@ -217,11 +217,12 @@ func WithCostBudget(t CostTracker) Option {
 }
 
 // WithoutSelectionCache disables the maintained-view serving caches: the
-// in-place score-index patching across aggregations and the per-strategy
-// ranking memoization that serves repeated NextObject/NextObjects calls on an
-// unchanged state without re-scoring. With the caches off, every aggregation
-// invalidates the scoring index and every selection rescans its candidates —
-// the pre-maintained-view behavior.
+// in-place refill of the scoring index across aggregations and the
+// per-strategy ranking memoization that serves repeated NextObject/NextObjects
+// calls on an unchanged state without re-scoring. With the caches off, every
+// aggregation drops the scoring index, and every selection allocates and
+// builds a new one and rescans its candidates — the pre-maintained-view
+// behavior.
 //
 // This is a pure performance knob for benchmarking and differential testing:
 // selections are bit-identical with and without the caches (the differential

@@ -67,7 +67,7 @@ func TestNextObjectsDeterministicAcrossParallelismAndResume(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"exact", nil},
+		{"exact", []Option{WithExact()}},
 		{"delta-scored", []Option{WithDeltaScoring()}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
