@@ -12,8 +12,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -22,6 +24,7 @@ import (
 	"crowdval/internal/cverr"
 	"crowdval/internal/guidance"
 	"crowdval/internal/model"
+	"crowdval/internal/snapshot"
 	"crowdval/internal/spamdetect"
 )
 
@@ -198,12 +201,12 @@ type Engine struct {
 	// disabled.
 	scoreIndex *aggregation.ScoreIndex
 	// rankCache memoizes the most recent ranking per stateless scoring
-	// strategy, keyed by strategy instance, so repeated SelectNextKContext calls on
-	// an unchanged state are served in O(k) from the maintained view, and a
-	// larger k continues the ranking instead of re-scoring every candidate.
-	// Entries are never modified once stored. Guarded by selMu; dropped
-	// whenever the probabilistic state moves.
-	rankCache map[guidance.Strategy]*guidance.Ranking
+	// strategy, indexed by the role the strategy plays in the engine, so
+	// repeated SelectNextKContext calls on an unchanged state are served in
+	// O(k) from the maintained view, and a larger k continues the ranking
+	// instead of re-scoring every candidate. Entries are never modified once
+	// stored. Guarded by selMu; dropped whenever the probabilistic state moves.
+	rankCache rankings
 	// counters are the engine's cumulative statistics. The index and rank
 	// counters are written under selMu; the aggregation counters by the
 	// mutation paths, which are exclusive.
@@ -260,7 +263,7 @@ func (e *Engine) setProbSet(p *model.ProbabilisticAnswerSet) {
 func (e *Engine) refreshScoreIndex() {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
-	clear(e.rankCache)
+	e.rankCache = rankings{}
 	if e.cfg.DisableSelectionCache {
 		e.scoreIndex = nil
 	}
@@ -309,109 +312,126 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 	if h, ok := e.strategy.(*guidance.Hybrid); ok {
 		e.hybrid = h
 		e.cfg.HandleFaultyWorkers = true
-		// Give the hybrid stable branch instances: ChooseBranch otherwise
-		// mints a fresh strategy value per draw, which would defeat the
-		// per-strategy ranking memoization (and grow its map per selection).
-		if h.Worker == nil {
-			h.Worker = &guidance.WorkerDriven{}
-		}
-		if h.Uncertainty == nil {
-			h.Uncertainty = &guidance.UncertaintyDriven{}
-		}
 	}
 	e.quarantine = spamdetect.NewQuarantine()
 	e.confirmedValidations = make(map[int]model.Label)
-	e.rankCache = make(map[guidance.Strategy]*guidance.Ranking)
 	return e
 }
 
-// RestoredState is the dynamic part of an engine captured by a session
-// snapshot: everything NewEngineContext cannot rebuild from the answer set and the
-// configuration alone.
-type RestoredState struct {
-	// Validation holds the expert validations collected so far.
-	Validation *model.Validation
-	// Quarantined lists the workers whose answers were masked at snapshot
-	// time; their answers move out of the answer set into the quarantine
-	// stash.
-	Quarantined []int
-	// Assignment and Confusions are the probabilistic state of the last
-	// aggregation, restored bit-for-bit.
-	Assignment *model.AssignmentMatrix
-	Confusions []*model.ConfusionMatrix
-	// Iteration and EffortSpent restore the bookkeeping counters.
-	Iteration   int
-	EffortSpent int
-	// LastWorkerDriven restores whether the most recent selection used the
-	// worker-driven branch (relevant when a snapshot was taken between
-	// SelectNextContext and IntegrateContext).
-	LastWorkerDriven bool
-	// ConfirmedValidations restores the labels the expert re-confirmed after
-	// the confirmation check flagged them.
-	ConfirmedValidations map[int]model.Label
-	// History restores the per-iteration records.
-	History []IterationRecord
-}
-
-// RestoreEngine rebuilds an engine from a snapshot: the full answer set, the
-// dynamic state, and a configuration equivalent to the one the engine was
-// created with. The engine adopts answers without a copy and moves the
-// quarantined workers' answers out of it into the quarantine stash, so the
-// caller must not use the set again. No aggregation runs — the restored
-// probabilistic state is installed as-is, so a resumed engine continues
-// bit-for-bit where the snapshotted one stopped.
-func RestoreEngine(answers *model.AnswerSet, st *RestoredState, cfg Config) (*Engine, error) {
-	if answers == nil {
-		return nil, fmt.Errorf("core: %w", cverr.ErrNilAnswerSet)
+// RestoreEngine rebuilds an engine from a decoded snapshot: the answer set,
+// the dynamic state and the strategy state, under a configuration
+// equivalent to the one the snapshotted engine was created with. st must
+// come from snapshot.Decode, which checked its consistency; the engine
+// adopts st's assignment and confusion arrays, so the caller must not touch
+// them again. No aggregation runs — the snapshotted probabilistic state is
+// installed as-is, so a resumed engine continues bit-for-bit where the
+// snapshotted one stopped.
+func RestoreEngine(st *snapshot.State, cfg Config) (*Engine, error) {
+	n, k, m := int(st.NumObjects), int(st.NumWorkers), int(st.NumLabels)
+	answers, err := model.LoadAnswers(n, k, m, len(st.AnswerObjects), func(i int) model.Answer {
+		return model.Answer{Object: int(st.AnswerObjects[i]), Worker: int(st.AnswerWorkers[i]), Label: model.Label(st.AnswerLabels[i])}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: %w: %v", cverr.ErrBadSnapshot, err)
 	}
-	if st == nil || st.Validation == nil || st.Assignment == nil {
-		return nil, fmt.Errorf("core: %w: missing restored state", cverr.ErrBadSnapshot)
-	}
-	if st.Validation.NumObjects() != answers.NumObjects() ||
-		st.Assignment.NumObjects() != answers.NumObjects() ||
-		st.Assignment.NumLabels() != answers.NumLabels() ||
-		len(st.Confusions) != answers.NumWorkers() {
-		return nil, fmt.Errorf("core: %w: restored state does not match the answer set dimensions",
-			cverr.ErrBadSnapshot)
-	}
+	answers.ObjectNames, answers.WorkerNames, answers.LabelNames = st.ObjectNames, st.WorkerNames, st.LabelNames
 	e := newEngineShell(answers, cfg)
-	e.validation = st.Validation.Clone()
-	for _, w := range st.Quarantined {
-		if w < 0 || w >= answers.NumWorkers() {
-			return nil, fmt.Errorf("core: %w: quarantined worker %d out of range", cverr.ErrBadSnapshot, w)
-		}
-		e.quarantine.Mask(e.working, w)
+	for o, l := range st.Validation {
+		e.validation.Set(o, model.Label(l))
 	}
-	confusions := make([]*model.ConfusionMatrix, len(st.Confusions))
-	for w, c := range st.Confusions {
-		if c == nil {
-			return nil, fmt.Errorf("core: %w: missing confusion matrix for worker %d", cverr.ErrBadSnapshot, w)
-		}
-		confusions[w] = c.Clone()
+	// Quarantined workers' answers move out of the working set into the
+	// quarantine stash.
+	for _, w := range st.Quarantined {
+		e.quarantine.Mask(e.working, int(w))
+	}
+	confusions := make([]*model.ConfusionMatrix, k)
+	for w := range confusions {
+		lo, hi := w*m*m, (w+1)*m*m
+		confusions[w] = model.AdoptConfusionMatrix(m, st.Confusions[lo:hi:hi])
 	}
 	e.setProbSet(&model.ProbabilisticAnswerSet{
 		Answers:    e.working,
 		Validation: e.validation.Clone(),
-		Assignment: st.Assignment.Clone(),
+		Assignment: model.AdoptAssignmentMatrix(n, m, st.Assignment),
 		Confusions: confusions,
 	})
 	// Reconstructing the quarantine masks marked the frontier dirty, but the
 	// restored probabilistic state already is the fixed point over exactly
 	// this working set; the next aggregation starts from a clean frontier.
 	e.working.ClearDirty()
-	e.iteration = st.Iteration
-	e.effortSpent = st.EffortSpent
+	e.iteration = int(st.Iteration)
+	e.effortSpent = int(st.EffortSpent)
 	e.lastWorkerDriven = st.LastWorkerDriven
-	for o, l := range st.ConfirmedValidations {
-		e.confirmedValidations[o] = l
+	if e.hybrid != nil {
+		e.hybrid.SetWeight(st.HybridWeight)
 	}
-	e.history = append(e.history, st.History...)
+	for i, o := range st.ConfirmedObjects {
+		e.confirmedValidations[int(o)] = model.Label(st.ConfirmedLabels[i])
+	}
+	for _, h := range st.History {
+		e.history = append(e.history, decodeHistory(h))
+	}
 	return e, nil
 }
 
+// Snapshot fills the engine's part of a snapshot state: dimensions and
+// names, every answer (stashed ones included), the expert state, the
+// probabilistic state, the bookkeeping and the history. The strategy state —
+// the caller's pseudo-random stream position from rngState, the last branch
+// and the hybrid weight — is read under the selection lock, so a snapshot
+// taken while selections run concurrently (both run under a serving tier's
+// read lock) captures one consistent stream position.
+func (e *Engine) Snapshot(st *snapshot.State, rngState func() uint64) {
+	n, k, m := e.working.NumObjects(), e.working.NumWorkers(), e.working.NumLabels()
+	st.NumObjects, st.NumWorkers, st.NumLabels = int64(n), int64(k), int64(m)
+	st.ObjectNames, st.WorkerNames, st.LabelNames = e.working.ObjectNames, e.working.WorkerNames, e.working.LabelNames
+	st.Iteration, st.EffortSpent = int64(e.iteration), int64(e.effortSpent)
+	e.selMu.Lock()
+	st.RNGState = rngState()
+	st.LastWorkerDriven = e.lastWorkerDriven
+	if e.hybrid != nil {
+		st.HybridWeight = e.hybrid.Weight()
+	}
+	e.selMu.Unlock()
+
+	count := e.AnswerCount()
+	st.AnswerObjects = make([]int64, 0, count)
+	st.AnswerWorkers = make([]int64, 0, count)
+	st.AnswerLabels = make([]int64, 0, count)
+	e.eachAnswer(func(a model.Answer) {
+		st.AnswerObjects = append(st.AnswerObjects, int64(a.Object))
+		st.AnswerWorkers = append(st.AnswerWorkers, int64(a.Worker))
+		st.AnswerLabels = append(st.AnswerLabels, int64(a.Label))
+	})
+
+	st.Validation = make([]int64, n)
+	for o := range st.Validation {
+		st.Validation[o] = int64(e.validation.Get(o))
+	}
+	for _, w := range e.quarantine.MaskedWorkers() {
+		st.Quarantined = append(st.Quarantined, int64(w))
+	}
+	for _, o := range slices.Sorted(maps.Keys(e.confirmedValidations)) {
+		st.ConfirmedObjects = append(st.ConfirmedObjects, int64(o))
+		st.ConfirmedLabels = append(st.ConfirmedLabels, int64(e.confirmedValidations[o]))
+	}
+
+	st.Assignment = make([]float64, 0, n*m)
+	for o := 0; o < n; o++ {
+		st.Assignment = append(st.Assignment, e.probSet.Assignment.RowSlice(o)...)
+	}
+	st.Confusions = make([]float64, 0, k*m*m)
+	for _, c := range e.probSet.Confusions {
+		st.Confusions = append(st.Confusions, c.Dense()...)
+	}
+	for _, rec := range e.history {
+		st.History = append(st.History, encodeHistory(rec))
+	}
+}
+
 // Answers returns the engine's answer set: every answer except those of
-// quarantined workers, which the quarantine stash holds (see EachAnswer).
-// Its dimensions are the engine's. Callers must not mutate it.
+// quarantined workers, which the quarantine stash holds. Its dimensions are
+// the engine's. Callers must not mutate it.
 func (e *Engine) Answers() *model.AnswerSet { return e.working }
 
 // AnswerCount returns the number of answers the engine holds, stashed ones
@@ -424,10 +444,10 @@ func (e *Engine) AnswerCount() int {
 	return count
 }
 
-// EachAnswer calls fn for every answer the engine holds, stashed ones
+// eachAnswer calls fn for every answer the engine holds, stashed ones
 // included, in object-major, worker-ascending order: it merges each object's
 // working row with the stashed answers of that object.
-func (e *Engine) EachAnswer(fn func(model.Answer)) {
+func (e *Engine) eachAnswer(fn func(model.Answer)) {
 	masked := e.quarantine.MaskedWorkers()
 	stashes := make([][]model.ObjectAnswer, len(masked))
 	for i, w := range masked {
@@ -450,19 +470,70 @@ func (e *Engine) EachAnswer(fn func(model.Answer)) {
 	}
 }
 
-// ConfirmedValidations returns a copy of the validations the expert
-// explicitly re-confirmed after the confirmation check flagged them.
-func (e *Engine) ConfirmedValidations() map[int]model.Label {
-	out := make(map[int]model.Label, len(e.confirmedValidations))
-	for o, l := range e.confirmedValidations {
-		out[o] = l
+// encodeHistory and decodeHistory map an iteration record to its snapshot
+// form and back.
+func encodeHistory(rec IterationRecord) snapshot.HistoryRecord {
+	h := snapshot.HistoryRecord{
+		Iteration:        int64(rec.Iteration),
+		Object:           int64(rec.Object),
+		Label:            int64(rec.Label),
+		WorkerDrivenUsed: rec.WorkerDrivenUsed,
+		ErrorRate:        rec.ErrorRate,
+		HybridWeight:     rec.HybridWeight,
+		Uncertainty:      rec.Uncertainty,
+		FaultyWorkers:    int64(rec.FaultyWorkers),
+		EMIterations:     int64(rec.EMIterations),
 	}
-	return out
+	for _, w := range rec.MaskedWorkers {
+		h.Masked = append(h.Masked, int64(w))
+	}
+	for _, w := range rec.RestoredWorkers {
+		h.Restored = append(h.Restored, int64(w))
+	}
+	for _, o := range rec.RevisedObjects {
+		h.Revised = append(h.Revised, int64(o))
+	}
+	for _, s := range rec.ConfirmationSuspects {
+		h.SuspectObjects = append(h.SuspectObjects, int64(s.Object))
+		h.SuspectExpert = append(h.SuspectExpert, int64(s.ExpertLabel))
+		h.SuspectCrowd = append(h.SuspectCrowd, int64(s.CrowdLabel))
+	}
+	return h
 }
 
-// LastWorkerDriven reports whether the most recent selection used the
-// worker-driven branch.
-func (e *Engine) LastWorkerDriven() bool { return e.lastWorkerDriven }
+func decodeHistory(h snapshot.HistoryRecord) IterationRecord {
+	rec := IterationRecord{
+		Iteration:        int(h.Iteration),
+		Object:           int(h.Object),
+		Label:            model.Label(h.Label),
+		WorkerDrivenUsed: h.WorkerDrivenUsed,
+		ErrorRate:        h.ErrorRate,
+		HybridWeight:     h.HybridWeight,
+		Uncertainty:      h.Uncertainty,
+		FaultyWorkers:    int(h.FaultyWorkers),
+		EMIterations:     int(h.EMIterations),
+	}
+	for _, w := range h.Masked {
+		rec.MaskedWorkers = append(rec.MaskedWorkers, int(w))
+	}
+	for _, w := range h.Restored {
+		rec.RestoredWorkers = append(rec.RestoredWorkers, int(w))
+	}
+	for _, o := range h.Revised {
+		rec.RevisedObjects = append(rec.RevisedObjects, int(o))
+	}
+	for i := range h.SuspectObjects {
+		s := guidance.SuspectValidation{Object: int(h.SuspectObjects[i])}
+		if i < len(h.SuspectExpert) {
+			s.ExpertLabel = model.Label(h.SuspectExpert[i])
+		}
+		if i < len(h.SuspectCrowd) {
+			s.CrowdLabel = model.Label(h.SuspectCrowd[i])
+		}
+		rec.ConfirmationSuspects = append(rec.ConfirmationSuspects, s)
+	}
+	return rec
+}
 
 // budget returns the effective effort budget.
 func (e *Engine) budget() int {
@@ -622,16 +693,6 @@ func (e *Engine) ensureScoreIndex() *aggregation.ScoreIndex {
 	return e.scoreIndex
 }
 
-// WithSelectionLock runs fn while holding the selection mutex. Snapshotters
-// use it to read the strategy state (pseudo-random stream, hybrid weight,
-// last branch) consistently while selections may be in flight on other
-// goroutines; fn must not call back into selection.
-func (e *Engine) WithSelectionLock(fn func()) {
-	e.selMu.Lock()
-	defer e.selMu.Unlock()
-	fn()
-}
-
 // aggregate runs the conclude step over the current evidence. With the
 // delta path enabled the working set tracks the dirty frontier accumulated
 // since the last successful aggregation, and aggregate hands it to the
@@ -722,7 +783,7 @@ func (e *Engine) selectRanked(ctx context.Context, k int) ([]guidance.ScoredObje
 		}
 		ranked, _ = r.Top(k)
 		if sel.cacheable {
-			e.storeRanking(sel.exec, sel.gctx, r)
+			e.storeRanking(sel.role, sel.gctx, r)
 		}
 	} else if ranked, err = sel.exec.SelectK(sel.gctx, k); err != nil {
 		return nil, fmt.Errorf("core: selection failed: %w", err)
@@ -751,51 +812,52 @@ type selection struct {
 	// serve k on its own; the selection continues it.
 	from *guidance.Ranking
 	// cacheable marks exec as a stateless scoring strategy whose ranking of
-	// the current state may be memoized.
+	// the current state may be memoized under role.
 	cacheable bool
+	role      memoRole
 }
 
-// storeRanking memoizes r, a ranking of gctx's state for exec that no one
-// else holds: every candidate, the certified prefix first. It runs outside
-// the selection lock (after the unlocked scoring), so it re-takes the lock
-// and drops the store if the probabilistic state moved since the scoring
-// started — a stale ranking must never be memoized against a newer state.
-func (e *Engine) storeRanking(exec guidance.Strategy, gctx *guidance.Context, r *guidance.Ranking) {
+// storeRanking memoizes r, a ranking of gctx's state for the strategy
+// playing role that no one else holds: every candidate, the certified prefix
+// first. It runs outside the selection lock (after the unlocked scoring), so
+// it re-takes the lock and drops the store if the probabilistic state moved
+// since the scoring started — a stale ranking must never be memoized against
+// a newer state.
+func (e *Engine) storeRanking(role memoRole, gctx *guidance.Context, r *guidance.Ranking) {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
-	if gctx.ProbSet != e.probSet {
-		return
+	if gctx.ProbSet == e.probSet {
+		e.rankCache[role] = r
 	}
-	if len(e.rankCache) >= 8 {
-		// Defensive bound for caller-supplied strategies that are not
-		// pointer-stable across selections; the engine's own strategies are
-		// at most a handful of stable instances.
-		clear(e.rankCache)
-	}
-	e.rankCache[exec] = r
 }
 
 // RankingMemo is an engine's memoized rankings detached from it, so that an
 // engine restored from a snapshot of the same state can serve them without
 // re-ranking: RestoreEngine installs the probabilistic state bit for bit, a
 // ranking is a pure function of that state, and the hybrid draw is consumed
-// before the memo lookup, so a carried ranking is exact. Entries are keyed
-// by the role their strategy plays in the engine, because a restored engine
-// has new strategy instances. The zero value and nil are the empty memo.
+// before the memo lookup, so a carried ranking is exact. Entries are indexed
+// by the role their strategy plays in the engine, as in the engine's own
+// memo, so a restored engine with new strategy instances adopts them as they
+// are. The zero value and nil are the empty memo.
 type RankingMemo struct {
 	state   memoState
-	entries map[memoRole]*guidance.Ranking
+	entries rankings
 }
 
-// memoRole names a strategy by the part it plays in an engine: the engine's
-// own strategy, or the hybrid's uncertainty or worker branch.
+// memoRole names a stateless scoring strategy by the part it plays in an
+// engine: the engine's own strategy, or the hybrid's uncertainty or worker
+// branch.
 type memoRole uint8
 
 const (
 	roleStrategy memoRole = iota
 	roleUncertainty
 	roleWorker
+	numRoles
 )
+
+// rankings holds one memoized ranking per role; nil entries are absent.
+type rankings [numRoles]*guidance.Ranking
 
 // memoState is the part of an engine's state and configuration a carried
 // memo is checked against before an engine adopts it: shape, progress,
@@ -808,17 +870,8 @@ type memoState struct {
 	iteration, effort                            int
 	strategy                                     string
 	deltaScoring                                 bool
-	candidateLimit                               [3]int
+	candidateLimit                               [numRoles]int
 	probHash                                     uint64
-}
-
-// memoRoles returns the roles of the engine's cacheable strategies with
-// their instances.
-func (e *Engine) memoRoles() map[memoRole]guidance.Strategy {
-	if e.hybrid != nil {
-		return map[memoRole]guidance.Strategy{roleUncertainty: e.hybrid.Uncertainty, roleWorker: e.hybrid.Worker}
-	}
-	return map[memoRole]guidance.Strategy{roleStrategy: e.strategy}
 }
 
 // memoState samples the engine's memoState. Callers hold selMu.
@@ -835,15 +888,29 @@ func (e *Engine) memoState() memoState {
 		deltaScoring: e.cfg.DeltaScoring,
 		probHash:     probHash(e.probSet),
 	}
-	for role, s := range e.memoRoles() {
-		switch s := s.(type) {
-		case *guidance.UncertaintyDriven:
-			st.candidateLimit[role] = s.CandidateLimit
-		case *guidance.WorkerDriven:
-			st.candidateLimit[role] = s.CandidateLimit
-		}
+	if h := e.hybrid; h != nil {
+		st.candidateLimit[roleUncertainty] = candidateLimit(h.Uncertainty)
+		st.candidateLimit[roleWorker] = candidateLimit(h.Worker)
+	} else {
+		st.candidateLimit[roleStrategy] = candidateLimit(e.strategy)
 	}
 	return st
+}
+
+// candidateLimit returns a scorer's candidate limit. A hybrid without a
+// branch draws a default scorer for it, which has none.
+func candidateLimit(s guidance.Strategy) int {
+	switch s := s.(type) {
+	case *guidance.UncertaintyDriven:
+		if s != nil {
+			return s.CandidateLimit
+		}
+	case *guidance.WorkerDriven:
+		if s != nil {
+			return s.CandidateLimit
+		}
+	}
+	return 0
 }
 
 // probHash folds the bits of a probabilistic state's assignment rows and
@@ -871,24 +938,18 @@ func probHash(p *model.ProbabilisticAnswerSet) uint64 {
 }
 
 // TakeRankingMemo detaches the engine's memoized rankings of its current
-// state, keyed by role. The engine keeps none of them. It returns nil when
-// nothing is memoized. A serving tier takes the memo in the same exclusive
-// section that snapshots the engine for parking, so both describe one state.
+// state. The engine keeps none of them. It returns nil when nothing is
+// memoized. A serving tier takes the memo in the same exclusive section that
+// snapshots the engine for parking, so both describe one state.
 func (e *Engine) TakeRankingMemo() *RankingMemo {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
-	memo := &RankingMemo{entries: make(map[memoRole]*guidance.Ranking)}
-	for role, s := range e.memoRoles() {
-		if entry, ok := e.rankCache[s]; ok {
-			memo.entries[role] = entry
-		}
-	}
-	clear(e.rankCache)
-	if len(memo.entries) == 0 {
+	entries := e.rankCache
+	e.rankCache = rankings{}
+	if entries == (rankings{}) {
 		return nil
 	}
-	memo.state = e.memoState()
-	return memo
+	return &RankingMemo{state: e.memoState(), entries: entries}
 }
 
 // InstallRankingMemo hands a carried memo to an engine restored from the
@@ -897,7 +958,7 @@ func (e *Engine) TakeRankingMemo() *RankingMemo {
 // the memo; it refuses an empty memo, a memo whose state sample does not
 // match the engine's, and any memo when the selection cache is disabled.
 func (e *Engine) InstallRankingMemo(memo *RankingMemo) bool {
-	if memo == nil || len(memo.entries) == 0 || e.cfg.DisableSelectionCache {
+	if memo == nil || memo.entries == (rankings{}) || e.cfg.DisableSelectionCache {
 		return false
 	}
 	e.selMu.Lock()
@@ -905,9 +966,10 @@ func (e *Engine) InstallRankingMemo(memo *RankingMemo) bool {
 	if memo.state != e.memoState() {
 		return false
 	}
-	roles := e.memoRoles()
 	for role, entry := range memo.entries {
-		e.rankCache[roles[role]] = entry
+		if entry != nil {
+			e.rankCache[role] = entry
+		}
 	}
 	return true
 }
@@ -919,7 +981,9 @@ func (m *RankingMemo) Bytes() int64 {
 	}
 	var n int64
 	for _, entry := range m.entries {
-		n += int64(cap(entry.Entries)) * int64(unsafe.Sizeof(guidance.ScoredObject{}))
+		if entry != nil {
+			n += int64(cap(entry.Entries)) * int64(unsafe.Sizeof(guidance.ScoredObject{}))
+		}
 	}
 	return n
 }
@@ -978,7 +1042,13 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 		// has not moved, otherwise share the per-aggregation index and score
 		// outside the lock.
 		sel.cacheable = !e.cfg.DisableSelectionCache
-		if entry := e.rankCache[exec]; sel.cacheable && entry != nil {
+		if e.hybrid != nil {
+			sel.role = roleUncertainty
+			if e.lastWorkerDriven {
+				sel.role = roleWorker
+			}
+		}
+		if entry := e.rankCache[sel.role]; sel.cacheable && entry != nil {
 			if hit, ok := entry.Top(k); ok && len(hit) > 0 {
 				e.selMu.Unlock()
 				sel.cached = hit

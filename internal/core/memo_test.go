@@ -31,9 +31,9 @@ func hybridEngine(t *testing.T, seed int64) *Engine {
 }
 
 // TestRankingMemoKeyedByRole: a hybrid engine's memo carries one ranking per
-// branch, keyed by role, and an engine with other strategy instances over
-// the same state installs each under its own branch instance, so its
-// selections are memo hits with no index build.
+// branch, indexed by role, and an engine with other strategy instances over
+// the same state installs each under the same role, so its selections are
+// memo hits with no index build.
 func TestRankingMemoKeyedByRole(t *testing.T) {
 	from := hybridEngine(t, 1)
 	for i := 0; i < 12; i++ {
@@ -42,10 +42,11 @@ func TestRankingMemoKeyedByRole(t *testing.T) {
 		}
 	}
 	memo := from.TakeRankingMemo()
-	if memo == nil || len(memo.entries) != 2 {
+	if memo == nil || memo.entries[roleUncertainty] == nil || memo.entries[roleWorker] == nil ||
+		memo.entries[roleStrategy] != nil {
 		t.Fatalf("memo %+v, want the uncertainty and worker roles", memo)
 	}
-	if len(from.rankCache) != 0 {
+	if from.rankCache != (rankings{}) {
 		t.Fatal("the engine kept a taken memo")
 	}
 	if from.TakeRankingMemo() != nil {
@@ -56,11 +57,8 @@ func TestRankingMemoKeyedByRole(t *testing.T) {
 	if !to.InstallRankingMemo(memo) {
 		t.Fatal("an engine over the same state refused the memo")
 	}
-	if _, ok := to.rankCache[to.hybrid.Uncertainty]; !ok {
-		t.Fatal("uncertainty branch memo not installed under the engine's own instance")
-	}
-	if _, ok := to.rankCache[to.hybrid.Worker]; !ok {
-		t.Fatal("worker branch memo not installed under the engine's own instance")
+	if to.rankCache != memo.entries {
+		t.Fatal("the branch memos were not installed under their roles")
 	}
 	for i := 0; i < 12; i++ {
 		if _, err := to.SelectNextKContext(context.Background(), 5); err != nil {
@@ -84,5 +82,32 @@ func TestRankingMemoKeyedByRole(t *testing.T) {
 	}
 	if plain.InstallRankingMemo(nil) {
 		t.Fatal("the nil memo was adopted")
+	}
+}
+
+// TestRankingMemoWithoutBranchInstances: the default strategy is a hybrid
+// without branch instances, whose every draw runs a fresh scorer; its
+// rankings are still memoized under the branch's role, so a repeated
+// selection scores no candidate.
+func TestRankingMemoWithoutBranchInstances(t *testing.T) {
+	e, err := NewEngineContext(context.Background(), selectKAnswers(t, 80, 9), Config{
+		Delta:        aggregation.DeltaConfig{Enabled: true},
+		DeltaScoring: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SelectNextKContext(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	scored := e.Counters().RankCandidatesScored
+	if _, err := e.SelectNextKContext(context.Background(), 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Counters().RankCandidatesScored; got != scored {
+		t.Fatalf("the repeated selection scored %d candidates", got-scored)
+	}
+	if memo := e.TakeRankingMemo(); memo == nil || memo.entries[roleUncertainty] == nil {
+		t.Fatalf("memo %+v, want the uncertainty branch's ranking", memo)
 	}
 }

@@ -32,6 +32,13 @@ func NewAssignmentMatrix(numObjects, numLabels int) *AssignmentMatrix {
 	return u
 }
 
+// AdoptAssignmentMatrix wraps data, numObjects·numLabels probabilities in
+// row-major order, as an assignment matrix without copying it: the matrix
+// owns data from then on.
+func AdoptAssignmentMatrix(numObjects, numLabels int, data []float64) *AssignmentMatrix {
+	return &AssignmentMatrix{numObjects: numObjects, numLabels: numLabels, data: data}
+}
+
 // NumObjects returns n.
 func (u *AssignmentMatrix) NumObjects() int { return u.numObjects }
 

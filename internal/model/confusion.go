@@ -24,6 +24,12 @@ func NewConfusionMatrix(numLabels int) *ConfusionMatrix {
 	}
 }
 
+// AdoptConfusionMatrix wraps data, numLabels² entries in row-major order, as
+// a confusion matrix without copying it: the matrix owns data from then on.
+func AdoptConfusionMatrix(numLabels int, data []float64) *ConfusionMatrix {
+	return &ConfusionMatrix{numLabels: numLabels, data: data}
+}
+
 // NewUniformConfusionMatrix creates a confusion matrix in which every row is
 // the uniform distribution, i.e. the worker is modeled as a random guesser.
 func NewUniformConfusionMatrix(numLabels int) *ConfusionMatrix {

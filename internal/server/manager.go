@@ -292,7 +292,8 @@ func (m *Manager) CreateFromSnapshot(ctx context.Context, name string, snap []by
 // rolls the reservation back. Log-before-serve: build makes the session
 // durable before the name is published, so no acknowledged creation can be
 // lost to a crash. Concurrent operations on the same name block on the entry
-// lock until the creation settles.
+// lock until the creation settles. The rollback is deferred, so a build that
+// fails, or panics, never leaves the name reserved and its entry locked.
 func (m *Manager) install(name string, build func() (*crowdval.Session, *sessionWAL, uint64, error)) error {
 	if err := ValidateSessionName(name); err != nil {
 		return err
@@ -309,16 +310,23 @@ func (m *Manager) install(name string, build func() (*crowdval.Session, *session
 	e.elem = m.lru.PushFront(e)
 	m.mu.Unlock()
 
-	sess, w, lsn, err := build()
-	if err != nil {
+	built := false
+	defer func() {
+		if built {
+			return
+		}
 		e.deleted = true
 		e.mu.Unlock()
 		m.mu.Lock()
 		delete(m.sessions, name)
 		m.lru.Remove(e.elem)
 		m.mu.Unlock()
+	}()
+	sess, w, lsn, err := build()
+	if err != nil {
 		return err
 	}
+	built = true
 	e.sess, e.log, e.replicaLSN = sess, w, lsn
 	victims := m.settle(e)
 	e.mu.Unlock()

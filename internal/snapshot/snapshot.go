@@ -10,9 +10,11 @@
 // bit-for-bit — identical guidance selections, aggregation results and step
 // summaries. The format is little-endian, length-prefixed and versioned; a
 // decoder rejects snapshots from unknown versions with ErrSnapshotVersion and
-// anything structurally damaged with ErrBadSnapshot. Encode and Decode work
-// on whole byte slices; the serving tier stores them inside the CRC-checked
-// checkpoint frame of package wal, both for checkpoints and for park files.
+// anything structurally damaged or inconsistent with ErrBadSnapshot; the
+// layers that resume a decoded state rely on that one check. Encode and
+// Decode work on whole byte slices; the serving tier stores them inside the
+// CRC-checked checkpoint frame of package wal, both for checkpoints and for
+// park files.
 package snapshot
 
 import (
@@ -238,8 +240,12 @@ func (w *writer) encode(s *State) {
 	w.f64(s.BudgetTimeLimit)
 }
 
-// Decode deserializes a snapshot produced by Encode. It fails with
-// ErrBadSnapshot on structural damage and ErrSnapshotVersion on an unknown
+// Decode deserializes a snapshot produced by Encode and is the one place that
+// decides whether a state is consistent: a state it returns has positive
+// dimensions, arrays of exactly the sizes those dimensions declare, and
+// objects, workers and labels in range, so a resume may size every
+// allocation from its header. It fails with ErrBadSnapshot on structural
+// damage or an inconsistent state and ErrSnapshotVersion on an unknown
 // encoding version.
 func Decode(data []byte) (*State, error) {
 	r := &reader{buf: data}
@@ -248,14 +254,81 @@ func Decode(data []byte) (*State, error) {
 		return nil, err
 	}
 	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", cverr.ErrBadSnapshot, len(r.buf)-r.pos)
+		return nil, bad("%d trailing bytes", len(r.buf)-r.pos)
+	}
+	if err := check(s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
+// check reports the first inconsistency of a decoded state. The dimensions
+// are checked against array lengths the payload bounds before anything
+// multiplies them, and the products are formed by division, so no hostile
+// header can overflow them. Labels lie in [0, NumLabels); an unvalidated
+// object holds -1.
+func check(s *State) error {
+	n, k, m := s.NumObjects, s.NumWorkers, s.NumLabels
+	switch {
+	case n < 1 || k < 1 || m < 1:
+		return bad("dimensions %d×%d with %d labels", n, k, m)
+	case !hasLen(len(s.Validation), n):
+		return bad("validation covers %d objects, want %d", len(s.Validation), n)
+	case !hasLen(len(s.Assignment), n, m):
+		return bad("assignment has %d entries, want %d×%d", len(s.Assignment), n, m)
+	case !hasLen(len(s.Confusions), k, m, m):
+		return bad("confusions have %d entries, want %d×%d²", len(s.Confusions), k, m)
+	case len(s.AnswerWorkers) != len(s.AnswerObjects) || len(s.AnswerLabels) != len(s.AnswerObjects):
+		return bad("inconsistent answer arrays")
+	case len(s.ConfirmedLabels) != len(s.ConfirmedObjects):
+		return bad("inconsistent confirmed-validation arrays")
+	}
+	for i, o := range s.AnswerObjects {
+		if w, l := s.AnswerWorkers[i], s.AnswerLabels[i]; !in(o, n) || !in(w, k) || !in(l, m) {
+			return bad("answer %d (object %d, worker %d, label %d) out of range", i, o, w, l)
+		}
+	}
+	for o, l := range s.Validation {
+		if l != -1 && !in(l, m) {
+			return bad("validation label %d of object %d out of range", l, o)
+		}
+	}
+	for i, o := range s.ConfirmedObjects {
+		if l := s.ConfirmedLabels[i]; !in(o, n) || !in(l, m) {
+			return bad("confirmed validation (object %d, label %d) out of range", o, l)
+		}
+	}
+	for _, w := range s.Quarantined {
+		if !in(w, k) {
+			return bad("quarantined worker %d out of range", w)
+		}
+	}
+	return nil
+}
+
+// hasLen reports whether length is the product of dims, all positive.
+func hasLen(length int, dims ...int64) bool {
+	l := int64(length)
+	for _, d := range dims[1:] {
+		if l%d != 0 {
+			return false
+		}
+		l /= d
+	}
+	return l == dims[0]
+}
+
+// in reports whether v lies in [0, bound).
+func in(v, bound int64) bool { return v >= 0 && v < bound }
+
+// bad wraps a decoding problem in ErrBadSnapshot.
+func bad(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", cverr.ErrBadSnapshot, fmt.Sprintf(format, args...))
+}
+
 func (r *reader) decode() (*State, error) {
 	if magic, err := r.u32(); err != nil || magic != Magic {
-		return nil, fmt.Errorf("%w: bad magic", cverr.ErrBadSnapshot)
+		return nil, bad("bad magic")
 	}
 	version, err := r.u16()
 	if err != nil {
@@ -313,7 +386,7 @@ func (r *reader) decode() (*State, error) {
 		return nil, err
 	}
 	if historyLen > uint64(len(r.buf)-r.pos)/minHistoryRecordSize {
-		return nil, fmt.Errorf("%w: history length %d exceeds remaining payload", cverr.ErrBadSnapshot, historyLen)
+		return nil, bad("history length %d exceeds remaining payload", historyLen)
 	}
 	if historyLen > 0 {
 		s.History = make([]HistoryRecord, historyLen)
@@ -463,7 +536,7 @@ func (r *reader) historyRecord(h *HistoryRecord) error {
 
 func (r *reader) take(n int) ([]byte, error) {
 	if n < 0 || r.pos+n > len(r.buf) {
-		return nil, fmt.Errorf("%w: truncated at byte %d", cverr.ErrBadSnapshot, r.pos)
+		return nil, bad("truncated at byte %d", r.pos)
 	}
 	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
@@ -520,7 +593,7 @@ func (r *reader) length(elemSize int) (int, error) {
 		return 0, err
 	}
 	if v > uint64(len(r.buf)-r.pos)/uint64(elemSize) {
-		return 0, fmt.Errorf("%w: length %d exceeds remaining payload", cverr.ErrBadSnapshot, v)
+		return 0, bad("length %d exceeds remaining payload", v)
 	}
 	return int(v), nil
 }

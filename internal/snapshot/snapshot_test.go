@@ -274,3 +274,34 @@ func TestEncodeSizesExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRejectsInconsistentState: Decode refuses every state whose
+// header disagrees with its arrays or whose indices leave their range,
+// including sizes whose product wraps in 64-bit arithmetic, so a resume can
+// size its allocations from the header.
+func TestDecodeRejectsInconsistentState(t *testing.T) {
+	for name, mutate := range map[string]func(*State){
+		"no labels":                  func(s *State) { s.NumLabels = 0 },
+		"negative objects":           func(s *State) { s.NumObjects = -3 },
+		"huge object count":          func(s *State) { s.NumObjects = 1 << 62 },
+		"short validation":           func(s *State) { s.Validation = s.Validation[:2] },
+		"short assignment":           func(s *State) { s.Assignment = s.Assignment[:5] },
+		"assignment n·m wraps":       func(s *State) { s.NumObjects, s.NumLabels, s.Validation, s.Assignment = 1<<62, 4, nil, nil },
+		"confusions k·m² wraps":      func(s *State) { s.NumWorkers, s.Confusions = 1<<62, nil },
+		"unequal answer arrays":      func(s *State) { s.AnswerLabels = s.AnswerLabels[:3] },
+		"unequal confirmed arrays":   func(s *State) { s.ConfirmedLabels = nil },
+		"answer object out of range": func(s *State) { s.AnswerObjects[2] = 3 },
+		"answer worker out of range": func(s *State) { s.AnswerWorkers[0] = -1 },
+		"answer label out of range":  func(s *State) { s.AnswerLabels[1] = 2 },
+		"validation label":           func(s *State) { s.Validation[0] = 2 },
+		"confirmed object":           func(s *State) { s.ConfirmedObjects[0] = 3 },
+		"confirmed label":            func(s *State) { s.ConfirmedLabels[0] = -1 },
+		"quarantined worker":         func(s *State) { s.Quarantined[0] = 2 },
+	} {
+		s := sampleState()
+		mutate(s)
+		if _, err := Decode(Encode(s)); !errors.Is(err, cverr.ErrBadSnapshot) {
+			t.Errorf("%s: Decode = %v, want ErrBadSnapshot", name, err)
+		}
+	}
+}

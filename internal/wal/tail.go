@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -66,15 +64,11 @@ func OpenTailer(path string) (*Tailer, error) {
 		}
 		return nil, fmt.Errorf("wal: reading log header: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != Magic {
+	base, err := parseHeader(hdr[:])
+	if err != nil {
 		f.Close()
-		return nil, badWAL("bad log magic %#x", got)
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		f.Close()
-		return nil, badWAL("unsupported log version %d", v)
-	}
-	base := binary.LittleEndian.Uint64(hdr[8:16])
 	return &Tailer{
 		f:    f,
 		fi:   fi,
@@ -113,11 +107,11 @@ func (t *Tailer) Next() (Record, uint64, error) {
 	if _, err := t.f.ReadAt(frame[:], t.off); err != nil {
 		return Record{}, 0, fmt.Errorf("wal: reading record frame: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(frame[0:4])
-	if n == 0 || n > maxPayloadBytes {
-		return Record{}, 0, badWAL("implausible record length %d at offset %d", n, t.off)
+	n, err := payloadLen(frame[:])
+	if err != nil {
+		return Record{}, 0, fmt.Errorf("%w at offset %d", err, t.off)
 	}
-	if size < t.off+frameOverhead+int64(n) {
+	if size < t.off+frameOverhead+n {
 		return t.pending()
 	}
 	// The size check above bounds this allocation by bytes actually on disk,
@@ -126,14 +120,11 @@ func (t *Tailer) Next() (Record, uint64, error) {
 	if _, err := t.f.ReadAt(payload, t.off+frameOverhead); err != nil {
 		return Record{}, 0, fmt.Errorf("wal: reading record payload: %w", err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[4:8]); got != want {
-		return Record{}, 0, badWAL("record checksum mismatch at offset %d", t.off)
-	}
-	rec, err := decodePayload(payload)
+	rec, err := decodeFrame(frame[:], payload)
 	if err != nil {
-		return Record{}, 0, err
+		return Record{}, 0, fmt.Errorf("%w at offset %d", err, t.off)
 	}
-	t.off += frameOverhead + int64(n)
+	t.off += frameOverhead + n
 	t.lsn++
 	return rec, t.lsn, nil
 }

@@ -498,19 +498,47 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, badWAL("log header truncated: %v", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != Magic {
-		return nil, badWAL("bad log magic %#x", got)
+	base, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
-		return nil, badWAL("unsupported log version %d", v)
-	}
-	base := binary.LittleEndian.Uint64(hdr[8:16])
 	return &Reader{
 		r:      br,
 		base:   base,
 		lsn:    base,
 		offset: headerSize,
 	}, nil
+}
+
+// parseHeader checks a complete log header and returns its base LSN.
+func parseHeader(hdr []byte) (uint64, error) {
+	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != Magic {
+		return 0, badWAL("bad log magic %#x", got)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != Version {
+		return 0, badWAL("unsupported log version %d", v)
+	}
+	return binary.LittleEndian.Uint64(hdr[8:16]), nil
+}
+
+// payloadLen returns the payload length a record frame declares, rejecting
+// an implausible one as corruption before anything is read or allocated for
+// it.
+func payloadLen(frame []byte) (int64, error) {
+	n := binary.LittleEndian.Uint32(frame[0:4])
+	if n == 0 || n > maxPayloadBytes {
+		return 0, badWAL("implausible record length %d", n)
+	}
+	return int64(n), nil
+}
+
+// decodeFrame checks a complete payload against its frame's CRC-32 and
+// decodes it.
+func decodeFrame(frame, payload []byte) (Record, error) {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return Record{}, badWAL("record checksum mismatch")
+	}
+	return decodePayload(payload)
 }
 
 // BaseLSN returns the LSN the log was truncated to: records in the file are
@@ -532,10 +560,10 @@ func (rd *Reader) Next() (Record, uint64, error) {
 		}
 		return Record{}, 0, badWAL("record frame truncated: %v", err)
 	}
-	n := binary.LittleEndian.Uint32(frame[0:4])
-	if n == 0 || n > maxPayloadBytes {
+	n, err := payloadLen(frame[:])
+	if err != nil {
 		rd.done = true
-		return Record{}, 0, badWAL("implausible record length %d", n)
+		return Record{}, 0, err
 	}
 	// Read the payload through a bounded copy instead of a single up-front
 	// allocation: a corrupt length prefix on a short file then costs only the
@@ -544,26 +572,22 @@ func (rd *Reader) Next() (Record, uint64, error) {
 	if cap(rd.scratch) == 0 {
 		rd.scratch = make([]byte, 32<<10)
 	}
-	if _, err := io.CopyBuffer(&buf, io.LimitReader(rd.r, int64(n)), rd.scratch); err != nil {
+	if _, err := io.CopyBuffer(&buf, io.LimitReader(rd.r, n), rd.scratch); err != nil {
 		rd.done = true
 		return Record{}, 0, badWAL("reading record payload: %v", err)
 	}
 	payload := buf.Bytes()
-	if uint32(len(payload)) != n {
+	if int64(len(payload)) != n {
 		rd.done = true
 		return Record{}, 0, badWAL("record payload truncated: have %d of %d bytes", len(payload), n)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(frame[4:8]); got != want {
-		rd.done = true
-		return Record{}, 0, badWAL("record checksum mismatch")
-	}
-	rec, err := decodePayload(payload)
+	rec, err := decodeFrame(frame[:], payload)
 	if err != nil {
 		rd.done = true
 		return Record{}, 0, err
 	}
 	rd.lsn++
-	rd.offset += int64(frameOverhead) + int64(n)
+	rd.offset += frameOverhead + n
 	return rec, rd.lsn, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"crowdval/internal/cverr"
 	"crowdval/internal/guidance"
 	"crowdval/internal/rng"
+	"crowdval/internal/snapshot"
 	"crowdval/internal/spamdetect"
 )
 
@@ -264,8 +265,8 @@ type Session struct {
 	// src seeds every stochastic component; its single uint64 of state makes
 	// snapshots bit-for-bit resumable.
 	src *rng.SplitMix64
-	// hybrid is non-nil when the hybrid strategy drives the session; its
-	// weight is part of the snapshot state.
+	// hybrid is the engine's strategy when the hybrid strategy drives the
+	// session, nil otherwise; the engine snapshots and restores its weight.
 	hybrid *guidance.Hybrid
 }
 
@@ -273,18 +274,18 @@ type Session struct {
 // answers: the session never reads or writes answers again, so the caller
 // may keep using it, and several sessions may start from one set.
 func NewSession(answers *AnswerSet, opts ...Option) (*Session, error) {
+	if answers == nil {
+		return nil, fmt.Errorf("crowdval: %w", cverr.ErrNilAnswerSet)
+	}
 	cfg := defaultSessionConfig()
 	cfg.apply(opts)
 	return newSession(answers, cfg, nil)
 }
 
-// newSession wires a session from an explicit configuration. When restored
-// is non-nil the engine resumes from that state instead of running the
-// initial aggregation.
-func newSession(answers *AnswerSet, cfg sessionConfig, restored *core.RestoredState) (*Session, error) {
-	if answers == nil {
-		return nil, fmt.Errorf("crowdval: %w", cverr.ErrNilAnswerSet)
-	}
+// newSession wires a session from an explicit configuration. When st is
+// non-nil the engine resumes from that decoded snapshot instead of running
+// the initial aggregation over answers.
+func newSession(answers *AnswerSet, cfg sessionConfig, st *snapshot.State) (*Session, error) {
 	src := rng.New(cfg.seed)
 	rnd := rand.New(src)
 	strategy, hybrid, err := buildSessionStrategy(cfg, rnd)
@@ -322,8 +323,8 @@ func newSession(answers *AnswerSet, cfg sessionConfig, restored *core.RestoredSt
 		engineCfg.Goal = core.UncertaintyBelow(cfg.uncertaintyGoal)
 	}
 	var engine *core.Engine
-	if restored != nil {
-		engine, err = core.RestoreEngine(answers, restored, engineCfg)
+	if st != nil {
+		engine, err = core.RestoreEngine(st, engineCfg)
 	} else {
 		// The initial cold aggregation is the most expensive step of session
 		// creation; WithContext makes it cancellable.
