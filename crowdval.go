@@ -145,14 +145,19 @@ func NewAnswerSetFromMatrix(matrix [][]int, numLabels int) (*AnswerSet, error) {
 		return nil, fmt.Errorf("%w: explicit numLabels %d but the matrix contains label %d (labels are 0-based, so it needs at least %d)",
 			cverr.ErrOutOfRange, numLabels, maxLabel, maxLabel+1)
 	}
-	return model.LoadAnswers(len(matrix), width, numLabels, len(matrix)*width, func(i int) Answer {
-		o, w := i/width, i%width
-		label := Label(matrix[o][w])
-		if label < 0 {
-			label = NoLabel
+	// The answered cells, in (object, worker) order: the loader's linear
+	// path.
+	var objects, workers, labels []int64
+	for o, row := range matrix {
+		for w, v := range row {
+			if v >= 0 {
+				objects = append(objects, int64(o))
+				workers = append(workers, int64(w))
+				labels = append(labels, int64(v))
+			}
 		}
-		return Answer{Object: o, Worker: w, Label: label}
-	})
+	}
+	return model.LoadAnswerColumns(len(matrix), width, numLabels, objects, workers, labels)
 }
 
 // NewValidation creates an empty expert validation function for numObjects

@@ -328,9 +328,7 @@ func newEngineShell(answers *model.AnswerSet, cfg Config) *Engine {
 // snapshotted one stopped.
 func RestoreEngine(st *snapshot.State, cfg Config) (*Engine, error) {
 	n, k, m := int(st.NumObjects), int(st.NumWorkers), int(st.NumLabels)
-	answers, err := model.LoadAnswers(n, k, m, len(st.AnswerObjects), func(i int) model.Answer {
-		return model.Answer{Object: int(st.AnswerObjects[i]), Worker: int(st.AnswerWorkers[i]), Label: model.Label(st.AnswerLabels[i])}
-	})
+	answers, err := model.LoadAnswerColumns(n, k, m, st.AnswerObjects, st.AnswerWorkers, st.AnswerLabels)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w: %v", cverr.ErrBadSnapshot, err)
 	}
@@ -394,15 +392,7 @@ func (e *Engine) Snapshot(st *snapshot.State, rngState func() uint64) {
 	}
 	e.selMu.Unlock()
 
-	count := e.AnswerCount()
-	st.AnswerObjects = make([]int64, 0, count)
-	st.AnswerWorkers = make([]int64, 0, count)
-	st.AnswerLabels = make([]int64, 0, count)
-	e.eachAnswer(func(a model.Answer) {
-		st.AnswerObjects = append(st.AnswerObjects, int64(a.Object))
-		st.AnswerWorkers = append(st.AnswerWorkers, int64(a.Worker))
-		st.AnswerLabels = append(st.AnswerLabels, int64(a.Label))
-	})
+	st.AnswerObjects, st.AnswerWorkers, st.AnswerLabels = e.answerColumns()
 
 	st.Validation = make([]int64, n)
 	for o := range st.Validation {
@@ -444,30 +434,41 @@ func (e *Engine) AnswerCount() int {
 	return count
 }
 
-// eachAnswer calls fn for every answer the engine holds, stashed ones
-// included, in object-major, worker-ascending order: it merges each object's
-// working row with the stashed answers of that object.
-func (e *Engine) eachAnswer(fn func(model.Answer)) {
+// answerColumns returns every answer the engine holds, stashed ones
+// included, as the snapshot's object, worker and label columns in
+// object-major, worker-ascending order. It merges each object's working row
+// with the stashed answers of that object and writes each answer by index
+// into columns carved from one allocation.
+func (e *Engine) answerColumns() (objects, workers, labels []int64) {
 	masked := e.quarantine.MaskedWorkers()
 	stashes := make([][]model.ObjectAnswer, len(masked))
+	count := e.working.AnswerCount()
 	for i, w := range masked {
 		stashes[i] = e.quarantine.Stashed(w)
+		count += len(stashes[i])
 	}
+	cols := make([]int64, 3*count)
+	objects, workers, labels = cols[:count:count], cols[count:2*count:2*count], cols[2*count:]
+	j := 0
 	for o := 0; o < e.working.NumObjects(); o++ {
 		row := e.working.ObjectView(o)
 		for i, w := range masked {
 			if s := stashes[i]; len(s) > 0 && s[0].Object == o {
 				for ; len(row) > 0 && row[0].Worker < w; row = row[1:] {
-					fn(model.Answer{Object: o, Worker: row[0].Worker, Label: row[0].Label})
+					objects[j], workers[j], labels[j] = int64(o), int64(row[0].Worker), int64(row[0].Label)
+					j++
 				}
-				fn(model.Answer{Object: o, Worker: w, Label: s[0].Label})
+				objects[j], workers[j], labels[j] = int64(o), int64(w), int64(s[0].Label)
+				j++
 				stashes[i] = s[1:]
 			}
 		}
 		for _, wa := range row {
-			fn(model.Answer{Object: o, Worker: wa.Worker, Label: wa.Label})
+			objects[j], workers[j], labels[j] = int64(o), int64(wa.Worker), int64(wa.Label)
+			j++
 		}
 	}
+	return objects, workers, labels
 }
 
 // encodeHistory and decodeHistory map an iteration record to its snapshot

@@ -158,47 +158,74 @@ func (a *AnswerSet) SetAnswer(object, worker int, label Label) error {
 
 // LoadAnswers builds the numObjects×numWorkers answer set with numLabels
 // labels that recording at(0), …, at(count−1) one after another with
-// SetAnswer on an empty set builds, and fails with the error of the first
-// answer SetAnswer would reject: a later answer for the same (object,
-// worker) pair replaces an earlier one, and NoLabel removes the pair.
-//
-// It makes no sorted insert per answer. It counts the answers per object and
-// per worker, carves one backing array per side and fills both in (object,
-// worker) order, so a load is linear when the answers already come in that
-// order (as Snapshot writes them) and sorts a copy of them once otherwise.
-// Each row's capacity ends where the next row begins, so a later insert into
-// a row reallocates that row instead of overwriting its neighbour.
+// SetAnswer on an empty set builds: it collects the answers into columns
+// for LoadAnswerColumns.
 func LoadAnswers(numObjects, numWorkers, numLabels, count int, at func(i int) Answer) (*AnswerSet, error) {
+	cols := make([]int64, 3*count)
+	objects, workers, labels := cols[:count], cols[count:2*count], cols[2*count:]
+	for i := 0; i < count; i++ {
+		x := at(i)
+		objects[i], workers[i], labels[i] = int64(x.Object), int64(x.Worker), int64(x.Label)
+	}
+	return LoadAnswerColumns(numObjects, numWorkers, numLabels, objects, workers, labels)
+}
+
+// LoadAnswerColumns builds the numObjects×numWorkers answer set with
+// numLabels labels that recording the answers (objects[i], workers[i],
+// labels[i]) one after another with SetAnswer on an empty set builds, and
+// fails with the error of the first answer SetAnswer would reject: a later
+// answer for the same (object, worker) pair replaces an earlier one, and
+// NoLabel removes the pair. Columns of unequal lengths are
+// ErrDimensionMismatch.
+//
+// It makes no sorted insert per answer. Answers in strictly increasing
+// (object, worker) order, as Snapshot writes them, load in two linear
+// passes: one checks each answer and its order and counts it per object and
+// per worker; the other writes it by index into one backing array per side,
+// each row carved at its count. Answers in any other order are first
+// canonicalized by one sort. Each row's capacity ends where the next row
+// begins, so a later insert into a row reallocates that row instead of
+// overwriting its neighbour.
+func LoadAnswerColumns(numObjects, numWorkers, numLabels int, objects, workers, labels []int64) (*AnswerSet, error) {
 	a, err := NewAnswerSet(numObjects, numWorkers, numLabels)
 	if err != nil {
 		return nil, err
 	}
-	ordered := true
-	prev := Answer{Object: -1}
-	for i := 0; i < count; i++ {
-		x := at(i)
-		if err := a.checkAnswer(x.Object, x.Worker, x.Label); err != nil {
-			return nil, err
-		}
-		if x.Object < prev.Object || x.Object == prev.Object && x.Worker <= prev.Worker {
-			ordered = false
-		}
-		prev = x
+	if len(workers) != len(objects) || len(labels) != len(objects) {
+		return nil, fmt.Errorf("%w: answer columns of lengths %d, %d and %d",
+			ErrDimensionMismatch, len(objects), len(workers), len(labels))
 	}
-	if !ordered {
-		canon := canonicalAnswers(count, at)
-		count, at = len(canon), func(i int) Answer { return canon[i] }
-	}
-
 	// Row starts, offset by one so the counting pass and the prefix sum
 	// share the arrays.
 	objStart := make([]int, numObjects+1)
 	wrkStart := make([]int, numWorkers+1)
-	for i := 0; i < count; i++ {
-		if x := at(i); x.Label != NoLabel {
-			objStart[x.Object+1]++
-			wrkStart[x.Worker+1]++
-			a.count++
+	ordered := true
+	prevObject, prevWorker := -1, 0
+	for i := range objects {
+		o, w, l := int(objects[i]), int(workers[i]), Label(labels[i])
+		if uint(o) >= uint(numObjects) || uint(w) >= uint(numWorkers) || l != NoLabel && uint(l) >= uint(numLabels) {
+			return nil, a.checkAnswer(o, w, l) // the same test, with its error
+		}
+		if !ordered {
+			continue
+		}
+		if o < prevObject || o == prevObject && w <= prevWorker {
+			ordered = false
+			continue
+		}
+		prevObject, prevWorker = o, w
+		if l != NoLabel {
+			objStart[o+1]++
+			wrkStart[w+1]++
+		}
+	}
+	if !ordered {
+		objects, workers, labels = canonicalAnswers(objects, workers, labels)
+		clear(objStart)
+		clear(wrkStart)
+		for i := range objects {
+			objStart[objects[i]+1]++
+			wrkStart[workers[i]+1]++
 		}
 	}
 	for o := 0; o < numObjects; o++ {
@@ -207,50 +234,58 @@ func LoadAnswers(numObjects, numWorkers, numLabels, count int, at func(i int) An
 	for w := 0; w < numWorkers; w++ {
 		wrkStart[w+1] += wrkStart[w]
 	}
+	a.count = objStart[numObjects]
 	objBuf := make([]WorkerAnswer, a.count)
 	wrkBuf := make([]ObjectAnswer, a.count)
 	for o := range a.byObject {
 		if lo, hi := objStart[o], objStart[o+1]; hi > lo {
-			a.byObject[o] = objBuf[lo:lo:hi]
+			a.byObject[o] = objBuf[lo:hi:hi]
 		}
 	}
 	for w := range a.byWorker {
 		if lo, hi := wrkStart[w], wrkStart[w+1]; hi > lo {
-			a.byWorker[w] = wrkBuf[lo:lo:hi]
+			a.byWorker[w] = wrkBuf[lo:hi:hi]
 		}
 	}
-	for i := 0; i < count; i++ {
-		x := at(i)
-		if x.Label == NoLabel {
-			continue
+	// The answers come object-major, so the object side fills in input
+	// order and each worker's column in object order; wrkStart[w] serves as
+	// the write position of worker w.
+	j := 0
+	for i := range objects {
+		if l := Label(labels[i]); l != NoLabel {
+			o, w := int(objects[i]), int(workers[i])
+			objBuf[j] = WorkerAnswer{Worker: w, Label: l}
+			j++
+			wrkBuf[wrkStart[w]] = ObjectAnswer{Object: o, Label: l}
+			wrkStart[w]++
 		}
-		a.byObject[x.Object] = append(a.byObject[x.Object], WorkerAnswer{Worker: x.Worker, Label: x.Label})
-		a.byWorker[x.Worker] = append(a.byWorker[x.Worker], ObjectAnswer{Object: x.Object, Label: x.Label})
 	}
 	return a, nil
 }
 
-// canonicalAnswers returns the outcome of at(0), …, at(count−1) in strictly
-// increasing (object, worker) order: the last answer of each pair, with the
-// pairs whose last answer is NoLabel left out.
-func canonicalAnswers(count int, at func(i int) Answer) []Answer {
-	all := make([]Answer, count)
+// canonicalAnswers returns the outcome of recording the answers of the
+// columns in input order, as columns in strictly increasing (object,
+// worker) order: the last answer of each pair, with the pairs whose last
+// answer is NoLabel left out.
+func canonicalAnswers(objects, workers, labels []int64) (objs, wrks, lbls []int64) {
+	all := make([]Answer, len(objects))
 	for i := range all {
-		all[i] = at(i)
+		all[i] = Answer{Object: int(objects[i]), Worker: int(workers[i]), Label: Label(labels[i])}
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		return all[i].Object < all[j].Object || all[i].Object == all[j].Object && all[i].Worker < all[j].Worker
 	})
-	out := all[:0]
 	for i, x := range all {
 		if i+1 < len(all) && all[i+1].Object == x.Object && all[i+1].Worker == x.Worker {
 			continue // a later answer for the pair wins
 		}
 		if x.Label != NoLabel {
-			out = append(out, x)
+			objs = append(objs, int64(x.Object))
+			wrks = append(wrks, int64(x.Worker))
+			lbls = append(lbls, int64(x.Label))
 		}
 	}
-	return out
+	return objs, wrks, lbls
 }
 
 // Answer returns M(o, w): the label worker assigned to object, or NoLabel if

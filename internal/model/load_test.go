@@ -64,12 +64,38 @@ func sameAnswerSet(got, want *AnswerSet) string {
 	return ""
 }
 
-// checkLoad compares LoadAnswers with the SetAnswer loop on one input:
-// the same error (message included), or the same views and count.
+// columns splits answers into the loader's object, worker and label
+// columns.
+func columns(answers []Answer) (objects, workers, labels []int64) {
+	for _, x := range answers {
+		objects = append(objects, int64(x.Object))
+		workers = append(workers, int64(x.Worker))
+		labels = append(labels, int64(x.Label))
+	}
+	return objects, workers, labels
+}
+
+// loadAll runs LoadAnswerColumns on the columns of answers.
+func loadAll(n, k, m int, answers []Answer) (*AnswerSet, error) {
+	objects, workers, labels := columns(answers)
+	return LoadAnswerColumns(n, k, m, objects, workers, labels)
+}
+
+// checkLoad compares LoadAnswerColumns, and LoadAnswers over the same
+// answers, with the SetAnswer loop on one input: the same error (message
+// included), or the same views and count.
 func checkLoad(t *testing.T, c loadCase) {
 	t.Helper()
+	got, err := loadAll(c.n, c.k, c.m, c.answers)
+	checkLoaded(t, c, got, err)
+	got, err = LoadAnswers(c.n, c.k, c.m, len(c.answers), func(i int) Answer { return c.answers[i] })
+	checkLoaded(t, c, got, err)
+}
+
+// checkLoaded compares one loader's outcome on c with the SetAnswer loop's.
+func checkLoaded(t *testing.T, c loadCase, got *AnswerSet, err error) {
+	t.Helper()
 	want, wantErr := setAnswerLoop(c.n, c.k, c.m, c.answers)
-	got, err := LoadAnswers(c.n, c.k, c.m, len(c.answers), func(i int) Answer { return c.answers[i] })
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%s: error %v, want %v", c.name, err, wantErr)
 	}
@@ -162,6 +188,17 @@ func TestLoadAnswersMatchesSetAnswerLoop(t *testing.T) {
 	}
 }
 
+// TestLoadAnswerColumnsRejectsUnequalColumns: columns of different lengths are a
+// dimension mismatch, whichever column is off.
+func TestLoadAnswerColumnsRejectsUnequalColumns(t *testing.T) {
+	o, w, l := columns([]Answer{{0, 0, 1}, {1, 1, 0}})
+	for _, c := range [][3][]int64{{o[:1], w, l}, {o, w[:1], l}, {o, w, l[:1]}} {
+		if _, err := LoadAnswerColumns(2, 2, 2, c[0], c[1], c[2]); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("columns of lengths %d, %d, %d: %v, want ErrDimensionMismatch", len(c[0]), len(c[1]), len(c[2]), err)
+		}
+	}
+}
+
 // TestLoadAnswersRowsAreCapped: rows carved from one backing array must
 // not share capacity, so growing one row after a load (inserting at its
 // end, its middle or its start, per object and per worker) leaves every
@@ -182,7 +219,7 @@ func TestLoadAnswersRowsAreCapped(t *testing.T) {
 	}
 	for _, w := range []int{k - 1, 0, k / 2} {
 		for o := 0; o < n; o += 2 {
-			loaded, err := LoadAnswers(n, k, m, len(canon), func(i int) Answer { return canon[i] })
+			loaded, err := loadAll(n, k, m, canon)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +235,7 @@ func TestLoadAnswersRowsAreCapped(t *testing.T) {
 	}
 	// Remove then re-insert, then grow the same rows twice: the freed slot
 	// is reused in place and the next insert reallocates.
-	loaded, _ := LoadAnswers(n, k, m, len(canon), func(i int) Answer { return canon[i] })
+	loaded, _ := loadAll(n, k, m, canon)
 	want, _ := setAnswerLoop(n, k, m, canon)
 	for _, x := range []Answer{{1, 3, NoLabel}, {1, 3, 2}, {2, 0, 1}, {2, 8, 1}, {3, 4, NoLabel}, {4, 0, 2}, {4, 8, 0}} {
 		_ = loaded.SetAnswer(x.Object, x.Worker, x.Label)

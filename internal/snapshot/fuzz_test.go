@@ -21,7 +21,8 @@ func typedCodecError(t *testing.T, err error) {
 // fuzzSeeds returns a small spread of valid encodings: the full sample state,
 // a minimal state, and one with empty collections — distinct shapes for the
 // mutator to start from. The same seeds are checked into
-// testdata/fuzz/FuzzDecode.
+// testdata/fuzz/FuzzDecode as seed-v5-*, beside seed-*, their version-4
+// encodings.
 func fuzzSeeds() [][]byte {
 	minimal := &State{NumObjects: 1, NumWorkers: 1, NumLabels: 2,
 		Validation: []int64{-1}, Assignment: []float64{0.5, 0.5},
@@ -40,7 +41,8 @@ func fuzzSeeds() [][]byte {
 // never panic; on rejection return an error wrapping ErrBadSnapshot or
 // ErrSnapshotVersion; on acceptance the decoded state must re-encode to a
 // stable fixed point (encode→decode→encode reproduces the bytes — the
-// encoding is canonical up to non-canonical bool bytes in the input).
+// encoding is canonical up to non-canonical bool bytes, over-long uvarints
+// and the older versions' layouts in the input).
 func FuzzDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -68,9 +70,11 @@ func FuzzDecode(f *testing.F) {
 
 // budgetFuzzSeeds returns encodings whose version-4 budget tail the mutator
 // starts from: an enabled budget mid-campaign, a deadline-bound budget, a
-// disabled tail, and a version-3 image with no tail at all. The same seeds
-// are checked into testdata/fuzz/FuzzDecodeBudget.
-func budgetFuzzSeeds() [][]byte {
+// disabled tail, and a version-3 image with no tail at all (cut from the
+// version-4 fixture). The same seeds are checked into
+// testdata/fuzz/FuzzDecodeBudget as seed-v5-*, beside seed-*, the
+// version-4 encodings of the first three.
+func budgetFuzzSeeds(t testing.TB) [][]byte {
 	spent := sampleState()
 	spent.BudgetEnabled = true
 	spent.BudgetTheta = 12.5
@@ -82,14 +86,11 @@ func budgetFuzzSeeds() [][]byte {
 	deadline.BudgetCrowdTime = 2
 	deadline.BudgetTimePerValidation = 0.5
 	deadline.BudgetTimeLimit = 10
-	v3 := Encode(sampleState())
-	v3 = v3[:len(v3)-v4TailLen]
-	v3[4], v3[5] = 3, 0
 	return [][]byte{
 		Encode(spent),
 		Encode(deadline),
 		Encode(sampleState()),
-		v3,
+		olderImage(t, 3),
 	}
 }
 
@@ -100,7 +101,7 @@ func budgetFuzzSeeds() [][]byte {
 // the version gate: an accepted pre-v4 image must decode every budget field
 // as zero, since older snapshots carry no budget state to misread.
 func FuzzDecodeBudget(f *testing.F) {
-	for _, seed := range budgetFuzzSeeds() {
+	for _, seed := range budgetFuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

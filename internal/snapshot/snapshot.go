@@ -8,8 +8,14 @@
 // The encoding is deliberately exact: float64 values are stored as their IEEE
 // 754 bit patterns, so a resumed session reproduces the original session
 // bit-for-bit — identical guidance selections, aggregation results and step
-// summaries. The format is little-endian, length-prefixed and versioned; a
-// decoder rejects snapshots from unknown versions with ErrSnapshotVersion and
+// summaries. The format is little-endian, length-prefixed and versioned.
+// Since version 5 every integer array is packed: each element is stored as
+// the zigzag-encoded difference from the previous one, as a uvarint, which
+// takes the sorted and small-valued arrays of a session (answer columns,
+// validations, history) from eight bytes an element to one or two; floats
+// and scalars keep their fixed-width layout. Encode writes version 5 only;
+// snapshots of versions 1 to 4 still decode. A decoder rejects snapshots
+// from unknown versions with ErrSnapshotVersion and
 // anything structurally damaged or inconsistent with ErrBadSnapshot; the
 // layers that resume a decoded state rely on that one check. Encode and
 // Decode work on whole byte slices; the serving tier stores them inside the
@@ -21,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"crowdval/internal/cverr"
 )
@@ -31,9 +38,13 @@ const Magic = 0x4356534e
 // Version is the current encoding version. Version 2 appends the
 // delta-ingest configuration after the history records, version 3 the
 // delta-scoring flag after that, version 4 the per-tenant budget/deadline
-// state after that; snapshots of older versions are still decoded (their
-// missing fields read as zero, i.e. the paths disabled).
-const Version = 4
+// state after that. Version 5 keeps the version-4 layout but packs every
+// integer array: after its u64 length come the zigzag-encoded differences of
+// consecutive elements (the first from zero) as uvarints, where versions 1
+// to 4 write one 8-byte word per element. Snapshots of versions 1 to 4 are
+// still decoded (fields a version lacks read as zero, i.e. the paths
+// disabled); Encode writes only version 5.
+const Version = 5
 
 // State is the serializable form of a validation session. It mirrors the
 // session options and the engine's dynamic state with plain integers, floats
@@ -123,8 +134,8 @@ type HistoryRecord struct {
 	SuspectCrowd     []int64
 }
 
-// Encode serializes the state into one byte slice, sized up front from the
-// state's collections.
+// Encode serializes the state into one byte slice, sized exactly up front by
+// one pass over its collections, so every write lands in spare capacity.
 func Encode(s *State) []byte {
 	w := writer{buf: make([]byte, 0, encodedSize(s))}
 	w.encode(s)
@@ -132,7 +143,8 @@ func Encode(s *State) []byte {
 }
 
 // minHistoryRecordSize is the minimal encoding of one history record: five
-// i64 fields, three f64 fields, one bool and six slice length prefixes.
+// i64 fields, three f64 fields, one bool and six slice length prefixes (in
+// every version).
 const minHistoryRecordSize = 5*8 + 3*8 + 1 + 6*8
 
 // encodedSize returns the exact byte length of the state's encoding.
@@ -147,7 +159,7 @@ func encodedSize(s *State) int {
 	n := fixed + 8 + len(s.Strategy)
 	for _, vs := range [...][]int64{s.AnswerObjects, s.AnswerWorkers, s.AnswerLabels,
 		s.Validation, s.Quarantined, s.ConfirmedObjects, s.ConfirmedLabels} {
-		n += 8 + 8*len(vs)
+		n += 8 + packedSize(vs)
 	}
 	n += 8 + 8*len(s.Assignment) + 8 + 8*len(s.Confusions)
 	for _, vs := range [...][]string{s.ObjectNames, s.WorkerNames, s.LabelNames} {
@@ -158,11 +170,31 @@ func encodedSize(s *State) int {
 	}
 	for i := range s.History {
 		h := &s.History[i]
-		n += minHistoryRecordSize + 8*(len(h.Masked)+len(h.Restored)+len(h.Revised)+
-			len(h.SuspectObjects)+len(h.SuspectExpert)+len(h.SuspectCrowd))
+		n += minHistoryRecordSize + packedSize(h.Masked) + packedSize(h.Restored) + packedSize(h.Revised) +
+			packedSize(h.SuspectObjects) + packedSize(h.SuspectExpert) + packedSize(h.SuspectCrowd)
 	}
 	return n
 }
+
+// packedSize returns the byte length of vs packed, its length prefix left
+// out.
+func packedSize(vs []int64) int {
+	n, prev := 0, int64(0)
+	for _, v := range vs {
+		n += (bits.Len64(zigzag(v-prev)|1) + 6) / 7
+		prev = v
+	}
+	return n
+}
+
+// zigzag maps a difference to an unsigned integer that is small when the
+// difference is small in magnitude: 0, −1, 1, −2, … become 0, 1, 2, 3, ….
+// Differences wrap in 64-bit arithmetic, which the decoder's wrapping sum
+// undoes.
+func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 func (w *writer) encode(s *State) {
 	w.u32(Magic)
@@ -186,17 +218,17 @@ func (w *writer) encode(s *State) {
 	w.i64(s.NumObjects)
 	w.i64(s.NumWorkers)
 	w.i64(s.NumLabels)
-	w.i64s(s.AnswerObjects)
-	w.i64s(s.AnswerWorkers)
-	w.i64s(s.AnswerLabels)
+	w.ints(s.AnswerObjects)
+	w.ints(s.AnswerWorkers)
+	w.ints(s.AnswerLabels)
 	w.strs(s.ObjectNames)
 	w.strs(s.WorkerNames)
 	w.strs(s.LabelNames)
 
-	w.i64s(s.Validation)
-	w.i64s(s.Quarantined)
-	w.i64s(s.ConfirmedObjects)
-	w.i64s(s.ConfirmedLabels)
+	w.ints(s.Validation)
+	w.ints(s.Quarantined)
+	w.ints(s.ConfirmedObjects)
+	w.ints(s.ConfirmedLabels)
 
 	w.f64s(s.Assignment)
 	w.f64s(s.Confusions)
@@ -215,12 +247,12 @@ func (w *writer) encode(s *State) {
 		w.f64(h.Uncertainty)
 		w.i64(h.FaultyWorkers)
 		w.i64(h.EMIterations)
-		w.i64s(h.Masked)
-		w.i64s(h.Restored)
-		w.i64s(h.Revised)
-		w.i64s(h.SuspectObjects)
-		w.i64s(h.SuspectExpert)
-		w.i64s(h.SuspectCrowd)
+		w.ints(h.Masked)
+		w.ints(h.Restored)
+		w.ints(h.Revised)
+		w.ints(h.SuspectObjects)
+		w.ints(h.SuspectExpert)
+		w.ints(h.SuspectCrowd)
 	}
 
 	// Version-2 tail.
@@ -334,6 +366,7 @@ func (r *reader) decode() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.version = version
 	if version < 1 || version > Version {
 		return nil, fmt.Errorf("%w: got version %d, support versions 1-%d",
 			cverr.ErrSnapshotVersion, version, Version)
@@ -357,16 +390,16 @@ func (r *reader) decode() (*State, error) {
 		func() (err error) { s.NumObjects, err = r.i64(); return },
 		func() (err error) { s.NumWorkers, err = r.i64(); return },
 		func() (err error) { s.NumLabels, err = r.i64(); return },
-		func() (err error) { s.AnswerObjects, err = r.i64s(); return },
-		func() (err error) { s.AnswerWorkers, err = r.i64s(); return },
-		func() (err error) { s.AnswerLabels, err = r.i64s(); return },
+		func() (err error) { s.AnswerObjects, err = r.ints(); return },
+		func() (err error) { s.AnswerWorkers, err = r.ints(); return },
+		func() (err error) { s.AnswerLabels, err = r.ints(); return },
 		func() (err error) { s.ObjectNames, err = r.strs(); return },
 		func() (err error) { s.WorkerNames, err = r.strs(); return },
 		func() (err error) { s.LabelNames, err = r.strs(); return },
-		func() (err error) { s.Validation, err = r.i64s(); return },
-		func() (err error) { s.Quarantined, err = r.i64s(); return },
-		func() (err error) { s.ConfirmedObjects, err = r.i64s(); return },
-		func() (err error) { s.ConfirmedLabels, err = r.i64s(); return },
+		func() (err error) { s.Validation, err = r.ints(); return },
+		func() (err error) { s.Quarantined, err = r.ints(); return },
+		func() (err error) { s.ConfirmedObjects, err = r.ints(); return },
+		func() (err error) { s.ConfirmedLabels, err = r.ints(); return },
 		func() (err error) { s.Assignment, err = r.f64s(); return },
 		func() (err error) { s.Confusions, err = r.f64s(); return },
 		func() (err error) { s.Iteration, err = r.i64(); return },
@@ -429,7 +462,9 @@ func (r *reader) decode() (*State, error) {
 	return s, nil
 }
 
-// writer appends little-endian, length-prefixed primitives to one buffer.
+// writer appends little-endian, length-prefixed primitives to one buffer
+// that Encode sized exactly; the arrays are written by index into its spare
+// capacity.
 type writer struct{ buf []byte }
 
 func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
@@ -453,18 +488,32 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-func (w *writer) i64s(vs []int64) {
+// ints writes vs packed: its length, then each element's zigzag-encoded
+// difference from the previous one as a uvarint.
+func (w *writer) ints(vs []int64) {
 	w.u64(uint64(len(vs)))
+	b := w.buf[len(w.buf):cap(w.buf)]
+	n, prev := 0, int64(0)
 	for _, v := range vs {
-		w.i64(v)
+		u := zigzag(v - prev)
+		prev = v
+		for ; u >= 0x80; u >>= 7 {
+			b[n] = byte(u) | 0x80
+			n++
+		}
+		b[n] = byte(u)
+		n++
 	}
+	w.buf = w.buf[:len(w.buf)+n]
 }
 
 func (w *writer) f64s(vs []float64) {
 	w.u64(uint64(len(vs)))
-	for _, v := range vs {
-		w.f64(v)
+	b := w.buf[len(w.buf) : len(w.buf)+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
+	w.buf = w.buf[:len(w.buf)+len(b)]
 }
 
 func (w *writer) strs(vs []string) {
@@ -479,8 +528,9 @@ func (w *writer) strs(vs []string) {
 // allocations: every declared length is checked against the remaining
 // payload before anything is allocated for it.
 type reader struct {
-	buf []byte
-	pos int
+	buf     []byte
+	pos     int
+	version uint16
 }
 
 // historyRecord decodes one HistoryRecord with straight-line reads — no
@@ -515,22 +565,22 @@ func (r *reader) historyRecord(h *HistoryRecord) error {
 	if h.EMIterations, err = r.i64(); err != nil {
 		return err
 	}
-	if h.Masked, err = r.i64s(); err != nil {
+	if h.Masked, err = r.ints(); err != nil {
 		return err
 	}
-	if h.Restored, err = r.i64s(); err != nil {
+	if h.Restored, err = r.ints(); err != nil {
 		return err
 	}
-	if h.Revised, err = r.i64s(); err != nil {
+	if h.Revised, err = r.ints(); err != nil {
 		return err
 	}
-	if h.SuspectObjects, err = r.i64s(); err != nil {
+	if h.SuspectObjects, err = r.ints(); err != nil {
 		return err
 	}
-	if h.SuspectExpert, err = r.i64s(); err != nil {
+	if h.SuspectExpert, err = r.ints(); err != nil {
 		return err
 	}
-	h.SuspectCrowd, err = r.i64s()
+	h.SuspectCrowd, err = r.ints()
 	return err
 }
 
@@ -616,6 +666,56 @@ func (r *reader) words() ([]byte, error) {
 	return r.take(8 * n)
 }
 
+// ints reads an integer array: packed from version 5 on, one 8-byte word
+// per element before.
+func (r *reader) ints() ([]int64, error) {
+	if r.version < 5 {
+		return r.i64s()
+	}
+	return r.packed()
+}
+
+// packed reads a packed integer array. Its declared length is checked
+// against the remaining payload, at one byte or more per element, before
+// the array is allocated; a uvarint that runs past the payload, spans more
+// than ten bytes or overflows 64 bits is ErrBadSnapshot. One- and two-byte
+// values, the common cases, skip the general uvarint decoder.
+func (r *reader) packed() ([]int64, error) {
+	n, err := r.length(1)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]int64, n)
+	b := r.buf[r.pos:]
+	p, prev := 0, int64(0)
+	for i := range out {
+		if p >= len(b) {
+			return nil, bad("malformed uvarint at byte %d", r.pos+p)
+		}
+		u := uint64(b[p])
+		p++
+		if u >= 0x80 {
+			if p < len(b) && b[p] < 0x80 {
+				u = u&0x7f | uint64(b[p])<<7
+				p++
+			} else {
+				v, k := binary.Uvarint(b[p-1:])
+				if k <= 0 {
+					return nil, bad("malformed uvarint at byte %d", r.pos+p-1)
+				}
+				u = v
+				p += k - 1
+			}
+		}
+		prev += unzigzag(u)
+		out[i] = prev
+	}
+	r.pos += p
+	return out, nil
+}
+
+// i64s reads an integer array of versions 1 to 4, one 8-byte word per
+// element.
 func (r *reader) i64s() ([]int64, error) {
 	b, err := r.words()
 	if err != nil || len(b) == 0 {

@@ -2,9 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crowdval/internal/cverr"
@@ -67,9 +71,9 @@ func TestRoundTripDeltaFields(t *testing.T) {
 	}
 }
 
-// Byte lengths of the per-version tails, used by the compat tests to derive
-// an older-version image from a current Encode: the version-2 tail is 1 bool
-// + 1 float, the version-3 tail 1 bool, the version-4 tail 1 bool + 5 floats
+// Byte lengths of the per-version tails, used by the compat tests to cut a
+// version-4 image back to an older version: the version-2 tail is 1 bool +
+// 1 float, the version-3 tail 1 bool, the version-4 tail 1 bool + 5 floats
 // + 1 int64.
 const (
 	v2TailLen = 1 + 8
@@ -77,29 +81,47 @@ const (
 	v4TailLen = 1 + 5*8 + 8
 )
 
+// fullSampleState is sampleState with the delta configuration and the
+// budget state set, so every version's tail carries non-zero fields.
+func fullSampleState() *State {
+	s := sampleState()
+	s.DeltaEnabled = true
+	s.DeltaMaxDirtyFraction = 0.125
+	s.DeltaScoring = true
+	s.BudgetEnabled = true
+	s.BudgetTheta = 12.5
+	s.BudgetTotal = 500
+	s.BudgetSpent = 7
+	s.BudgetCrowdTime = 2.25
+	s.BudgetTimePerValidation = 0.5
+	s.BudgetTimeLimit = 40
+	return s
+}
+
+// olderImage returns testdata/sample-v4.cvsn, the version-4 encoding of
+// fullSampleState (written before version 5 packed the integer arrays), cut
+// back to the given version 1 to 4: the tails that version lacks are cut
+// off and its version field rewritten.
+func olderImage(t testing.TB, version uint16) []byte {
+	t.Helper()
+	v4, err := os.ReadFile(filepath.Join("testdata", "sample-v4.cvsn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := map[uint16]int{1: v2TailLen + v3TailLen + v4TailLen, 2: v3TailLen + v4TailLen, 3: v4TailLen, 4: 0}[version]
+	img := append([]byte(nil), v4[:len(v4)-cut]...)
+	img[4], img[5] = byte(version), 0 // little-endian uint16 version
+	return img
+}
+
 // TestDecodeVersion1Compat: a version-1 snapshot (no tails) still decodes,
 // with the delta configuration and the budget state reading as disabled.
 func TestDecodeVersion1Compat(t *testing.T) {
-	want := sampleState()
-	data := Encode(want)
-	// Strip the version-4, -3 and -2 tails and rewrite the version field to
-	// 1; everything before the tails is the v1 encoding.
-	v1 := append([]byte(nil), data[:len(data)-(v2TailLen+v3TailLen+v4TailLen)]...)
-	v1[4], v1[5] = 1, 0 // little-endian uint16 version
-	got, err := Decode(v1)
+	got, err := Decode(olderImage(t, 1))
 	if err != nil {
 		t.Fatalf("version-1 snapshot rejected: %v", err)
 	}
-	if got.DeltaEnabled || got.DeltaMaxDirtyFraction != 0 || got.DeltaScoring {
-		t.Fatalf("version-1 snapshot decoded non-zero delta fields: %+v", got)
-	}
-	if got.BudgetEnabled || got.BudgetTheta != 0 || got.BudgetTotal != 0 || got.BudgetSpent != 0 {
-		t.Fatalf("version-1 snapshot decoded non-zero budget fields: %+v", got)
-	}
-	got.DeltaEnabled = want.DeltaEnabled
-	got.DeltaMaxDirtyFraction = want.DeltaMaxDirtyFraction
-	got.DeltaScoring = want.DeltaScoring
-	if !reflect.DeepEqual(got, want) {
+	if want := sampleState(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("version-1 decode mismatch:\n got  %+v\n want %+v", got, want)
 	}
 }
@@ -108,25 +130,15 @@ func TestDecodeVersion1Compat(t *testing.T) {
 // delta-scoring or budget tail) still decodes, with delta scoring and the
 // budget state reading as disabled.
 func TestDecodeVersion2Compat(t *testing.T) {
-	want := sampleState()
-	want.DeltaEnabled = true
-	want.DeltaMaxDirtyFraction = 0.125
-	want.DeltaScoring = true
-	data := Encode(want)
-	v2 := append([]byte(nil), data[:len(data)-(v3TailLen+v4TailLen)]...)
-	v2[4], v2[5] = 2, 0 // little-endian uint16 version
-	got, err := Decode(v2)
+	got, err := Decode(olderImage(t, 2))
 	if err != nil {
 		t.Fatalf("version-2 snapshot rejected: %v", err)
 	}
-	if got.DeltaScoring {
-		t.Fatal("version-2 snapshot decoded delta scoring as enabled")
-	}
-	if got.BudgetEnabled {
-		t.Fatal("version-2 snapshot decoded a budget as enabled")
-	}
-	if !got.DeltaEnabled || got.DeltaMaxDirtyFraction != 0.125 {
-		t.Fatalf("version-2 delta-ingest fields lost: %+v", got)
+	want := sampleState()
+	want.DeltaEnabled = true
+	want.DeltaMaxDirtyFraction = 0.125
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-2 decode mismatch:\n got  %+v\n want %+v", got, want)
 	}
 }
 
@@ -134,28 +146,44 @@ func TestDecodeVersion2Compat(t *testing.T) {
 // tail) still decodes, with the budget state reading as disabled and every
 // pre-v4 field intact.
 func TestDecodeVersion3Compat(t *testing.T) {
-	want := sampleState()
-	want.DeltaEnabled = true
-	want.DeltaMaxDirtyFraction = 0.125
-	want.DeltaScoring = true
-	want.BudgetEnabled = true
-	want.BudgetTheta = 12.5
-	want.BudgetTotal = 500
-	want.BudgetSpent = 7
-	data := Encode(want)
-	v3 := append([]byte(nil), data[:len(data)-v4TailLen]...)
-	v3[4], v3[5] = 3, 0 // little-endian uint16 version
-	got, err := Decode(v3)
+	got, err := Decode(olderImage(t, 3))
 	if err != nil {
 		t.Fatalf("version-3 snapshot rejected: %v", err)
 	}
-	if got.BudgetEnabled || got.BudgetTheta != 0 || got.BudgetTotal != 0 || got.BudgetSpent != 0 ||
-		got.BudgetCrowdTime != 0 || got.BudgetTimePerValidation != 0 || got.BudgetTimeLimit != 0 {
-		t.Fatalf("version-3 snapshot decoded non-zero budget fields: %+v", got)
-	}
+	want := fullSampleState()
 	want.BudgetEnabled, want.BudgetTheta, want.BudgetTotal, want.BudgetSpent = false, 0, 0, 0
+	want.BudgetCrowdTime, want.BudgetTimePerValidation, want.BudgetTimeLimit = 0, 0, 0
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("version-3 decode mismatch:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestDecodeVersion4Compat: a version-4 snapshot, whose integer arrays are
+// 8-byte words, decodes to the state it encodes, and re-encodes as a
+// smaller version-5 image of the same state.
+func TestDecodeVersion4Compat(t *testing.T) {
+	v4 := olderImage(t, 4)
+	got, err := Decode(v4)
+	if err != nil {
+		t.Fatalf("version-4 snapshot rejected: %v", err)
+	}
+	want := fullSampleState()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("version-4 decode mismatch:\n got  %+v\n want %+v", got, want)
+	}
+	v5 := Encode(got)
+	if v5[4] != Version || v5[5] != 0 {
+		t.Fatalf("re-encoded as version %d, want %d", int(v5[4])|int(v5[5])<<8, Version)
+	}
+	if len(v5) >= len(v4) {
+		t.Fatalf("version-5 image is %d bytes, the version-4 one %d", len(v5), len(v4))
+	}
+	again, err := Decode(v5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("version-5 re-encoding decodes to\n %+v\n want %+v", again, want)
 	}
 }
 
@@ -236,26 +264,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 func TestDecodeRejectsHugeLengths(t *testing.T) {
 	// A corrupted length prefix must not cause a giant allocation; flipping
 	// the first answer-array length to a huge value must error out.
-	s := sampleState()
-	data := Encode(s)
-	// Find the encoded length of AnswerObjects (4 elements) and corrupt it.
-	// The layout is deterministic, so locate it by encoding a tweaked state.
-	s2 := sampleState()
-	s2.AnswerObjects = []int64{99, 0, 1, 2}
-	data2 := Encode(s2)
-	idx := -1
-	for i := range data {
-		if data[i] != data2[i] {
-			// The first differing byte is the low byte of AnswerObjects[0]
-			// (0 vs 99, little-endian); the array's length prefix is the 8
-			// bytes before it.
-			idx = i - 8
-			break
-		}
-	}
-	if idx < 0 {
-		t.Fatal("could not locate answer array")
-	}
+	data := Encode(sampleState())
+	idx := answerObjectsOffset(t)
 	corrupt := append([]byte(nil), data...)
 	for j := 0; j < 8; j++ {
 		corrupt[idx+j] = 0xff
@@ -265,10 +275,105 @@ func TestDecodeRejectsHugeLengths(t *testing.T) {
 	}
 }
 
+// answerObjectsOffset returns the offset of AnswerObjects' length prefix in
+// Encode(sampleState()). The layout is deterministic, so it locates the
+// array by encoding a state that differs only in the array's first element.
+func answerObjectsOffset(t *testing.T) int {
+	t.Helper()
+	data := Encode(sampleState())
+	s2 := sampleState()
+	s2.AnswerObjects = []int64{99, 0, 1, 2}
+	data2 := Encode(s2)
+	for i := range data {
+		if data[i] != data2[i] {
+			// The first differing byte is the first byte of AnswerObjects[0];
+			// the array's length prefix is the 8 bytes before it.
+			return i - 8
+		}
+	}
+	t.Fatal("could not locate answer array")
+	return 0
+}
+
+// TestDecodeRejectsBadPackedArrays: a packed array whose uvarint runs past
+// the payload, spans more than ten bytes or overflows 64 bits, or whose
+// declared length exceeds the remaining payload at one byte per element,
+// is refused with ErrBadSnapshot, without a panic.
+func TestDecodeRejectsBadPackedArrays(t *testing.T) {
+	data := Encode(sampleState())
+	off := answerObjectsOffset(t)
+	elems := off + 8 // AnswerObjects' first element
+	// withElement puts one element before AnswerObjects' encoded elements,
+	// so the decoder meets it first.
+	withElement := func(elem ...byte) []byte {
+		img := append([]byte(nil), data[:elems]...)
+		img = append(img, elem...)
+		return append(img, data[elems:]...)
+	}
+	overLong := append(bytes.Repeat([]byte{0x80}, 10), 0x00)
+	overflowing := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	beyond := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(beyond[off:], uint64(len(data)-elems+1))
+	for _, c := range []struct {
+		name, msg string
+		img       []byte
+	}{
+		// Four elements declared, one read, the second's continuation bits
+		// run to the end of the payload.
+		{"unterminated", "uvarint", append(append([]byte(nil), data[:elems]...), 0x00, 0x80, 0x80, 0x80, 0x80)},
+		{"over-long", "uvarint", withElement(overLong...)},
+		{"overflowing", "uvarint", withElement(overflowing...)},
+		{"length beyond payload", "exceeds remaining payload", beyond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Decode panicked: %v", r)
+				}
+			}()
+			_, err := Decode(c.img)
+			if !errors.Is(err, cverr.ErrBadSnapshot) || !strings.Contains(err.Error(), c.msg) {
+				t.Fatalf("Decode = %v, want ErrBadSnapshot for a %s", err, c.msg)
+			}
+		})
+	}
+	// A well-formed ten-byte uvarint decodes: 0xff×9 then 0x01 is the
+	// largest value, the zigzag of MinInt64, so the array reads as object
+	// MinInt64 and only the range check refuses it.
+	maxLen := append(bytes.Repeat([]byte{0xff}, 9), 0x01)
+	img := append(append(append([]byte(nil), data[:elems]...), maxLen...), data[elems+1:]...)
+	if _, err := Decode(img); !errors.Is(err, cverr.ErrBadSnapshot) || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("a ten-byte uvarint: Decode = %v, want the range check's refusal", err)
+	}
+}
+
+// TestRoundTripPackedExtremes: packed arrays hold any int64, including the
+// differences that wrap in 64-bit arithmetic, and take one byte an element
+// when consecutive elements differ by little.
+func TestRoundTripPackedExtremes(t *testing.T) {
+	want := sampleState()
+	want.History[1].Masked = []int64{math.MinInt64, math.MaxInt64, -1, 0, math.MinInt64, 1 << 40, math.MaxInt64}
+	got, err := Decode(Encode(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got  %+v\n want %+v", got.History, want.History)
+	}
+	if n := packedSize([]int64{0, 1, 1, 0, -1, 31, 0}); n != 7 {
+		t.Fatalf("seven small differences packed into %d bytes, want 7", n)
+	}
+	if n := packedSize([]int64{math.MinInt64, 0}); n != 20 {
+		t.Fatalf("two differences of MinInt64 packed into %d bytes, want 20", n)
+	}
+}
+
 // TestEncodeSizesExactly: Encode's up-front size is the encoding's length, so
 // encoding a session fills one allocation and never regrows it.
 func TestEncodeSizesExactly(t *testing.T) {
-	for _, s := range []*State{{}, sampleState()} {
+	extreme := fullSampleState()
+	extreme.History[0].Revised = []int64{math.MaxInt64, math.MinInt64, 0}
+	for _, s := range []*State{{}, sampleState(), extreme} {
 		if data := Encode(s); cap(data) != len(data) {
 			t.Fatalf("encoded %d bytes into a buffer sized %d", len(data), cap(data))
 		}

@@ -140,14 +140,15 @@ func quarantineStream(t *testing.T) *Session {
 }
 
 // TestQuarantineSnapshotMatchesFixture: with a worker quarantined and its
-// stash overwritten and grown, the session snapshots to the bytes
+// stash overwritten and grown, the session snapshots to the state
 // testdata/quarantine-session-v4.cvsn holds (written by the earlier engine,
-// which kept a second, unmasked copy of the answers), counts the answers
-// the fixture holds, and resumes to a session that re-encodes to the same
-// bytes.
+// which kept a second, unmasked copy of the answers), encoded as
+// testdata/quarantine-session-v5.cvsn. It counts the answers the fixture
+// holds, and the sessions resumed from either fixture re-encode to the v5
+// bytes, keep the quarantine and select the same next objects.
 func TestQuarantineSnapshotMatchesFixture(t *testing.T) {
-	want := readFixture(t, "quarantine-session-v4.cvsn")
-	st, err := snapshot.Decode(want)
+	v4, v5 := readFixture(t, "quarantine-session-v4.cvsn"), readFixture(t, "quarantine-session-v5.cvsn")
+	st, err := snapshot.Decode(v4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,20 +156,21 @@ func TestQuarantineSnapshotMatchesFixture(t *testing.T) {
 	if got, want := s.AnswerCount(), len(st.AnswerObjects); got != want {
 		t.Fatalf("session holds %d answers, the fixture %d", got, want)
 	}
-	if got := mustSnapshot(t, s); !bytes.Equal(got, want) {
-		t.Fatalf("snapshot (%d bytes) differs from the fixture (%d bytes)", len(got), len(want))
+	matchesFixture(t, mustSnapshot(t, s), "quarantine-session")
+	for _, fixture := range [][]byte{v4, v5} {
+		resumed, err := ResumeSession(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resumed.AnswerCount(); got != len(st.AnswerObjects) {
+			t.Fatalf("resumed session holds %d answers, the fixture %d", got, len(st.AnswerObjects))
+		}
+		if got := mustSnapshot(t, resumed); !bytes.Equal(got, v5) {
+			t.Fatal("the resumed session re-encodes to bytes other than the v5 fixture's")
+		}
+		if !slices.Equal(resumed.QuarantinedWorkers(), s.QuarantinedWorkers()) {
+			t.Fatalf("resumed quarantine %v, want %v", resumed.QuarantinedWorkers(), s.QuarantinedWorkers())
+		}
 	}
-	resumed, err := ResumeSession(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.AnswerCount(); got != len(st.AnswerObjects) {
-		t.Fatalf("resumed session holds %d answers, the fixture %d", got, len(st.AnswerObjects))
-	}
-	if got := mustSnapshot(t, resumed); !bytes.Equal(got, want) {
-		t.Fatal("the resumed session re-encodes to different bytes")
-	}
-	if !slices.Equal(resumed.QuarantinedWorkers(), s.QuarantinedWorkers()) {
-		t.Fatalf("resumed quarantine %v, want %v", resumed.QuarantinedWorkers(), s.QuarantinedWorkers())
-	}
+	sameNextSelections(t, v4, v5)
 }

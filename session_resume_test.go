@@ -56,10 +56,10 @@ func TestResumeRejectsHostileHeader(t *testing.T) {
 }
 
 // resumeFuzzSeeds returns the checked-in snapshot fixtures of encoding
-// versions 2 to 4 and the encoding of a minimal one-object session.
+// versions 2 to 5 and the encoding of a minimal one-object session.
 func resumeFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join("testdata", "*-v[234].cvsn"))
+	paths, err := filepath.Glob(filepath.Join("testdata", "*-v[2345].cvsn"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("snapshot fixtures: %v (%d found)", err, len(paths))
 	}
