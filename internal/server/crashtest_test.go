@@ -37,6 +37,11 @@ func faultManager(t testing.TB, walDir string, ckptEvery int, budget int64) *Man
 	return m
 }
 
+// crashWorkers sizes the seed crowd of the byte-walking harnesses. The create
+// record holds the packed snapshot of that crowd, so its width sets how many
+// crash points a harness walks: 28 workers give logs of about 3.3 KB.
+const crashWorkers = 28
+
 // crashScript is the serial op sequence the harness replays at every crash
 // point. Kept short: the clean log is walked byte by byte.
 func crashScript(d, extra *crowdval.Dataset) []walOp {
@@ -106,7 +111,7 @@ func countTrue(bs []bool) int {
 // every midpoint in between. At each crash point recovery must reconstruct
 // exactly the acknowledged prefix — never a phantom op, never a lost ack.
 func TestCrashAtEveryWALByte(t *testing.T) {
-	d := testCrowd(t, 16, 5, 67)
+	d := testCrowd(t, 16, crashWorkers, 67)
 	extra := testCrowd(t, 16, 3, 71)
 	ops := crashScript(d, extra)
 	const name = "crash"
@@ -125,7 +130,7 @@ func TestCrashAtEveryWALByte(t *testing.T) {
 	logSize := info.Size()
 
 	// Crash budgets: every byte of the log. The log is small by construction
-	// (~a few KB), so this stays fast while covering each boundary, each
+	// (about 3.3 KB), so this stays fast while covering each boundary, each
 	// boundary+1, and every mid-record offset.
 	for budget := int64(0); budget <= logSize; budget++ {
 		budget := budget
@@ -164,7 +169,7 @@ func budgetCrashScript(d, extra *crowdval.Dataset) []walOp {
 // A lost budget install must not resurrect spending headroom, and a torn
 // submit must not leave a phantom charge.
 func TestCrashBudgetAtEveryWALByte(t *testing.T) {
-	d := testCrowd(t, 16, 5, 97)
+	d := testCrowd(t, 16, crashWorkers, 97)
 	extra := testCrowd(t, 16, 3, 101)
 	ops := budgetCrashScript(d, extra)
 	const name = "budgetcrash"
@@ -198,7 +203,7 @@ func TestCrashBudgetAtEveryWALByte(t *testing.T) {
 // rewrites: a checkpoint that dies mid-write must fall back to the previous
 // generation without losing or double-charging a single validation.
 func TestCrashBudgetDuringCheckpoint(t *testing.T) {
-	d := testCrowd(t, 16, 5, 103)
+	d := testCrowd(t, 16, crashWorkers, 103)
 	extra := testCrowd(t, 16, 3, 107)
 	ops := budgetCrashScript(d, extra)
 	const name = "budgetckpt"
@@ -235,7 +240,7 @@ func TestCrashBudgetDuringCheckpoint(t *testing.T) {
 // acknowledged op regardless of where it dies — the old generation plus the
 // untruncated log always suffices.
 func TestCrashDuringCheckpoint(t *testing.T) {
-	d := testCrowd(t, 16, 5, 73)
+	d := testCrowd(t, 16, crashWorkers, 73)
 	extra := testCrowd(t, 16, 3, 79)
 	ops := crashScript(d, extra)
 	const name = "ckptcrash"
