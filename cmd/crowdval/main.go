@@ -171,7 +171,7 @@ func cmdValidate(args []string, out io.Writer) error {
 		limit       = fs.Int("candidate-limit", 8, "candidates scored per iteration (0 = all)")
 		period      = fs.Int("confirmation-period", 0, "confirmation-check period (0 = disabled)")
 		seed        = fs.Int64("seed", 1, "random seed")
-		parallelism = fs.Int("parallelism", 0, "goroutines for sharded aggregation/detection/scoring (0 = GOMAXPROCS, 1 = serial; results are identical for every setting)")
+		parallelism = fs.Int("parallelism", 0, "goroutines for sharded aggregation and detection (0 = GOMAXPROCS, 1 = serial; results are identical for every setting)")
 		timeout     = fs.Duration("timeout", 0, "abort the whole validation run after this duration (0 = no limit)")
 		resumePath  = fs.String("resume", "", "resume the session from this snapshot file instead of starting fresh (options come from the snapshot; -budget and -parallelism may override)")
 		snapOut     = fs.String("snapshot-out", "", "write the session snapshot to this file when the run ends (resume later with -resume)")

@@ -84,9 +84,6 @@ func EMConfigOf(agg *IncrementalEM) EMConfig {
 // Expert validations, when present, override the vote for the validated
 // objects. Confusion matrices are estimated against the majority-vote labels.
 type MajorityVoting struct {
-	// Smoothing is added to every confusion-matrix cell before
-	// normalization. Zero disables smoothing.
-	Smoothing float64
 	// Parallelism shards the per-object vote and the per-worker confusion
 	// estimation. Values < 1 use GOMAXPROCS; 1 forces the serial path.
 	// Results are identical for every setting.
@@ -130,11 +127,7 @@ func (mv *MajorityVoting) AggregateContext(ctx context.Context, answers *model.A
 				}
 				c.Add(trueLabel, oa.Label, 1)
 			}
-			if mv.Smoothing > 0 {
-				c.Smooth(mv.Smoothing)
-			} else {
-				c.NormalizeRows()
-			}
+			c.NormalizeRows()
 			probSet.Confusions[w] = c
 		}
 	})

@@ -98,7 +98,7 @@ func TestMajorityVotingHonorsValidation(t *testing.T) {
 	a, _ := table1AnswerSet(t)
 	v := model.NewValidation(4)
 	v.Set(3, 1) // expert asserts the correct label for o4
-	mv := &MajorityVoting{Smoothing: 0.01}
+	mv := &MajorityVoting{}
 	res, err := mv.Aggregate(a, v, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // delta path instead iterates E/M-steps restricted to the dirty frontier —
 // O(#frontier-answers · m) per iteration — and then hands the refined state
 // to the ordinary full EM as a settle phase, which terminates as soon as one
-// full sweep moves nothing beyond DeltaConfig.SettleTolerance. The settle
+// full sweep moves nothing beyond DefaultSettleTolerance. The settle
 // phase is what makes the result trustworthy: whatever the frontier
 // iterations did, the final state carries a full-sweep certificate that it
 // is a fixed point of the *full* EM within the settle tolerance (the parity
@@ -32,8 +32,10 @@ const (
 	// work anyway.
 	DefaultMaxDirtyFraction = 0.25
 
-	// DefaultSettleTolerance is the default acceptance tolerance of the
-	// settle phase. A small ingest batch perturbs the confusion matrices of
+	// DefaultSettleTolerance is the acceptance tolerance of the settle
+	// phase, floored at the EMConfig tolerance (a settle tighter than the
+	// EM's own convergence criterion would never terminate differently from
+	// the full path). A small ingest batch perturbs the confusion matrices of
 	// every touched worker, and that perturbation ripples into the posteriors
 	// of every object those workers ever answered — re-converging the ripple
 	// to the full EMConfig.Tolerance costs a dozen full sweeps and erases the
@@ -49,43 +51,16 @@ const (
 // DeltaConfig bundles the knobs of the delta-incremental aggregation path.
 type DeltaConfig struct {
 	// Enabled turns the delta path on. Disabled, AggregateDeltaContext
-	// behaves exactly like AggregateContext.
+	// behaves exactly like AggregateContext. Frontiers of more than
+	// DefaultMaxDirtyFraction of the objects fall back to the full sweep
+	// directly.
 	Enabled bool
-	// MaxDirtyFraction is the largest fraction of dirty objects the delta
-	// phase accepts; larger frontiers fall back to the full sweep directly.
-	// Values <= 0 use DefaultMaxDirtyFraction; values >= 1 never fall back.
-	MaxDirtyFraction float64
 	// MaxDeltaIterations caps the frontier-restricted iterations. When the
 	// frontier has not converged after the cap (a stall, e.g. an oscillating
 	// contested object), the path proceeds to the full-sweep settle phase,
 	// which resolves the stall with global information. Values < 1 use
 	// EMConfig.MaxIterations.
 	MaxDeltaIterations int
-	// SettleTolerance is the acceptance tolerance of the full-sweep settle
-	// phase: the delta path's result is certified to be a fixed point of the
-	// full EM within this tolerance (one full E/M sweep moves no posterior
-	// by more). Values <= 0 use DefaultSettleTolerance, floored at the
-	// EMConfig tolerance (a settle tighter than the EM's own convergence
-	// criterion would never terminate differently from the full path).
-	SettleTolerance float64
-}
-
-func (c DeltaConfig) maxDirtyFraction() float64 {
-	if c.MaxDirtyFraction <= 0 {
-		return DefaultMaxDirtyFraction
-	}
-	return c.MaxDirtyFraction
-}
-
-func (c DeltaConfig) settleTolerance(em EMConfig) float64 {
-	tol := c.SettleTolerance
-	if tol <= 0 {
-		tol = DefaultSettleTolerance
-	}
-	if emTol := em.tolerance(); tol < emTol {
-		tol = emTol
-	}
-	return tol
 }
 
 // DeltaOutcome is the path one AggregateDeltaContext call took.
@@ -105,7 +80,7 @@ const (
 	DeltaStalled
 	// DeltaLargeFrontier: there was no usable warm state (no previous
 	// result, or one of another shape), the frontier was unknown (nil
-	// delta), or it was larger than DeltaConfig.MaxDirtyFraction, so the
+	// delta), or it was larger than DefaultMaxDirtyFraction, so the
 	// frontier phase was skipped.
 	DeltaLargeFrontier
 )
@@ -161,7 +136,7 @@ func (ie *IncrementalEM) AggregateDeltaContext(ctx context.Context, answers *mod
 	// first iteration that moves nothing beyond the tolerance doubles as the
 	// fixed-point certificate of the result.
 	settleCfg := ie.Config
-	settleCfg.Tolerance = ie.Delta.settleTolerance(ie.Config)
+	settleCfg.Tolerance = max(DefaultSettleTolerance, ie.Config.tolerance())
 	res, err := runEM(ctx, answers, validation, assignment, confusions, settleCfg)
 	if err != nil {
 		return nil, err
@@ -183,7 +158,7 @@ func (ie *IncrementalEM) deltaFallback(answers *model.AnswerSet, prev *model.Pro
 	case prev == nil || prev.Assignment == nil || len(prev.Confusions) != answers.NumWorkers() ||
 		prev.Assignment.NumObjects() != answers.NumObjects() || prev.Assignment.NumLabels() != answers.NumLabels(),
 		// No usable warm state above; an unknown or oversized frontier here.
-		delta == nil || float64(len(delta.Objects)) > ie.Delta.maxDirtyFraction()*float64(answers.NumObjects()):
+		delta == nil || float64(len(delta.Objects)) > DefaultMaxDirtyFraction*float64(answers.NumObjects()):
 		return DeltaLargeFrontier
 	}
 	return DeltaAccepted
@@ -193,7 +168,7 @@ func (ie *IncrementalEM) deltaFallback(answers *model.AnswerSet, prev *model.Pro
 // being a fixed point of the full EM: the maximal entry-wise change one full
 // E-step would apply to its assignment matrix. A full-path aggregation
 // leaves residuals around EMConfig.Tolerance, the delta path around
-// DeltaConfig.SettleTolerance (in both cases the M-step that follows the
+// DefaultSettleTolerance (in both cases the M-step that follows the
 // accepting sweep can push the residual slightly past the acceptance
 // threshold). The parity suite asserts the delta path's certificate through
 // this function.

@@ -116,8 +116,8 @@ func TestDeltaSettlesToFullFixedPoint(t *testing.T) {
 	}
 }
 
-// TestDeltaFallsBackOnLargeFrontier: a frontier above MaxDirtyFraction skips
-// the delta phase entirely and behaves like the full warm start.
+// TestDeltaFallsBackOnLargeFrontier: a frontier above DefaultMaxDirtyFraction
+// skips the delta phase entirely and behaves like the full warm start.
 func TestDeltaFallsBackOnLargeFrontier(t *testing.T) {
 	answers, truth := deltaTestSet(t, 60, 10, 11)
 	validation := model.NewValidation(answers.NumObjects())

@@ -26,10 +26,6 @@ type RouterConfig struct {
 	// failure doubles the wait (capped, with a deterministic per-peer jitter
 	// so deadlines stay staggered). Default 1s.
 	DownTTL time.Duration
-	// MaxBodyBytes caps buffered request bodies (default 1 GiB, matching
-	// the server's own request cap). Bodies are buffered so a request can
-	// be retried against another peer.
-	MaxBodyBytes int64
 }
 
 // Router proxies the public JSON API onto the fabric. Each request's
@@ -42,7 +38,6 @@ type Router struct {
 	ring    *Ring
 	client  *http.Client
 	downTTL time.Duration
-	maxBody int64
 
 	mu       sync.Mutex
 	owners   map[string]string       // learned session -> owner
@@ -80,7 +75,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:     ring,
 		client:   cfg.Client,
 		downTTL:  cfg.DownTTL,
-		maxBody:  cfg.MaxBodyBytes,
 		owners:   make(map[string]string),
 		breakers: make(map[string]*peerBreaker),
 	}
@@ -89,9 +83,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if rt.downTTL <= 0 {
 		rt.downTTL = time.Second
-	}
-	if rt.maxBody <= 0 {
-		rt.maxBody = 1 << 30
 	}
 	return rt, nil
 }
@@ -109,12 +100,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rt.handleGlobalNext(w, r)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.maxBody+1))
+	// Bodies are buffered so a request can be retried against another peer;
+	// they are capped like the server caps them.
+	body, err := io.ReadAll(io.LimitReader(r.Body, server.DefaultMaxBodyBytes+1))
 	if err != nil {
 		http.Error(w, "router: reading request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if int64(len(body)) > rt.maxBody {
+	if int64(len(body)) > server.DefaultMaxBodyBytes {
 		http.Error(w, "router: request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -399,12 +392,9 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // name then object ascending — which makes the fabric-wide answer
 // deterministic regardless of peer enumeration or response order.
 func (rt *Router) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
-	k := 1
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		if _, err := fmt.Sscanf(raw, "%d", &k); err != nil || k < 1 {
-			http.Error(w, "router: invalid k "+raw, http.StatusBadRequest)
-			return
-		}
+	k, ok := server.ParseK(w, r, 1)
+	if !ok {
+		return
 	}
 	type key struct {
 		session string

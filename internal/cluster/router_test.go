@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crowdval/internal/server"
 )
 
 // scriptedTransport counts dial attempts per peer and either refuses every
@@ -183,5 +186,78 @@ func TestRouterBreakerBackoffGrowsAndStaggers(t *testing.T) {
 	// the stagger comes from the deterministic per-peer jitter fraction.
 	if peerJitter("p2:1") == peerJitter("p3:1") {
 		t.Fatal("peers downed together must get staggered retry deadlines")
+	}
+}
+
+// TestRouterGlobalNextBoundsK: the router's GET /v1/next refuses a ?k= the
+// server would refuse — not an integer, above server.MaxNextK, below 1 — with
+// the server's JSON 400 and without asking any node, and forwards a k the
+// server accepts.
+func TestRouterGlobalNextBoundsK(t *testing.T) {
+	st := &scriptedTransport{dials: make(map[string]int), up: true}
+	rt, err := NewRouter(RouterConfig{
+		Peers:  []string{"p1:1", "p2:1"},
+		Client: &http.Client{Transport: st},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, raw := range []string{"5x", "1001", "0"} {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/next?k="+raw, nil))
+		var body server.ErrorResponse
+		if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != "application/json" ||
+			json.Unmarshal(rec.Body.Bytes(), &body) != nil || !strings.HasPrefix(body.Error, "invalid k") {
+			t.Fatalf("k=%s: %d %q %q, want the server's JSON 400", raw, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+		}
+	}
+	if n := st.totalDials(); n != 0 {
+		t.Fatalf("refused requests reached the fabric %d times", n)
+	}
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/next?k=%d", server.MaxNextK), nil))
+	if rec.Code != http.StatusOK || st.totalDials() != 2 {
+		t.Fatalf("k=%d: %d after %d dials, want 200 from both peers", server.MaxNextK, rec.Code, st.totalDials())
+	}
+}
+
+// lazyBody yields n bytes without holding them and counts what was read.
+type lazyBody struct{ n, read int64 }
+
+func (b *lazyBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), b.n-b.read)
+	for i := range p[:k] {
+		p[i] = 'x'
+	}
+	b.read += k
+	return int(k), nil
+}
+
+// TestRouterCapsBodies: a body one byte over server.DefaultMaxBodyBytes is
+// refused by the router itself with 413 after reading at most one byte past
+// the cap, and never forwarded.
+func TestRouterCapsBodies(t *testing.T) {
+	st := &scriptedTransport{dials: make(map[string]int), up: true}
+	rt, err := NewRouter(RouterConfig{
+		Peers:  []string{"p1:1"},
+		Client: &http.Client{Transport: st},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := &lazyBody{n: server.DefaultMaxBodyBytes + 1}
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/foo/answers", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: %d, want 413", rec.Code)
+	}
+	if body.read > server.DefaultMaxBodyBytes+1 {
+		t.Fatalf("router read %d bytes, cap is %d", body.read, server.DefaultMaxBodyBytes)
+	}
+	if n := st.totalDials(); n != 0 {
+		t.Fatalf("an over-cap body was forwarded %d times", n)
 	}
 }

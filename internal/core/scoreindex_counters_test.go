@@ -88,9 +88,9 @@ func TestScoreIndexBuiltOnceAndPatchedAcrossIngests(t *testing.T) {
 	}
 	wantStats(t, e, 1, 2, "selection after validation")
 
-	// A batch dirtying every object exceeds MaxDirtyFraction: the aggregator
-	// falls back to the full path, and the index is refilled like after any
-	// other successor of the same shape.
+	// A batch dirtying every object exceeds DefaultMaxDirtyFraction: the
+	// aggregator falls back to the full path, and the index is refilled like
+	// after any other successor of the same shape.
 	var flood []model.Answer
 	for o := 0; o < 24; o++ {
 		flood = append(flood, model.Answer{Object: o, Worker: 2, Label: model.Label(o % 2)})

@@ -32,12 +32,9 @@ type Context struct {
 	Ctx stdctx.Context
 	// Answers is the (possibly quarantined) answer set.
 	Answers *model.AnswerSet
-	// ProbSet is the current probabilistic answer set.
+	// ProbSet is the current probabilistic answer set. The objects its
+	// validation leaves open are the candidates for the next validation.
 	ProbSet *model.ProbabilisticAnswerSet
-	// Candidates are the object indices eligible for validation (typically
-	// all objects the expert has not validated yet). An empty slice means
-	// "all unvalidated objects of ProbSet".
-	Candidates []int
 	// Aggregator is used by strategies that must evaluate hypothetical
 	// expert inputs (information gain). When nil, an IncrementalEM with
 	// default configuration is used.
@@ -53,7 +50,8 @@ type Context struct {
 	// Index optionally carries the per-aggregation scoring index (per-object
 	// entropies, hypothetical-scoring tables). The validation engine builds
 	// it once per aggregation and reuses it across SelectK calls; when nil,
-	// scoring strategies build one on the fly for this call.
+	// strategies build one on the fly for this call, with the
+	// hypothetical-scoring tables only when they score hypotheses.
 	Index *aggregation.ScoreIndex
 	// DeltaScore routes the uncertainty-driven strategy through the
 	// delta-accelerated hypothetical scorer: each hypothesis is estimated
@@ -70,24 +68,21 @@ type Context struct {
 	BlockedRows bool
 }
 
+// candidates lists the objects the validation leaves open, in ascending
+// order.
 func (c *Context) candidates() []int {
-	if len(c.Candidates) > 0 {
-		return c.Candidates
-	}
 	return c.ProbSet.Validation.UnvalidatedObjects()
 }
 
-// prefilter returns the candidates a scoring strategy ranks: the limit
-// candidates with the highest entropy (see topEntropyCandidates), or
-// ErrNoCandidates when there is none. With no explicit Candidates and an
-// index at hand it streams the unvalidated objects straight into the
-// bounded selection instead of listing them first.
-func (c *Context) prefilter(ix *aggregation.ScoreIndex, limit int) ([]int, error) {
+// prefilter returns the candidates a scoring strategy ranks: the limit open
+// objects with the highest entropy (see topUnvalidatedByEntropy), every open
+// object for limit <= 0, or ErrNoCandidates when there is none.
+func (c *Context) prefilter(limit int) ([]int, error) {
 	var candidates []int
-	if len(c.Candidates) == 0 && ix != nil && limit > 0 {
-		candidates = topUnvalidatedByEntropy(ix, c.ProbSet.Validation, limit)
+	if limit > 0 {
+		candidates = topUnvalidatedByEntropy(c.entropyIndex(), c.ProbSet.Validation, limit)
 	} else {
-		candidates = topEntropyCandidates(ix, c.ProbSet.Assignment, c.candidates(), limit)
+		candidates = c.candidates()
 	}
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
@@ -131,13 +126,20 @@ func (c *Context) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// index returns the per-aggregation scoring index, building (and memoizing)
-// one when the caller did not supply it. The call must happen before scoring
-// fans out: the index is shared read-only by all scoring goroutines.
-func (c *Context) index() *aggregation.ScoreIndex {
+// entropyIndex returns the per-aggregation scoring index, building (and
+// memoizing) one with entropies only when the caller did not supply it.
+func (c *Context) entropyIndex() *aggregation.ScoreIndex {
 	if c.Index == nil {
 		c.Index = aggregation.NewScoreIndex(c.Answers, c.ProbSet, c.emConfig())
 	}
+	return c.Index
+}
+
+// index is entropyIndex with the hypothetical-scoring tables delta scoring
+// reads. The call must happen before scoring fans out: the index is shared
+// read-only by all scoring goroutines.
+func (c *Context) index() *aggregation.ScoreIndex {
+	c.entropyIndex()
 	if c.DeltaScore {
 		c.Index.EnsureHypoTables()
 	}
@@ -248,7 +250,7 @@ func (b *Baseline) candidates(ctx *Context) ([]int, error) {
 func (b *Baseline) bounds(*Context, []int) ([]float64, error) { return nil, nil }
 
 func (b *Baseline) scorer(ctx *Context) (scorerFactory, error) {
-	ix := ctx.index()
+	ix := ctx.entropyIndex()
 	return func() (scorerFunc, func()) {
 		return func(o int) (float64, error) { return ix.ObjectEntropy(o), nil }, nil
 	}, nil
@@ -306,17 +308,6 @@ func scoreAll(ctx *Context, candidates []int, newScorer scorerFactory) ([]float6
 		}
 	}
 	return scores, nil
-}
-
-// topKByScore selects the k best (score descending, ties toward the smaller
-// object index) of parallel object/score slices by partial selection (see
-// topK).
-func topKByScore(objects []int, scores []float64, k int) []ScoredObject {
-	top := newTopK(k, len(objects))
-	for idx, o := range objects {
-		top.push(ScoredObject{Object: o, Score: scores[idx]})
-	}
-	return top.ranking()
 }
 
 // topK is a bounded min-heap of the best candidates pushed so far: partial
@@ -400,37 +391,15 @@ func siftDown(s []ScoredObject, i int) {
 	}
 }
 
-// topEntropyCandidates returns up to limit candidates with the highest object
-// entropy. limit <= 0 returns the candidates unchanged. Pre-filtering by
-// entropy keeps the expensive information-gain computation tractable on large
-// answer sets without changing which objects are interesting: objects with
-// near-zero entropy cannot yield a large gain. Entropies come from the
-// per-aggregation index when available and are otherwise computed once into a
-// slice — never inside a sort comparator — and the top slice is found by
-// partial selection instead of a full sort.
-func topEntropyCandidates(ix *aggregation.ScoreIndex, u *model.AssignmentMatrix, candidates []int, limit int) []int {
-	if limit <= 0 || len(candidates) <= limit {
-		return candidates
-	}
-	scores := make([]float64, len(candidates))
-	if ix != nil {
-		for i, o := range candidates {
-			scores[i] = ix.ObjectEntropy(o)
-		}
-	} else {
-		for i, o := range candidates {
-			scores[i] = aggregation.ObjectEntropy(u, o)
-		}
-	}
-	return objectsOf(topKByScore(candidates, scores, limit))
-}
-
-// topUnvalidatedByEntropy is topEntropyCandidates over every object the
-// validation leaves open (limit > 0), without listing them: it walks the
-// index's objects in order and pushes the unvalidated ones straight into the
-// bounded selection, so a ranking allocates O(limit), not O(n). When at most
-// limit objects are open it returns them in ascending order, as
-// topEntropyCandidates returns a short list unchanged.
+// topUnvalidatedByEntropy returns the limit (> 0) objects the validation
+// leaves open with the highest entropy, ties toward the smaller object.
+// Pre-filtering by entropy keeps the expensive information-gain computation
+// tractable on large answer sets without changing which objects are
+// interesting: objects with near-zero entropy cannot yield a large gain. It
+// walks the index's objects in order and pushes the open ones straight into
+// the bounded selection (see topK), so a ranking allocates O(limit), not
+// O(n). When at most limit objects are open it returns them in ascending
+// order.
 func topUnvalidatedByEntropy(ix *aggregation.ScoreIndex, v *model.Validation, limit int) []int {
 	n := ix.NumObjects()
 	open := n - v.Count()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdval/internal/aggregation"
@@ -80,8 +81,12 @@ func TestRandomStrategy(t *testing.T) {
 	if r.Name() != "random" {
 		t.Fatal("unexpected name")
 	}
-	// Restricting the candidates restricts the choice.
-	ctx.Candidates = []int{3}
+	// Validating every other object restricts the choice.
+	for o := 0; o < 10; o++ {
+		if o != 3 {
+			ctx.ProbSet.Validation.Set(o, 0)
+		}
+	}
 	o, err = selectOne(r, ctx)
 	if err != nil || o != 3 {
 		t.Fatalf("restricted selection = %d (%v)", o, err)
@@ -92,10 +97,7 @@ func TestRandomStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No candidates left.
-	for o := 0; o < 10; o++ {
-		ctx.ProbSet.Validation.Set(o, 0)
-	}
-	ctx.Candidates = nil
+	ctx.ProbSet.Validation.Set(3, 0)
 	if _, err := selectOne(r, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
@@ -122,7 +124,6 @@ func TestBaselineSelectsMaxEntropyObject(t *testing.T) {
 	if b.Name() != "baseline-entropy" {
 		t.Fatal("unexpected name")
 	}
-	ctx.Candidates = []int{}
 	ctx.ProbSet.Validation = fullyValidated(8)
 	if _, err := selectOne(b, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
@@ -203,7 +204,6 @@ func TestUncertaintyDrivenSelectAndCandidateLimit(t *testing.T) {
 		t.Fatal("unexpected name")
 	}
 	ctx.ProbSet.Validation = fullyValidated(10)
-	ctx.Candidates = nil
 	if _, err := selectOne(u, ctx); err != ErrNoCandidates {
 		t.Fatalf("expected ErrNoCandidates, got %v", err)
 	}
@@ -395,21 +395,27 @@ func TestConfirmationCheckPeriod(t *testing.T) {
 	}
 }
 
+// TestTopEntropyCandidates: the prefilter of a context without an index
+// ranks the open objects by entropy from an index it builds itself, with the
+// entropies only; limit 0 and a limit above the open count keep every open
+// object in ascending order.
 func TestTopEntropyCandidates(t *testing.T) {
 	u := model.NewAssignmentMatrix(4, 2)
 	u.SetRow(0, []float64{0.5, 0.5})
 	u.SetRow(1, []float64{0.99, 0.01})
 	u.SetRow(2, []float64{0.7, 0.3})
 	u.SetRow(3, []float64{0.6, 0.4})
-	all := []int{0, 1, 2, 3}
-	top2 := topEntropyCandidates(nil, u, all, 2)
-	if len(top2) != 2 || top2[0] != 0 || top2[1] != 3 {
-		t.Fatalf("top2 = %v, want [0 3]", top2)
+	ctx := &Context{ProbSet: &model.ProbabilisticAnswerSet{Assignment: u, Validation: model.NewValidation(4)}}
+	top2, err := ctx.prefilter(2)
+	if err != nil || !slices.Equal(top2, []int{0, 3}) {
+		t.Fatalf("top2 = %v (%v), want [0 3]", top2, err)
 	}
-	if got := topEntropyCandidates(nil, u, all, 0); len(got) != 4 {
-		t.Fatal("limit 0 should keep all candidates")
+	if ctx.Index == nil {
+		t.Fatal("the prefilter did not keep the index it built")
 	}
-	if got := topEntropyCandidates(nil, u, all, 10); len(got) != 4 {
-		t.Fatal("limit above length should keep all candidates")
+	for _, limit := range []int{0, 10} {
+		if got, err := ctx.prefilter(limit); err != nil || !slices.Equal(got, []int{0, 1, 2, 3}) {
+			t.Fatalf("limit %d: %v (%v), want every candidate", limit, got, err)
+		}
 	}
 }

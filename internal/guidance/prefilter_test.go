@@ -1,6 +1,7 @@
 package guidance
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,10 +17,11 @@ import (
 // streaming entropy prefilter: over random validation masks — none, some,
 // most, all but a handful, and all objects validated — and limits below,
 // at and above the number of open objects, the candidates streamed from the
-// index equal those the list-based path selects from UnvalidatedObjects,
-// in the same order, and an empty candidate set is ErrNoCandidates on both
-// paths. The crowd has many identical answer patterns, so entropy ties are
-// exercised too.
+// index equal a reference that lists UnvalidatedObjects and stable-sorts it
+// by entropy (or keeps it in ascending order when it is no longer than the
+// limit), whether the context carries the index or builds its own, and an
+// empty candidate set is ErrNoCandidates. The crowd has many identical
+// answer patterns, so entropy ties are exercised too.
 func TestStreamingPrefilterMatchesListPath(t *testing.T) {
 	const n = 60
 	answers, _ := mixedCrowdAnswers(t, n, 4)
@@ -41,23 +43,26 @@ func TestStreamingPrefilterMatchesListPath(t *testing.T) {
 				continue
 			}
 			name := fmt.Sprintf("trial %d (%d open), limit %d", trial, len(open), limit)
-			streamed, streamErr := (&Context{ProbSet: &probSet}).prefilter(ix, limit)
-			listed, listErr := (&Context{ProbSet: &probSet, Candidates: open}).prefilter(ix, limit)
+			streamed, streamErr := (&Context{ProbSet: &probSet, Index: ix}).prefilter(limit)
+			built, builtErr := (&Context{Answers: answers, ProbSet: &probSet}).prefilter(limit)
 			if len(open) == 0 {
-				if !errors.Is(streamErr, ErrNoCandidates) || !errors.Is(listErr, ErrNoCandidates) {
-					t.Fatalf("%s: errors %v / %v, want ErrNoCandidates", name, streamErr, listErr)
+				if !errors.Is(streamErr, ErrNoCandidates) || !errors.Is(builtErr, ErrNoCandidates) {
+					t.Fatalf("%s: errors %v / %v, want ErrNoCandidates", name, streamErr, builtErr)
 				}
 				continue
 			}
-			if streamErr != nil || listErr != nil {
-				t.Fatalf("%s: errors %v / %v", name, streamErr, listErr)
+			if streamErr != nil || builtErr != nil {
+				t.Fatalf("%s: errors %v / %v", name, streamErr, builtErr)
 			}
-			want := topEntropyCandidates(ix, probSet.Assignment, open, limit)
-			if !slices.Equal(streamed, want) || !slices.Equal(listed, want) {
-				t.Fatalf("%s: streamed %v, explicit list %v, want %v", name, streamed, listed, want)
+			want := slices.Clone(open)
+			if len(want) > limit {
+				slices.SortStableFunc(want, func(a, b int) int {
+					return cmp.Compare(ix.ObjectEntropy(b), ix.ObjectEntropy(a))
+				})
+				want = want[:limit]
 			}
-			if len(open) <= limit && !slices.Equal(streamed, open) {
-				t.Fatalf("%s: %v, want every open object in ascending order %v", name, streamed, open)
+			if !slices.Equal(streamed, want) || !slices.Equal(built, want) {
+				t.Fatalf("%s: streamed %v, own index %v, want %v", name, streamed, built, want)
 			}
 		}
 	}

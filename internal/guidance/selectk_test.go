@@ -3,6 +3,7 @@ package guidance
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdval/internal/aggregation"
@@ -18,27 +19,28 @@ func deltaContext(t *testing.T, answers *model.AnswerSet, validation *model.Vali
 	return ctx
 }
 
+// TestTopKByScore: the bounded heap keeps the k best pushes ranked by score
+// descending, ties toward the smaller object index, whatever the push order.
 func TestTopKByScore(t *testing.T) {
-	objects := []int{4, 1, 7, 2, 9}
-	scores := []float64{0.5, 0.9, 0.5, 0.1, 0.9}
-	top := topKByScore(objects, scores, 3)
-	// Ranking: score descending, ties toward the smaller object index.
-	want := []ScoredObject{{Object: 1, Score: 0.9}, {Object: 9, Score: 0.9}, {Object: 4, Score: 0.5}}
-	if len(top) != 3 {
-		t.Fatalf("top = %v, want 3 entries", top)
-	}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Fatalf("top[%d] = %+v, want %+v", i, top[i], want[i])
+	pushed := []ScoredObject{{4, 0.5}, {1, 0.9}, {7, 0.5}, {2, 0.1}, {9, 0.9}}
+	topOf := func(k int) []ScoredObject {
+		top := newTopK(k, len(pushed))
+		for _, c := range pushed {
+			top.push(c)
 		}
+		return top.ranking()
 	}
-	if got := topKByScore(objects, scores, 99); len(got) != len(objects) {
+	want := []ScoredObject{{Object: 1, Score: 0.9}, {Object: 9, Score: 0.9}, {Object: 4, Score: 0.5}}
+	if top := topOf(3); !slices.Equal(top, want) {
+		t.Fatalf("top = %v, want %v", top, want)
+	}
+	if got := topOf(99); len(got) != len(pushed) {
 		t.Fatalf("k beyond length returned %d entries", len(got))
 	}
-	if got := topKByScore(objects, scores, 0); got != nil {
+	if got := topOf(0); got != nil {
 		t.Fatalf("k = 0 returned %v", got)
 	}
-	full := topKByScore(objects, scores, len(objects))
+	full := topOf(len(pushed))
 	for i := 1; i < len(full); i++ {
 		if full[i-1].Score < full[i].Score {
 			t.Fatalf("full ranking not sorted: %v", full)

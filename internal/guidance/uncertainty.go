@@ -44,7 +44,7 @@ func (u *UncertaintyDriven) Rank(ctx *Context, from *Ranking, k int) (*Ranking, 
 }
 
 func (u *UncertaintyDriven) candidates(ctx *Context) ([]int, error) {
-	return ctx.prefilter(ctx.index(), u.CandidateLimit)
+	return ctx.prefilter(u.CandidateLimit)
 }
 
 func (u *UncertaintyDriven) bounds(ctx *Context, candidates []int) ([]float64, error) {

@@ -39,7 +39,7 @@ func (w *WorkerDriven) Rank(ctx *Context, from *Ranking, k int) (*Ranking, RankW
 }
 
 func (w *WorkerDriven) candidates(ctx *Context) ([]int, error) {
-	return ctx.prefilter(ctx.Index, w.CandidateLimit)
+	return ctx.prefilter(w.CandidateLimit)
 }
 
 func (w *WorkerDriven) bounds(*Context, []int) ([]float64, error) { return nil, nil }

@@ -44,7 +44,6 @@ type SessionConfig struct {
 	CandidateLimit     int     `json:"candidateLimit,omitempty"`
 	Seed               int64   `json:"seed,omitempty"`
 	Parallelism        int     `json:"parallelism,omitempty"`
-	ParallelScoring    bool    `json:"parallelScoring,omitempty"`
 	ConfirmationPeriod int     `json:"confirmationPeriod,omitempty"`
 	SpammerThreshold   float64 `json:"spammerThreshold,omitempty"`
 	SloppyThreshold    float64 `json:"sloppyThreshold,omitempty"`
@@ -59,9 +58,6 @@ type SessionConfig struct {
 	// is the default, so it only matters together with Exact, where it
 	// turns delta ingest back on.
 	Delta bool `json:"delta,omitempty"`
-	// DeltaMaxDirtyFraction overrides the frontier-size fallback threshold
-	// (WithDeltaMaxDirtyFraction); 0 keeps the default.
-	DeltaMaxDirtyFraction float64 `json:"deltaMaxDirtyFraction,omitempty"`
 	// DeltaScoring selects delta-accelerated guidance scoring
 	// (WithDeltaScoring). It is the default, so it only matters together
 	// with Exact, where it turns delta scoring back on.
@@ -101,9 +97,6 @@ func (c SessionConfig) options() []crowdval.Option {
 	if c.Parallelism != 0 {
 		opts = append(opts, crowdval.WithParallelism(c.Parallelism))
 	}
-	if c.ParallelScoring {
-		opts = append(opts, crowdval.WithParallelScoring())
-	}
 	if c.ConfirmationPeriod > 0 {
 		opts = append(opts, crowdval.WithConfirmationCheck(c.ConfirmationPeriod))
 	}
@@ -118,9 +111,6 @@ func (c SessionConfig) options() []crowdval.Option {
 	}
 	if c.Delta {
 		opts = append(opts, crowdval.WithDeltaIngest())
-	}
-	if c.DeltaMaxDirtyFraction > 0 {
-		opts = append(opts, crowdval.WithDeltaMaxDirtyFraction(c.DeltaMaxDirtyFraction))
 	}
 	if c.DeltaScoring {
 		opts = append(opts, crowdval.WithDeltaScoring())

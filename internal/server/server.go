@@ -320,7 +320,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	k, ok := parseK(w, r, 1)
+	k, ok := ParseK(w, r, 1)
 	if !ok {
 		return
 	}
@@ -342,9 +342,11 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// parseK extracts and bounds the ?k= ranking size; def when absent. A write
-// on the error path means the rejection was already sent.
-func parseK(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
+// ParseK extracts and bounds the ?k= ranking size of a next-object request:
+// def when absent, otherwise an integer in 1..MaxNextK. On any other value it
+// sends the JSON 400 and reports false. The fabric router applies the same
+// rule before it fans a request out.
+func ParseK(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 	k := def
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		var err error
@@ -370,7 +372,7 @@ func (s *Server) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	k, ok := parseK(w, r, 1)
+	k, ok := ParseK(w, r, 1)
 	if !ok {
 		return
 	}

@@ -261,6 +261,17 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("bad name: status %d, want 400", status)
 	}
 
+	// The retired session options are unknown fields: a 400 that names them.
+	for field, value := range map[string]any{"parallelScoring": true, "deltaMaxDirtyFraction": 0.5} {
+		status, errResp = c.do("POST", "/v1/sessions", map[string]any{
+			"name": "retired", "numLabels": 2, "matrix": matrixOf(d.Answers),
+			"options": map[string]any{field: value},
+		}, nil)
+		if status != http.StatusBadRequest || !strings.Contains(errResp.Error, `unknown field "`+field+`"`) {
+			t.Fatalf("option %s: status %d, %+v", field, status, errResp)
+		}
+	}
+
 	// Snapshot of an unknown session is a JSON 404, not an empty 200.
 	resp, err = c.http.Get(c.base + "/v1/sessions/ghost/snapshot")
 	if err != nil {

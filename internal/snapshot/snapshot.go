@@ -51,9 +51,12 @@ const Version = 5
 // and strings, keeping the codec independent of the model and core packages.
 type State struct {
 	// Session options.
-	Strategy           string
-	Budget             int64
-	CandidateLimit     int64
+	Strategy       string
+	Budget         int64
+	CandidateLimit int64
+	// Parallel is the retired parallel-scoring option. Sessions write false
+	// and ignore it on resume; it stays so that Encode and Decode remain
+	// lossless over every version.
 	Parallel           bool
 	Parallelism        int64
 	ConfirmationPeriod int64
@@ -94,7 +97,11 @@ type State struct {
 	History     []HistoryRecord
 
 	// Delta-ingest configuration (encoding version 2; zero for version-1
-	// snapshots, i.e. the delta path disabled).
+	// snapshots, i.e. the delta path disabled). DeltaMaxDirtyFraction is
+	// the retired dirty-fraction override: sessions write 0 and ignore it on
+	// resume, falling back to the full sweep at
+	// aggregation.DefaultMaxDirtyFraction; it stays so that Encode and
+	// Decode remain lossless over every version.
 	DeltaEnabled          bool
 	DeltaMaxDirtyFraction float64
 

@@ -42,7 +42,6 @@ type sessionConfig struct {
 	strategy           StrategyName
 	budget             int
 	candidateLimit     int
-	parallel           bool
 	parallelism        int
 	confirmationPeriod int
 	spammerThreshold   float64
@@ -51,10 +50,9 @@ type sessionConfig struct {
 	seed               int64
 	ctx                context.Context
 
-	deltaEnabled          bool
-	deltaMaxDirtyFraction float64
-	deltaScoring          bool
-	noSelectionCache      bool
+	deltaEnabled     bool
+	deltaScoring     bool
+	noSelectionCache bool
 
 	// costBudget is the WithCostBudget tracker (nil: none); every session
 	// created from the configuration charges its own copy.
@@ -89,16 +87,13 @@ func WithBudget(n int) Option { return func(c *sessionConfig) { c.budget = n } }
 // score every candidate).
 func WithCandidateLimit(n int) Option { return func(c *sessionConfig) { c.candidateLimit = n } }
 
-// WithParallelScoring enables concurrent candidate scoring.
-func WithParallelScoring() Option { return func(c *sessionConfig) { c.parallel = true } }
-
 // WithParallelism caps the number of goroutines the parallel stages use: the
-// sharded E-/M-steps of the i-EM aggregation, the sharded faulty-worker
-// assessment, and (when WithParallelScoring is set) the candidate scoring.
-// The default (0) uses GOMAXPROCS; 1 forces the serial paths. Aggregation and
-// detection results are bitwise identical for every setting, so this is
-// purely a resource knob. It applies to sessions and to the one-shot facade
-// functions alike.
+// sharded E-/M-steps of the i-EM aggregation (the exact scorer's warm EM runs
+// included) and the sharded faulty-worker assessment. A selection scores its
+// candidates one after another. The default (0) uses GOMAXPROCS; 1 forces
+// the serial paths. Aggregation and detection results are bitwise identical
+// for every setting, so this is purely a resource knob. It applies to
+// sessions and to the one-shot facade functions alike.
 func WithParallelism(n int) Option { return func(c *sessionConfig) { c.parallelism = n } }
 
 // WithContext attaches a cancellation context to a one-shot facade call
@@ -172,14 +167,6 @@ func WithExact() Option {
 // (see the parity suite), but not bit-for-bit. The option is captured in
 // snapshots: a resumed session keeps its delta configuration.
 func WithDeltaIngest() Option { return func(c *sessionConfig) { c.deltaEnabled = true } }
-
-// WithDeltaMaxDirtyFraction overrides the dirty-object fraction above which
-// a delta re-aggregation skips the frontier phase and runs the full sweep
-// directly (default 0.25). It has no effect on sessions without delta
-// ingest (WithExact).
-func WithDeltaMaxDirtyFraction(fraction float64) Option {
-	return func(c *sessionConfig) { c.deltaMaxDirtyFraction = fraction }
-}
 
 // WithDeltaScoring selects delta-accelerated guidance scoring, which is the
 // default (see WithExact for the alternative); the option only matters after
@@ -265,9 +252,6 @@ type Session struct {
 	// src seeds every stochastic component; its single uint64 of state makes
 	// snapshots bit-for-bit resumable.
 	src *rng.SplitMix64
-	// hybrid is the engine's strategy when the hybrid strategy drives the
-	// session, nil otherwise; the engine snapshots and restores its weight.
-	hybrid *guidance.Hybrid
 }
 
 // NewSession prepares a guided validation session over a copy of the given
@@ -288,7 +272,7 @@ func NewSession(answers *AnswerSet, opts ...Option) (*Session, error) {
 func newSession(answers *AnswerSet, cfg sessionConfig, st *snapshot.State) (*Session, error) {
 	src := rng.New(cfg.seed)
 	rnd := rand.New(src)
-	strategy, hybrid, err := buildSessionStrategy(cfg, rnd)
+	strategy, err := buildSessionStrategy(cfg, rnd)
 	if err != nil {
 		return nil, err
 	}
@@ -297,22 +281,16 @@ func newSession(answers *AnswerSet, cfg sessionConfig, st *snapshot.State) (*Ses
 		SloppyThreshold:  cfg.sloppyThreshold,
 		Parallelism:      cfg.parallelism,
 	}
-	// The engine builds its IncrementalEM with Parallelism =
-	// MaxParallelism, and — when parallel scoring is on — a Parallelism-1
-	// copy for the guidance step so the two levels of parallelism do not
-	// multiply.
+	// The engine builds its IncrementalEM with Parallelism = MaxParallelism
+	// and scores candidates serially.
 	engineCfg := core.Config{
-		Strategy:            strategy,
-		Detector:            detector,
-		Budget:              cfg.budget,
-		Parallel:            cfg.parallel,
-		MaxParallelism:      cfg.parallelism,
-		HandleFaultyWorkers: true,
-		Rand:                rnd,
-		Delta: aggregation.DeltaConfig{
-			Enabled:          cfg.deltaEnabled,
-			MaxDirtyFraction: cfg.deltaMaxDirtyFraction,
-		},
+		Strategy:              strategy,
+		Detector:              detector,
+		Budget:                cfg.budget,
+		MaxParallelism:        cfg.parallelism,
+		HandleFaultyWorkers:   true,
+		Rand:                  rnd,
+		Delta:                 aggregation.DeltaConfig{Enabled: cfg.deltaEnabled},
 		DeltaScoring:          cfg.deltaScoring,
 		DisableSelectionCache: cfg.noSelectionCache,
 	}
@@ -343,7 +321,7 @@ func newSession(answers *AnswerSet, cfg sessionConfig, st *snapshot.State) (*Ses
 		tracker := *cfg.costBudget
 		engine.SetCostBudget(&tracker)
 	}
-	return &Session{engine: engine, cfg: cfg, src: src, hybrid: hybrid}, nil
+	return &Session{engine: engine, cfg: cfg, src: src}, nil
 }
 
 // orBackground defends the public context-taking entry points against nil:
@@ -358,25 +336,24 @@ func orBackground(ctx context.Context) context.Context {
 
 // buildSessionStrategy constructs the guidance strategy; every stochastic
 // strategy draws from rnd, the session's single snapshot-able source.
-func buildSessionStrategy(cfg sessionConfig, rnd *rand.Rand) (guidance.Strategy, *guidance.Hybrid, error) {
+func buildSessionStrategy(cfg sessionConfig, rnd *rand.Rand) (guidance.Strategy, error) {
 	switch cfg.strategy {
 	case StrategyHybrid, "":
-		h := &guidance.Hybrid{
+		return &guidance.Hybrid{
 			Uncertainty: &guidance.UncertaintyDriven{CandidateLimit: cfg.candidateLimit},
 			Worker:      &guidance.WorkerDriven{CandidateLimit: cfg.candidateLimit},
 			Rand:        rnd,
-		}
-		return h, h, nil
+		}, nil
 	case StrategyUncertainty:
-		return &guidance.UncertaintyDriven{CandidateLimit: cfg.candidateLimit}, nil, nil
+		return &guidance.UncertaintyDriven{CandidateLimit: cfg.candidateLimit}, nil
 	case StrategyWorker:
-		return &guidance.WorkerDriven{CandidateLimit: cfg.candidateLimit}, nil, nil
+		return &guidance.WorkerDriven{CandidateLimit: cfg.candidateLimit}, nil
 	case StrategyBaseline:
-		return &guidance.Baseline{}, nil, nil
+		return &guidance.Baseline{}, nil
 	case StrategyRandom:
-		return &guidance.Random{Rand: rnd}, nil, nil
+		return &guidance.Random{Rand: rnd}, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: %q", cverr.ErrUnknownStrategy, cfg.strategy)
+		return nil, fmt.Errorf("%w: %q", cverr.ErrUnknownStrategy, cfg.strategy)
 	}
 }
 

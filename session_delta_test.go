@@ -1,13 +1,16 @@
 package crowdval
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"crowdval/internal/aggregation"
 	"crowdval/internal/rng"
+	"crowdval/internal/snapshot"
 )
 
 // deltaParityTolerance is the documented posterior-agreement tolerance of
@@ -208,14 +211,18 @@ func TestDeltaParityRandomHistories(t *testing.T) {
 
 // TestDeltaSnapshotCarriesConfig: the delta configuration survives the
 // snapshot/resume round trip, so a parked-and-resumed serving session keeps
-// its fast ingest path.
+// its fast ingest path, while the snapshot's parallel-scoring flag and delta
+// dirty fraction are ignored. A snapshot edited to carry Parallel = true and
+// DeltaMaxDirtyFraction = 0.5 resumes into a session whose rankings,
+// validation steps and counters equal those of the unedited snapshot's
+// resume — an ingest dirtying 40% of the objects falls back to the full
+// sweep on both — and whose own snapshot carries false and 0 again.
 func TestDeltaSnapshotCarriesConfig(t *testing.T) {
-	d, err := GenerateCrowd(CrowdConfig{NumObjects: 12, NumWorkers: 5, NumLabels: 2, Seed: 4})
+	d, err := GenerateCrowd(CrowdConfig{NumObjects: 60, NumWorkers: 12, NumLabels: 2, AnswersPerObject: 4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(d.Answers, WithStrategy(StrategyBaseline),
-		WithDeltaIngest(), WithDeltaMaxDirtyFraction(0.5))
+	s, err := NewSession(d.Answers, WithStrategy(StrategyHybrid), WithCandidateLimit(16), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +230,76 @@ func TestDeltaSnapshotCarriesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeSession(data)
+	st, err := snapshot.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.cfg.deltaEnabled || resumed.cfg.deltaMaxDirtyFraction != 0.5 {
-		t.Fatalf("delta configuration lost in resume: enabled=%v fraction=%v",
-			resumed.cfg.deltaEnabled, resumed.cfg.deltaMaxDirtyFraction)
+	if st.Parallel || st.DeltaMaxDirtyFraction != 0 {
+		t.Fatalf("a session wrote Parallel = %v, DeltaMaxDirtyFraction = %v", st.Parallel, st.DeltaMaxDirtyFraction)
 	}
-	// The resumed session actually uses the delta path.
-	if err := resumed.AddAnswers(context.Background(), []Answer{{Object: 1, Worker: 2, Label: 1}}); err != nil {
+	st.Parallel, st.DeltaMaxDirtyFraction = true, 0.5
+	edited, err := ResumeSession(snapshot.Encode(st))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Counters().DeltaIterations == 0 {
-		t.Fatal("resumed delta session did not use the delta path")
+	plain, err := ResumeSession(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for step := 0; step < 4; step++ {
+		got, want := mustNextObjects(t, edited, 5), mustNextObjects(t, plain, 5)
+		sameBits(t, got, want, fmt.Sprintf("step %d", step))
+		object := want[0].Object
+		gotInfo, err := edited.SubmitValidation(object, d.Truth[object])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantInfo, err := plain.SubmitValidation(object, d.Truth[object])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotInfo, wantInfo) {
+			t.Fatalf("step %d: validation %+v, want %+v", step, gotInfo, wantInfo)
+		}
+		batch := []Answer{{Object: step, Worker: step % 12, Label: d.Truth[step]}}
+		if step == 2 {
+			// 24 of 60 objects: above the 25% fallback, below the edited 50%.
+			batch = batch[:0]
+			for o := 0; o < 24; o++ {
+				batch = append(batch, Answer{Object: o, Worker: (o + 5) % 12, Label: d.Truth[o]})
+			}
+		}
+		if err := edited.AddAnswers(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.AddAnswers(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := edited.Counters()
+	if counters != plain.Counters() {
+		t.Fatalf("counters %+v, want %+v", counters, plain.Counters())
+	}
+	if counters.DeltaIterations == 0 || counters.DeltaLargeFrontier == 0 {
+		t.Fatalf("counters %+v: want delta iterations and a large-frontier fallback", counters)
+	}
+	again, err := edited.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatal("the edited snapshot's resume snapshots differently from the plain one's")
+	}
+	if st, err = snapshot.Decode(again); err != nil {
+		t.Fatal(err)
+	}
+	if !st.DeltaEnabled || st.Parallel || st.DeltaMaxDirtyFraction != 0 {
+		t.Fatalf("resumed snapshot: delta %v, parallel %v, fraction %v", st.DeltaEnabled, st.Parallel, st.DeltaMaxDirtyFraction)
 	}
 }
 

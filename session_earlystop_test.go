@@ -57,9 +57,10 @@ func sameBits(t *testing.T, got, want []ScoredObject, what string) {
 // order and stops early returns, bit for bit, the ranking of scoring every
 // candidate — for k = 1, 5, 10 and 64 alone and in the sequence 1 → 5 → 10
 // → 64 on one state (which continues the memoized ranking), before and
-// after a validation moves the state, serially and with parallel scoring,
-// with the maintained view and without the selection cache, and on a
-// session resumed from a park with its ranking memo.
+// after a validation moves the state, with the maintained view and without
+// the selection cache, and on a session resumed from a park with its ranking
+// memo. TestParallelScoringMatchesSerial in internal/core checks the same
+// rankings with parallel candidate scoring.
 func TestEarlyStopMatchesFullScan(t *testing.T) {
 	d, err := GenerateCrowd(CrowdConfig{
 		NumObjects: 600, NumWorkers: 40, NumLabels: 2, AnswersPerObject: 5,
@@ -77,9 +78,7 @@ func TestEarlyStopMatchesFullScan(t *testing.T) {
 			uncached bool
 		}{
 			{"serial", []Option{WithParallelism(1)}, false},
-			{"parallel", []Option{WithParallelScoring(), WithParallelism(2)}, false},
 			{"serial-uncached", []Option{WithParallelism(1), WithoutSelectionCache()}, true},
-			{"parallel-uncached", []Option{WithParallelScoring(), WithParallelism(2), WithoutSelectionCache()}, true},
 		} {
 			opts := append([]Option{WithStrategy(StrategyUncertainty), WithCandidateLimit(limit), WithSeed(3)}, mode.opts...)
 			name := mode.name

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"crowdval/internal/snapshot"
 )
 
 // TestRankingMemoCarriesEveryRole: a memo taken from a session and adopted
@@ -28,8 +30,7 @@ func TestRankingMemoCarriesEveryRole(t *testing.T) {
 				// Both branches are drawn before the park and after the
 				// resume; a branch whose memo was not carried would build
 				// the scoring index.
-				parked.hybrid.SetWeight(0.5)
-				twin.hybrid.SetWeight(0.5)
+				parked, twin = withHybridWeight(t, parked, 0.5), withHybridWeight(t, twin, 0.5)
 			}
 			for i := 0; i < 10; i++ {
 				got, want := mustNextObjects(t, parked, 64), mustNextObjects(t, twin, 64)
@@ -62,6 +63,26 @@ func TestRankingMemoCarriesEveryRole(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withHybridWeight resumes a hybrid session from its snapshot with the
+// hybrid weight set to w.
+func withHybridWeight(t *testing.T, s *Session, w float64) *Session {
+	t.Helper()
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.HybridWeight = w
+	resumed, err := ResumeSession(snapshot.Encode(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resumed
 }
 
 // TestRankingMemoRefusesOtherStates: a memo is refused by a session whose

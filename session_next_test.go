@@ -57,10 +57,11 @@ func seedHistory(t *testing.T, s *Session, d *simulation.Dataset, seed int64) {
 }
 
 // TestNextObjectsDeterministicAcrossParallelismAndResume: seeded histories
-// produce identical rankings whether scoring runs serial or parallel, exact
-// or delta, and whether the session ran straight through or was
-// snapshotted/resumed mid-stream — incl. tie-break order, which the ranking
-// contract pins to (score desc, object asc).
+// produce identical rankings whether aggregation and detection run serial or
+// sharded, exact or delta, and whether the session ran straight through or
+// was snapshotted/resumed mid-stream — incl. tie-break order, which the
+// ranking contract pins to (score desc, object asc). Parallel candidate
+// scoring (core.Config.Parallel) has its own check in internal/core.
 func TestNextObjectsDeterministicAcrossParallelismAndResume(t *testing.T) {
 	d := nextTestDataset(t, 60, 12, 1)
 	for _, mode := range []struct {
@@ -82,7 +83,7 @@ func TestNextObjectsDeterministicAcrossParallelismAndResume(t *testing.T) {
 				return s
 			}
 			serial := build(WithParallelism(1))
-			parallel := build(WithParallelScoring(), WithParallelism(4))
+			parallel := build(WithParallelism(4))
 
 			serialRank, err := serial.NextObjects(6)
 			if err != nil {

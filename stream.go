@@ -32,19 +32,17 @@ func (s *Session) Snapshot() ([]byte, error) {
 // form: the options and the budget here, everything else from the engine.
 func (s *Session) snapshotState() *snapshot.State {
 	st := &snapshot.State{
-		Strategy:              string(s.cfg.strategy),
-		Budget:                int64(s.cfg.budget),
-		CandidateLimit:        int64(s.cfg.candidateLimit),
-		Parallel:              s.cfg.parallel,
-		Parallelism:           int64(s.cfg.parallelism),
-		ConfirmationPeriod:    int64(s.cfg.confirmationPeriod),
-		SpammerThreshold:      s.cfg.spammerThreshold,
-		SloppyThreshold:       s.cfg.sloppyThreshold,
-		UncertaintyGoal:       s.cfg.uncertaintyGoal,
-		Seed:                  s.cfg.seed,
-		DeltaEnabled:          s.cfg.deltaEnabled,
-		DeltaMaxDirtyFraction: s.cfg.deltaMaxDirtyFraction,
-		DeltaScoring:          s.cfg.deltaScoring,
+		Strategy:           string(s.cfg.strategy),
+		Budget:             int64(s.cfg.budget),
+		CandidateLimit:     int64(s.cfg.candidateLimit),
+		Parallelism:        int64(s.cfg.parallelism),
+		ConfirmationPeriod: int64(s.cfg.confirmationPeriod),
+		SpammerThreshold:   s.cfg.spammerThreshold,
+		SloppyThreshold:    s.cfg.sloppyThreshold,
+		UncertaintyGoal:    s.cfg.uncertaintyGoal,
+		Seed:               s.cfg.seed,
+		DeltaEnabled:       s.cfg.deltaEnabled,
+		DeltaScoring:       s.cfg.deltaScoring,
 	}
 	if budget := s.engine.CostBudget(); budget != nil {
 		st.BudgetEnabled = true
@@ -71,11 +69,16 @@ func (s *Session) snapshotState() *snapshot.State {
 // state without checking or copying it again.
 //
 // Options may be passed to override runtime knobs on the new process —
-// WithParallelism, WithParallelScoring and WithCandidateLimit are safe and do
-// not change results (sharding is bitwise neutral). Overriding behavioral
-// options (strategy, budget, thresholds, goal) is honoured but naturally
-// breaks equivalence with the original session; WithSeed has no effect
-// because the pseudo-random stream continues from the snapshotted state.
+// WithParallelism is safe and does not change results (sharding is bitwise
+// neutral). Overriding behavioral options (strategy, budget, candidate
+// limit, thresholds, goal) is honoured but naturally breaks equivalence with
+// the original session; WithSeed has no effect because the pseudo-random
+// stream continues from the snapshotted state.
+//
+// The snapshot's parallel-scoring flag and delta dirty fraction are ignored:
+// a resumed session scores its candidates serially, which gives the same
+// rankings, and its delta ingest falls back to the full sweep once more
+// than 25% of the objects are dirty (aggregation.DefaultMaxDirtyFraction).
 func ResumeSession(data []byte, opts ...Option) (*Session, error) {
 	st, err := snapshot.Decode(data)
 	if err != nil {
@@ -85,7 +88,6 @@ func ResumeSession(data []byte, opts ...Option) (*Session, error) {
 	cfg.strategy = StrategyName(st.Strategy)
 	cfg.budget = int(st.Budget)
 	cfg.candidateLimit = int(st.CandidateLimit)
-	cfg.parallel = st.Parallel
 	cfg.parallelism = int(st.Parallelism)
 	cfg.confirmationPeriod = int(st.ConfirmationPeriod)
 	cfg.spammerThreshold = st.SpammerThreshold
@@ -93,7 +95,6 @@ func ResumeSession(data []byte, opts ...Option) (*Session, error) {
 	cfg.uncertaintyGoal = st.UncertaintyGoal
 	cfg.seed = st.Seed
 	cfg.deltaEnabled = st.DeltaEnabled
-	cfg.deltaMaxDirtyFraction = st.DeltaMaxDirtyFraction
 	cfg.deltaScoring = st.DeltaScoring
 	if st.BudgetEnabled {
 		cfg.costBudget = &cost.Tracker{
