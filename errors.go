@@ -27,7 +27,9 @@ import (
 //     ErrNoCandidates, ErrNilExpert, ErrNoGroundTruth.
 //   - Snapshots: ErrBadSnapshot, ErrSnapshotVersion.
 //   - Serving tier: ErrSessionNotFound, ErrSessionExists, ErrOverloaded,
-//     ErrNotOwner, ErrDegraded.
+//     ErrNotOwner, ErrDegraded, ErrBadRequest, ErrUnavailable. Every refusal
+//     the HTTP serving tier and its router write is a JSON body carrying one
+//     of these names (or any other sentinel) as its code.
 //   - Durability: ErrBadWAL.
 //
 // Context cancellation is reported with the standard context.Canceled and
@@ -99,6 +101,14 @@ var (
 	// Retry-After header); reads keep serving, and the serving tier's probe
 	// loop heals the session once its disk accepts durable writes again.
 	ErrDegraded = cverr.ErrDegraded
+	// ErrBadRequest reports a malformed request refused by a serving tier
+	// before it touched a session: bad JSON or query parameters, an invalid
+	// session name, a body over the size cap (HTTP 413; HTTP 400 otherwise).
+	ErrBadRequest = cverr.ErrBadRequest
+	// ErrUnavailable reports that no node could serve a request right now —
+	// no fabric node answered the router, or the node is draining (HTTP 503
+	// with a Retry-After header); retry after a short back-off.
+	ErrUnavailable = cverr.ErrUnavailable
 
 	// ErrBadWAL reports a structurally damaged write-ahead log or checkpoint
 	// file (see internal/wal and the crowdval recover command).

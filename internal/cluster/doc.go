@@ -36,4 +36,10 @@
 // the override holder by chasing 421 redirects and skipping dead peers, so
 // no gossip protocol is needed for the static-membership fabrics this
 // package targets.
+//
+// Every refusal a node's fabric endpoints or the router write goes through
+// server.WriteError, so the whole HTTP surface answers errors in one format:
+// a JSON ErrorResponse whose code names the sentinel (ErrBadRequest for a
+// malformed or unroutable request, ErrUnavailable with Retry-After when no
+// node can serve it or a draining node refuses a transfer).
 package cluster

@@ -265,16 +265,17 @@ func (n *Node) sendTransfer(ctx context.Context, target, name string, snap []byt
 
 // handleTransfer adopts a session handed off by its owner. The body must be
 // exactly one create record at an LSN above zero behind a WAL header;
-// anything else is rejected with 400 before the local state is touched.
+// anything else is rejected with 400 ErrBadRequest before the local state is
+// touched.
 func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 	if n.draining.Load() {
-		http.Error(w, "cluster: node is draining", http.StatusServiceUnavailable)
+		server.WriteError(w, fmt.Errorf("cluster: node is draining: %w", cverr.ErrUnavailable))
 		return
 	}
 	name := r.PathValue("name")
 	rec, lsn, err := readTransfer(http.MaxBytesReader(w, r.Body, 1<<30))
 	if err != nil {
-		http.Error(w, "cluster: malformed transfer: "+err.Error(), http.StatusBadRequest)
+		server.WriteError(w, fmt.Errorf("cluster: malformed transfer: %w: %w", err, cverr.ErrBadRequest))
 		return
 	}
 	// A follower tailing this session from the donor must stop before the
@@ -283,7 +284,7 @@ func (n *Node) handleTransfer(w http.ResponseWriter, r *http.Request) {
 		f.Stop(name)
 	}
 	if err := applyRecord(r.Context(), n.manager, name, rec, lsn); err != nil {
-		http.Error(w, "cluster: adopting transfer: "+err.Error(), http.StatusInternalServerError)
+		server.WriteError(w, fmt.Errorf("cluster: adopting transfer: %w", err))
 		return
 	}
 	n.setOverride(name, n.self)
@@ -321,13 +322,13 @@ func (n *Node) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("from"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			http.Error(w, "cluster: bad from LSN", http.StatusBadRequest)
+			server.WriteError(w, fmt.Errorf("cluster: bad from LSN %q: %w", s, cverr.ErrBadRequest))
 			return
 		}
 		from = v
 	}
 	if !n.manager.Has(name) {
-		http.NotFound(w, r)
+		server.WriteError(w, fmt.Errorf("cluster: subscribing to %q: %w", name, cverr.ErrSessionNotFound))
 		return
 	}
 	fl, _ := w.(http.Flusher)
@@ -353,7 +354,7 @@ type promoteResponse struct {
 func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	var req promoteRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "cluster: malformed promote: "+err.Error(), http.StatusBadRequest)
+		server.WriteError(w, fmt.Errorf("cluster: malformed promote: %w: %w", err, cverr.ErrBadRequest))
 		return
 	}
 	var names []string
@@ -366,14 +367,14 @@ func (n *Node) handlePromote(w http.ResponseWriter, r *http.Request) {
 	} else if req.Name != "" {
 		names = []string{req.Name}
 	} else {
-		http.Error(w, "cluster: promote needs a name or all", http.StatusBadRequest)
+		server.WriteError(w, fmt.Errorf("cluster: promote needs a name or all: %w", cverr.ErrBadRequest))
 		return
 	}
 	resp := promoteResponse{Promoted: []string{}}
 	for _, name := range names {
 		if err := n.Promote(name); err != nil {
 			if !req.All {
-				http.Error(w, err.Error(), http.StatusNotFound)
+				server.WriteError(w, err)
 				return
 			}
 			continue

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"crowdval"
+	"crowdval/internal/cverr"
 	"crowdval/internal/server"
 )
 
@@ -102,18 +103,14 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Bodies are buffered so a request can be retried against another peer;
 	// they are capped like the server caps them.
-	body, err := io.ReadAll(io.LimitReader(r.Body, server.DefaultMaxBodyBytes+1))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, server.DefaultMaxBodyBytes))
 	if err != nil {
-		http.Error(w, "router: reading request body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > server.DefaultMaxBodyBytes {
-		http.Error(w, "router: request body too large", http.StatusRequestEntityTooLarge)
+		server.WriteError(w, fmt.Errorf("router: reading request body: %w: %w", err, cverr.ErrBadRequest))
 		return
 	}
 	name, ok := sessionName(r, body)
 	if !ok {
-		http.Error(w, "router: cannot route request: no session name", http.StatusNotFound)
+		server.WriteError(w, fmt.Errorf("router: cannot route request: no session name: %w", cverr.ErrBadRequest))
 		return
 	}
 	rt.proxy(w, r, name, body)
@@ -208,7 +205,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, name string, bod
 	if lastErr != nil {
 		msg += ": " + lastErr.Error()
 	}
-	http.Error(w, msg, http.StatusBadGateway)
+	server.WriteError(w, fmt.Errorf("%s: %w", msg, cverr.ErrUnavailable))
 }
 
 // candidates returns the attempt order for a session: learned owner first,
@@ -344,12 +341,10 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// handleList fans GET /v1/sessions out to every reachable peer and merges
-// the results, deduplicating by name (a session shows up on its owner and
-// on any follower replicating it).
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	seen := make(map[string]bool)
-	merged := []server.SessionInfo{}
+// fanOut forwards r to every peer whose breaker admits it and hands each
+// 200 body to merge; peers that fail to connect are quarantined as for a
+// proxied request. It fails with ErrUnavailable when no peer's body merged.
+func (rt *Router) fanOut(r *http.Request, merge func(body io.Reader) error) error {
 	reached := 0
 	for _, peer := range rt.ring.Peers() {
 		if rt.isDown(peer) {
@@ -361,22 +356,38 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rt.reportSuccess(peer)
-		var infos []server.SessionInfo
-		err = json.NewDecoder(resp.Body).Decode(&infos)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
+		if resp.StatusCode == http.StatusOK && merge(resp.Body) == nil {
+			reached++
 		}
-		reached++
+		resp.Body.Close()
+	}
+	if reached == 0 {
+		return fmt.Errorf("router: no fabric node reachable: %w", cverr.ErrUnavailable)
+	}
+	return nil
+}
+
+// handleList fans GET /v1/sessions out to every reachable peer and merges
+// the results, deduplicating by name (a session shows up on its owner and
+// on any follower replicating it).
+func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
+	seen := make(map[string]bool)
+	merged := []server.SessionInfo{}
+	err := rt.fanOut(r, func(body io.Reader) error {
+		var infos []server.SessionInfo
+		if err := json.NewDecoder(body).Decode(&infos); err != nil {
+			return err
+		}
 		for _, info := range infos {
 			if !seen[info.Name] {
 				seen[info.Name] = true
 				merged = append(merged, info)
 			}
 		}
-	}
-	if reached == 0 {
-		http.Error(w, "router: no fabric node reachable", http.StatusBadGateway)
+		return nil
+	})
+	if err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -392,8 +403,9 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // name then object ascending — which makes the fabric-wide answer
 // deterministic regardless of peer enumeration or response order.
 func (rt *Router) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
-	k, ok := server.ParseK(w, r, 1)
-	if !ok {
+	k, err := server.ParseK(r, 1)
+	if err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	type key struct {
@@ -402,25 +414,12 @@ func (rt *Router) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
 	}
 	seen := make(map[key]bool)
 	var merged []crowdval.GlobalNextCandidate
-	reached := 0
-	for _, peer := range rt.ring.Peers() {
-		if rt.isDown(peer) {
-			continue
+	err = rt.fanOut(r, func(body io.Reader) error {
+		var resp server.GlobalNextResponse
+		if err := json.NewDecoder(body).Decode(&resp); err != nil {
+			return err
 		}
-		resp, err := rt.forward(r, peer, nil)
-		if err != nil {
-			rt.reportFailure(peer)
-			continue
-		}
-		rt.reportSuccess(peer)
-		var body server.GlobalNextResponse
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		reached++
-		for _, c := range body.Candidates {
+		for _, c := range resp.Candidates {
 			id := key{session: c.Session, object: c.Object}
 			if seen[id] {
 				continue
@@ -430,9 +429,10 @@ func (rt *Router) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
 				Session: c.Session, Object: c.Object, Gain: c.Gain, GainPerCost: c.GainPerCost,
 			})
 		}
-	}
-	if reached == 0 {
-		http.Error(w, "router: no fabric node reachable", http.StatusBadGateway)
+		return nil
+	})
+	if err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	top := crowdval.MergeGlobalNext(merged, k)

@@ -80,9 +80,9 @@ func TestRouterNoThunderingHerdWhenAllQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First request: every peer is tried once, every dial fails, 502.
-	if code := proxyOnce(t, rt); code != http.StatusBadGateway {
-		t.Fatalf("all-down request: got %d, want 502", code)
+	// First request: every peer is tried once, every dial fails, 503.
+	if code := proxyOnce(t, rt); code != http.StatusServiceUnavailable {
+		t.Fatalf("all-down request: got %d, want 503", code)
 	}
 	if got := st.totalDials(); got != 3 {
 		t.Fatalf("first request dialed %d times, want 3", got)
@@ -90,8 +90,8 @@ func TestRouterNoThunderingHerdWhenAllQuarantined(t *testing.T) {
 
 	// Second request: everything is quarantined. Exactly ONE peer may be
 	// probed — the herd would be 3 more dials.
-	if code := proxyOnce(t, rt); code != http.StatusBadGateway {
-		t.Fatalf("quarantined request: got %d, want 502", code)
+	if code := proxyOnce(t, rt); code != http.StatusServiceUnavailable {
+		t.Fatalf("quarantined request: got %d, want 503", code)
 	}
 	if got := st.totalDials(); got != 4 {
 		t.Fatalf("quarantined request dialed %d extra times, want exactly 1 (thundering herd regression)", got-3)

@@ -125,6 +125,15 @@ var (
 	// probe confirms the disk accepts durable writes again and heals the
 	// session; reads keep serving throughout.
 	ErrDegraded = reg("ErrDegraded", "crowdval: session degraded to read-only")
+	// ErrBadRequest is returned when a serving tier refuses a malformed
+	// request before any session is touched: undecodable or unknown-field
+	// JSON, an invalid session name or query parameter, a body over the size
+	// cap (HTTP 413), a request a router cannot route (HTTP 400 otherwise).
+	ErrBadRequest = reg("ErrBadRequest", "crowdval: bad request")
+	// ErrUnavailable is returned when no node can serve a request right now:
+	// a router found no fabric node that answered, or a node refuses inbound
+	// transfers while it drains (HTTP 503 + Retry-After).
+	ErrUnavailable = reg("ErrUnavailable", "crowdval: service unavailable")
 )
 
 // Durability errors.

@@ -74,6 +74,8 @@ func TestNameForEveryExportedSentinel(t *testing.T) {
 		"ErrOverloaded":        ErrOverloaded,
 		"ErrNotOwner":          ErrNotOwner,
 		"ErrDegraded":          ErrDegraded,
+		"ErrBadRequest":        ErrBadRequest,
+		"ErrUnavailable":       ErrUnavailable,
 		"ErrBadWAL":            ErrBadWAL,
 	}
 	if len(cases) != len(named) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"crowdval/internal/aggregation"
@@ -31,29 +30,13 @@ const (
 // measures (parallelization and matrix partitioning).
 const defaultCandidateLimit = 6
 
-// buildStrategy instantiates a guidance strategy.
+// buildStrategy instantiates a guidance strategy with the experiments'
+// default candidate limit and a source seeded from seed.
 func buildStrategy(kind StrategyKind, candidateLimit int, seed int64) (guidance.Strategy, error) {
 	if candidateLimit <= 0 {
 		candidateLimit = defaultCandidateLimit
 	}
-	switch kind {
-	case StrategyHybrid:
-		return &guidance.Hybrid{
-			Uncertainty: &guidance.UncertaintyDriven{CandidateLimit: candidateLimit},
-			Worker:      &guidance.WorkerDriven{CandidateLimit: candidateLimit},
-			Rand:        rand.New(rand.NewSource(seed)),
-		}, nil
-	case StrategyBaseline:
-		return &guidance.Baseline{}, nil
-	case StrategyRandom:
-		return &guidance.Random{Rand: rand.New(rand.NewSource(seed))}, nil
-	case StrategyUncertainty:
-		return &guidance.UncertaintyDriven{CandidateLimit: candidateLimit}, nil
-	case StrategyWorker:
-		return &guidance.WorkerDriven{CandidateLimit: candidateLimit}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown strategy %q", kind)
-	}
+	return guidance.New(string(kind), candidateLimit, rand.New(rand.NewSource(seed)))
 }
 
 // CurveConfig parameterizes one guided validation run whose precision is

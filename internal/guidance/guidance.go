@@ -8,6 +8,7 @@ package guidance
 
 import (
 	stdctx "context"
+	"fmt"
 	"math/rand"
 	"runtime"
 
@@ -168,6 +169,33 @@ type Strategy interface {
 	Name() string
 	// SelectK returns up to k ranked candidates.
 	SelectK(ctx *Context, k int) ([]ScoredObject, error)
+}
+
+// New builds the strategy a name selects — "hybrid" (also the empty name),
+// "uncertainty", "worker", "baseline" or "random" — with candidateLimit
+// bounding the information-gain scoring of the uncertainty-driven and
+// worker-driven strategies (see UncertaintyDriven.CandidateLimit) and rnd
+// driving the hybrid's roulette and random selection. An unknown name fails
+// with ErrUnknownStrategy.
+func New(name string, candidateLimit int, rnd *rand.Rand) (Strategy, error) {
+	switch name {
+	case "hybrid", "":
+		return &Hybrid{
+			Uncertainty: &UncertaintyDriven{CandidateLimit: candidateLimit},
+			Worker:      &WorkerDriven{CandidateLimit: candidateLimit},
+			Rand:        rnd,
+		}, nil
+	case "uncertainty":
+		return &UncertaintyDriven{CandidateLimit: candidateLimit}, nil
+	case "worker":
+		return &WorkerDriven{CandidateLimit: candidateLimit}, nil
+	case "baseline":
+		return &Baseline{}, nil
+	case "random":
+		return &Random{Rand: rnd}, nil
+	default:
+		return nil, fmt.Errorf("%w: %q", cverr.ErrUnknownStrategy, name)
+	}
 }
 
 // ScoredObject is one ranked candidate of a selection: the object and the

@@ -291,11 +291,13 @@ type ResultResponse struct {
 	AnswerCount        int     `json:"answerCount"`
 }
 
-// ErrorResponse is the JSON body of every non-2xx response. Code is the
-// stable sentinel name from crowdval.ErrorName (empty for errors outside the
-// taxonomy, e.g. malformed JSON). Owner accompanies code "ErrNotOwner" (HTTP
-// 421): the address of the node that owns the session, so routers and
-// clients retry there instead of guessing.
+// ErrorResponse is the JSON body of every refusal a node or the router
+// writes (WriteError). Code is the stable sentinel name from
+// crowdval.ErrorName; every 4xx and every 503 except a cancelled request's
+// carries one — malformed requests carry "ErrBadRequest". It is empty only
+// for cancellations, deadlines and internal 500s. Owner accompanies code
+// "ErrNotOwner" (HTTP 421): the address of the node that owns the session,
+// so routers and clients retry there instead of guessing.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -317,22 +319,24 @@ func (e *NotOwnerError) Error() string {
 func (e *NotOwnerError) Unwrap() error { return cverr.ErrNotOwner }
 
 // RetryAfterSeconds is the Retry-After value sent with HTTP 429 responses and
-// with 503s carrying ErrDegraded: shed ingests clear as soon as the session's
-// queued batch drains, and the health probe loop re-tests a degraded WAL every
-// second (DefaultProbeInterval), so in both cases clients should back off
+// with 503s carrying ErrDegraded or ErrUnavailable: shed ingests clear as
+// soon as the session's queued batch drains, the health probe loop re-tests a
+// degraded WAL every second (DefaultProbeInterval), and a router's peer
+// breakers admit a probe within their back-off, so clients should back off
 // briefly and retry rather than fail.
 const RetryAfterSeconds = 1
 
 // statusFor maps an error to its HTTP status: 404 for unknown sessions, 409
 // for state conflicts (duplicate names or validations, exhausted budgets,
-// finished sessions), 400 for malformed input, 429 for load shed under
-// backpressure, 503 for degraded read-only mode, 504/503 for deadline and
-// cancellation, 500 otherwise.
+// finished sessions), 400 for malformed input (413 for a body over the cap),
+// 429 for load shed under backpressure, 503 for degraded read-only mode and
+// for no node able to serve, 504/503 for deadline and cancellation, 500
+// otherwise.
 func statusFor(err error) int {
-	var badReq *badRequestError
+	var tooLarge *http.MaxBytesError
 	switch {
-	case errors.As(err, &badReq):
-		return http.StatusBadRequest
+	case errors.Is(err, cverr.ErrBadRequest) && errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, cverr.ErrSessionNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, cverr.ErrSessionExists),
@@ -340,7 +344,8 @@ func statusFor(err error) int {
 		errors.Is(err, cverr.ErrBudgetExhausted),
 		errors.Is(err, cverr.ErrSessionDone):
 		return http.StatusConflict
-	case errors.Is(err, cverr.ErrOutOfRange),
+	case errors.Is(err, cverr.ErrBadRequest),
+		errors.Is(err, cverr.ErrOutOfRange),
 		errors.Is(err, cverr.ErrInvalidLabel),
 		errors.Is(err, cverr.ErrDimensionMismatch),
 		errors.Is(err, cverr.ErrRaggedMatrix),
@@ -354,7 +359,7 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, cverr.ErrNotOwner):
 		return http.StatusMisdirectedRequest
-	case errors.Is(err, cverr.ErrDegraded):
+	case errors.Is(err, cverr.ErrDegraded), errors.Is(err, cverr.ErrUnavailable):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -365,10 +370,13 @@ func statusFor(err error) int {
 	}
 }
 
-func writeError(w http.ResponseWriter, err error) {
+// WriteError is the one way a refusal leaves a node or the router: the
+// status statusFor maps err to, a JSON ErrorResponse naming err's sentinel,
+// Retry-After on the retryable statuses, and the owner's address on a 421.
+func WriteError(w http.ResponseWriter, err error) {
 	status := statusFor(err)
 	body := ErrorResponse{Error: err.Error(), Code: cverr.Name(err)}
-	if status == http.StatusTooManyRequests || errors.Is(err, cverr.ErrDegraded) {
+	if status == http.StatusTooManyRequests || errors.Is(err, cverr.ErrDegraded) || errors.Is(err, cverr.ErrUnavailable) {
 		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
 	}
 	var notOwner *NotOwnerError
@@ -391,7 +399,7 @@ func decodeJSON(r *http.Request, maxBytes int64, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+		return fmt.Errorf("decoding request body: %w: %w", err, cverr.ErrBadRequest)
 	}
 	return nil
 }

@@ -28,8 +28,7 @@ func (m *Manager) Has(name string) bool {
 }
 
 // SessionLSN returns the LSN of the last mutation applied to the named
-// session: the log position for a session with a WAL, the streamed position
-// for a WAL-less replica, zero for a plain standalone session. Appends run
+// session: its log position, zero for a session without a WAL. Appends run
 // under the entry's write lock, so the read lock makes the sample race-free.
 func (m *Manager) SessionLSN(name string) (uint64, error) {
 	e, err := m.lookup(name)
@@ -45,21 +44,25 @@ func (m *Manager) SessionLSN(name string) (uint64, error) {
 }
 
 // lsn is the LSN of the last mutation applied to the entry's session: its
-// log's position with a WAL, the streamed position otherwise. The caller
-// holds e.mu.
+// log's position, zero without a WAL. The caller holds e.mu.
 func (e *entry) lsn() uint64 {
 	if e.log != nil {
 		return e.log.app.LSN()
 	}
-	return e.replicaLSN
+	return 0
 }
+
+// errNoWAL refuses replication on a manager without a write-ahead log: a
+// replica's position is its log's LSN, so a follower, a transfer receiver
+// and a subscription's leader all need one.
+var errNoWAL = errors.New("server: replication needs a write-ahead log")
 
 // SessionWALPath returns the path of the session's live log file — what a
 // follower subscription tails. It fails when the manager runs without a WAL
 // or does not manage the session.
 func (m *Manager) SessionWALPath(name string) (string, error) {
 	if m.walDir == "" {
-		return "", fmt.Errorf("server: session %q has no WAL to tail (manager runs without one)", name)
+		return "", fmt.Errorf("server: session %q has no WAL to tail: %w", name, errNoWAL)
 	}
 	if !m.Has(name) {
 		return "", fmt.Errorf("%w: %q", cverr.ErrSessionNotFound, name)
@@ -167,24 +170,28 @@ func (m *Manager) HandoffSession(ctx context.Context, name string, send func(sna
 
 // ReplicaReset installs a session at another node's LSN — the apply side of
 // a subscription's reset frame and of an inbound handoff. Any existing local
-// copy is discarded and the snapshot resumes under the name; with a WAL its
-// durability state is adopted at lsn (see adoptLog), so the session's
-// mutation numbering continues across nodes and recovery works as for a
-// home-grown session. After it, ReplicaApply consumes the stream from lsn+1.
+// copy is discarded and the snapshot resumes under the name; its durability
+// state is adopted at lsn (see adoptLog), so the session's mutation
+// numbering continues across nodes and recovery works as for a home-grown
+// session. After it, ReplicaApply consumes the stream from lsn+1. A manager
+// without a WAL refuses it with errNoWAL.
 func (m *Manager) ReplicaReset(ctx context.Context, name string, snapshot []byte, lsn uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if m.walDir == "" {
+		return fmt.Errorf("server: replica %q: %w", name, errNoWAL)
+	}
 	if err := m.Delete(name); err != nil && !errors.Is(err, cverr.ErrSessionNotFound) {
 		return err
 	}
-	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
 		sess, err := crowdval.ResumeSession(snapshot)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		w, err := m.adoptLog(name, snapshot, lsn)
-		return sess, w, lsn, err
+		return sess, w, err
 	})
 }
 
@@ -195,11 +202,7 @@ func (m *Manager) ReplicaReset(ctx context.Context, name string, snapshot []byte
 // checkpoint pair left by a deleted same-name predecessor is removed first:
 // the writer would otherwise demote it into the fallback generation, where
 // recovery could resume it. On failure every file of the name is removed.
-// Without a WAL it returns a nil log.
 func (m *Manager) adoptLog(name string, snapshot []byte, lsn uint64) (*sessionWAL, error) {
-	if m.walDir == "" {
-		return nil, nil
-	}
 	os.Remove(m.ckptPath(name))
 	os.Remove(m.ckptPrevPath(name))
 	w := &sessionWAL{}
@@ -217,10 +220,14 @@ func (m *Manager) adoptLog(name string, snapshot []byte, lsn uint64) (*sessionWA
 // the follower falls back to a fresh reset. Per-record application errors are
 // tolerated exactly like crash recovery tolerates them — the library rejects
 // invalid mutations without mutating, so a record that failed on the leader
-// re-fails here deterministically.
+// re-fails here deterministically. A manager without a WAL refuses it with
+// errNoWAL.
 func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec wal.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if m.walDir == "" {
+		return fmt.Errorf("server: replica %q: %w", name, errNoWAL)
 	}
 	if rec.Type == wal.RecCreate {
 		return fmt.Errorf("server: replica %q: create record in the middle of a stream: %w", name, cverr.ErrBadWAL)
@@ -245,7 +252,6 @@ func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec
 			applyCtx = context.WithoutCancel(ctx)
 		}
 		aerr := replayRecord(applyCtx, s, rec)
-		e.replicaLSN = lsn
 		m.maybeCheckpoint(e)
 		if aerr != nil && (errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded)) {
 			return aerr

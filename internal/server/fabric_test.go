@@ -446,7 +446,7 @@ func TestOwnerCheckGatesWritePaths(t *testing.T) {
 
 func TestOverloadedResponseCarriesRetryAfter(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeError(rec, fmt.Errorf("%w: queue full", cverr.ErrOverloaded))
+	WriteError(rec, fmt.Errorf("%w: queue full", cverr.ErrOverloaded))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rec.Code)
 	}
@@ -454,7 +454,7 @@ func TestOverloadedResponseCarriesRetryAfter(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want %q", got, "1")
 	}
 	rec = httptest.NewRecorder()
-	writeError(rec, fmt.Errorf("%w: nope", cverr.ErrSessionNotFound))
+	WriteError(rec, fmt.Errorf("%w: nope", cverr.ErrSessionNotFound))
 	if got := rec.Header().Get("Retry-After"); got != "" {
 		t.Fatalf("Retry-After on a 404 = %q, want unset", got)
 	}

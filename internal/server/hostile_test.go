@@ -116,7 +116,7 @@ func TestInstallReleasesNameAfterPanic(t *testing.T) {
 				t.Fatalf("recovered %v, want the build's panic", r)
 			}
 		}()
-		manager.install("boom", func() (*crowdval.Session, *sessionWAL, uint64, error) {
+		manager.install("boom", func() (*crowdval.Session, *sessionWAL, error) {
 			panic("build panicked")
 		})
 	}()

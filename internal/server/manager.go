@@ -159,9 +159,6 @@ type entry struct {
 	// the session's write critical section, which is what keeps log order
 	// identical to apply order.
 	log *sessionWAL
-	// replicaLSN tracks the stream position of a followed session when no WAL
-	// records it (with one, the log's own LSN is authoritative). Guarded by mu.
-	replicaLSN uint64
 
 	bytes   int64 // last accounted MemoryEstimate; 0 while parked
 	parking bool  // selected as an eviction victim, park in flight
@@ -233,10 +230,10 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // ValidateSessionName reports whether a name is acceptable: 1–128 characters
 // from [A-Za-z0-9._-], starting with a letter or digit. The restriction keeps
 // names directly usable as park file names and URL path segments. Failures
-// are client errors (the HTTP layer maps them to 400).
+// wrap ErrBadRequest (the HTTP layer maps them to 400).
 func ValidateSessionName(name string) error {
 	if len(name) == 0 || len(name) > 128 {
-		return &badRequestError{msg: "server: session name must have 1-128 characters"}
+		return fmt.Errorf("server: session name must have 1-128 characters: %w", cverr.ErrBadRequest)
 	}
 	for i := 0; i < len(name); i++ {
 		c := name[i]
@@ -244,7 +241,7 @@ func ValidateSessionName(name string) error {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
 		case (c == '.' || c == '_' || c == '-') && i > 0:
 		default:
-			return &badRequestError{msg: fmt.Sprintf("server: session name %q may only contain letters, digits, '.', '_' and '-', starting with a letter or digit", name)}
+			return fmt.Errorf("server: session name %q may only contain letters, digits, '.', '_' and '-', starting with a letter or digit: %w", name, cverr.ErrBadRequest)
 		}
 	}
 	return nil
@@ -257,13 +254,13 @@ func (m *Manager) parkPath(name string) string {
 // Create builds a new session under the given name. The context bounds the
 // initial cold aggregation, the dominant cost of session creation.
 func (m *Manager) Create(ctx context.Context, name string, answers *crowdval.AnswerSet, opts ...crowdval.Option) error {
-	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
 		sess, err := crowdval.NewSession(answers, append(append([]crowdval.Option(nil), opts...), crowdval.WithContext(ctx))...)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		w, err := m.createWAL(name, sess)
-		return sess, w, 0, err
+		return sess, w, err
 	})
 }
 
@@ -274,27 +271,26 @@ func (m *Manager) CreateFromSnapshot(ctx context.Context, name string, snap []by
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+	return m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
 		sess, err := crowdval.ResumeSession(snap, opts...)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		w, err := m.createWAL(name, sess)
-		return sess, w, 0, err
+		return sess, w, err
 	})
 }
 
 // install is the one way a session enters the manager — creation, resume,
 // adoption from another node and crash recovery. It reserves the name with
 // a placeholder entry, runs build outside every lock except the entry's own,
-// and either publishes what build returned (the session, its log — nil
-// without a WAL — and, for a replica without one, the LSN it stands at) or
-// rolls the reservation back. Log-before-serve: build makes the session
-// durable before the name is published, so no acknowledged creation can be
-// lost to a crash. Concurrent operations on the same name block on the entry
-// lock until the creation settles. The rollback is deferred, so a build that
+// and either publishes what build returned (the session and its log — nil
+// without a WAL) or rolls the reservation back. Log-before-serve: build
+// makes the session durable before the name is published, so no
+// acknowledged creation can be lost to a crash. Concurrent operations on the
+// same name block on the entry lock until the creation settles. The rollback is deferred, so a build that
 // fails, or panics, never leaves the name reserved and its entry locked.
-func (m *Manager) install(name string, build func() (*crowdval.Session, *sessionWAL, uint64, error)) error {
+func (m *Manager) install(name string, build func() (*crowdval.Session, *sessionWAL, error)) error {
 	if err := ValidateSessionName(name); err != nil {
 		return err
 	}
@@ -322,12 +318,12 @@ func (m *Manager) install(name string, build func() (*crowdval.Session, *session
 		m.lru.Remove(e.elem)
 		m.mu.Unlock()
 	}()
-	sess, w, lsn, err := build()
+	sess, w, err := build()
 	if err != nil {
 		return err
 	}
 	built = true
-	e.sess, e.log, e.replicaLSN = sess, w, lsn
+	e.sess, e.log = sess, w
 	victims := m.settle(e)
 	e.mu.Unlock()
 	m.parkAll(victims)
@@ -904,29 +900,13 @@ func ingestedOnSuccess(err error, n int) int64 {
 	return int64(n)
 }
 
-// NextObject returns the object the expert should validate next. Candidate
-// scoring is read-only session state access, so it is served under the
-// session's read lock: concurrent NextObject calls and result views proceed
-// in parallel instead of queueing behind the single-writer lock, and only
-// the strategy's tiny stateful prologue (the hybrid roulette draw) is
-// serialized inside the session itself.
-func (m *Manager) NextObject(ctx context.Context, name string) (int, error) {
-	var object int
-	err := m.view(ctx, name, func(s *crowdval.Session) error {
-		var err error
-		object, err = s.NextObjectContext(ctx)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	atomic.AddInt64(&m.live.Selections, 1)
-	return object, nil
-}
-
 // NextObjects returns the top k ranked candidates for the next expert
-// validation in one scoring pass (see Session.NextObjectsContext). Like
-// NextObject it is served under the session's read lock.
+// validation in one scoring pass (see Session.NextObjectsContext); k = 1 is
+// the single next-object selection. Candidate scoring is read-only session
+// state access, so it is served under the session's read lock: concurrent
+// selections and result views proceed in parallel instead of queueing behind
+// the single-writer lock, and only the strategy's tiny stateful prologue
+// (the hybrid roulette draw) is serialized inside the session itself.
 func (m *Manager) NextObjects(ctx context.Context, name string, k int) ([]crowdval.ScoredObject, error) {
 	var ranked []crowdval.ScoredObject
 	err := m.view(ctx, name, func(s *crowdval.Session) error {
@@ -961,7 +941,7 @@ func (m *Manager) GlobalNext(ctx context.Context, k int, includeParked bool) ([]
 		return nil, err
 	}
 	if k <= 0 {
-		return nil, &badRequestError{msg: "server: global next needs k >= 1"}
+		return nil, fmt.Errorf("server: global next needs k >= 1: %w", cverr.ErrBadRequest)
 	}
 	m.mu.Lock()
 	entries := make([]*entry, 0, len(m.sessions))

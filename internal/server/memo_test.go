@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
 	"crowdval"
 	"crowdval/internal/fault"
+	"crowdval/internal/wal"
 )
 
 // These tests pin the ranking memo a parked session carries (entry.memo):
@@ -111,8 +113,9 @@ func TestParkResumeMemoHit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, err := m.NextObject(ctx, "s"); err != nil || got != obj {
-					t.Fatalf("step %d: manager selected %d (%v), twin %d", i, got, err, obj)
+				ranked, err := m.NextObjects(ctx, "s", 1)
+				if err != nil || ranked[0].Object != obj {
+					t.Fatalf("step %d: manager selected %v (%v), twin %d", i, ranked, err, obj)
 				}
 				label := 1 - twin.Result()[obj]
 				if _, err := twin.SubmitValidation(obj, label); err != nil {
@@ -258,13 +261,21 @@ func TestParkResumeNoStaleMemo(t *testing.T) {
 		expect(t, m, dB, "snapshot adoption")
 	})
 	t.Run("follower-reset", func(t *testing.T) {
+		// Replication needs a WAL (the adoption subtest resets one): a
+		// manager without one refuses the reset and the stream apply, and
+		// its parked session stays as it was.
 		m := plain(t)
 		parkRanked(t, m)
-		if err := m.ReplicaReset(ctx, "s", snapB(t), 7); err != nil {
-			t.Fatal(err)
+		if err := m.ReplicaReset(ctx, "s", snapB(t), 7); !errors.Is(err, errNoWAL) {
+			t.Fatalf("ReplicaReset without a WAL: %v, want errNoWAL", err)
 		}
-		noMemo(t, m, "follower reset")
-		expect(t, m, dB, "follower reset")
+		if err := m.ReplicaApply(ctx, "s", 8, wal.Record{Type: wal.RecSubmit}); !errors.Is(err, errNoWAL) {
+			t.Fatalf("ReplicaApply without a WAL: %v, want errNoWAL", err)
+		}
+		if got := m.Stats().CarriedMemoBytes; got != fullMemoBytes {
+			t.Fatalf("refused follower reset left %d carried memo bytes, want %d", got, fullMemoBytes)
+		}
+		expect(t, m, dA, "refused follower reset")
 	})
 	t.Run("handoff", func(t *testing.T) {
 		donor, receiver := withWAL(t, nil), withWAL(t, nil)

@@ -73,16 +73,16 @@ func New(m *Manager) *Server {
 	s := &Server{manager: m, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
+	s.mux.HandleFunc("POST /v1/sessions", handle(s.handleCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.handleList)
-	s.mux.HandleFunc("POST /v1/sessions/{name}/resume", s.handleResume)
-	s.mux.HandleFunc("GET /v1/sessions/{name}/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("POST /v1/sessions/{name}/answers", s.handleIngest)
-	s.mux.HandleFunc("GET /v1/sessions/{name}/next", s.handleNext)
-	s.mux.HandleFunc("GET /v1/next", s.handleGlobalNext)
-	s.mux.HandleFunc("POST /v1/sessions/{name}/budget", s.handleSetBudget)
-	s.mux.HandleFunc("POST /v1/sessions/{name}/validations", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/sessions/{name}/result", s.handleResult)
+	s.mux.HandleFunc("POST /v1/sessions/{name}/resume", handle(s.handleResume))
+	s.mux.HandleFunc("GET /v1/sessions/{name}/snapshot", handle(s.handleSnapshot))
+	s.mux.HandleFunc("POST /v1/sessions/{name}/answers", handle(s.handleIngest))
+	s.mux.HandleFunc("GET /v1/sessions/{name}/next", handle(s.handleNext))
+	s.mux.HandleFunc("GET /v1/next", handle(s.handleGlobalNext))
+	s.mux.HandleFunc("POST /v1/sessions/{name}/budget", handle(s.handleSetBudget))
+	s.mux.HandleFunc("POST /v1/sessions/{name}/validations", handle(s.handleSubmit))
+	s.mux.HandleFunc("GET /v1/sessions/{name}/result", handle(s.handleResult))
 	s.mux.HandleFunc("DELETE /v1/sessions/{name}", s.handleDelete)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics", s.handlePrometheus)
@@ -150,17 +150,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// checkOwner applies the cluster ownership gate to a session-owning request;
-// false means the rejection was already written.
-func (s *Server) checkOwner(w http.ResponseWriter, name string) bool {
+// checkOwner applies the cluster ownership gate to a session-owning request.
+func (s *Server) checkOwner(name string) error {
 	if s.ownerCheck == nil {
-		return true
+		return nil
 	}
-	if err := s.ownerCheck(name); err != nil {
-		writeError(w, err)
-		return false
-	}
-	return true
+	return s.ownerCheck(name)
 }
 
 func (s *Server) maxBody() int64 {
@@ -170,9 +165,27 @@ func (s *Server) maxBody() int64 {
 	return DefaultMaxBodyBytes
 }
 
-// requestContext derives the operation context: the request's own context
-// (cancelled when the client goes away) optionally bounded by a ?timeout=
-// duration.
+// handler is the shape of every public endpoint that runs a session
+// operation: it writes its own success response and returns its refusal.
+type handler func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
+
+// handle adapts a handler to net/http: it derives the operation context —
+// the request's own context (cancelled when the client goes away),
+// optionally bounded by a ?timeout= duration — and writes any refusal with
+// WriteError.
+func handle(h handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel, err := requestContext(r)
+		if err == nil {
+			defer cancel()
+			err = h(ctx, w, r)
+		}
+		if err != nil {
+			WriteError(w, err)
+		}
+	}
+}
+
 func requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	ctx := r.Context()
 	raw := r.URL.Query().Get("timeout")
@@ -181,41 +194,26 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	}
 	d, err := time.ParseDuration(raw)
 	if err != nil || d <= 0 {
-		return nil, nil, &badRequestError{msg: "invalid timeout " + raw}
+		return nil, nil, fmt.Errorf("invalid timeout %s: %w", raw, cverr.ErrBadRequest)
 	}
 	ctx, cancel := context.WithTimeout(ctx, d)
 	return ctx, cancel, nil
 }
 
-// badRequestError marks client errors that carry no library sentinel (e.g.
-// malformed JSON or query parameters).
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleCreate(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req CreateSessionRequest
 	if err := decodeJSON(r, s.maxBody(), &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return err
 	}
-	if !s.checkOwner(w, req.Name) {
-		return
+	if err := s.checkOwner(req.Name); err != nil {
+		return err
 	}
 	answers, err := req.answerSet()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	if err := s.manager.Create(ctx, req.Name, answers, req.Options.options()...); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusCreated, SessionSummary{
 		Name:    req.Name,
@@ -224,27 +222,20 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Labels:  answers.NumLabels(),
 		Answers: answers.AnswerCount(),
 	})
+	return nil
 }
 
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleResume(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	if !s.checkOwner(w, name) {
-		return
+	if err := s.checkOwner(name); err != nil {
+		return err
 	}
 	snap, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.maxBody()))
 	if err != nil {
-		writeError(w, fmt.Errorf("%w: reading snapshot body: %v", cverr.ErrBadSnapshot, err))
-		return
+		return fmt.Errorf("reading snapshot body: %w: %w", err, cverr.ErrBadRequest)
 	}
 	if err := s.manager.CreateFromSnapshot(ctx, name, snap); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	var summary SessionSummary
 	err = s.manager.View(ctx, name, func(sess *crowdval.Session) error {
@@ -258,48 +249,35 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusCreated, summary)
+	return nil
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleSnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	// The manager materializes the bytes (from the resident session or, for a
 	// parked one, straight from its park file — no resume) before anything is
 	// written, so failures still produce a JSON error response and a slow
 	// download cannot stall the session's writers.
 	data, err := s.manager.Snapshot(ctx, r.PathValue("name"))
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
+	return nil
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleIngest(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req IngestRequest
 	if err := decodeJSON(r, s.maxBody(), &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return err
 	}
 	name := r.PathValue("name")
-	if !s.checkOwner(w, name) {
-		return
+	if err := s.checkOwner(name); err != nil {
+		return err
 	}
 	answers := make([]crowdval.Answer, len(req.Answers))
 	for i, a := range req.Answers {
@@ -307,57 +285,49 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	total, err := s.manager.AddAnswers(ctx, name, answers)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(answers), AnswerCount: total})
+	return nil
 }
 
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
+func (s *Server) handleNext(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	k, err := ParseK(r, 1)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
-	k, ok := ParseK(w, r, 1)
-	if !ok {
-		return
+		return err
 	}
 	// Next-object guidance mutates strategy state (the hybrid roulette draw),
 	// so like the writers it is owner-only; result and snapshot reads may be
 	// served from any node holding a copy.
-	if !s.checkOwner(w, r.PathValue("name")) {
-		return
+	if err := s.checkOwner(r.PathValue("name")); err != nil {
+		return err
 	}
 	ranked, err := s.manager.NextObjects(ctx, r.PathValue("name"), k)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	resp := NextResponse{Object: ranked[0].Object, Ranking: make([]ScoredObjectJSON, len(ranked))}
 	for i, c := range ranked {
 		resp.Ranking[i] = ScoredObjectJSON{Object: c.Object, Score: c.Score}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // ParseK extracts and bounds the ?k= ranking size of a next-object request:
-// def when absent, otherwise an integer in 1..MaxNextK. On any other value it
-// sends the JSON 400 and reports false. The fabric router applies the same
-// rule before it fans a request out.
-func ParseK(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
-	k := def
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		var err error
-		k, err = strconv.Atoi(raw)
-		if err != nil || k < 1 || k > MaxNextK {
-			writeJSON(w, http.StatusBadRequest,
-				ErrorResponse{Error: fmt.Sprintf("invalid k %q (must be an integer in 1..%d)", raw, MaxNextK)})
-			return 0, false
-		}
+// def when absent, otherwise an integer in 1..MaxNextK; any other value is an
+// ErrBadRequest. The fabric router applies the same rule before it fans a
+// request out.
+func ParseK(r *http.Request, def int) (int, error) {
+	raw := r.URL.Query().Get("k")
+	if raw == "" {
+		return def, nil
 	}
-	return k, true
+	k, err := strconv.Atoi(raw)
+	if err != nil || k < 1 || k > MaxNextK {
+		return 0, fmt.Errorf("invalid k %q (must be an integer in 1..%d): %w", raw, MaxNextK, cverr.ErrBadRequest)
+	}
+	return k, nil
 }
 
 // handleGlobalNext serves the marketplace read: the global top-k next
@@ -365,22 +335,15 @@ func ParseK(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 // cost (see Manager.GlobalNext). It is deliberately not owner-gated — the
 // answer describes only the sessions this node holds, and the router
 // fan-outs it across the fabric to build the cluster-wide ranking.
-func (s *Server) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
+func (s *Server) handleGlobalNext(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+	k, err := ParseK(r, 1)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
-	k, ok := ParseK(w, r, 1)
-	if !ok {
-		return
+		return err
 	}
 	includeParked := r.URL.Query().Get("parked") == "1"
 	cands, err := s.manager.GlobalNext(ctx, k, includeParked)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	resp := GlobalNextResponse{Candidates: make([]GlobalCandidateJSON, len(cands))}
 	for i, c := range cands {
@@ -389,34 +352,26 @@ func (s *Server) handleGlobalNext(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleSetBudget(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleSetBudget(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req BudgetRequest
 	if err := decodeJSON(r, s.maxBody(), &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return err
 	}
 	if req.Budget <= 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "budget must be positive"})
-		return
+		return fmt.Errorf("budget must be positive: %w", cverr.ErrBadRequest)
 	}
 	name := r.PathValue("name")
-	if !s.checkOwner(w, name) {
-		return
+	if err := s.checkOwner(name); err != nil {
+		return err
 	}
 	if err := s.manager.SetBudget(ctx, name, req.tracker()); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	var resp BudgetResponse
-	err = s.manager.View(ctx, name, func(sess *crowdval.Session) error {
+	err := s.manager.View(ctx, name, func(sess *crowdval.Session) error {
 		t, ok := sess.CostBudget()
 		if !ok {
 			return fmt.Errorf("server: session %q lost its budget after SetBudget", name)
@@ -436,39 +391,30 @@ func (s *Server) handleSetBudget(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleSubmit(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req SubmitRequest
 	if err := decodeJSON(r, s.maxBody(), &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
+		return err
 	}
 	if len(req.Validations) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "no validations in request"})
-		return
+		return fmt.Errorf("no validations in request: %w", cverr.ErrBadRequest)
 	}
 	name := r.PathValue("name")
-	if !s.checkOwner(w, name) {
-		return
+	if err := s.checkOwner(name); err != nil {
+		return err
 	}
 	var infos []crowdval.StepInfo
 	if len(req.Validations) == 1 {
 		v := req.Validations[0]
 		info, err := s.manager.Submit(ctx, name, v.Object, crowdval.Label(v.Label))
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		infos = []crowdval.StepInfo{info}
 	} else {
@@ -479,8 +425,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var err error
 		infos, err = s.manager.SubmitBatch(ctx, name, inputs)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 	}
 	resp := SubmitResponse{Steps: make([]StepInfoJSON, len(infos))}
@@ -488,18 +433,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp.Steps[i] = stepInfoJSON(info)
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer cancel()
+func (s *Server) handleResult(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	withProbs := r.URL.Query().Get("probabilities") == "1"
 	var resp ResultResponse
-	err = s.manager.View(ctx, r.PathValue("name"), func(sess *crowdval.Session) error {
+	err := s.manager.View(ctx, r.PathValue("name"), func(sess *crowdval.Session) error {
 		assignment := sess.Result()
 		resp.Labels = make([]int, len(assignment))
 		for o, l := range assignment {
@@ -530,18 +470,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
+// handleDelete is the one session endpoint that takes no operation context
+// (deletion is not cancellable), so it writes its refusal itself.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.checkOwner(w, r.PathValue("name")) {
-		return
+	name := r.PathValue("name")
+	err := s.checkOwner(name)
+	if err == nil {
+		err = s.manager.Delete(name)
 	}
-	if err := s.manager.Delete(r.PathValue("name")); err != nil {
-		writeError(w, err)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -339,7 +339,7 @@ func TestManagerEvictionParksAndResumes(t *testing.T) {
 
 	// Touching the parked session resumes it transparently and the operation
 	// proceeds as if it never left.
-	if _, err := manager.NextObject(ctx, "a"); err != nil {
+	if _, err := manager.NextObjects(ctx, "a", 1); err != nil {
 		t.Fatalf("operation on parked session: %v", err)
 	}
 	if manager.Stats().Resumes == 0 {
@@ -348,7 +348,7 @@ func TestManagerEvictionParksAndResumes(t *testing.T) {
 
 	// A parked session's snapshot is served straight from the park file,
 	// without waking the session: the resume counter must not move.
-	if _, err := manager.NextObject(ctx, "b"); err != nil {
+	if _, err := manager.NextObjects(ctx, "b", 1); err != nil {
 		t.Fatal(err)
 	}
 	// After using b (budget still 1), a is parked again.
@@ -379,7 +379,7 @@ func TestManagerEvictionParksAndResumes(t *testing.T) {
 	if err := manager.Create(ctx, "a", testCrowd(t, 10, 4, 9).Answers, crowdval.WithSeed(9)); err != nil {
 		t.Fatalf("recreate after delete: %v", err)
 	}
-	if _, err := manager.NextObject(ctx, "a"); err != nil {
+	if _, err := manager.NextObjects(ctx, "a", 1); err != nil {
 		t.Fatalf("recreated session unusable: %v", err)
 	}
 }
@@ -621,9 +621,9 @@ func TestConcurrentClientsBitForBit(t *testing.T) {
 }
 
 // TestResumeBodyOverLimitOrShort: the resume handler reads the snapshot body
-// under the server's body limit. A body over the limit and a truncated body
-// both answer 400 ErrBadSnapshot and install nothing; a body exactly at the
-// limit resumes.
+// under the server's body limit. A body over the limit answers 413
+// ErrBadRequest and a truncated body 400 ErrBadSnapshot; neither installs
+// anything. A body exactly at the limit resumes.
 func TestResumeBodyOverLimitOrShort(t *testing.T) {
 	s, err := crowdval.NewSession(testCrowd(t, 20, 6, 3).Answers, crowdval.WithSeed(3))
 	if err != nil {
@@ -652,12 +652,16 @@ func TestResumeBodyOverLimitOrShort(t *testing.T) {
 		json.NewDecoder(resp.Body).Decode(&errBody)
 		return resp.StatusCode, errBody
 	}
-	for name, body := range map[string][]byte{
-		"over":  append(append([]byte(nil), snap...), 0),
-		"short": snap[:len(snap)/2],
+	for name, want := range map[string]struct {
+		body   []byte
+		status int
+		code   string
+	}{
+		"over":  {append(append([]byte(nil), snap...), 0), http.StatusRequestEntityTooLarge, "ErrBadRequest"},
+		"short": {snap[:len(snap)/2], http.StatusBadRequest, "ErrBadSnapshot"},
 	} {
-		if status, errBody := post(name, body); status != http.StatusBadRequest || errBody.Code != "ErrBadSnapshot" {
-			t.Fatalf("%s body: status %d, %+v; want 400 ErrBadSnapshot", name, status, errBody)
+		if status, errBody := post(name, want.body); status != want.status || errBody.Code != want.code {
+			t.Fatalf("%s body: status %d, %+v; want %d %s", name, status, errBody, want.status, want.code)
 		}
 		if manager.Has(name) {
 			t.Fatalf("%s body installed a session", name)

@@ -508,9 +508,9 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 // installs it under its name.
 func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredSession) {
 	r.Name = name
-	r.Err = m.install(name, func() (*crowdval.Session, *sessionWAL, uint64, error) {
+	r.Err = m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
 		sess, w, err := m.replayLog(ctx, name, &r)
-		return sess, w, 0, err
+		return sess, w, err
 	})
 	return r
 }

@@ -272,7 +272,9 @@ func NewSession(answers *AnswerSet, opts ...Option) (*Session, error) {
 func newSession(answers *AnswerSet, cfg sessionConfig, st *snapshot.State) (*Session, error) {
 	src := rng.New(cfg.seed)
 	rnd := rand.New(src)
-	strategy, err := buildSessionStrategy(cfg, rnd)
+	// Every stochastic strategy draws from rnd, the session's single
+	// snapshot-able source.
+	strategy, err := guidance.New(string(cfg.strategy), cfg.candidateLimit, rnd)
 	if err != nil {
 		return nil, err
 	}
@@ -332,29 +334,6 @@ func orBackground(ctx context.Context) context.Context {
 		return context.Background()
 	}
 	return ctx
-}
-
-// buildSessionStrategy constructs the guidance strategy; every stochastic
-// strategy draws from rnd, the session's single snapshot-able source.
-func buildSessionStrategy(cfg sessionConfig, rnd *rand.Rand) (guidance.Strategy, error) {
-	switch cfg.strategy {
-	case StrategyHybrid, "":
-		return &guidance.Hybrid{
-			Uncertainty: &guidance.UncertaintyDriven{CandidateLimit: cfg.candidateLimit},
-			Worker:      &guidance.WorkerDriven{CandidateLimit: cfg.candidateLimit},
-			Rand:        rnd,
-		}, nil
-	case StrategyUncertainty:
-		return &guidance.UncertaintyDriven{CandidateLimit: cfg.candidateLimit}, nil
-	case StrategyWorker:
-		return &guidance.WorkerDriven{CandidateLimit: cfg.candidateLimit}, nil
-	case StrategyBaseline:
-		return &guidance.Baseline{}, nil
-	case StrategyRandom:
-		return &guidance.Random{Rand: rnd}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q", cverr.ErrUnknownStrategy, cfg.strategy)
-	}
 }
 
 // NextObject returns the object the expert should validate next.
