@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"time"
 
+	"crowdval/internal/cverr"
 	"crowdval/internal/fault"
+	"crowdval/internal/server"
 )
 
 // The fault admin endpoint lets an external chaos harness (scripts/chaossmoke,
@@ -94,15 +96,15 @@ func withFaultAdmin(next http.Handler, in *fault.Injector) http.Handler {
 			writeFaultJSON(w, http.StatusOK, faultAdminResponse{Injected: in.Injected()})
 		case http.MethodPost:
 			var req faultAdminRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+				server.WriteError(w, fmt.Errorf("decoding fault rules: %w: %w", err, cverr.ErrBadRequest))
 				return
 			}
 			rules := make([]fault.Rule, 0, len(req.Rules))
 			for _, rj := range req.Rules {
 				rule, err := rj.rule()
 				if err != nil {
-					http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+					server.WriteError(w, fmt.Errorf("%w: %w", err, cverr.ErrBadRequest))
 					return
 				}
 				rules = append(rules, rule)

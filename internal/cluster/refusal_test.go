@@ -112,6 +112,7 @@ func TestEveryRefusalIsCodedJSON(t *testing.T) {
 		{"unknown field", node, "POST", "/v1/sessions", str(`{"name":"a","bogus":1}`), 400, "ErrBadRequest"},
 		{"create without a name", node, "POST", "/v1/sessions", str(`{"matrix":[[0,1],[1,0]]}`), 400, "ErrBadRequest"},
 		{"bad timeout", node, "GET", "/v1/sessions/a/result?timeout=soon", nil, 400, "ErrBadRequest"},
+		{"bad timeout on delete", node, "DELETE", "/v1/sessions/a?timeout=bogus", nil, 400, "ErrBadRequest"},
 		{"bad k", node, "GET", "/v1/sessions/a/next?k=0", nil, 400, "ErrBadRequest"},
 		{"budget of 0", node, "POST", "/v1/sessions/a/budget", str(`{"budget":0}`), 400, "ErrBadRequest"},
 		{"empty submit", node, "POST", "/v1/sessions/a/validations", str(`{"validations":[]}`), 400, "ErrBadRequest"},

@@ -642,18 +642,7 @@ func (e *Engine) SetCostBudget(t *cost.Tracker) { e.costBudget = t }
 
 // Done reports whether the process should stop: goal reached, effort or
 // monetary budget exhausted, or no unvalidated object left.
-func (e *Engine) Done() bool {
-	if e.cfg.Goal != nil && e.cfg.Goal(e) {
-		return true
-	}
-	if e.effortSpent >= e.budget() {
-		return true
-	}
-	if e.costBudget != nil && e.costBudget.Exhausted() {
-		return true
-	}
-	return e.validation.Count() == e.validation.NumObjects()
-}
+func (e *Engine) Done() bool { return e.selectable() != nil }
 
 // guidanceContext assembles the strategy context for the current state.
 func (e *Engine) guidanceContext(ctx context.Context) *guidance.Context {
@@ -843,6 +832,8 @@ func (e *Engine) storeRanking(role memoRole, gctx *guidance.Context, r *guidance
 type RankingMemo struct {
 	state   memoState
 	entries rankings
+	// answers marks a memo that answers selections on its own (Top).
+	answers bool
 }
 
 // memoRole names a stateless scoring strategy by the part it plays in an
@@ -942,6 +933,10 @@ func probHash(p *model.ProbabilisticAnswerSet) uint64 {
 // state. The engine keeps none of them. It returns nil when nothing is
 // memoized. A serving tier takes the memo in the same exclusive section that
 // snapshots the engine for parking, so both describe one state.
+// The memo answers selections on its own (Top) only where one would serve
+// the memoized ranking and change nothing: no hybrid, whose draw is snapshot
+// state; a stateless scorer that already set lastWorkerDriven as a selection
+// would; the selection cache on; and the selection preconditions passing.
 func (e *Engine) TakeRankingMemo() *RankingMemo {
 	e.selMu.Lock()
 	defer e.selMu.Unlock()
@@ -950,7 +945,21 @@ func (e *Engine) TakeRankingMemo() *RankingMemo {
 	if entries == (rankings{}) {
 		return nil
 	}
-	return &RankingMemo{state: e.memoState(), entries: entries}
+	_, workerDriven := e.strategy.(*guidance.WorkerDriven)
+	answers := e.hybrid == nil && statelessScorer(e.strategy) && workerDriven == e.lastWorkerDriven &&
+		!e.cfg.DisableSelectionCache && e.selectable() == nil
+	return &RankingMemo{state: e.memoState(), entries: entries, answers: answers}
+}
+
+// Top returns the copy of the top k that a selection on the engine resumed
+// with the memo installed serves, when the memo answers selections on its own
+// and certifies the top k; otherwise ok is false.
+func (m *RankingMemo) Top(k int) (top []guidance.ScoredObject, ok bool) {
+	if m == nil || !m.answers || m.entries[roleStrategy] == nil {
+		return nil, false
+	}
+	top, ok = m.entries[roleStrategy].Top(k)
+	return top, ok && len(top) > 0
 }
 
 // InstallRankingMemo hands a carried memo to an engine restored from the
@@ -989,6 +998,29 @@ func (m *RankingMemo) Bytes() int64 {
 	return n
 }
 
+// selectable checks the selection preconditions, which Done negates: the
+// goal is not reached, some object is unvalidated, and the effort and
+// monetary budgets are not spent.
+func (e *Engine) selectable() error {
+	if e.cfg.Goal != nil && e.cfg.Goal(e) {
+		return fmt.Errorf("core: goal reached: %w", cverr.ErrSessionDone)
+	}
+	// Count instead of materializing UnvalidatedObjects: the precondition
+	// runs under the lock on every selection, and allocating an index slice
+	// per request is measurable at serving rates.
+	if e.validation.Count() == e.validation.NumObjects() {
+		return fmt.Errorf("core: all objects are already validated: %w", cverr.ErrSessionDone)
+	}
+	if e.effortSpent >= e.budget() {
+		return fmt.Errorf("core: %w: spent %d of %d", cverr.ErrBudgetExhausted, e.effortSpent, e.budget())
+	}
+	if e.costBudget != nil && e.costBudget.Exhausted() {
+		return fmt.Errorf("core: %w: no further validation fits the monetary budget (spent %d)",
+			cverr.ErrBudgetExhausted, e.costBudget.Spent)
+	}
+	return nil
+}
+
 // beginSelection performs the serialized prologue of one selection under the
 // selection lock: the goal and budget preconditions, the stateful
 // strategy-branch decision (hybrid roulette draw, lastWorkerDriven
@@ -1002,25 +1034,9 @@ func (m *RankingMemo) Bytes() int64 {
 // afterwards.
 func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) {
 	e.selMu.Lock()
-	if e.cfg.Goal != nil && e.cfg.Goal(e) {
+	if err := e.selectable(); err != nil {
 		e.selMu.Unlock()
-		return nil, fmt.Errorf("core: goal reached: %w", cverr.ErrSessionDone)
-	}
-	// Count instead of materializing UnvalidatedObjects: the precondition
-	// runs under the lock on every selection, and allocating an index slice
-	// per request is measurable at serving rates.
-	if e.validation.Count() == e.validation.NumObjects() {
-		e.selMu.Unlock()
-		return nil, fmt.Errorf("core: all objects are already validated: %w", cverr.ErrSessionDone)
-	}
-	if e.effortSpent >= e.budget() {
-		e.selMu.Unlock()
-		return nil, fmt.Errorf("core: %w: spent %d of %d", cverr.ErrBudgetExhausted, e.effortSpent, e.budget())
-	}
-	if e.costBudget != nil && e.costBudget.Exhausted() {
-		e.selMu.Unlock()
-		return nil, fmt.Errorf("core: %w: no further validation fits the monetary budget (spent %d)",
-			cverr.ErrBudgetExhausted, e.costBudget.Spent)
+		return nil, err
 	}
 	// Bail before the strategy runs: an already-cancelled context must not
 	// consume state (in particular not the hybrid roulette draw), so retrying
@@ -1037,8 +1053,7 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 	// both a *WorkerDriven.
 	_, e.lastWorkerDriven = exec.(*guidance.WorkerDriven)
 	sel := &selection{exec: exec, release: func() {}}
-	switch exec.(type) {
-	case *guidance.UncertaintyDriven, *guidance.WorkerDriven, *guidance.Baseline:
+	if statelessScorer(exec) {
 		// Stateless scorers: serve from the memoized ranking when the state
 		// has not moved, otherwise share the per-aggregation index and score
 		// outside the lock.
@@ -1066,11 +1081,20 @@ func (e *Engine) beginSelection(ctx context.Context, k int) (*selection, error) 
 		}
 		e.selMu.Unlock()
 		return sel, nil
-	default:
-		sel.gctx = e.guidanceContext(ctx)
-		sel.release = e.selMu.Unlock
-		return sel, nil
 	}
+	sel.gctx = e.guidanceContext(ctx)
+	sel.release = e.selMu.Unlock
+	return sel, nil
+}
+
+// statelessScorer reports whether s is one of the scoring strategies whose
+// ranking is a pure function of the engine's state, and so may be memoized.
+func statelessScorer(s guidance.Strategy) bool {
+	switch s.(type) {
+	case *guidance.UncertaintyDriven, *guidance.WorkerDriven, *guidance.Baseline:
+		return true
+	}
+	return false
 }
 
 // IntegrateContext records the expert's validation of an object and performs

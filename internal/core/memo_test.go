@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crowdval/internal/aggregation"
+	"crowdval/internal/cost"
 	"crowdval/internal/guidance"
 )
 
@@ -109,5 +110,78 @@ func TestRankingMemoWithoutBranchInstances(t *testing.T) {
 	}
 	if memo := e.TakeRankingMemo(); memo == nil || memo.entries[roleUncertainty] == nil {
 		t.Fatalf("memo %+v, want the uncertainty branch's ranking", memo)
+	}
+}
+
+// TestRankingMemoTop: a taken memo answers a selection on its own exactly
+// when a selection of its state on the engine would serve the memoized
+// ranking and change nothing, and then answers what that selection returns.
+func TestRankingMemoTop(t *testing.T) {
+	ctx := context.Background()
+	goal := false
+	ranked := func(t *testing.T, strategy guidance.Strategy) *Engine {
+		t.Helper()
+		e, err := NewEngineContext(ctx, selectKAnswers(t, 80, 9), Config{
+			Strategy:     strategy,
+			Delta:        aggregation.DeltaConfig{Enabled: true},
+			DeltaScoring: true,
+			Goal:         func(*Engine) bool { return goal },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.SelectNextKContext(ctx, 5); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	e := ranked(t, &guidance.UncertaintyDriven{})
+	want, err := e.SelectNextKContext(ctx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := e.TakeRankingMemo()
+	got, ok := memo.Top(5)
+	if !ok || len(got) != len(want) {
+		t.Fatalf("Top(5) = %v, %v; want the selection %v", got, ok, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Top(5) = %v, want the selection %v", got, want)
+		}
+	}
+	for _, k := range []int{0, -1, 80} {
+		if _, ok := memo.Top(k); ok {
+			t.Fatalf("Top(%d) answered", k)
+		}
+	}
+	var none *RankingMemo
+	if _, ok := none.Top(1); ok {
+		t.Fatal("the nil memo answered")
+	}
+
+	h := hybridEngine(t, 1)
+	if _, err := h.SelectNextKContext(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]*RankingMemo{"hybrid": h.TakeRankingMemo()}
+	e = ranked(t, &guidance.UncertaintyDriven{})
+	e.SetCostBudget(&cost.Tracker{Theta: 10, Budget: 5})
+	refused["cost budget spent"] = e.TakeRankingMemo()
+	e = ranked(t, &guidance.UncertaintyDriven{})
+	goal = true
+	refused["goal reached"] = e.TakeRankingMemo()
+	goal = false
+	e = ranked(t, &guidance.WorkerDriven{})
+	e.lastWorkerDriven = false
+	refused["lastWorkerDriven unset"] = e.TakeRankingMemo()
+	for what, memo := range refused {
+		if memo == nil {
+			t.Fatalf("%s: nothing memoized", what)
+		}
+		if _, ok := memo.Top(1); ok {
+			t.Errorf("%s: the memo answered on its own", what)
+		}
 	}
 }

@@ -124,16 +124,23 @@ func benchmarkIngest(b *testing.B, extraOpts ...crowdval.Option) {
 // this shape costs hundreds of warm-EM runs per request and is benchmarked
 // library-side as BenchmarkNextObject/50000x500/exact-full-em.
 //
-// Two variants, guarded as a pair by scripts/benchguard (-pairs nextserve):
+// Three variants; maintained/rebuild is guarded as a pair by
+// scripts/benchguard (-pairs nextserve), parked/maintained as another
+// (-pairs parkednext):
 //
 //   - maintained — the default serving configuration: the scoring index is
 //     built once, patched in place across state changes, and repeated
 //     selections of an unchanged state are served from the memoized ranking.
 //   - rebuild — WithoutSelectionCache: every request rescans the candidate
 //     set against a freshly reconciled index, the pre-maintained-view cost.
+//   - parked — the maintained configuration under a one-byte memory budget,
+//     with every session parked after its warm-up: each request is answered
+//     from the ranking memo the session carried into the park, with no
+//     resume. The benchmark fails if a timed request resumes a session.
 func BenchmarkServerNext(b *testing.B) {
-	b.Run("maintained", func(b *testing.B) { benchmarkServerNext(b) })
-	b.Run("rebuild", func(b *testing.B) { benchmarkServerNext(b, crowdval.WithoutSelectionCache()) })
+	b.Run("maintained", func(b *testing.B) { benchmarkServerNext(b, false) })
+	b.Run("rebuild", func(b *testing.B) { benchmarkServerNext(b, false, crowdval.WithoutSelectionCache()) })
+	b.Run("parked", func(b *testing.B) { benchmarkServerNext(b, true) })
 }
 
 // BenchmarkGlobalNext measures the marketplace read path: GET /v1/next?k=10
@@ -226,7 +233,7 @@ func benchmarkGlobalNext(b *testing.B, numSessions int) {
 	b.ReportMetric(float64(stats.GlobalSelections)/b.Elapsed().Seconds(), "rankings/sec")
 }
 
-func benchmarkServerNext(b *testing.B, extraOpts ...crowdval.Option) {
+func benchmarkServerNext(b *testing.B, parked bool, extraOpts ...crowdval.Option) {
 	const (
 		numSessions = 4
 		objects     = 50000
@@ -242,7 +249,11 @@ func benchmarkServerNext(b *testing.B, extraOpts ...crowdval.Option) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	manager, err := NewManager(ManagerConfig{ParkDir: b.TempDir()})
+	cfg := ManagerConfig{ParkDir: b.TempDir()}
+	if parked {
+		cfg.MemoryBudget = 1
+	}
+	manager, err := NewManager(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,6 +285,17 @@ func benchmarkServerNext(b *testing.B, extraOpts ...crowdval.Option) {
 		}
 		resp.Body.Close()
 	}
+	if parked {
+		// Under the one-byte budget every warm-up parked the session before
+		// it; creating one more session parks the last.
+		if err := manager.Create(context.Background(), "pad", testCrowd(b, 20, 4, 1).Answers); err != nil {
+			b.Fatal(err)
+		}
+		if st := manager.Stats(); st.Parked != numSessions || st.CarriedMemoBytes == 0 {
+			b.Fatalf("%d sessions parked carrying %d memo bytes, want %d with memos", st.Parked, st.CarriedMemoBytes, numSessions)
+		}
+	}
+	resumes := manager.Stats().Resumes
 
 	var next atomic.Int64
 	b.ResetTimer()
@@ -294,5 +316,8 @@ func benchmarkServerNext(b *testing.B, extraOpts ...crowdval.Option) {
 	})
 	b.StopTimer()
 	stats := manager.Stats()
+	if stats.Resumes != resumes {
+		b.Fatalf("%d timed requests resumed a session", stats.Resumes-resumes)
+	}
 	b.ReportMetric(float64(stats.Selections)/b.Elapsed().Seconds(), "selections/sec")
 }

@@ -150,8 +150,9 @@ type entry struct {
 	deleted  bool
 	isParked bool
 	// memo is the ranking memo park took from the session together with its
-	// park file. It is set only by park and consumed only by unpark, which
-	// hands it to the session resumed from that file; every other way out of
+	// park file. It is set only by park, answers the reads it certifies (see
+	// view) and is consumed by unpark, which hands it to the session resumed
+	// from that file; every other way out of
 	// the parked state (retire, a failed unpark) drops it. Guarded by mu.
 	memo crowdval.RankingMemo
 	// log is the session's write-ahead log state; nil when the manager runs
@@ -471,10 +472,15 @@ func (m *Manager) exclusive(e *entry, name string, fn func(*crowdval.Session) er
 }
 
 // view runs fn with shared access to the named session: concurrent view calls
-// on the same resident session proceed in parallel, and only a parked session
-// falls back to the exclusive path so it can be resumed (after which it stays
-// resident for subsequent reads).
-func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Session) error) error {
+// on the same resident session proceed in parallel. A parked session first
+// offers its carried ranking memo to parked, when that is not nil, under the
+// read lock; if parked answers from it, nothing is resumed, evicted or read
+// from disk. Otherwise it falls back to the exclusive path, which resumes it.
+//
+// The memo needs no resumed engine's state check: park is its one writer,
+// every other transition (unpark, failed or not, and retire) drops it, and no
+// mutation reaches a parked session without exclusive resuming it first.
+func (m *Manager) view(ctx context.Context, name string, parked func(crowdval.RankingMemo) bool, fn func(*crowdval.Session) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -492,6 +498,11 @@ func (m *Manager) view(ctx context.Context, name string, fn func(*crowdval.Sessi
 		err := fn(e.sess)
 		m.foldSession(e, e.sess)
 		return err
+	}
+	if parked != nil && parked(e.memo) {
+		e.mu.RUnlock()
+		atomic.AddInt64(&m.live.ParkedSelections, 1)
+		return nil
 	}
 	e.mu.RUnlock()
 	return m.exclusive(e, name, fn)
@@ -906,10 +917,14 @@ func ingestedOnSuccess(err error, n int) int64 {
 // state access, so it is served under the session's read lock: concurrent
 // selections and result views proceed in parallel instead of queueing behind
 // the single-writer lock, and only the strategy's tiny stateful prologue
-// (the hybrid roulette draw) is serialized inside the session itself.
+// (the hybrid roulette draw) is serialized inside the session itself. A
+// parked session answers from its carried memo where that certifies k.
 func (m *Manager) NextObjects(ctx context.Context, name string, k int) ([]crowdval.ScoredObject, error) {
 	var ranked []crowdval.ScoredObject
-	err := m.view(ctx, name, func(s *crowdval.Session) error {
+	err := m.view(ctx, name, func(memo crowdval.RankingMemo) (ok bool) {
+		ranked, ok = memo.Top(k)
+		return ok
+	}, func(s *crowdval.Session) error {
 		var err error
 		ranked, err = s.NextObjectsContext(ctx, k)
 		return err
@@ -931,7 +946,8 @@ func (m *Manager) NextObjects(ctx context.Context, name string, k int) ([]crowdv
 // under a total order — gain/cost descending, ties broken by session name
 // then object ascending — so the result is deterministic and independent of
 // enumeration order. Parked sessions are skipped unless includeParked is
-// set, in which case they are resumed (counted as Resumes) and scored too.
+// set, in which case each answers from its carried memo where that
+// certifies k, and is resumed (counted as Resumes) and scored otherwise.
 //
 // Sessions that currently have nothing to offer — done, effort budget
 // spent, no candidates — contribute nothing rather than failing the global
@@ -968,34 +984,25 @@ func (m *Manager) GlobalNext(ctx context.Context, k int, includeParked bool) ([]
 
 // sessionCandidates scores one session's top-k candidates for the global
 // ranking, normalized to gain per unit cost. A resident session is read
-// under the shared lock; a parked one is skipped or resumed per
-// resumeParked. Deleted sessions and benign per-session exhaustion yield no
-// candidates and no error.
+// under the shared lock; a parked one is skipped unless resumeParked is set,
+// and then answers from its carried memo (as in view) or is resumed.
+// Deleted sessions and benign per-session exhaustion yield no candidates and
+// no error.
 func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resumeParked bool) ([]crowdval.GlobalNextCandidate, error) {
-	var out []crowdval.GlobalNextCandidate
+	var (
+		ranked    []crowdval.ScoredObject
+		tracker   crowdval.CostTracker
+		hasBudget bool
+	)
 	fn := func(s *crowdval.Session) error {
-		tracker, hasBudget := s.CostBudget()
-		ranked, err := s.NextObjectsContext(ctx, k)
-		if err != nil {
-			if errors.Is(err, cverr.ErrSessionDone) || errors.Is(err, cverr.ErrNoCandidates) ||
-				errors.Is(err, cverr.ErrBudgetExhausted) {
-				return nil
-			}
-			return err
+		tracker, hasBudget = s.CostBudget()
+		var err error
+		ranked, err = s.NextObjectsContext(ctx, k)
+		if errors.Is(err, cverr.ErrSessionDone) || errors.Is(err, cverr.ErrNoCandidates) ||
+			errors.Is(err, cverr.ErrBudgetExhausted) {
+			return nil
 		}
-		for _, so := range ranked {
-			gpc := so.Score / crowdval.DefaultExpertCrowdCostRatio
-			if hasBudget {
-				gpc = tracker.GainPerCost(so.Score)
-			}
-			out = append(out, crowdval.GlobalNextCandidate{
-				Session:     e.name,
-				Object:      so.Object,
-				Gain:        so.Score,
-				GainPerCost: gpc,
-			})
-		}
-		return nil
+		return err
 	}
 
 	e.mu.RLock()
@@ -1003,21 +1010,37 @@ func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resume
 		e.mu.RUnlock()
 		return nil, nil
 	}
+	var err error
 	if e.sess != nil {
-		err := fn(e.sess)
+		err = fn(e.sess)
 		m.foldSession(e, e.sess)
 		e.mu.RUnlock()
-		return out, err
+	} else {
+		memo := e.memo
+		e.mu.RUnlock()
+		if !resumeParked {
+			return nil, nil
+		}
+		var ok bool
+		if ranked, ok = memo.Top(k); ok {
+			tracker, hasBudget = memo.CostBudget()
+			atomic.AddInt64(&m.live.ParkedSelections, 1)
+		} else if err = m.exclusive(e, e.name, fn); errors.Is(err, cverr.ErrSessionNotFound) {
+			return nil, nil // deleted while we waited
+		}
 	}
-	e.mu.RUnlock()
-	if !resumeParked {
-		return nil, nil
+	if err != nil {
+		return nil, err
 	}
-	err := m.exclusive(e, e.name, fn)
-	if errors.Is(err, cverr.ErrSessionNotFound) {
-		return nil, nil // deleted while we waited
+	out := make([]crowdval.GlobalNextCandidate, len(ranked))
+	for i, so := range ranked {
+		gpc := so.Score / crowdval.DefaultExpertCrowdCostRatio
+		if hasBudget {
+			gpc = tracker.GainPerCost(so.Score)
+		}
+		out[i] = crowdval.GlobalNextCandidate{Session: e.name, Object: so.Object, Gain: so.Score, GainPerCost: gpc}
 	}
-	return out, err
+	return out, nil
 }
 
 // SetBudget installs or replaces the monetary budget of the named session
@@ -1099,7 +1122,7 @@ func (m *Manager) Snapshot(ctx context.Context, name string) ([]byte, error) {
 	// Mid-creation placeholder: fall back to the shared view path, which
 	// waits for the creation to settle.
 	var data []byte
-	err = m.view(ctx, name, func(s *crowdval.Session) error {
+	err = m.view(ctx, name, nil, func(s *crowdval.Session) error {
 		data, err = s.Snapshot()
 		return err
 	})
@@ -1110,7 +1133,7 @@ func (m *Manager) Snapshot(ctx context.Context, name string) ([]byte, error) {
 // transparently when parked. fn must not mutate the session; writer
 // operations go through the typed methods above.
 func (m *Manager) View(ctx context.Context, name string, fn func(*crowdval.Session) error) error {
-	return m.view(ctx, name, fn)
+	return m.view(ctx, name, nil, fn)
 }
 
 // SessionInfo describes one managed session for listings.
@@ -1170,6 +1193,9 @@ type Stats struct {
 	BudgetRemaining float64 `json:"budgetRemaining" prom:"crowdval_budget_remaining,gauge" help:"Summed monetary budget remaining across budgeted sessions."`
 	Evictions       int64   `json:"evictions" prom:"crowdval_evictions_total,counter" help:"Sessions parked to disk under memory pressure."`
 	Resumes         int64   `json:"resumes" prom:"crowdval_resumes_total,counter" help:"Parked sessions resumed on touch."`
+	// ParkedSelections counts the selections a parked session answered from
+	// its carried ranking memo, with no resume.
+	ParkedSelections int64 `json:"parkedSelections" prom:"crowdval_parked_selections_total,counter" help:"Selections a parked session answered from its carried ranking memo, without resuming."`
 	// MemoResumes counts the resumes that adopted the ranking memo carried
 	// from the park (their next selection re-ranks nothing);
 	// CarriedMemoBytes is the memory those memos hold while their sessions

@@ -27,6 +27,7 @@ func pinnedStats() (Stats, ClusterStats) {
 		BudgetRemaining:      62.5,
 		Evictions:            112,
 		Resumes:              113,
+		ParkedSelections:     140,
 		MemoResumes:          136,
 		CarriedMemoBytes:     137,
 		EMIterations:         114,
@@ -90,6 +91,7 @@ var wantExposition = map[string]promSample{
 	"crowdval_budget_remaining":             {"gauge", "Summed monetary budget remaining across budgeted sessions.", "62.5"},
 	"crowdval_evictions_total":              {"counter", "Sessions parked to disk under memory pressure.", "112"},
 	"crowdval_resumes_total":                {"counter", "Parked sessions resumed on touch.", "113"},
+	"crowdval_parked_selections_total":      {"counter", "Selections a parked session answered from its carried ranking memo, without resuming.", "140"},
 	"crowdval_memo_resumes_total":           {"counter", "Resumes that adopted the ranking memo carried from the park.", "136"},
 	"crowdval_carried_memo_bytes":           {"gauge", "Bytes of ranking memos carried by parked sessions; not charged to the memory budget.", "137"},
 	"crowdval_em_iterations_total":          {"counter", "Full EM iterations run across all sessions.", "114"},
@@ -126,7 +128,7 @@ var wantExposition = map[string]promSample{
 }
 
 // wantMetricsJSON is the /v1/metrics body for pinnedStats.
-const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"rankCandidatesScored":138,"rankCandidatesPruned":139,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
+const wantMetricsJSON = `{"sessions":101,"resident":102,"parked":103,"residentBytes":104,"memoryBudget":105,"ingestedAnswers":106,"ingestBatches":107,"coalescedIngests":108,"submittedValidations":109,"selections":110,"globalSelections":111,"budgetRemaining":62.5,"evictions":112,"resumes":113,"parkedSelections":140,"memoResumes":136,"carriedMemoBytes":137,"emIterations":114,"deltaIterations":115,"deltaAccepted":132,"deltaStalled":133,"deltaLargeFrontier":134,"shedIngests":116,"scoreIndexBuilds":117,"scoreIndexPatches":118,"rankCandidatesScored":138,"rankCandidatesPruned":139,"walRecords":119,"walBytes":120,"walSyncs":121,"checkpoints":122,"checkpointFailures":123,"recoveredSessions":124,"replayedRecords":125,"walDegradedSessions":126,"walFailStopSessions":127,"degradeEvents":128,"walHeals":129,"probeFailures":130,"enospcReclaims":131,"cluster":{"self":"10.0.0.1:7001","peers":201,"sessionsOwned":202,"followedSessions":203,"handoffsIn":204,"handoffsOut":205,"replicationLagLSN":206,"promotions":207,"notOwnerRejects":208}}
 `
 
 // renderExposition is what GET /metrics serves for a node with cluster

@@ -83,7 +83,7 @@ func New(m *Manager) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{name}/budget", handle(s.handleSetBudget))
 	s.mux.HandleFunc("POST /v1/sessions/{name}/validations", handle(s.handleSubmit))
 	s.mux.HandleFunc("GET /v1/sessions/{name}/result", handle(s.handleResult))
-	s.mux.HandleFunc("DELETE /v1/sessions/{name}", s.handleDelete)
+	s.mux.HandleFunc("DELETE /v1/sessions/{name}", handle(s.handleDelete))
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	return s
@@ -476,19 +476,19 @@ func (s *Server) handleResult(ctx context.Context, w http.ResponseWriter, r *htt
 	return nil
 }
 
-// handleDelete is the one session endpoint that takes no operation context
-// (deletion is not cancellable), so it writes its refusal itself.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
+// handleDelete ignores the operation context — deletion is not cancellable —
+// but goes through handle like every session endpoint, so a malformed
+// ?timeout= is refused here too.
+func (s *Server) handleDelete(_ context.Context, w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	err := s.checkOwner(name)
-	if err == nil {
-		err = s.manager.Delete(name)
+	if err := s.checkOwner(name); err != nil {
+		return err
 	}
-	if err != nil {
-		WriteError(w, err)
-		return
+	if err := s.manager.Delete(name); err != nil {
+		return err
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -30,6 +30,12 @@
 //     the ratio must stay within an order of magnitude; a change that
 //     erodes it (e.g. the global path rebuilding per-session indexes per
 //     request) is caught as ratio growth on any hardware.
+//   - parkednext: the parked/maintained served-selection ratio — what a
+//     GET /next?k=5 on a parked session, answered from the ranking memo it
+//     carried into the park, costs relative to the same read on a resident
+//     session. Both are lock, lookup and HTTP work; a change that makes
+//     parked reads resume their session again (a snapshot decode per
+//     request) is caught as ratio growth on any hardware.
 //
 // Each pair carries its own margin: the largest tolerated relative growth of
 // its ratio over the baseline. Without -pairs every pair is checked.
@@ -94,6 +100,14 @@ var knownPairs = map[string]ratioPair{
 		den:  "BenchmarkServerNext/maintained",
 		// A global path that stopped amortizing would push the ratio (~2.5)
 		// into the hundreds.
+		maxRegress: 1.0,
+	},
+	"parkednext": {
+		name: "parked/maintained served selection",
+		num:  "BenchmarkServerNext/parked",
+		den:  "BenchmarkServerNext/maintained",
+		// Both sides are microseconds of HTTP and lock work; a parked read
+		// that resumes its session costs milliseconds.
 		maxRegress: 1.0,
 	},
 }

@@ -86,7 +86,7 @@ func TestRatioOfPairs(t *testing.T) {
 // TestPairMargins pins every guarded pair and its regression margin, so a
 // loosened margin or a dropped pair is a visible, reviewed change.
 func TestPairMargins(t *testing.T) {
-	want := map[string]float64{"warm": 0.25, "next": 0.35, "wal": 0.25, "nextserve": 0.5, "globalnext": 1.0}
+	want := map[string]float64{"warm": 0.25, "next": 0.35, "wal": 0.25, "nextserve": 0.5, "globalnext": 1.0, "parkednext": 1.0}
 	if len(knownPairs) != len(want) {
 		t.Fatalf("%d guarded pairs, want %d", len(knownPairs), len(want))
 	}

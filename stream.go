@@ -127,17 +127,35 @@ func ResumeSession(data []byte, opts ...Option) (*Session, error) {
 // A serving tier that parks cold sessions takes the memo with
 // TakeRankingMemo in the same exclusive section that takes the Snapshot it
 // parks, keeps it beside the parked session, and hands it to the session
-// ResumeSession restores from exactly that snapshot with AdoptRankingMemo. Any other transition of the parked session — deletion,
-// replacement, a failed resume — must drop the memo. The zero value is the
-// empty memo.
-type RankingMemo struct{ memo *core.RankingMemo }
+// ResumeSession restores from exactly that snapshot with AdoptRankingMemo.
+// Until then, Top answers the parked session's reads the memo certifies.
+// Any other transition of the parked session — deletion, replacement, a
+// failed resume — must drop the memo. The zero value is the empty memo.
+type RankingMemo struct {
+	memo      *core.RankingMemo
+	budget    CostTracker
+	hasBudget bool
+}
 
 // TakeRankingMemo detaches the rankings the session has memoized for its
 // current state; the session keeps none of them and re-ranks on its next
 // selection.
 func (s *Session) TakeRankingMemo() RankingMemo {
-	return RankingMemo{s.engine.TakeRankingMemo()}
+	budget, hasBudget := s.CostBudget()
+	return RankingMemo{s.engine.TakeRankingMemo(), budget, hasBudget}
 }
+
+// Top returns the ranking NextObjects(k) would return on the session resumed
+// from the memo's snapshot with the memo adopted, without resuming it: ok
+// reports whether the memo certifies that answer. It never does for a hybrid
+// session, whose selections draw pseudo-random state, nor for a session
+// whose next selection would fail (goal reached, every object validated, a
+// budget spent); those must resume to answer.
+func (m RankingMemo) Top(k int) (ranked []ScoredObject, ok bool) { return m.memo.Top(k) }
+
+// CostBudget returns the monetary budget the session held when the memo was
+// taken (see Session.CostBudget).
+func (m RankingMemo) CostBudget() (CostTracker, bool) { return m.budget, m.hasBudget }
 
 // AdoptRankingMemo installs a memo taken from the session this one was
 // resumed from, before any mutation, and reports whether the session adopted
