@@ -214,7 +214,7 @@ func (m *Manager) adoptLog(name string, snapshot []byte, lsn uint64) (*sessionWA
 }
 
 // ReplicaApply applies one streamed log record to a followed session through
-// the same log-before-apply discipline the leader used, enforcing gap-free
+// the same log-before-apply step the leader used (logApply), enforcing gap-free
 // LSN continuity: a duplicate (lsn at or below the replica's position, the
 // signature of a reconnect) is skipped, a gap is rejected with ErrBadWAL so
 // the follower falls back to a fresh reset. Per-record application errors are
@@ -236,7 +236,7 @@ func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec
 	if err != nil {
 		return err
 	}
-	return m.exclusive(e, name, func(s *crowdval.Session) error {
+	return m.exclusive(e, name, func(*crowdval.Session) error {
 		cur := e.lsn()
 		if lsn <= cur {
 			return nil
@@ -244,17 +244,10 @@ func (m *Manager) ReplicaApply(ctx context.Context, name string, lsn uint64, rec
 		if lsn != cur+1 {
 			return fmt.Errorf("server: replica %q: record LSN %d leaves a gap after %d: %w", name, lsn, cur, cverr.ErrBadWAL)
 		}
-		if err := m.logMutation(e, rec); err != nil {
-			return err
-		}
-		applyCtx := ctx
-		if e.log != nil {
-			applyCtx = context.WithoutCancel(ctx)
-		}
-		aerr := replayRecord(applyCtx, s, rec)
+		_, applied, err := m.logApply(ctx, e, rec)
 		m.maybeCheckpoint(e)
-		if aerr != nil && (errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded)) {
-			return aerr
+		if !applied || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return err
 		}
 		return nil
 	})

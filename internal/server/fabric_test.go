@@ -151,10 +151,32 @@ func TestHandoffSendFailureKeepsSession(t *testing.T) {
 // TestFollowerReplicationViaWALTail drives the whole follower pipeline
 // in-process: snapshot reset, tailing the leader's log, applying each record
 // through ReplicaApply — and asserts the follower's state is byte-identical
-// to the leader's, including a deterministically re-failing record.
+// to the leader's. The leader runs the WAL script, with its deterministically
+// re-failing record, and the budget script, whose budget installs replicate
+// as RecBudget records.
 func TestFollowerReplicationViaWALTail(t *testing.T) {
 	d := testCrowd(t, 16, 5, 11)
 	extra := testCrowd(t, 16, 3, 13)
+	for _, tc := range []struct {
+		name string
+		ops  []walOp
+	}{
+		// The leader mutates after the reset too — including walScript's
+		// ops[4], which fails live and must re-fail identically on the
+		// follower, and budgetCrashScript's ops[4], a budget refund.
+		{"wal", walScript(d, extra)},
+		{"budget", budgetCrashScript(d, extra)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			followLeader(t, d, tc.ops)
+		})
+	}
+}
+
+// followLeader runs ops[:4] on a leader, resets a follower from the leader's
+// snapshot, runs the rest of ops on the leader and streams its log tail into
+// the follower.
+func followLeader(t *testing.T, d *crowdval.Dataset, ops []walOp) {
 	ctx := context.Background()
 	const name = "followed"
 
@@ -165,7 +187,6 @@ func TestFollowerReplicationViaWALTail(t *testing.T) {
 	if err := leader.Create(ctx, name, d.Answers.Clone(), sessionOpts()...); err != nil {
 		t.Fatal(err)
 	}
-	ops := walScript(d, extra)
 	runScript(t, leader, name, ops[:4], true)
 
 	follower, err := NewManager(walManagerConfig(t, t.TempDir(), -1))
@@ -179,9 +200,6 @@ func TestFollowerReplicationViaWALTail(t *testing.T) {
 	if err := follower.ReplicaReset(ctx, name, snap, lsn); err != nil {
 		t.Fatalf("ReplicaReset: %v", err)
 	}
-
-	// The leader keeps mutating — including ops[4], which fails live and must
-	// re-fail identically on the follower.
 	runScript(t, leader, name, ops[4:], true)
 
 	path, err := leader.SessionWALPath(name)

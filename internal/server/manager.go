@@ -254,6 +254,12 @@ func (m *Manager) parkPath(name string) string {
 
 // Create builds a new session under the given name. The context bounds the
 // initial cold aggregation, the dominant cost of session creation.
+//
+// Options the session's snapshot does not record last only until the
+// session is first resumed from one: the manager resumes a parked, recovered
+// or handed-off session from its snapshot with no options. So
+// crowdval.WithoutSelectionCache, a runtime-only option, ends at the
+// session's first park.
 func (m *Manager) Create(ctx context.Context, name string, answers *crowdval.AnswerSet, opts ...crowdval.Option) error {
 	return m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
 		sess, err := crowdval.NewSession(answers, append(append([]crowdval.Option(nil), opts...), crowdval.WithContext(ctx))...)
@@ -411,43 +417,29 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	return e, nil
 }
 
-// updateLogged runs fn with exclusive access to the named session (see
-// exclusive) under the log-before-apply discipline: rec is appended to the
-// session's WAL (when one is configured) before fn runs, a
-// failed append skips fn entirely, and a checkpoint is taken afterwards when
-// due. fn's own error does not suppress the logged record — replaying a
-// record whose application failed re-fails deterministically, because the
-// library rejects invalid mutations without mutating.
-//
-// fn receives the context to apply the mutation under, not the request's
-// context verbatim: once the record is logged it WILL be replayed after a
-// crash, so the live apply must not be abortable by the request's
-// cancellation — a mutation rolled back on a client timeout would resurrect
-// during recovery and diverge recovered state from live state. Cancellation
-// still rejects the request cleanly before anything is logged.
-func (m *Manager) updateLogged(ctx context.Context, name string, rec wal.Record, fn func(context.Context, *crowdval.Session) error) error {
+// mutate is the live write path of Submit, SubmitBatch and SetBudget: with
+// exclusive access to the named session it logs and applies rec (logApply)
+// and takes a checkpoint when one is due. A request cancelled before its
+// record is logged is rejected with nothing applied.
+func (m *Manager) mutate(ctx context.Context, name string, rec wal.Record) ([]crowdval.StepInfo, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	e, err := m.lookup(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return m.exclusive(e, name, func(s *crowdval.Session) error {
-		if err := m.logMutation(e, rec); err != nil {
-			return err
-		}
-		applyCtx := ctx
-		if e.log != nil {
-			applyCtx = context.WithoutCancel(ctx)
-		}
-		opErr := fn(applyCtx, s)
+	var infos []crowdval.StepInfo
+	err = m.exclusive(e, name, func(*crowdval.Session) error {
+		var err error
+		infos, _, err = m.logApply(ctx, e, rec)
 		m.maybeCheckpoint(e)
-		return opErr
+		return err
 	})
+	return infos, err
 }
 
-// exclusive is the shared write path — logged updates, ingest drains, the
+// exclusive is the shared write path — live mutations, ingest drains, the
 // fabric's snapshot and replication paths, and the parked-session fallback
 // of view and the global ranking: lock the entry, resume it if parked, run
 // fn, re-account the session's memory and park budget victims (never the
@@ -568,13 +560,9 @@ func addMonotone(seen, total *int64, cur int64) {
 // caller holds the entry's write lock.
 func (m *Manager) unpark(e *entry) error {
 	memo := m.takeMemo(e)
-	snap, err := m.readParkFile(e.name)
+	sess, _, err := resumeFrame(m.parkPath(e.name))
 	if err != nil {
-		return fmt.Errorf("server: unparking session %q: %w", e.name, err)
-	}
-	sess, err := crowdval.ResumeSession(snap)
-	if err != nil {
-		return fmt.Errorf("server: unparking session %q: %w", e.name, err)
+		return fmt.Errorf("server: unparking session %q: %w", e.name, badParkFile(err))
 	}
 	_ = os.Remove(m.parkPath(e.name))
 	if sess.AdoptRankingMemo(memo) {
@@ -719,14 +707,13 @@ func (m *Manager) writeParkFile(v *entry) error {
 	return err
 }
 
-// readParkFile loads and verifies a parked session's frame and returns its
-// snapshot. A damaged frame is a damaged snapshot: ErrBadSnapshot.
-func (m *Manager) readParkFile(name string) ([]byte, error) {
-	_, snap, err := readCheckpointFile(m.parkPath(name))
+// badParkFile maps a damaged park frame to a damaged snapshot:
+// ErrBadSnapshot, which is how the park file's contents reach clients.
+func badParkFile(err error) error {
 	if errors.Is(err, cverr.ErrBadWAL) {
-		return nil, fmt.Errorf("%w: damaged park file (%v)", cverr.ErrBadSnapshot, err)
+		return fmt.Errorf("%w: damaged park file (%v)", cverr.ErrBadSnapshot, err)
 	}
-	return snap, err
+	return err
 }
 
 // AddAnswers folds new crowd answers into the named session (see
@@ -791,7 +778,7 @@ func (m *Manager) AddAnswers(ctx context.Context, name string, answers []crowdva
 // write lock; the queue take is atomic, so no ticket is ever drained twice.
 // own is the drainer's ticket: only that ticket's work may run under the
 // drainer's cancellable ctx — and only when no WAL is configured, see
-// ticketCtx — everything done on behalf of other requests runs
+// logApply — everything done on behalf of other requests runs
 // cancellation-free (a drained queue can hold foreign tickets even when it
 // has length one — the drainer's own may have been drained by an earlier
 // lock holder).
@@ -803,80 +790,54 @@ func (m *Manager) drainIngest(ctx context.Context, own *ingestTicket, e *entry, 
 	if len(tickets) == 0 {
 		return
 	}
-	// With a WAL configured even the drainer's own ticket applies
-	// cancellation-free: its record is logged (and will be replayed after a
-	// crash) before AddAnswers runs, so a cancellation rollback of the live
-	// apply would diverge recovered state from live state.
-	ticketCtx := func(t *ingestTicket) context.Context {
-		if t == own && e.log == nil {
-			return ctx
-		}
-		return context.WithoutCancel(ctx)
-	}
+	defer m.maybeCheckpoint(e)
 
 	// Coalescing changes the aggregation trajectory (one warm EM over the
 	// union instead of one per batch), which is only on the table for
 	// delta sessions, which give up bit-for-bit replay equivalence anyway.
 	// Exact sessions drain sequentially.
-	if len(tickets) == 1 || !s.DeltaIngestEnabled() {
+	if len(tickets) > 1 && s.DeltaIngestEnabled() {
+		merged := 0
 		for _, t := range tickets {
-			err := m.logMutation(e, answersRecord(t.answers))
-			if err == nil {
-				err = s.AddAnswers(ticketCtx(t), t.answers)
-				m.accountIngest(1, 0, ingestedOnSuccess(err, len(t.answers)))
+			merged += len(t.answers)
+		}
+		batch := make([]crowdval.Answer, 0, merged)
+		for _, t := range tickets {
+			batch = append(batch, t.answers...)
+		}
+		// The WAL gets the *merged* batch — exactly what the live session
+		// applies — so replay walks the same aggregation trajectory. It is
+		// applied under a cancellation-free context: the work belongs to every
+		// merged client, not just the drainer, so one client disconnecting
+		// must not abort the others' ingest mid-flight.
+		if _, _, err := m.logApply(context.WithoutCancel(ctx), e, answersRecord(batch)); err == nil {
+			total := s.AnswerCount()
+			m.accountIngest(1, int64(len(tickets)-1), int64(merged))
+			for _, t := range tickets {
+				t.done <- ingestOutcome{total: total}
 			}
-			t.done <- ingestOutcome{total: s.AnswerCount(), err: err}
+			return
 		}
-		m.maybeCheckpoint(e)
-		return
+		// Session.AddAnswers validates every answer before mutating anything,
+		// so a failed merge left the session untouched: some request carried
+		// an invalid answer, or the log refused the record (and refuses each
+		// ticket's below with the same cause). Fall back to one ticket at a
+		// time: the error lands on the request that caused it and the valid
+		// requests still go through. A logged merged record replays against
+		// the same pre-batch state and re-fails deterministically, so the log
+		// still prescribes exactly the applied mutations.
 	}
-
-	// Merged batch. It is applied under a cancellation-free context: the
-	// work belongs to every merged client, not just the drainer, so one
-	// client disconnecting must not abort the others' ingest mid-flight.
-	merged := 0
 	for _, t := range tickets {
-		merged += len(t.answers)
-	}
-	batch := make([]crowdval.Answer, 0, merged)
-	for _, t := range tickets {
-		batch = append(batch, t.answers...)
-	}
-	// The WAL gets the *merged* batch — exactly what the live session is
-	// about to apply — so replay walks the same aggregation trajectory. A log
-	// failure fails every merged request; nothing was applied.
-	if err := m.logMutation(e, answersRecord(batch)); err != nil {
-		for _, t := range tickets {
-			t.done <- ingestOutcome{err: err}
+		tctx := ctx
+		if t != own {
+			tctx = context.WithoutCancel(ctx)
 		}
-		return
-	}
-	err := s.AddAnswers(context.WithoutCancel(ctx), batch)
-	if err == nil {
-		total := s.AnswerCount()
-		m.accountIngest(1, int64(len(tickets)-1), int64(merged))
-		for _, t := range tickets {
-			t.done <- ingestOutcome{total: total}
+		_, applied, err := m.logApply(tctx, e, answersRecord(t.answers))
+		if applied {
+			m.accountIngest(1, 0, ingestedOnSuccess(err, len(t.answers)))
 		}
-		m.maybeCheckpoint(e)
-		return
+		t.done <- ingestOutcome{total: s.AnswerCount(), err: err}
 	}
-	// Session.AddAnswers validates every answer before mutating anything, so
-	// a merged failure means some request carried an invalid answer and the
-	// session is untouched. Re-apply per ticket: the error lands on the
-	// request that caused it and the valid requests still go through. Each
-	// retry is logged individually; the already-logged merged record replays
-	// against the same pre-batch state and re-fails deterministically, so the
-	// log still prescribes exactly the applied mutations.
-	for _, t := range tickets {
-		terr := m.logMutation(e, answersRecord(t.answers))
-		if terr == nil {
-			terr = s.AddAnswers(context.WithoutCancel(ctx), t.answers)
-			m.accountIngest(1, 0, ingestedOnSuccess(terr, len(t.answers)))
-		}
-		t.done <- ingestOutcome{total: s.AnswerCount(), err: terr}
-	}
-	m.maybeCheckpoint(e)
 }
 
 // failOwnIngest removes the caller's own ticket from the queue and resolves
@@ -1048,36 +1009,24 @@ func (m *Manager) sessionCandidates(ctx context.Context, e *entry, k int, resume
 // The change is logged to the session's WAL before it applies, like every
 // other mutation, so budget state survives a crash exactly.
 func (m *Manager) SetBudget(ctx context.Context, name string, t crowdval.CostTracker) error {
-	return m.updateLogged(ctx, name, budgetRecord(t), func(ctx context.Context, s *crowdval.Session) error {
-		s.SetCostBudget(t)
-		return nil
-	})
+	_, err := m.mutate(ctx, name, budgetRecord(t))
+	return err
 }
 
 // Submit integrates one expert validation.
 func (m *Manager) Submit(ctx context.Context, name string, object int, label crowdval.Label) (crowdval.StepInfo, error) {
-	var info crowdval.StepInfo
-	err := m.updateLogged(ctx, name, submitRecord(object, label), func(ctx context.Context, s *crowdval.Session) error {
-		var err error
-		info, err = s.SubmitValidationContext(ctx, object, label)
-		return err
-	})
+	infos, err := m.mutate(ctx, name, submitRecord(object, label))
 	if err != nil {
 		return crowdval.StepInfo{}, err
 	}
 	atomic.AddInt64(&m.live.SubmittedValidations, 1)
-	return info, nil
+	return infos[0], nil
 }
 
 // SubmitBatch integrates a whole batch of expert validations transactionally
 // (see Session.SubmitValidations).
 func (m *Manager) SubmitBatch(ctx context.Context, name string, inputs []crowdval.ValidationInput) ([]crowdval.StepInfo, error) {
-	var infos []crowdval.StepInfo
-	err := m.updateLogged(ctx, name, submitBatchRecord(inputs), func(ctx context.Context, s *crowdval.Session) error {
-		var err error
-		infos, err = s.SubmitValidations(ctx, inputs)
-		return err
-	})
+	infos, err := m.mutate(ctx, name, submitBatchRecord(inputs))
 	if err != nil {
 		return nil, err
 	}
@@ -1112,9 +1061,9 @@ func (m *Manager) Snapshot(ctx context.Context, name string) ([]byte, error) {
 	}
 	if e.isParked {
 		defer e.mu.RUnlock()
-		data, err := m.readParkFile(e.name)
+		_, data, err := readCheckpointFile(m.parkPath(e.name))
 		if err != nil {
-			return nil, fmt.Errorf("server: reading park file of %q: %w", name, err)
+			return nil, fmt.Errorf("server: reading park file of %q: %w", name, badParkFile(err))
 		}
 		return data, nil
 	}

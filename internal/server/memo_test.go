@@ -487,11 +487,7 @@ func TestParkedReadAnswersFromMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	parkRankedSession(t, m, d, opts, 10)
-	snap, err := m.readParkFile("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := crowdval.ResumeSession(snap)
+	resumed, _, err := resumeFrame(m.parkPath("s"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -555,8 +555,8 @@ func TestPrometheusEndpoint(t *testing.T) {
 // contract: once a mutation's record is appended to the WAL it will be
 // replayed after a crash, so the live apply must run to completion even when
 // the request's context is cancelled mid-flight — a cancellation rollback of
-// the live state would diverge from recovery. Checked on both logged write
-// paths (updateLogged, and the ingest drain's own-ticket path), and recovery
+// the live state would diverge from recovery. Checked on both live write
+// paths (a submit, and the ingest drain's own-ticket path), and recovery
 // must land bit-for-bit on the live state.
 func TestLoggedMutationIgnoresRequestCancellation(t *testing.T) {
 	d := testCrowd(t, 16, 5, 67)
@@ -565,25 +565,32 @@ func TestLoggedMutationIgnoresRequestCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The client vanishes while its record is being appended: the log file
+	// cancels the request's context from inside the write.
+	var cancelOnAppend context.CancelFunc
+	m1.walOpen = func(_ string, f *os.File) wal.File {
+		return writeHook{File: f, before: func() {
+			if cancelOnAppend != nil {
+				cancelOnAppend()
+				cancelOnAppend = nil
+			}
+		}}
+	}
 	const name = "cancelled"
 	if err := m1.Create(context.Background(), name, d.Answers.Clone(), sessionOpts()...); err != nil {
 		t.Fatal(err)
 	}
 
-	// updateLogged path: the client vanishes after the record is logged,
-	// while fn is applying. fn must have been handed a cancellation-free
-	// context and the mutation must still succeed.
+	// Submit path: the record is logged under SyncAlways, so the write runs
+	// inside the append; the apply that follows must not see the
+	// cancellation and the mutation must still be acknowledged.
 	ctx, cancel := context.WithCancel(context.Background())
-	err = m1.updateLogged(ctx, name, submitRecord(0, d.Truth[0]), func(applyCtx context.Context, s *crowdval.Session) error {
-		cancel()
-		if applyCtx.Err() != nil {
-			t.Errorf("logged apply saw the request cancellation: %v", applyCtx.Err())
-		}
-		_, err := s.SubmitValidationContext(applyCtx, 0, d.Truth[0])
-		return err
-	})
-	if err != nil {
+	cancelOnAppend = cancel
+	if _, err := m1.Submit(ctx, name, 0, d.Truth[0]); err != nil {
 		t.Fatalf("logged submit rolled back on cancellation: %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the request was not cancelled while its record was appended")
 	}
 
 	// Ingest drain path: park the ticket behind a held write lock, cancel the
@@ -619,6 +626,17 @@ func TestLoggedMutationIgnoresRequestCancellation(t *testing.T) {
 	if got := managerSnapshot(t, m2, name); !bytes.Equal(got, want) {
 		t.Fatal("recovered state diverged from the live state after cancelled requests")
 	}
+}
+
+// writeHook is a log file that calls before ahead of every write.
+type writeHook struct {
+	*os.File
+	before func()
+}
+
+func (w writeHook) Write(p []byte) (int, error) {
+	w.before()
+	return w.File.Write(p)
 }
 
 // TestRotationFailsStopOnCorruptLog pins the rotation integrity check: every

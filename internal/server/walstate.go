@@ -22,6 +22,14 @@ import (
 // discipline, checkpoint rotation with a two-generation fallback, and crash
 // recovery.
 //
+// A wal.Record is the only description of a session mutation. A live request
+// builds its record (answersRecord, submitRecord, submitBatchRecord,
+// budgetRecord), logs it and applies it (logApply); crash recovery and a
+// replica read the same record back and apply it. All three apply it through
+// one function, applyRecord, so what recovery or a failover rebuilds is what
+// the live session did. Likewise a session resumes from a checkpoint frame —
+// a checkpoint generation or a park file — through one routine, resumeFrame.
+//
 // On-disk layout per session (inside ManagerConfig.WALDir):
 //
 //	<name>.wal        append-only mutation log (see package wal)
@@ -404,6 +412,86 @@ func readCheckpointFile(path string) (lsn uint64, snapshot []byte, err error) {
 	return wal.ParseCheckpoint(frame)
 }
 
+// resumeFrame reads and verifies one checkpoint frame file and resumes the
+// session in its snapshot, returning the LSN the frame covers. Recovery
+// resumes checkpoint generations through it and unpark resumes park files.
+func resumeFrame(path string) (*crowdval.Session, uint64, error) {
+	lsn, snap, err := readCheckpointFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	sess, err := crowdval.ResumeSession(snap)
+	if err != nil {
+		return nil, 0, err
+	}
+	return sess, lsn, nil
+}
+
+// logApply is the log-before-apply step of every live and replicated
+// mutation: it logs rec (see logMutation) and then applies it (applyRecord).
+// A record the log refuses is not applied, and applied reports false. A
+// logged record runs under a cancellation-free context: it WILL be replayed
+// after a crash, so a live apply rolled back on a client timeout would
+// diverge recovered state from live state. Without a WAL the request's
+// context still applies. The apply's own error does not undo the logged
+// record: replaying it re-fails deterministically, because the library
+// rejects invalid mutations without mutating. The caller holds the entry's
+// write lock with a resident session.
+func (m *Manager) logApply(ctx context.Context, e *entry, rec wal.Record) (infos []crowdval.StepInfo, applied bool, err error) {
+	if err := m.logMutation(e, rec); err != nil {
+		return nil, false, err
+	}
+	if e.log != nil {
+		ctx = context.WithoutCancel(ctx)
+	}
+	infos, err = applyRecord(ctx, e.sess, rec)
+	return infos, true, err
+}
+
+// applyRecord applies one mutation record to a session and returns the step
+// infos of a validation record. It is the one translation of a record into a
+// session call: live requests (through logApply), crash recovery and
+// replicas all apply their records here. A create record is not a mutation
+// and is refused with ErrBadWAL, like an unknown record type.
+func applyRecord(ctx context.Context, s *crowdval.Session, rec wal.Record) ([]crowdval.StepInfo, error) {
+	switch rec.Type {
+	case wal.RecAddAnswers:
+		answers := make([]crowdval.Answer, len(rec.Answers))
+		for i, a := range rec.Answers {
+			answers[i] = crowdval.Answer{Object: a.Object, Worker: a.Worker, Label: crowdval.Label(a.Label)}
+		}
+		return nil, s.AddAnswers(ctx, answers)
+	case wal.RecSubmit:
+		info, err := s.SubmitValidationContext(ctx, rec.Validations[0].Object, crowdval.Label(rec.Validations[0].Label))
+		if err != nil {
+			return nil, err
+		}
+		return []crowdval.StepInfo{info}, nil
+	case wal.RecSubmitBatch:
+		inputs := make([]crowdval.ValidationInput, len(rec.Validations))
+		for i, v := range rec.Validations {
+			inputs[i] = crowdval.ValidationInput{Object: v.Object, Label: crowdval.Label(v.Label)}
+		}
+		return s.SubmitValidations(ctx, inputs)
+	case wal.RecBudget:
+		b := rec.Budget
+		s.SetCostBudget(crowdval.CostTracker{
+			Theta:  b.Theta,
+			Budget: b.Total,
+			Time: crowdval.CompletionTime{
+				CrowdTime:         b.CrowdTime,
+				TimePerValidation: b.TimePerValidation,
+			},
+			TimeLimit: b.TimeLimit,
+		})
+		return nil, nil
+	case wal.RecNoop:
+		return nil, nil
+	default:
+		return nil, fmt.Errorf("server: record type %d is not a session mutation: %w", rec.Type, cverr.ErrBadWAL)
+	}
+}
+
 // answersRecord frames an ingest batch as a log record.
 func answersRecord(answers []crowdval.Answer) wal.Record {
 	rec := wal.Record{Type: wal.RecAddAnswers, Answers: make([]wal.Answer, len(answers))}
@@ -509,8 +597,7 @@ func (m *Manager) Recover(ctx context.Context) ([]RecoveredSession, error) {
 func (m *Manager) recoverSession(ctx context.Context, name string) (r RecoveredSession) {
 	r.Name = name
 	r.Err = m.install(name, func() (*crowdval.Session, *sessionWAL, error) {
-		sess, w, err := m.replayLog(ctx, name, &r)
-		return sess, w, err
+		return m.replayLog(ctx, name, &r)
 	})
 	return r
 }
@@ -526,17 +613,16 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 
 	// Newest intact checkpoint, falling back one generation. A missing
 	// newest with a present fallback is also a crash signature (killed
-	// between the two renames of a rotation), so any failure to read the
+	// between the two renames of a rotation), so any failure to resume the
 	// newest tries the fallback.
-	var snap []byte
-	var ckptLSN uint64
-	haveCkpt := false
-	if lsn, s, err := readCheckpointFile(m.ckptPath(name)); err == nil {
-		snap, ckptLSN, haveCkpt = s, lsn, true
-	} else if lsn, s, err := readCheckpointFile(m.ckptPrevPath(name)); err == nil {
-		snap, ckptLSN, haveCkpt = s, lsn, true
-		r.UsedFallback = true
+	sess, ckptLSN, err := resumeFrame(m.ckptPath(name))
+	if err != nil {
+		if sess, ckptLSN, err = resumeFrame(m.ckptPrevPath(name)); err == nil {
+			r.UsedFallback = true
+		}
 	}
+	haveCkpt := sess != nil
+	r.CheckpointLSN = ckptLSN
 
 	f, err := os.Open(m.walPath(name))
 	if err != nil {
@@ -546,15 +632,6 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 	rd, rdErr := wal.NewReader(f)
 	if rdErr != nil && !haveCkpt {
 		return nil, nil, fmt.Errorf("server: session %q: log header unreadable and no intact checkpoint: %w", name, rdErr)
-	}
-
-	var sess *crowdval.Session
-	if haveCkpt {
-		sess, err = crowdval.ResumeSession(snap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: resuming checkpoint of session %q: %w", name, err)
-		}
-		r.CheckpointLSN = ckptLSN
 	}
 	lastLSN := ckptLSN
 	if rdErr != nil {
@@ -592,7 +669,7 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 				r.TornTail = true
 				break
 			}
-			if aerr := replayRecord(ctx, sess, rec); aerr != nil {
+			if _, aerr := applyRecord(ctx, sess, rec); aerr != nil {
 				// Per-record application errors re-fail exactly as they did
 				// live (the library rejects without mutating), so replay
 				// ignores them; only cancellation aborts recovery.
@@ -638,44 +715,6 @@ func (m *Manager) replayLog(ctx context.Context, name string, r *RecoveredSessio
 		atomic.AddInt64(&m.live.Checkpoints, 1)
 	}
 	return sess, w, nil
-}
-
-// replayRecord applies one logged mutation to a session being recovered.
-func replayRecord(ctx context.Context, sess *crowdval.Session, rec wal.Record) error {
-	switch rec.Type {
-	case wal.RecAddAnswers:
-		answers := make([]crowdval.Answer, len(rec.Answers))
-		for i, a := range rec.Answers {
-			answers[i] = crowdval.Answer{Object: a.Object, Worker: a.Worker, Label: crowdval.Label(a.Label)}
-		}
-		return sess.AddAnswers(ctx, answers)
-	case wal.RecSubmit:
-		_, err := sess.SubmitValidationContext(ctx, rec.Validations[0].Object, crowdval.Label(rec.Validations[0].Label))
-		return err
-	case wal.RecSubmitBatch:
-		inputs := make([]crowdval.ValidationInput, len(rec.Validations))
-		for i, v := range rec.Validations {
-			inputs[i] = crowdval.ValidationInput{Object: v.Object, Label: crowdval.Label(v.Label)}
-		}
-		_, err := sess.SubmitValidations(ctx, inputs)
-		return err
-	case wal.RecBudget:
-		b := rec.Budget
-		sess.SetCostBudget(crowdval.CostTracker{
-			Theta:  b.Theta,
-			Budget: b.Total,
-			Time: crowdval.CompletionTime{
-				CrowdTime:         b.CrowdTime,
-				TimePerValidation: b.TimePerValidation,
-			},
-			TimeLimit: b.TimeLimit,
-		})
-		return nil
-	case wal.RecNoop:
-		return nil
-	default:
-		return fmt.Errorf("server: replaying unknown record type %d: %w", rec.Type, cverr.ErrBadWAL)
-	}
 }
 
 // errManagerClosed marks session logs retired by Manager.Close: further

@@ -23,8 +23,9 @@
 // baseLSN+i (1-based), so a log that was truncated behind a checkpoint keeps
 // stable record numbers. A Reader stops cleanly at the first torn or corrupt
 // record — the defining property of a crash-tail — and reports the byte
-// offset of the last intact record so recovery can truncate the tail before
-// appending again.
+// offset of the last intact record. Recovery does not truncate there: it
+// reattaches at the end of the file, torn bytes included, and rewrites the
+// log canonically, without the torn tail, before anything is appended.
 package wal
 
 import (
@@ -390,9 +391,11 @@ func NewAppender(f File, baseLSN uint64, policy SyncPolicy) (*Appender, error) {
 	return a, nil
 }
 
-// ResumeAppender continues an existing log: f must be positioned at the clean
-// end of the file (recovery truncates any torn tail first) and lastLSN is the
-// LSN of the last intact record.
+// ResumeAppender continues an existing log: f is positioned at the end of the
+// file and lastLSN is the LSN of the last intact record. Appending is only
+// sound when no torn bytes follow that record; recovery, which reattaches to
+// a file that may still end in a torn tail, rewrites the log canonically
+// before the first append.
 func ResumeAppender(f File, lastLSN uint64, policy SyncPolicy) *Appender {
 	return &Appender{f: f, bw: bufio.NewWriter(f), policy: policy, lsn: lastLSN}
 }
@@ -477,8 +480,8 @@ func (a *Appender) Metrics() (bytes, records, syncs int64) {
 // Reader iterates the records of a log stream. Next returns io.EOF at a
 // clean end of log and an ErrBadWAL-wrapped error at the first torn or
 // corrupt record; either way CleanOffset reports the byte offset just past
-// the last intact record, which is where recovery truncates before appending
-// again.
+// the last intact record. Bytes beyond it are a torn tail, which recovery
+// drops by rewriting the log rather than by truncating it.
 type Reader struct {
 	r       *bufio.Reader
 	base    uint64

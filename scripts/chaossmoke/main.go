@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -39,6 +38,7 @@ import (
 	"crowdval"
 	"crowdval/internal/cluster"
 	"crowdval/internal/server"
+	"crowdval/scripts/internal/smoke"
 )
 
 const sessionName = "chaos"
@@ -65,7 +65,7 @@ func run() error {
 		return fmt.Errorf("building crowdval: %w", err)
 	}
 
-	nodeAddrs, err := freeAddrs(2)
+	nodeAddrs, err := smoke.FreeAddrs(2)
 	if err != nil {
 		return err
 	}
@@ -114,7 +114,7 @@ func run() error {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, addr := range nodeAddrs {
-		if err := waitReady(client, addr); err != nil {
+		if err := smoke.WaitReady(client, addr); err != nil {
 			return err
 		}
 	}
@@ -155,7 +155,7 @@ func run() error {
 		matrix[o] = row
 	}
 	leaderURL := "http://" + leader
-	if err := postJSON(client, leaderURL+"/v1/sessions", server.CreateSessionRequest{
+	if err := smoke.PostJSON(client, leaderURL+"/v1/sessions", server.CreateSessionRequest{
 		Name:   sessionName,
 		Matrix: matrix,
 		Options: server.SessionConfig{
@@ -174,14 +174,14 @@ func run() error {
 				req.Answers = append(req.Answers, server.AnswerJSON{Object: o, Worker: d.Answers.NumWorkers() + worker, Label: int(l)})
 			}
 		}
-		if err := postJSON(client, leaderURL+"/v1/sessions/"+sessionName+"/answers", req, http.StatusOK, nil); err != nil {
+		if err := smoke.PostJSON(client, leaderURL+"/v1/sessions/"+sessionName+"/answers", req, http.StatusOK, nil); err != nil {
 			return err
 		}
 		return mirror.AddAnswers(context.Background(), answers)
 	}
 	submit := func(object int) error {
 		req := server.SubmitRequest{Validations: []server.ValidationJSON{{Object: object, Label: int(d.Truth[object])}}}
-		if err := postJSON(client, leaderURL+"/v1/sessions/"+sessionName+"/validations", req, http.StatusOK, nil); err != nil {
+		if err := smoke.PostJSON(client, leaderURL+"/v1/sessions/"+sessionName+"/validations", req, http.StatusOK, nil); err != nil {
 			return err
 		}
 		_, err := mirror.SubmitValidationContext(context.Background(), object, d.Truth[object])
@@ -207,7 +207,7 @@ func run() error {
 
 	// Break the leader's disk: every fsync fails until cleared.
 	fmt.Printf("chaossmoke: arming fsync fault on leader %s\n", leader)
-	if err := postJSON(client, leaderURL+"/internal/v1/faults", map[string]any{
+	if err := smoke.PostJSON(client, leaderURL+"/internal/v1/faults", map[string]any{
 		"rules": []map[string]any{{"op": "sync", "err": "eio"}},
 	}, http.StatusOK, nil); err != nil {
 		return fmt.Errorf("arming fault: %w", err)
@@ -267,7 +267,7 @@ func run() error {
 	fmt.Println("chaossmoke: degraded mode verified (reads 200, readyz degraded, gauge exported)")
 
 	// Lift the fault; the probe loop must heal the node with no restart.
-	if err := postJSON(client, leaderURL+"/internal/v1/faults", map[string]any{"clear": true}, http.StatusOK, nil); err != nil {
+	if err := smoke.PostJSON(client, leaderURL+"/internal/v1/faults", map[string]any{"clear": true}, http.StatusOK, nil); err != nil {
 		return fmt.Errorf("clearing faults: %w", err)
 	}
 	if err := waitHealthy(client, leader); err != nil {
@@ -300,40 +300,6 @@ func run() error {
 	}
 	fmt.Printf("chaossmoke: leader and follower match serial replay (%d snapshot bytes)\n", len(want))
 	return nil
-}
-
-// freeAddrs reserves n distinct loopback ports and releases them for the
-// child processes to bind.
-func freeAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	for _, l := range listeners {
-		_ = l.Close()
-	}
-	return addrs, nil
-}
-
-func waitReady(client *http.Client, addr string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get("http://" + addr + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("node %s never became ready", addr)
 }
 
 // waitHealthy polls /readyz until the node reports health "healthy" again.
@@ -378,24 +344,4 @@ func getJSON(client *http.Client, url string, into any) error {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(payload))
 	}
 	return json.Unmarshal(payload, into)
-}
-
-func postJSON(client *http.Client, url string, body any, wantStatus int, into any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != wantStatus {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(payload))
-	}
-	if into != nil {
-		return json.Unmarshal(payload, into)
-	}
-	return nil
 }

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -30,6 +29,7 @@ import (
 	"crowdval"
 	"crowdval/internal/cluster"
 	"crowdval/internal/server"
+	"crowdval/scripts/internal/smoke"
 )
 
 const sessionName = "smoke"
@@ -56,7 +56,7 @@ func run() error {
 		return fmt.Errorf("building crowdval: %w", err)
 	}
 
-	addrs, err := freeAddrs(4)
+	addrs, err := smoke.FreeAddrs(4)
 	if err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func run() error {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, addr := range addrs {
-		if err := waitReady(client, addr); err != nil {
+		if err := smoke.WaitReady(client, addr); err != nil {
 			return err
 		}
 	}
@@ -155,7 +155,7 @@ func run() error {
 		matrix[o] = row
 	}
 	routerURL := "http://" + routerAddr
-	if err := postJSON(client, routerURL+"/v1/sessions", server.CreateSessionRequest{
+	if err := smoke.PostJSON(client, routerURL+"/v1/sessions", server.CreateSessionRequest{
 		Name:   sessionName,
 		Matrix: matrix,
 		Options: server.SessionConfig{
@@ -174,7 +174,7 @@ func run() error {
 				req.Answers = append(req.Answers, server.AnswerJSON{Object: o, Worker: d.Answers.NumWorkers() + worker, Label: int(l)})
 			}
 		}
-		if err := postJSON(client, routerURL+"/v1/sessions/"+sessionName+"/answers", req, http.StatusOK, nil); err != nil {
+		if err := smoke.PostJSON(client, routerURL+"/v1/sessions/"+sessionName+"/answers", req, http.StatusOK, nil); err != nil {
 			return err
 		}
 		// Mirror only after the fabric acknowledged.
@@ -182,7 +182,7 @@ func run() error {
 	}
 	submit := func(object int) error {
 		req := server.SubmitRequest{Validations: []server.ValidationJSON{{Object: object, Label: int(d.Truth[object])}}}
-		if err := postJSON(client, routerURL+"/v1/sessions/"+sessionName+"/validations", req, http.StatusOK, nil); err != nil {
+		if err := smoke.PostJSON(client, routerURL+"/v1/sessions/"+sessionName+"/validations", req, http.StatusOK, nil); err != nil {
 			return err
 		}
 		_, err := mirror.SubmitValidationContext(context.Background(), object, d.Truth[object])
@@ -220,7 +220,7 @@ func run() error {
 	var promoted struct {
 		Promoted []string `json:"promoted"`
 	}
-	if err := postJSON(client, "http://"+follower+"/internal/v1/promote",
+	if err := smoke.PostJSON(client, "http://"+follower+"/internal/v1/promote",
 		map[string]any{"name": sessionName}, http.StatusOK, &promoted); err != nil {
 		return fmt.Errorf("promoting follower: %w", err)
 	}
@@ -264,41 +264,6 @@ func run() error {
 	return nil
 }
 
-// freeAddrs reserves n distinct loopback ports and releases them for the
-// child processes to bind. The listen-then-close window is racy in theory;
-// in a CI job that owns the machine it is not.
-func freeAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = l
-		addrs[i] = l.Addr().String()
-	}
-	for _, l := range listeners {
-		_ = l.Close()
-	}
-	return addrs, nil
-}
-
-func waitReady(client *http.Client, addr string) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get("http://" + addr + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("node %s never became ready", addr)
-}
-
 // waitCaughtUp polls the follower's local snapshot until it is byte-equal
 // to want, then asserts the follower's metrics report the replication.
 func waitCaughtUp(client *http.Client, follower string, want []byte) error {
@@ -330,26 +295,6 @@ func waitCaughtUp(client *http.Client, follower string, want []byte) error {
 	}
 	if m.Cluster == nil || m.Cluster.FollowedSessions < 1 {
 		return fmt.Errorf("follower %s metrics do not report the followed session", follower)
-	}
-	return nil
-}
-
-func postJSON(client *http.Client, url string, body any, wantStatus int, into any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != wantStatus {
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(payload))
-	}
-	if into != nil {
-		return json.Unmarshal(payload, into)
 	}
 	return nil
 }

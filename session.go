@@ -215,7 +215,9 @@ func WithCostBudget(t CostTracker) Option {
 // This is a pure performance knob for benchmarking and differential testing:
 // selections are bit-identical with and without the caches (the differential
 // suite pins this), and the option is not part of the snapshot state — a
-// resumed session uses whatever the resuming process passes.
+// resumed session uses whatever the resuming process passes. The serving
+// tier resumes sessions with no options, so a session created there with it
+// has its caches back after its first park (see server.Manager.Create).
 func WithoutSelectionCache() Option { return func(c *sessionConfig) { c.noSelectionCache = true } }
 
 // StepInfo summarizes the consequences of one submitted validation.
